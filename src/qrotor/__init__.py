@@ -10,7 +10,7 @@ model is built on.
 __version__ = "0.1.0"
 
 from .bp_space import BPSpace, build_space, check_cyclic_shift, check_quantum_plane
-from .fit import FitResult, LevelResidual, Variant, chi2_at, compare, fit_A, fit_A_oracle
+from .fit import FitResult, LevelResidual, Variant, chi2_at, compare, compare_batch, fit_A, fit_batch
 from .ingest import (
     BandFile,
     BandParseError,
@@ -61,9 +61,10 @@ __all__ = [
     "FitResult",
     "LevelResidual",
     "fit_A",
-    "fit_A_oracle",
+    "fit_batch",
     "chi2_at",
     "compare",
+    "compare_batch",
     "BandFile",
     "BandParseError",
     "parse_band",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -25,27 +24,18 @@ from .bp_space import (
     check_shift_power,
     check_unitarity,
 )
-from .fit import fit_A
+# fit_A and q_parameter_from_band are not called here; bench/spans.py traces
+# the CLI by swapping them, with _fit_one, under these names.
+from .fit import compare_batch, fit_A
 from .ingest import emit_plot_data, read_band_file, write_report
-from .model import BandError, q_parameter_from_band
+from .model import BandData, q_parameter_from_band
 from .qnum import QParameter, RegimeError
 from .suq2 import build_irrep, check_casimir, check_commutators
 
-__all__ = ["CliConfig", "main", "cmd_fit", "cmd_verify", "cmd_table", "cmd_plotdata"]
+__all__ = ["main", "cmd_fit", "cmd_verify", "cmd_table", "cmd_plotdata"]
 
 DEFAULT_MAX_DIM = 201
 VERIFY_SPINS = (0.5, 1.0, 2.0, 5.0, 10.0)
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    inputs: list[Path] = field(default_factory=list)
-    max_dim: int = DEFAULT_MAX_DIM
-    tolerance: float | None = None
-    output: Path | None = None
-    classical_only: bool = False
-    as_json: bool = False
 
 
 def _odd_dim(text: str) -> int:
@@ -96,66 +86,78 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(config: CliConfig, payload: bytes) -> None:
-    if config.output is not None:
-        config.output.write_bytes(payload)
+def _emit(args: argparse.Namespace, payload: bytes) -> None:
+    if args.output is not None:
+        args.output.write_bytes(payload)
     else:
         sys.stdout.write(payload.decode("utf-8"))
         sys.stdout.flush()
 
 
-def _fit_one(path: Path, classical_only: bool):
-    band_file = read_band_file(path)
-    band = band_file.parsed
-    fit_cl = fit_A(band, None)
-    fit_q = None if classical_only else fit_A(band, q_parameter_from_band(band))
-    return band, fit_q, fit_cl
-
-
-def _run_fits(config: CliConfig, paths: list[Path]) -> int:
-    results = []
-    failed = False
+def _fit_paths(paths: list[Path], classical_only: bool) -> list[tuple | ValueError]:
+    """Read every band file, then fit all the bands read in one batch; per
+    path, (band, deformed fit or None, classical fit) or its failure."""
+    read: list[BandData | ValueError] = []
     for path in paths:
         try:
-            results.append(_fit_one(path, config.classical_only))
-        except (BandError, RegimeError, ValueError) as exc:
-            print(f"qrotor: {path}: {exc}", file=sys.stderr)
+            read.append(read_band_file(path).parsed)
+        except ValueError as exc:
+            read.append(exc)
+    fits = iter(compare_batch([band for band in read if isinstance(band, BandData)], classical_only))
+    outcomes: list[tuple | ValueError] = []
+    for band in read:
+        fit = band if isinstance(band, ValueError) else next(fits)
+        outcomes.append(fit if isinstance(fit, ValueError) else (band, *fit))
+    return outcomes
+
+
+def _fit_one(path: Path, classical_only: bool):
+    """Read and fit one band file on its own; raises its failure."""
+    outcome = _fit_paths([path], classical_only)[0]
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
+def _run_fits(args: argparse.Namespace, paths: list[Path], render) -> int:
+    """Fit the band files, print each failure in path order, then emit
+    ``render`` of the (band, deformed fit, classical fit) entries."""
+    results = []
+    failed = False
+    for path, outcome in zip(paths, _fit_paths(paths, getattr(args, "classical_only", False))):
+        if isinstance(outcome, ValueError):
+            print(f"qrotor: {path}: {outcome}", file=sys.stderr)
             failed = True
+        else:
+            results.append(outcome)
     if results:
-        _emit(config, write_report(results, as_json=config.as_json))
+        _emit(args, render(results))
     return 1 if failed else 0
 
 
-def cmd_fit(config: CliConfig) -> int:
-    return _run_fits(config, config.inputs)
+def _report(args: argparse.Namespace):
+    return lambda results: write_report(results, as_json=args.json)
 
 
-def cmd_table(config: CliConfig) -> int:
+def cmd_fit(args: argparse.Namespace) -> int:
+    return _run_fits(args, args.inputs, _report(args))
+
+
+def cmd_table(args: argparse.Namespace) -> int:
     paths: list[Path] = []
-    for item in config.inputs:
+    for item in args.inputs:
         if item.is_dir():
-            paths.extend(sorted(item.glob("*.band")))
+            paths.extend(sorted(item.glob("*.band"), key=lambda p: p.name))
         else:
             paths.append(item)
     if not paths:
         print("qrotor: no band files found", file=sys.stderr)
         return 1
-    return _run_fits(config, paths)
+    return _run_fits(args, paths, _report(args))
 
 
-def cmd_plotdata(config: CliConfig) -> int:
-    blocks = []
-    failed = False
-    for path in config.inputs:
-        try:
-            band, fit_q, fit_cl = _fit_one(path, classical_only=False)
-            blocks.append(emit_plot_data(band, fit_q, fit_cl))
-        except (BandError, RegimeError, ValueError) as exc:
-            print(f"qrotor: {path}: {exc}", file=sys.stderr)
-            failed = True
-    if blocks:
-        _emit(config, b"\n".join(blocks))
-    return 1 if failed else 0
+def cmd_plotdata(args: argparse.Namespace) -> int:
+    return _run_fits(args, args.inputs, lambda results: b"\n".join(emit_plot_data(*entry) for entry in results))
 
 
 BP_CHECKS = (
@@ -182,8 +184,9 @@ def _irrep_tolerance(dim: int) -> float:
     return 1e-12 if dim <= 201 else 1e-11
 
 
-def cmd_verify(config: CliConfig) -> int:
-    l_sweep = sorted({1, 2, 5, 25, (config.max_dim - 1) // 2})
+def cmd_verify(args: argparse.Namespace) -> int:
+    l_max = (args.max_dim - 1) // 2
+    l_sweep = sorted({l for l in (1, 2, 5, 25) if l <= l_max} | {l_max})
     lines = []
     failures = []
 
@@ -195,13 +198,13 @@ def cmd_verify(config: CliConfig) -> int:
 
     for l in l_sweep:
         for theta0 in (0.0, 0.6):
-            space = build_space(l, theta0, max_dim=config.max_dim)
-            tol = config.tolerance if config.tolerance is not None else _bp_tolerance(space.dim)
+            space = build_space(l, theta0, max_dim=args.max_dim)
+            tol = args.tolerance if args.tolerance is not None else _bp_tolerance(space.dim)
             params = f"l={l} theta0={theta0:.1f}"
             for name, check in BP_CHECKS:
                 record(name, params, check(space), tol)
             if space.dim <= 101:
-                power_tol = config.tolerance if config.tolerance is not None else 1e-10
+                power_tol = args.tolerance if args.tolerance is not None else 1e-10
                 record("shift-power", params, check_shift_power(space), power_tol)
 
     for l in l_sweep:
@@ -214,35 +217,25 @@ def cmd_verify(config: CliConfig) -> int:
             except RegimeError:
                 lines.append(f"{'irrep':<22} {params:<24} skipped (space too small for spin)")
                 continue
-            tol = config.tolerance if config.tolerance is not None else _irrep_tolerance(dim)
+            tol = args.tolerance if args.tolerance is not None else _irrep_tolerance(dim)
             for name, check in IRREP_CHECKS:
                 record(name, params, check(irrep), tol)
 
-    _emit(config, ("\n".join(lines) + "\n").encode("utf-8"))
+    _emit(args, ("\n".join(lines) + "\n").encode("utf-8"))
     for failure in failures:
         print(f"qrotor: verify: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = CliConfig(
-        subcommand=args.subcommand,
-        inputs=list(getattr(args, "inputs", []) or []),
-        max_dim=getattr(args, "max_dim", DEFAULT_MAX_DIM),
-        tolerance=getattr(args, "tolerance", None),
-        output=args.output,
-        classical_only=getattr(args, "classical_only", False),
-        as_json=getattr(args, "json", False),
-    )
+    args = build_parser().parse_args(argv)
     handler = {
         "fit": cmd_fit,
         "table": cmd_table,
         "plotdata": cmd_plotdata,
         "verify": cmd_verify,
-    }[config.subcommand]
-    return handler(config)
+    }[args.subcommand]
+    return handler(args)
 
 
 if __name__ == "__main__":

@@ -3,23 +3,27 @@
 Theoretical level energies are linear in A once both sides are referenced
 to the band head, so the least-squares optimum has the closed form
 A* = sum(e*f)/sum(f*f) with e the referenced experimental energies and
-f the referenced eigenvalue factors.  A brute-force grid scan with a
-golden-section refinement serves as an independent cross-check of that
-closed form.  Energies are handled in keV; following the reporting
+f the referenced eigenvalue factors.  Energies are handled in keV; following the reporting
 convention, chi-squared is quoted in MeV^2.
+
+Every fit goes through one columnar kernel: the levels of a whole batch of
+bands are flattened into numpy columns once, and the per-band sums come
+from segment reductions.  ``fit_A`` and ``compare`` are its one-band
+cases.  Per-level residuals are built from the columns only when read.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .model import BandData, q_parameter_from_band
-from .qnum import QParameter, RegimeError, casimir_eigenvalue
+from .qnum import QParameter, RegimeError
 
 __all__ = [
     "Variant",
@@ -27,9 +31,10 @@ __all__ = [
     "LevelResidual",
     "FitResult",
     "fit_A",
-    "fit_A_oracle",
+    "fit_batch",
     "chi2_at",
     "compare",
+    "compare_batch",
 ]
 
 KEV_PER_MEV = 1000.0
@@ -51,118 +56,186 @@ class LevelResidual(NamedTuple):
     diff_kev: float
 
 
+class _Levels:
+    """The levels of a batch of bands as flat columns: spins ``j``, energies
+    ``e`` and head-referenced energies ``de``.  Band k owns the slice
+    ``starts[k]:starts[k] + counts[k]`` of every column."""
+
+    def __init__(self, bands: Sequence[BandData]):
+        self.bands = bands
+        self.counts = np.fromiter((len(band.levels) for band in bands), np.intp, len(bands))
+        self.starts = np.cumsum(self.counts) - self.counts
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(band.levels for band in bands)),
+            float,
+            2 * int(self.counts.sum()),
+        )
+        self.j = flat[0::2] / 2.0
+        self.e = flat[1::2].copy()
+        self.de = self.e - self.head(self.e)
+
+    def head(self, column: np.ndarray) -> np.ndarray:
+        """Each band's first value of ``column``, repeated over its levels."""
+        return np.repeat(column[self.starts], self.counts)
+
+    def sums(self, column: np.ndarray) -> np.ndarray:
+        """Per-band sums of a level column."""
+        return np.add.reduceat(column, self.starts)
+
+    def factors(self, qps: Sequence[QParameter | None]) -> tuple[np.ndarray, np.ndarray]:
+        """Head-referenced eigenvalue factors [j][j+1] (j(j+1) where the
+        band's parameter is None), and per band whether tau*(j_max+1) >= pi."""
+        classical = np.fromiter((qp is None for qp in qps), bool, len(qps))
+        tau = np.fromiter((0.0 if qp is None else qp.tau for qp in qps), float, len(qps))
+        j_max = self.j[self.starts + self.counts - 1]
+        with np.errstate(all="ignore"):
+            regime = ~classical & (tau * (j_max + 1.0) >= math.pi)
+            t = np.repeat(tau, self.counts)
+            sin_t = np.sin(t)
+            deformed = (np.sin(t * self.j) / sin_t) * (np.sin(t * (self.j + 1.0)) / sin_t)
+            f = np.where(np.repeat(classical, self.counts), self.j * (self.j + 1.0), deformed)
+            f -= self.head(f)
+        return f, regime
+
+    def score(self, f: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-band chi2 in MeV^2 and rms in keV at inertia parameters A."""
+        with np.errstate(all="ignore"):
+            diffs = (self.de - np.repeat(A, self.counts) * f) / KEV_PER_MEV
+            chi2 = self.sums(diffs**2)
+            return chi2, KEV_PER_MEV * np.sqrt(chi2 / self.counts)
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Fitted A with its goodness-of-fit numbers for one model variant.
 
     ``chi2`` is the sum of squared residuals in MeV^2, ``rms`` the
     root-mean-square deviation sqrt(chi2/N) in keV over the N fitted
-    levels.  ``qp`` is None for the classical variant.
+    levels.  ``qp`` is None for the classical variant.  ``residuals`` is
+    computed from the batch columns each time it is read.
     """
 
     variant: Variant
     A: float
     chi2: float
     rms: float
-    residuals: tuple[LevelResidual, ...]
     qp: QParameter | None
+    _levels: _Levels = field(repr=False, compare=False)
+    _factors: np.ndarray = field(repr=False, compare=False)
+    _band: int = field(repr=False, compare=False)
+
+    @property
+    def residuals(self) -> tuple[LevelResidual, ...]:
+        levels = self._levels
+        lo = int(levels.starts[self._band])
+        hi = lo + int(levels.counts[self._band])
+        f = self._factors[lo:hi]
+        theo = levels.e[lo] + self.A * f
+        diffs = levels.de[lo:hi] - self.A * f
+        columns = (levels.j[lo:hi].tolist(), levels.e[lo:hi].tolist(), theo.tolist(), diffs.tolist())
+        return tuple(map(LevelResidual._make, zip(*columns)))
 
 
-def _referenced(band: BandData, qp: QParameter | None):
-    """Experimental energies and eigenvalue factors, both referenced to the
-    band head so the model is strictly linear in A."""
-    if qp is not None and qp.tau * (band.j_max + 1.0) >= math.pi:
-        raise RegimeError(
-            f"tau*(j_max+1) >= pi for band '{band.name}' at dim={qp.dim}"
-        )
-    energies = np.array(band.energies)
-    factors = np.array([casimir_eigenvalue(j, qp) for j in band.spins])
-    return energies - energies[0], factors - factors[0]
+def _regime_error(band: BandData, qp: QParameter) -> RegimeError:
+    return RegimeError(f"tau*(j_max+1) >= pi for band '{band.name}' at dim={qp.dim}")
 
 
-def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
-    """Least-squares objective at a given A, in MeV^2."""
-    e, f = _referenced(band, qp)
-    return float(np.sum(((e - A * f) / KEV_PER_MEV) ** 2))
+def _fit(levels: _Levels, qps: Sequence[QParameter | None]) -> list[FitResult | FitError | RegimeError]:
+    """The kernel: closed-form A, chi2 and rms of every band at once, then
+    each band's checks in order (regime, spread, A > 0, finite results)."""
+    f, regime = levels.factors(qps)
+    with np.errstate(all="ignore"):
+        sff = levels.sums(f * f)
+        A = levels.sums(levels.de * f) / sff
+    chi2, rms = levels.score(f, A)
+    ok = ~regime & (sff != 0.0) & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
+
+    results: list[FitResult | FitError | RegimeError] = []
+    for k, (passed, qp, a, c, r) in enumerate(zip(ok.tolist(), qps, A.tolist(), chi2.tolist(), rms.tolist())):
+        if passed:
+            variant = Variant.CLASSICAL if qp is None else Variant.Q_DEFORMED
+            results.append(FitResult(variant, a, c, r, qp, levels, f, k))
+            continue
+        band = levels.bands[k]
+        if regime[k]:
+            results.append(_regime_error(band, qp))
+        elif sff[k] == 0.0:
+            results.append(FitError(f"band '{band.name}' has no spread in the model term"))
+        elif a <= 0.0:
+            results.append(FitError(f"fitted A = {a:.4g} keV is not positive for band '{band.name}'"))
+        else:
+            results.append(FitError(f"band '{band.name}' has no finite fit: A, chi2 or rms overflows"))
+    return results
 
 
-def _result_at(band: BandData, qp: QParameter | None, A: float) -> FitResult:
-    e, f = _referenced(band, qp)
-    diffs = e - A * f
-    chi2 = float(np.sum((diffs / KEV_PER_MEV) ** 2))
-    rms = KEV_PER_MEV * math.sqrt(chi2 / len(band.levels))
-    head = band.energies[0]
-    residuals = tuple(
-        LevelResidual(j=j, exp_kev=float(exp), theo_kev=float(head + A * fv), diff_kev=float(d))
-        for j, exp, fv, d in zip(band.spins, band.energies, f, diffs)
-    )
-    variant = Variant.CLASSICAL if qp is None else Variant.Q_DEFORMED
-    return FitResult(variant=variant, A=float(A), chi2=chi2, rms=rms, residuals=residuals, qp=qp)
+def fit_batch(
+    bands: Sequence[BandData], qps: Sequence[QParameter | None]
+) -> list[FitResult | FitError | RegimeError]:
+    """Closed-form least-squares fit of A for every band, band k with the
+    deformation ``qps[k]`` (None: the j(j+1) baseline), in one columnar pass.
+
+    Returns, per band, its FitResult or the exception ``fit_A`` raises for
+    it: RegimeError when tau*(j_max+1) >= pi, FitError when the eigenvalue
+    factors have no spread, when the optimum lands at a nonpositive A
+    (unphysical inertia), or when A, chi2 or rms is not finite.
+    """
+    if len(bands) != len(qps):
+        raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")
+    return _fit(_Levels(bands), qps)
 
 
 def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
-    """Closed-form least-squares fit of A over the band's levels.
-
-    Raises FitError if the eigenvalue factors have no spread or if the
-    optimum lands at a nonpositive A (unphysical inertia).
-    """
-    e, f = _referenced(band, qp)
-    sff = float(f @ f)
-    if sff == 0.0:
-        raise FitError(f"band '{band.name}' has no spread in the model term")
-    A = float(e @ f) / sff
-    if A <= 0.0:
-        raise FitError(f"fitted A = {A:.4g} keV is not positive for band '{band.name}'")
-    return _result_at(band, qp, A)
+    """Closed-form least-squares fit of A over the band's levels: the
+    one-band case of ``fit_batch``, raising what it returns for the band."""
+    result = fit_batch([band], [qp])[0]
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
-def fit_A_oracle(
-    band: BandData,
-    qp: QParameter | None,
-    grid: tuple[float, float, int],
-) -> FitResult:
-    """Brute-force verifier of fit_A: exhaustive grid scan over A followed
-    by a golden-section refinement inside the bracketing interval.
+def _tau_rule(band: BandData) -> QParameter | ValueError:
+    try:
+        return q_parameter_from_band(band)
+    except ValueError as exc:
+        return exc
 
-    ``grid`` is (A_lo, A_hi, n) with n >= 1000 subintervals.  Raises
-    FitError if the scan minimum sits on the grid boundary, since the true
-    optimum is then not bracketed.
-    """
-    a_lo, a_hi, n = grid
-    if not a_lo < a_hi:
-        raise ValueError(f"need A_lo < A_hi, got ({a_lo}, {a_hi})")
-    if n < 1000:
-        raise ValueError(f"need at least 1000 grid points, got {n}")
-    e, f = _referenced(band, qp)
 
-    a_grid = np.linspace(a_lo, a_hi, n + 1)
-    chi2s = np.sum((e[None, :] - a_grid[:, None] * f[None, :]) ** 2, axis=1)
-    k = int(np.argmin(chi2s))
-    if k == 0 or k == n:
-        raise FitError(f"objective minimum lies on the grid boundary near A={a_grid[k]:.4g}")
+def compare_batch(
+    bands: Sequence[BandData], classical_only: bool = False
+) -> list[tuple[FitResult | None, FitResult] | ValueError]:
+    """``compare`` over a batch: per band (deformed fit, or None when
+    ``classical_only``; classical fit), or the first exception its checks
+    raise, in the order classical FitError, BandError from the tau rule,
+    RegimeError, deformed FitError."""
+    levels = _Levels(bands)
+    classical = _fit(levels, [None] * len(bands))
+    if classical_only:
+        return [fit if isinstance(fit, ValueError) else (None, fit) for fit in classical]
 
-    def objective(a: float) -> float:
-        return float(np.sum((e - a * f) ** 2))
-
-    lo, hi = float(a_grid[k - 1]), float(a_grid[k + 1])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while hi - lo > 1e-12 * max(1.0, abs(a_grid[k])):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = objective(d)
-    return _result_at(band, qp, 0.5 * (lo + hi))
+    qps = [None if isinstance(fit, ValueError) else _tau_rule(band) for band, fit in zip(bands, classical)]
+    # Bands that already failed are fitted classically here; that result is dropped.
+    deformed = _fit(levels, [qp if isinstance(qp, QParameter) else None for qp in qps])
+    outcomes: list[tuple[FitResult | None, FitResult] | ValueError] = []
+    for fit_cl, qp, fit_q in zip(classical, qps, deformed):
+        failures = [x for x in (fit_cl, qp, fit_q) if isinstance(x, ValueError)]
+        outcomes.append(failures[0] if failures else (fit_q, fit_cl))
+    return outcomes
 
 
 def compare(band: BandData) -> tuple[FitResult, FitResult]:
     """Fit both variants: deformed with tau fixed by the band's spin
     content, and the undeformed j(j+1) baseline."""
-    qp = q_parameter_from_band(band)
-    return fit_A(band, qp), fit_A(band, None)
+    outcome = compare_batch([band])[0]
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
+def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
+    """Least-squares objective at a given A, in MeV^2."""
+    levels = _Levels([band])
+    f, regime = levels.factors([qp])
+    if regime[0]:
+        raise _regime_error(band, qp)
+    chi2, _ = levels.score(f, np.array([A], dtype=float))
+    return float(chi2[0])

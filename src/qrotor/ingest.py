@@ -211,7 +211,7 @@ def _report_json(results) -> bytes:
         for result in (fit_q, fit_cl):
             if result is not None:
                 rows.append(_fit_json(band, result))
-    return (json.dumps(rows, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(rows, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def emit_plot_data(band: BandData, fit_q: FitResult, fit_cl: FitResult) -> bytes:

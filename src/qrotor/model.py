@@ -35,8 +35,11 @@ class BandError(ValueError):
 
 def twice_spin(j: float) -> int:
     """Convert a decimal spin (integer or half-integer) to a twice-spin int."""
-    twoj = round(2 * float(j))
-    if abs(2 * float(j) - twoj) > 1e-9:
+    doubled = 2 * float(j)
+    if not math.isfinite(doubled):
+        raise ValueError(f"spin must be finite, got {j}")
+    twoj = round(doubled)
+    if abs(doubled - twoj) > 1e-9:
         raise ValueError(f"spin must be an integer or half-integer, got {j}")
     return int(twoj)
 

@@ -2,14 +2,34 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from conftest import REPO_ROOT
-from qrotor.cli import main
+from qrotor.cli import _fit_one, main
+from qrotor.ingest import BandParseError
 
 GOOD = b"# nucleus: goodium\n2 100.0\n4 330.0\n6 690.0\n"
 BAD = b"# nucleus: badium\n2 100.0\n4 330.0\n8 690.0\n"
+# Finite input whose least-squares sums overflow to inf or nan.
+OVERFLOW = b"# nucleus: overflowium\n0 0\n1 1e-7\n2 1e308\n"
+HUGE_SPINS = b"# nucleus: hugium\n0 0\n1e300 1\n2e300 2\n"
+INF_SPIN = b"# nucleus: infinitium\n0 0\ninf 1\n2 2\n"
+
+BUNDLED_TABLE = (
+    "nucleus       tau   A[keV]   1e3*chi2  rms[keV]  rms_cl[keV]\n"
+    "162Dy      0.0332    12.80       1.36     12.30        68.32\n"
+    "238U       0.0144     6.14     152.27    104.29       133.56\n"
+    "174Yb      0.0272    12.22       3.03     17.42        72.85\n"
+)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -71,6 +91,24 @@ class TestFitCommand:
         assert capsys.readouterr().out == first
 
 
+class TestFitOne:
+    def test_matches_batch_row(self, capsys, dy162_path):
+        band, fit_q, fit_cl = _fit_one(dy162_path, classical_only=False)
+        assert band.name == "162Dy" and fit_q.qp.dim == 189
+        main(["fit", "--json", str(dy162_path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["A_keV"] for row in doc] == [fit_q.A, fit_cl.A]
+
+    def test_classical_only(self, dy162_path):
+        assert _fit_one(dy162_path, classical_only=True)[1] is None
+
+    def test_raises_failure(self, tmp_path):
+        bad = tmp_path / "bad.band"
+        bad.write_bytes(BAD)
+        with pytest.raises(BandParseError, match="step"):
+            _fit_one(bad, classical_only=False)
+
+
 class TestTableCommand:
     def test_directory_input(self, capsys, bands_dir):
         assert main(["table", str(bands_dir)]) == 0
@@ -78,6 +116,47 @@ class TestTableCommand:
         assert len(lines) == 4
         # rows follow sorted file order
         assert [line.split()[0] for line in lines[1:]] == ["162Dy", "238U", "174Yb"]
+
+    def test_bundled_bands_bytes(self, capsys, bands_dir):
+        assert main(["table", str(bands_dir)]) == 0
+        assert capsys.readouterr().out == BUNDLED_TABLE
+
+    def test_mixed_directory_reports_good_rows(self, capsys, tmp_path, dy162_path):
+        files = {"a.band": GOOD, "b.band": BAD, "c.band": OVERFLOW, "d.band": dy162_path.read_bytes(),
+                 "e.band": INF_SPIN, "f.band": b"\xff\xfe", "g.band": HUGE_SPINS, "h.band": GOOD}
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        assert main(["table", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        failed = [line.split(":")[1].strip() for line in captured.err.splitlines()]
+        assert failed == [str(tmp_path / name) for name in ("b.band", "c.band", "e.band", "f.band", "g.band")]
+        assert "line 4" in captured.err and "line 3: invalid spin 'inf'" in captured.err
+        rows = [line.split()[0] for line in captured.out.splitlines()[1:]]
+        assert rows == ["goodium", "162Dy", "goodium"]
+
+    @pytest.mark.parametrize("content", [OVERFLOW, HUGE_SPINS])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_non_finite_fit_fails_closed(self, capsys, tmp_path, dy162_path, content, as_json):
+        bad = tmp_path / "bad.band"
+        bad.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["table", *(["--json"] if as_json else []), str(dy162_path), str(bad)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{bad}: " in captured.err and "no finite fit" in captured.err
+        assert "overflowium" not in captured.out and "hugium" not in captured.out
+        assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
+        if as_json:
+            assert [row["nucleus"] for row in _strict_json(captured.out)] == ["162Dy", "162Dy"]
+
+    def test_infinite_spin_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "inf.band"
+        bad.write_bytes(INF_SPIN)
+        assert main(["table", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3: invalid spin 'inf'" in captured.err
 
     def test_empty_directory(self, capsys, tmp_path):
         assert main(["table", str(tmp_path)]) == 1
@@ -123,6 +202,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "l=500" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("max_dim,l_max", [(3, 1), (21, 10)])
+    def test_small_max_dim_passes(self, capsys, max_dim, l_max):
+        assert main(["verify", "--max-dim", str(max_dim)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.endswith("PASS") or "skipped" in line for line in lines)
+        assert f"l={l_max} " in "\n".join(lines)
+        assert f"l={l_max + 1} " not in "\n".join(lines)
 
     def test_even_max_dim_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference_fit import fit_A_oracle, reference_compare, reference_fit
 from _synth import exact_band, noisy_band, random_band, spin_range
-from qrotor.fit import FitError, Variant, chi2_at, compare, fit_A, fit_A_oracle
+from qrotor.fit import FitError, Variant, chi2_at, compare, compare_batch, fit_A, fit_batch
 from qrotor.ingest import read_band_file
-from qrotor.model import BandData, q_parameter_from_band
-from qrotor.qnum import QParameter, casimir_eigenvalue
+from qrotor.model import BandData, BandError, q_parameter_from_band
+from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue
 
 DY = QParameter.from_dim(189)
 SPINS_2_18 = spin_range(2.0, 2.0, 9)
@@ -84,14 +86,14 @@ class TestOracle:
     def test_exact_band_agreement(self):
         band = exact_band("exact", 12.81, DY, SPINS_2_18)
         oracle = fit_A_oracle(band, DY, (1.0, 30.0, 2000))
-        assert abs(oracle.A - 12.81) < (30.0 - 1.0) / 2000
+        assert abs(oracle - 12.81) < (30.0 - 1.0) / 2000
 
     def test_noisy_band_agreement(self):
         rng = np.random.default_rng(23)
         band = noisy_band("noisy", 6.5, DY, SPINS_2_18, 45.0, rng)
         closed = fit_A(band, DY)
         oracle = fit_A_oracle(band, DY, (1.0, 30.0, 2000))
-        assert abs(oracle.A - closed.A) < 2 * (30.0 - 1.0) / 2000
+        assert abs(oracle - closed.A) < 2 * (30.0 - 1.0) / 2000
 
     def test_boundary_minimum_rejected(self):
         band = exact_band("exact", 12.81, DY, SPINS_2_18)
@@ -152,4 +154,143 @@ class TestRandomBandSweep:
             )
             lo, hi, n = 0.2 * est, 5.0 * est, 2000
             oracle = fit_A_oracle(band, qp, (lo, hi, n))
-            assert abs(closed.A - oracle.A) < (hi - lo) / n
+            assert abs(closed.A - oracle) < (hi - lo) / n
+
+
+# Bands that each fail one of the kernel's checks, with the deformation to fit them at.
+NEGATIVE_A = (BandData.from_levels("negative-A", [(1, 0.0), (2, 1.0), (3, 100.0)]), QParameter.from_dim(9))
+OUT_OF_REGIME = (exact_band("out-of-regime", 10.0, None, spin_range(2.0, 2.0, 5)), QParameter.from_dim(11))
+OVERFLOW = (BandData.from_levels("overflow", [(0, 0.0), (1, 1e-7), (2, 1e308)]), None)
+HUGE_SPINS = (BandData.from_levels("huge-spins", [(0, 0.0), (1e300, 1.0), (2e300, 2.0)]), None)
+
+
+def _mixed_batch(seed: int, count: int):
+    """Valid random bands, each fitted deformed or classical, with the
+    failing bands above scattered among them."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for tag in range(count):
+        band, qp, _, _ = random_band(rng, tag)
+        entries.append((band, qp if tag % 2 else None))
+    for failing in (NEGATIVE_A, OUT_OF_REGIME, OVERFLOW, HUGE_SPINS) * 3:
+        entries.insert(int(rng.integers(0, len(entries) + 1)), failing)
+    return entries
+
+
+def _assert_matches(result, expected):
+    """A kernel result against a reference_fit outcome: the same exception,
+    or the same numbers to 1e-12 relative (residual differences, which
+    cancel near zero, also to 1e-9 keV absolute)."""
+    if isinstance(expected, Exception):
+        assert type(result) is type(expected)
+        assert str(result) == str(expected)
+        return
+    A, chi2, rms, residuals = expected
+    assert result.A == pytest.approx(A, rel=1e-12)
+    assert result.chi2 == pytest.approx(chi2, rel=1e-12)
+    assert result.rms == pytest.approx(rms, rel=1e-12)
+    assert len(result.residuals) == len(residuals)
+    for got, want in zip(result.residuals, residuals):
+        assert got.j == want.j and got.exp_kev == want.exp_kev
+        assert got.theo_kev == pytest.approx(want.theo_kev, rel=1e-12)
+        assert got.diff_kev == pytest.approx(want.diff_kev, rel=1e-12, abs=1e-9)
+
+
+def _reference(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return exc
+
+
+class TestBatchKernel:
+    def test_mixed_batch_matches_reference_loop(self):
+        entries = _mixed_batch(seed=31, count=300)
+        bands, qps = [band for band, _ in entries], [qp for _, qp in entries]
+        results = fit_batch(bands, qps)
+        assert len(results) == len(entries)
+        kinds = set()
+        for band, qp, result in zip(bands, qps, results):
+            expected = _reference(reference_fit, band, qp)
+            kinds.add(type(expected).__name__)
+            _assert_matches(result, expected)
+            if not isinstance(result, Exception):
+                assert result.variant is (Variant.CLASSICAL if qp is None else Variant.Q_DEFORMED)
+                assert result.qp is qp
+        assert kinds == {"tuple", "FitError", "RegimeError"}
+
+    def test_fit_A_is_the_one_band_case(self):
+        for band, qp in _mixed_batch(seed=5, count=20):
+            expected = _reference(reference_fit, band, qp)
+            if isinstance(expected, Exception):
+                with pytest.raises(type(expected)) as exc_info:
+                    fit_A(band, qp)
+                assert str(exc_info.value) == str(expected)
+            else:
+                _assert_matches(fit_A(band, qp), expected)
+
+    def test_failure_kinds(self):
+        assert "not positive" in str(fit_batch(*zip(NEGATIVE_A))[0])
+        assert isinstance(fit_batch(*zip(OUT_OF_REGIME))[0], RegimeError)
+        for failing in (OVERFLOW, HUGE_SPINS):
+            result = fit_batch(*zip(failing))[0]
+            assert isinstance(result, FitError)
+            assert "no finite fit" in str(result)
+
+    def test_no_runtime_warnings(self):
+        entries = _mixed_batch(seed=7, count=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_batch([band for band, _ in entries], [qp for _, qp in entries])
+            compare_batch([band for band, _ in entries])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 deformation parameters"):
+            fit_batch([NEGATIVE_A[0]], [None, None])
+
+    def test_empty_batch(self):
+        assert fit_batch([], []) == []
+        assert compare_batch([]) == []
+
+
+class TestCompareBatch:
+    @pytest.mark.parametrize("classical_only", [False, True])
+    def test_matches_reference_in_check_order(self, monkeypatch, classical_only):
+        # No validated band has an embedding dimension below 5 (three levels
+        # already give 7), so the tau rule's BandError is forced by name.
+        def tau_rule(band):
+            if band.name.startswith("tiny"):
+                raise BandError(f"embedding dimension 3 from band '{band.name}' is too small")
+            return q_parameter_from_band(band)
+
+        monkeypatch.setattr("qrotor.fit.q_parameter_from_band", tau_rule)
+        rng = np.random.default_rng(43)
+        bands = [random_band(rng, tag)[0] for tag in range(60)]
+        tiny = BandData.from_levels("tiny", [(0, 0.0), (1, 10.0), (2, 30.0)])
+        for k, extra in enumerate((tiny, OVERFLOW[0], HUGE_SPINS[0], tiny)):
+            bands.insert(15 * k, extra)
+
+        outcomes = compare_batch(bands, classical_only)
+        for band, outcome in zip(bands, outcomes):
+            expected = _reference(reference_compare, band, classical_only, tau_rule)
+            if isinstance(expected, Exception):
+                assert type(outcome) is type(expected)
+                assert str(outcome) == str(expected)
+                continue
+            (fit_q, fit_cl), (want_q, want_cl) = outcome, expected
+            _assert_matches(fit_cl, want_cl)
+            if classical_only:
+                assert fit_q is None
+            else:
+                _assert_matches(fit_q, want_q)
+                assert fit_q.qp == q_parameter_from_band(band)
+        failures = [str(o) for o in outcomes if isinstance(o, Exception)]
+        if classical_only:
+            assert len(failures) == 2
+        else:
+            assert len(failures) == 4
+            assert "too small" in failures[0] and "too small" in failures[-1]
+
+    def test_compare_raises_first_failure(self):
+        with pytest.raises(FitError, match="no finite fit"):
+            compare(OVERFLOW[0])

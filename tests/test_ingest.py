@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,11 @@ class TestParseBand:
     def test_bad_spin(self):
         with pytest.raises(BandParseError, match="line 2.*spin"):
             parse_band(b"# nucleus: x\n2.3 1.0\n4 2.0\n6 4.0\n")
+
+    @pytest.mark.parametrize("spin", ["inf", "-inf", "nan", "1e308"])
+    def test_non_finite_spin(self, spin):
+        with pytest.raises(BandParseError, match=f"line 3.*invalid spin '{spin}'"):
+            parse_band(f"# nucleus: x\n0 1.0\n{spin} 2.0\n6 4.0\n")
 
     def test_duplicate_spin(self):
         with pytest.raises(BandParseError, match="duplicate spin"):
@@ -183,6 +190,11 @@ class TestWriteReport:
         row = write_report([(band, None, fc)]).decode().splitlines()[1].split()
         assert row[1] == "-"
         assert float(row[2]) == pytest.approx(fc.A, abs=0.005)
+
+    def test_json_rejects_non_finite(self):
+        band, fq, fc = _fitted()
+        with pytest.raises(ValueError):
+            write_report([(band, dataclasses.replace(fq, chi2=math.nan), fc)], as_json=True)
 
     def test_entry_without_fits_rejected(self):
         band, _, _ = _fitted()

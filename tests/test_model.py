@@ -34,6 +34,11 @@ class TestSpinHelpers:
         with pytest.raises(ValueError):
             twice_spin(0.3)
 
+    @pytest.mark.parametrize("j", [math.inf, -math.inf, math.nan, 1e308])
+    def test_twice_spin_rejects_non_finite(self, j):
+        with pytest.raises(ValueError):
+            twice_spin(j)
+
     @pytest.mark.parametrize("twoj,text", [(4, "2"), (15, "7.5"), (0, "0"), (1, "0.5")])
     def test_spin_str(self, twoj, text):
         assert spin_str(twoj) == text
