@@ -86,12 +86,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, payload: bytes) -> None:
-    if args.output is not None:
-        args.output.write_bytes(payload)
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
+def _emit(args: argparse.Namespace, payload: bytes) -> int:
+    """Write ``payload`` as is to the ``-o`` path or standard output; 1, with
+    a diagnostic, when the path cannot be written, else 0."""
+    if args.output is None:
         sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.flush()
+        return 0
+    try:
+        args.output.write_bytes(payload)
+    except OSError as exc:
+        print(f"qrotor: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _fit_paths(paths: list[Path], classical_only: bool) -> list[tuple | ValueError]:
@@ -123,16 +131,16 @@ def _run_fits(args: argparse.Namespace, paths: list[Path], render) -> int:
     """Fit the band files, print each failure in path order, then emit
     ``render`` of the (band, deformed fit, classical fit) entries."""
     results = []
-    failed = False
+    code = 0
     for path, outcome in zip(paths, _fit_paths(paths, getattr(args, "classical_only", False))):
         if isinstance(outcome, ValueError):
             print(f"qrotor: {path}: {outcome}", file=sys.stderr)
-            failed = True
+            code = 1
         else:
             results.append(outcome)
     if results:
-        _emit(args, render(results))
-    return 1 if failed else 0
+        code |= _emit(args, render(results))
+    return code
 
 
 def _report(args: argparse.Namespace):
@@ -221,10 +229,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for name, check in IRREP_CHECKS:
                 record(name, params, check(irrep), tol)
 
-    _emit(args, ("\n".join(lines) + "\n").encode("utf-8"))
+    code = _emit(args, ("\n".join(lines) + "\n").encode("utf-8"))
     for failure in failures:
         print(f"qrotor: verify: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if failures else code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -111,8 +111,9 @@ class FitResult:
 
     ``chi2`` is the sum of squared residuals in MeV^2, ``rms`` the
     root-mean-square deviation sqrt(chi2/N) in keV over the N fitted
-    levels.  ``qp`` is None for the classical variant.  ``residuals`` is
-    computed from the batch columns each time it is read.
+    levels.  ``qp`` is None for the classical variant.  ``residual_columns``
+    and ``residuals`` are computed from the batch columns each time they
+    are read.
     """
 
     variant: Variant
@@ -124,15 +125,21 @@ class FitResult:
     _factors: np.ndarray = field(repr=False, compare=False)
     _band: int = field(repr=False, compare=False)
 
-    @property
-    def residuals(self) -> tuple[LevelResidual, ...]:
+    def residual_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The band's levels as float columns: spin j, experimental energy,
+        theoretical energy (on the experimental band head) and their
+        difference, all in keV."""
         levels = self._levels
         lo = int(levels.starts[self._band])
         hi = lo + int(levels.counts[self._band])
         f = self._factors[lo:hi]
         theo = levels.e[lo] + self.A * f
         diffs = levels.de[lo:hi] - self.A * f
-        columns = (levels.j[lo:hi].tolist(), levels.e[lo:hi].tolist(), theo.tolist(), diffs.tolist())
+        return levels.j[lo:hi], levels.e[lo:hi], theo, diffs
+
+    @property
+    def residuals(self) -> tuple[LevelResidual, ...]:
+        columns = [column.tolist() for column in self.residual_columns()]
         return tuple(map(LevelResidual._make, zip(*columns)))
 
 

@@ -17,8 +17,10 @@ formats, '.' decimal separator, no locale dependence.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .fit import FitResult
@@ -189,29 +191,58 @@ def _report_table(results) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _fit_json(band: BandData, result: FitResult) -> dict:
-    return {
-        "nucleus": band.name,
-        "tau": result.qp.tau if result.qp is not None else None,
-        "dim": result.qp.dim if result.qp is not None else None,
-        "A_keV": result.A,
-        "chi2_MeV2": result.chi2,
-        "rms_keV": result.rms,
-        "variant": result.variant.value,
-        "residuals": [
-            {"j": r.j, "exp_keV": r.exp_kev, "theo_keV": r.theo_kev} for r in result.residuals
-        ],
-    }
+# The JSON report is written from fixed templates: byte for byte what
+# json.dumps(rows, indent=2, allow_nan=False) gives for the same rows, without
+# building the rows or running the encoder's pure-Python indenting path.
+_JSON_ROW = (
+    "  {\n"
+    '    "nucleus": %s,\n'
+    '    "tau": %s,\n'
+    '    "dim": %s,\n'
+    '    "A_keV": %s,\n'
+    '    "chi2_MeV2": %s,\n'
+    '    "rms_keV": %s,\n'
+    '    "variant": %s,\n'
+    '    "residuals": [\n'
+    "%s\n"
+    "    ]\n"
+    "  }"
+)
+_JSON_LEVEL = '      {\n        "j": %s,\n        "exp_keV": %s,\n        "theo_keV": %s\n      }'
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    """Each value as json.dumps writes a float; ValueError, as with
+    ``allow_nan=False``, if one is not finite."""
+    if not all(map(math.isfinite, values)):
+        bad = next(value for value in values if not math.isfinite(value))
+        raise ValueError(f"Out of range float values are not JSON compliant: {float.__repr__(bad)}")
+    return list(map(float.__repr__, values))
+
+
+def _fit_json(name: str, result: FitResult) -> str:
+    """One report row; ``name`` is the band name already JSON-encoded."""
+    qp = result.qp
+    if qp is None:
+        tau, dim = "null", "null"
+        A, chi2, rms = _json_floats([result.A, result.chi2, result.rms])
+    else:
+        tau, A, chi2, rms = _json_floats([qp.tau, result.A, result.chi2, result.rms])
+        dim = int.__repr__(qp.dim)
+    j, exp, theo, _ = result.residual_columns()
+    levels = _json_floats(list(chain.from_iterable(zip(j.tolist(), exp.tolist(), theo.tolist()))))
+    residuals = ",\n".join([_JSON_LEVEL] * len(j)) % tuple(levels)
+    variant = encode_basestring_ascii(result.variant.value)
+    return _JSON_ROW % (name, tau, dim, A, chi2, rms, variant, residuals)
 
 
 def _report_json(results) -> bytes:
     rows = []
     for entry in results:
         band, fit_q, fit_cl = _entry_fits(entry)
-        for result in (fit_q, fit_cl):
-            if result is not None:
-                rows.append(_fit_json(band, result))
-    return (json.dumps(rows, indent=2, allow_nan=False) + "\n").encode("utf-8")
+        name = encode_basestring_ascii(band.name)
+        rows.extend(_fit_json(name, result) for result in (fit_q, fit_cl) if result is not None)
+    return ("[\n" + ",\n".join(rows) + "\n]\n").encode("ascii")
 
 
 def emit_plot_data(band: BandData, fit_q: FitResult, fit_cl: FitResult) -> bytes:

@@ -128,7 +128,9 @@ def space_size(j_min: float, j_max: float, step: float) -> int:
         raise ValueError(f"step must be positive, got {step}")
     if b < a or (b - a) % s != 0:
         raise ValueError(f"spin range {j_min}..{j_max} is not aligned with step {step}")
-    total = sum(twoj + 1 for twoj in range(a, b + 1, s))
+    # n terms of the arithmetic series (a + 1) + (a + 1 + s) + ... of 2j+1
+    n = (b - a) // s + 1
+    total = n * (a + 1) + s * n * (n - 1) // 2
     if total % 2 == 0:
         total += 1
     return total

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -23,6 +25,10 @@ BUNDLED_TABLE = (
     "238U       0.0144     6.14     152.27    104.29       133.56\n"
     "174Yb      0.0272    12.22       3.03     17.42        72.85\n"
 )
+
+# SHA-256 of `qrotor table --json data/bands`: 8006 bytes, the bytes
+# json.dumps(rows, indent=2) gave before the report was formatted from the fit columns.
+BUNDLED_JSON_SHA256 = "139369411edcfbeb22d38f6117f67d229783ba8ba62124dadfb0ef38a5bbb041"
 
 
 def _strict_json(text):
@@ -121,6 +127,12 @@ class TestTableCommand:
         assert main(["table", str(bands_dir)]) == 0
         assert capsys.readouterr().out == BUNDLED_TABLE
 
+    def test_bundled_bands_json_bytes(self, capsysbinary, bands_dir):
+        assert main(["table", "--json", str(bands_dir)]) == 0
+        out = capsysbinary.readouterr().out
+        assert len(out) == 8006
+        assert hashlib.sha256(out).hexdigest() == BUNDLED_JSON_SHA256
+
     def test_mixed_directory_reports_good_rows(self, capsys, tmp_path, dy162_path):
         files = {"a.band": GOOD, "b.band": BAD, "c.band": OVERFLOW, "d.band": dy162_path.read_bytes(),
                  "e.band": INF_SPIN, "f.band": b"\xff\xfe", "g.band": HUGE_SPINS, "h.band": GOOD}
@@ -166,6 +178,24 @@ class TestTableCommand:
         out = tmp_path / "report.txt"
         assert main(["table", str(bands_dir), "-o", str(out)]) == 0
         assert out.read_text().count("\n") == 4
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_output_into_missing_directory(self, capsys, tmp_path, bands_dir, as_json):
+        out = tmp_path / "nodir" / "out.txt"
+        assert main(["table", *(["--json"] if as_json else []), str(bands_dir), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qrotor: cannot write {out}: No such file or directory\n"
+
+    def test_output_failure_after_band_failure(self, capsys, tmp_path, dy162_path):
+        bad = tmp_path / "bad.band"
+        bad.write_bytes(BAD)
+        out = tmp_path / "report.txt"
+        out.mkdir()
+        assert main(["table", str(dy162_path), str(bad), "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"qrotor: {bad}: ")
+        assert err[1].startswith(f"qrotor: cannot write {out}: ")
 
 
 class TestPlotdataCommand:
@@ -222,6 +252,13 @@ class TestVerifyCommand:
         assert "FAIL" in captured.out
         assert "exceeds" in captured.err
 
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "nodir" / "v.txt"
+        assert main(["verify", "--max-dim", "5", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qrotor: cannot write {out}: No such file or directory\n"
+
     def test_deterministic_output(self, capsys):
         main(["verify"])
         first = capsys.readouterr().out
@@ -239,6 +276,23 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "0.0332" in proc.stdout
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_stdout_bytes_on_ascii_terminal(self, tmp_path, bands_dir, as_json):
+        """Standard output gets the report's bytes as they are, whatever its
+        text encoding, the same bytes ``-o`` writes."""
+        corpus = tmp_path / "bands"
+        shutil.copytree(bands_dir, corpus)
+        (corpus / "dash.band").write_bytes(GOOD.replace(b"goodium", "Dy\u2013162".encode()))
+        env = dict(os.environ, PYTHONIOENCODING="ascii")
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "qrotor", "table", *(["--json"] if as_json else []), str(corpus)]
+        proc = subprocess.run(argv, capture_output=True, env=env, cwd=REPO_ROOT)
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "report"
+        assert subprocess.run([*argv, "-o", str(out)], env=env, cwd=REPO_ROOT).returncode == 0
+        assert proc.stdout == out.read_bytes()
+        assert ("Dy\\u2013162" if as_json else "Dy\u2013162").encode() in proc.stdout
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

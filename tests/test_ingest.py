@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _synth import exact_band, spin_range
-from qrotor.fit import fit_A
+from _reference_report import reference_report_json
+from _synth import exact_band, random_band, spin_range
+from qrotor.fit import compare_batch, fit_A
 from qrotor.ingest import (
     BandFile,
     BandParseError,
@@ -200,6 +202,84 @@ class TestWriteReport:
         band, _, _ = _fitted()
         with pytest.raises(ValueError, match="no fit"):
             write_report([(band, None, None)])
+
+
+# Names the JSON encoder must escape: quote, backslash, control character,
+# non-ASCII text inside and outside the Basic Multilingual Plane.
+AWKWARD_NAMES = ('Dy "162"', "back\\slash", "tab\there", "Dy\u2013162", "\u00b9\u2076\u00b2Dy", "\U0001d4dfrotor")
+
+
+def _entries(bands, classical_only=False):
+    fits = compare_batch(bands, classical_only)
+    return [(band, *fit) for band, fit in zip(bands, fits) if not isinstance(fit, ValueError)]
+
+
+def _mixed_entries(seed=3, count=300):
+    """Seeded bands with integer and half-integer spins, energies scaled so
+    every float form shows up, in deformed+classical, classical-only and
+    deformed-only entries, some with awkward names."""
+    rng = np.random.default_rng(seed)
+    bands = []
+    for tag in range(count):
+        band = random_band(rng, tag)[0]
+        scale = float(rng.choice([1e-7, 1.0, 1.0, 1e17]))
+        name = AWKWARD_NAMES[tag % len(AWKWARD_NAMES)] if tag % 7 == 0 else band.name
+        bands.append(BandData.from_levels(name, [(j, e * scale) for j, e in zip(band.spins, band.energies)]))
+    entries = []
+    for k, (band, fit_q, fit_cl) in enumerate(_entries(bands)):
+        entries.append([(band, fit_q, fit_cl), (band, None, fit_cl), (band, fit_q, None)][k % 3])
+    return entries
+
+
+class TestJsonReport:
+    """The column-formatted JSON report against json.dumps of the rows."""
+
+    def test_bundled_bands(self, bands_dir):
+        bands = [read_band_file(path).parsed for path in sorted(bands_dir.glob("*.band"))]
+        for classical_only in (False, True):
+            entries = _entries(bands, classical_only)
+            assert len(entries) == 3
+            assert write_report(entries, as_json=True) == reference_report_json(entries)
+
+    def test_seeded_mixed_batch(self):
+        entries = _mixed_entries()
+        assert len(entries) > 250
+        assert {(fit_q is None, fit_cl is None) for _, fit_q, fit_cl in entries} == {
+            (False, False), (True, False), (False, True)}
+        assert any(band.twostep % 2 for band, _, _ in entries)
+        assert {band.name for band, _, _ in entries} >= set(AWKWARD_NAMES)
+        assert write_report(entries, as_json=True) == reference_report_json(entries)
+
+    @pytest.mark.parametrize("name", AWKWARD_NAMES)
+    def test_escaped_names(self, name):
+        band, fq, fc = _fitted(name)
+        payload = write_report([(band, fq, fc)], as_json=True)
+        assert payload == reference_report_json([(band, fq, fc)])
+        assert payload.isascii()
+        assert json.loads(payload)[0]["nucleus"] == name
+
+    @pytest.mark.parametrize("field", ["A", "chi2", "rms"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_header_matches_encoder(self, field, value):
+        band, fq, fc = _fitted()
+        entries = [(band, fq, dataclasses.replace(fc, **{field: value}))]
+        with pytest.raises(ValueError) as expected, np.errstate(invalid="ignore"):
+            reference_report_json(entries)
+        with pytest.raises(ValueError, match="not JSON compliant") as got:
+            write_report(entries, as_json=True)
+        assert str(got.value) == str(expected.value)
+
+    def test_json_rejects_non_finite_residual(self):
+        band, fq, fc = _fitted()
+        factors = fq._factors.copy()
+        factors[4] = math.nan
+        bad = dataclasses.replace(fq, _factors=factors)
+        assert all(math.isfinite(x) for x in (bad.A, bad.chi2, bad.rms))
+        assert math.isnan(bad.residuals[4].theo_kev)
+        with pytest.raises(ValueError, match="not JSON compliant: nan$"):
+            write_report([(band, bad, fc)], as_json=True)
+        with pytest.raises(ValueError, match="not JSON compliant: nan$"):
+            reference_report_json([(band, bad, fc)])
 
 
 class TestPlotData:

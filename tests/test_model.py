@@ -21,6 +21,14 @@ def make_band(spins, energies, name="test"):
     return BandData.from_levels(name, list(zip(spins, energies)))
 
 
+MALFORMED_RANGES = {
+    (4, 2, 2): "spin range 4..2 is not aligned with step 2",
+    (2, 7, 2): "spin range 2..7 is not aligned with step 2",
+    (2, 8, 0): "step must be positive, got 0",
+    (2, 8, -2): "step must be positive, got -2",
+    (-2, 2, 2): "j_min must be nonnegative, got -2",
+}
+
 DY_BAND = make_band(range(2, 19, 2), [80.66, 265.785, 548.519, 920.501, 1374.57,
                                       1901.3, 2491.2, 3141.4, 3846.2], name="162Dy")
 
@@ -64,10 +72,19 @@ class TestSpaceSize:
         assert total == 60
         assert space_size(7.5, 11.5, 2) == 61
 
-    @pytest.mark.parametrize("args", [(4, 2, 2), (2, 7, 2), (2, 8, 0), (2, 8, -2), (-2, 2, 2)])
+    @pytest.mark.parametrize("args", list(MALFORMED_RANGES))
     def test_rejects_malformed_ranges(self, args):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{MALFORMED_RANGES[args]}$"):
             space_size(*args)
+
+    @pytest.mark.parametrize("j_min", [0, 0.5, 1.5, 4])
+    @pytest.mark.parametrize("step", [0.5, 1, 2])
+    def test_closed_form_matches_level_loop(self, j_min, step):
+        a, s = twice_spin(j_min), twice_spin(step)
+        for count in range(1, 81):
+            j_max = j_min + (count - 1) * step
+            total = sum(twoj + 1 for twoj in range(a, twice_spin(j_max) + 1, s))
+            assert space_size(j_min, j_max, step) == (total if total % 2 else total + 1)
 
     @given(st.integers(0, 20), st.integers(1, 6), st.integers(0, 12))
     def test_always_odd(self, twice_jmin, twice_step, extra_steps):
