@@ -242,7 +242,11 @@ def _report_json(results) -> bytes:
         band, fit_q, fit_cl = _entry_fits(entry)
         name = encode_basestring_ascii(band.name)
         rows.extend(_fit_json(name, result) for result in (fit_q, fit_cl) if result is not None)
-    return ("[\n" + ",\n".join(rows) + "\n]\n").encode("ascii")
+    rows[0] = "[\n" + rows[0]
+    rows[-1] += "\n]\n"
+    text = ",\n".join(rows)
+    del rows  # so that the report is held at most twice: as text and as bytes
+    return text.encode("ascii")
 
 
 def emit_plot_data(band: BandData, fit_q: FitResult, fit_cl: FitResult) -> bytes:

@@ -1,8 +1,14 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from _reference_bp import dense_completeness, dense_exp_iphi, dense_orthonormality, dense_unitarity
+from conftest import REPO_ROOT
 from qrotor.bp_space import (
     MAX_DENSE_DIM,
     build_space,
@@ -10,11 +16,11 @@ from qrotor.bp_space import (
     check_angle_cycling,
     check_angle_orthonormality,
     check_cyclic_shift,
-    check_lowering,
     check_quantum_plane,
     check_shift_power,
     check_unitarity,
 )
+from qrotor.cli import BP_CHECKS, _bp_tolerance
 
 
 def basis_vector(dim, idx):
@@ -57,9 +63,8 @@ class TestBuildSpace:
     def test_q_jz_diagonal_entries(self):
         space = build_space(2)
         expected = np.exp(-1j * space.qp.tau * np.arange(-2, 3))
-        assert np.max(np.abs(np.diagonal(space.q_jz) - expected)) == 0.0
-        off_diag = space.q_jz - np.diag(np.diagonal(space.q_jz))
-        assert np.max(np.abs(off_diag)) == 0.0
+        assert np.max(np.abs(space.q_jz - expected)) == 0.0
+        assert space.q_jz.ndim == 1
 
     @pytest.mark.parametrize("l", [0, 0.3, -1])
     def test_rejects_bad_l(self, l):
@@ -120,7 +125,7 @@ class TestInvariants:
     @pytest.mark.parametrize("l", [1, 2, 5])
     def test_adjoint_lowers(self, l):
         space = build_space(l)
-        assert check_lowering(space) <= 1e-12
+        assert check_cyclic_shift(space) <= 1e-12
         # explicit: adjoint sends m=0 back to m=-l+... one step down
         down = space.exp_iphi.conj().T @ basis_vector(space.dim, 1)
         assert np.max(np.abs(down - basis_vector(space.dim, 0))) < 1e-12
@@ -134,7 +139,58 @@ class TestInvariants:
         space = build_space(l, theta0=0.25)
         assert check_angle_cycling(space) <= 1e-12
         # overlap of the shifted state with its successor has modulus one
-        qd = np.diagonal(space.q_jz)
-        shifted = space.angle_basis[0] * qd
+        shifted = space.angle_basis[0] * space.q_jz
         overlap = np.vdot(space.angle_basis[1], shifted)
         assert abs(abs(overlap) - 1.0) < 1e-12
+
+
+ORACLE_GRID = [(l, theta0) for l in (1, 2, 5, 25, 100) for theta0 in (0.0, 0.6, math.pi / 3)]
+
+
+class TestDenseOracle:
+    """The FFT-evaluated products against their dense O(D^3) forms."""
+
+    @pytest.mark.parametrize("l,theta0", ORACLE_GRID)
+    def test_exp_iphi_matches_dense_spectral_sum(self, l, theta0):
+        space = build_space(l, theta0)
+        dense = dense_exp_iphi(space.angle_basis, theta0)
+        assert np.max(np.abs(space.exp_iphi - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("l,theta0", ORACLE_GRID)
+    def test_checks_within_cli_tolerance(self, l, theta0):
+        space = build_space(l, theta0)
+        oracle = dataclasses.replace(space, exp_iphi=dense_exp_iphi(space.angle_basis, theta0))
+        tol = _bp_tolerance(space.dim)
+        for name, check in BP_CHECKS:
+            assert check(space) <= tol, name
+            assert check(oracle) <= tol, name
+        for dense_check in (dense_unitarity, dense_orthonormality, dense_completeness):
+            assert dense_check(space) <= tol
+            assert dense_check(oracle) <= tol
+
+    @pytest.mark.parametrize("l", [1, 5, 25, 100])
+    def test_unitarity_catches_one_perturbed_entry(self, l):
+        space = build_space(l, 0.6)
+        bumped = space.exp_iphi.copy()
+        bumped[l, l // 2] += 1e-9
+        assert check_unitarity(dataclasses.replace(space, exp_iphi=bumped)) > 5e-10
+
+    @pytest.mark.parametrize("l", [1, 5, 25, 100])
+    def test_conjugated_basis_caught(self, l):
+        space = build_space(l, 0.6)
+        conjugated = dataclasses.replace(space, angle_basis=space.angle_basis.conj())
+        assert check_angle_orthonormality(conjugated) > 0.5
+        assert check_angle_completeness(conjugated) > 0.5
+        # conj(A) is orthonormal and complete as well, so the dense Gram
+        # forms alone pass it
+        assert dense_orthonormality(conjugated) <= 1e-12
+        assert dense_completeness(conjugated) <= 1e-12
+
+
+def test_import_does_not_load_numpy_fft():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qrotor, sys; assert 'numpy.fft' not in sys.modules"],
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr

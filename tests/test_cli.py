@@ -252,6 +252,35 @@ class TestVerifyCommand:
         assert "FAIL" in captured.out
         assert "exceeds" in captured.err
 
+    def test_large_sweep_lines_and_deviations(self, capsys):
+        assert main(["verify", "--max-dim", "1001"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 111
+        assert not any(line.startswith("lowering") for line in lines)
+        checks = [line for line in lines if "skipped" not in line]
+        assert {line.split()[-2] for line in checks} == {"tol=1e-12", "tol=1e-10", "tol=1e-11"}
+        assert max(float(line.split()[-3][len("dev="):]) for line in checks) <= 1e-12
+
+    def test_tolerance_printed_as_given(self, capsys):
+        code = main(["verify", "--max-dim", "5", "--tolerance", "4.9e-16"])
+        captured = capsys.readouterr()
+        checks = [line for line in captured.out.splitlines() if "skipped" not in line]
+        assert {line.split()[-2] for line in checks} == {"tol=4.9e-16"}
+        failed = [line for line in checks if line.endswith("FAIL")]
+        errors = captured.err.splitlines()
+        assert code == (1 if failed else 0)
+        assert len(errors) == len(failed)
+        assert all(error.endswith(" exceeds 4.9e-16") for error in errors)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "-0.0", "tight"])
+    def test_bad_tolerance_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", "--max-dim", "5", f"--tolerance={value}"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err
+
     def test_output_into_missing_directory(self, capsys, tmp_path):
         out = tmp_path / "nodir" / "v.txt"
         assert main(["verify", "--max-dim", "5", "-o", str(out)]) == 1

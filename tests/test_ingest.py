@@ -250,6 +250,15 @@ class TestJsonReport:
         assert {band.name for band, _, _ in entries} >= set(AWKWARD_NAMES)
         assert write_report(entries, as_json=True) == reference_report_json(entries)
 
+    @pytest.mark.parametrize("variants", ["classical", "deformed"])
+    def test_single_row(self, variants):
+        # the opening and closing brackets go on one and the same row
+        band, fq, fc = _fitted()
+        entries = [(band, None, fc) if variants == "classical" else (band, fq, None)]
+        payload = write_report(entries, as_json=True)
+        assert payload == reference_report_json(entries)
+        assert len(json.loads(payload)) == 1
+
     @pytest.mark.parametrize("name", AWKWARD_NAMES)
     def test_escaped_names(self, name):
         band, fq, fc = _fitted(name)
