@@ -24,7 +24,6 @@ from .ingest import (
 from .model import (
     BandData,
     BandError,
-    band_energies,
     energy,
     q_parameter_from_band,
     space_size,
@@ -56,7 +55,6 @@ __all__ = [
     "space_size",
     "q_parameter_from_band",
     "energy",
-    "band_energies",
     "Variant",
     "FitResult",
     "LevelResidual",

@@ -9,8 +9,9 @@ Band files are line-oriented UTF-8:
     ...
 
 Spins are decimal (integer or .5), energies are keV.  Blank lines and
-other ``#`` comments are ignored.  Parsing validates every band invariant
-with a line-numbered diagnostic; serialization emits a canonical form that
+other ``#`` comments are ignored.  Parsing checks the text (headers, field
+count, number syntax) and leaves the level rules to ``BandData``; either
+way a failure names its line.  Serialization emits a canonical form that
 round-trips byte-identically.  All report output is deterministic: fixed
 formats, '.' decimal separator, no locale dependence.
 """
@@ -66,14 +67,20 @@ def parse_band(text: bytes | str) -> BandData:
 def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
     """Parse band-file text, keeping the provenance note lines."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            raise BandParseError(line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8") from None
 
     name: str | None = None
     notes: list[str] = []
     levels: list[tuple[int, float]] = []
-    twostep: int | None = None
+    line_of: list[int] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: str.splitlines would also break at form feeds
+    # and Unicode separators and shift every later line number.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -102,30 +109,15 @@ def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
             energy = float(tokens[1])
         except ValueError:
             raise BandParseError(line_no, f"non-numeric energy {tokens[1]!r}") from None
-
-        if levels:
-            prev_j, prev_e = levels[-1]
-            if twoj == prev_j:
-                raise BandParseError(line_no, f"duplicate spin {spin_str(twoj)}")
-            if twoj < prev_j:
-                raise BandParseError(line_no, "spins must be strictly increasing")
-            if twostep is None:
-                twostep = twoj - prev_j
-            elif twoj - prev_j != twostep:
-                raise BandParseError(
-                    line_no,
-                    f"inconsistent spin step: {(twoj - prev_j) / 2} after {twostep / 2}",
-                )
-            if energy <= prev_e:
-                raise BandParseError(line_no, "energies must be strictly increasing")
         levels.append((twoj, energy))
+        line_of.append(line_no)
 
     if name is None:
         raise BandParseError(0, "missing '# nucleus:' header")
-    if len(levels) < 3:
-        raise BandParseError(0, f"band needs at least 3 levels, got {len(levels)}")
-
-    band = BandData(name=name, levels=tuple(levels), twostep=twostep)
+    try:
+        band = BandData(name=name, levels=tuple(levels))
+    except BandError as exc:
+        raise BandParseError(0 if exc.level is None else line_of[exc.level], str(exc)) from None
     note = "\n".join(notes) if notes else None
     return BandFile(path=path, parsed=band, source_note=note)
 

@@ -25,12 +25,16 @@ __all__ = [
     "space_size",
     "q_parameter_from_band",
     "energy",
-    "band_energies",
 ]
 
 
 class BandError(ValueError):
-    """A band violates the level-list invariants."""
+    """A band violates the level-list invariants; ``level`` is the index of
+    the offending level, or None when no single level is at fault."""
+
+    def __init__(self, message: str, level: int | None = None):
+        super().__init__(message)
+        self.level = level
 
 
 def twice_spin(j: float) -> int:
@@ -55,47 +59,47 @@ def spin_str(twoj: int) -> str:
 class BandData:
     """One named rotational band: ordered (twice-spin, energy keV) levels.
 
-    Levels must be at least three, strictly increasing in both spin and
-    energy, with a constant spin step (``twostep`` is twice the step).
+    Levels must be at least three, with nonnegative spins increasing by a
+    constant step, a head energy >= 0, and finite energies strictly
+    increasing with spin.  This is the one place those rules are checked.
     """
 
     name: str
     levels: tuple[tuple[int, float], ...]
-    twostep: int
 
     def __post_init__(self):
         if not self.name:
             raise BandError("band needs a nonempty name")
-        if len(self.levels) < 3:
-            raise BandError(f"band needs at least 3 levels, got {len(self.levels)}")
-        if self.twostep <= 0:
-            raise BandError(f"spin step must be positive, got {self.twostep / 2}")
-        spins = [twoj for twoj, _ in self.levels]
-        energies = [e for _, e in self.levels]
-        if spins[0] < 0:
-            raise BandError(f"spins must be nonnegative, got {spins[0] / 2}")
-        for a, b in zip(spins, spins[1:]):
-            if b - a != self.twostep:
-                raise BandError(
-                    f"spin step between {spin_str(a)} and {spin_str(b)} is not {self.twostep / 2}"
-                )
-        if energies[0] < 0:
-            raise BandError(f"lowest level energy must be >= 0, got {energies[0]}")
-        for a, b in zip(energies, energies[1:]):
-            if not (math.isfinite(b) and b > a):
-                raise BandError("energies must be finite and strictly increasing with spin")
+        # Each level is checked once against its predecessor, so the error
+        # names the level whose own spin or energy breaks a rule.  The level
+        # count comes last, so a fault in a two-level band still names its level.
+        levels = self.levels
+        twostep = self.twostep if len(levels) > 1 else 0
+        for index, (twoj, e) in enumerate(levels):
+            if index == 0:
+                if twoj < 0:
+                    raise BandError(f"spins must be nonnegative, got {spin_str(twoj)}", index)
+                if e < 0:
+                    raise BandError(f"lowest level energy must be >= 0, got {e}", index)
+            else:
+                prev_j, prev_e = levels[index - 1]
+                if twoj == prev_j:
+                    raise BandError(f"duplicate spin {spin_str(twoj)}", index)
+                if twoj < prev_j:
+                    raise BandError("spins must be strictly increasing", index)
+                if twoj - prev_j != twostep:
+                    raise BandError(f"inconsistent spin step: {(twoj - prev_j) / 2} after {twostep / 2}", index)
+                if e <= prev_e:
+                    raise BandError("energies must be strictly increasing", index)
+            if not math.isfinite(e):
+                raise BandError(f"energy must be finite, got {e}", index)
+        if len(levels) < 3:
+            raise BandError(f"band needs at least 3 levels, got {len(levels)}")
 
     @classmethod
-    def from_levels(cls, name: str, levels, step: float | None = None) -> "BandData":
-        """Build from (decimal spin, energy keV) pairs; step inferred if omitted."""
-        enc = tuple((twice_spin(j), float(e)) for j, e in levels)
-        if step is not None:
-            twostep = twice_spin(step)
-        elif len(enc) >= 2:
-            twostep = enc[1][0] - enc[0][0]
-        else:
-            raise BandError("cannot infer spin step from fewer than 2 levels")
-        return cls(name=name, levels=enc, twostep=twostep)
+    def from_levels(cls, name: str, levels) -> "BandData":
+        """Build from (decimal spin, energy keV) pairs."""
+        return cls(name=name, levels=tuple((twice_spin(j), float(e)) for j, e in levels))
 
     @property
     def j_min(self) -> float:
@@ -104,6 +108,11 @@ class BandData:
     @property
     def j_max(self) -> float:
         return self.levels[-1][0] / 2.0
+
+    @property
+    def twostep(self) -> int:
+        """Twice the spin step, from the first two levels."""
+        return self.levels[1][0] - self.levels[0][0]
 
     @property
     def step(self) -> float:
@@ -159,9 +168,3 @@ def energy(j: float, A: float, qp: QParameter | None) -> float:
         )
     return A * casimir_eigenvalue(j, qp)
 
-
-def band_energies(band: BandData, A: float, qp: QParameter | None) -> list[tuple[float, float]]:
-    """Theoretical energies for each band spin, referenced to the lowest
-    listed level (the band head defines the zero)."""
-    head = energy(band.j_min, A, qp)
-    return [(j, energy(j, A, qp) - head) for j in band.spins]

@@ -170,6 +170,24 @@ class TestTableCommand:
         assert captured.out == ""
         assert "line 3: invalid spin 'inf'" in captured.err
 
+    @pytest.mark.parametrize("content,line", [
+        (b"# nucleus: x\n-2 0\n0 5\n2 9\n", 2),
+        (b"# nucleus: x\n2 -5.0\n4 5\n6 9\n", 2),
+        (b"# nucleus: x\n2 nan\n4 5\n6 9\n", 2),
+        (b"# nucleus: x\n2 0\n4 nan\n6 9\n", 3),
+        (b"# nucleus: x\n2 0\n4 5\n6 inf\n", 4),
+        (b"# nucleus: x\n2 0\n4 5\n6 9\n8 nan\n", 5),
+        (b"# nucleus: g\n2 0\n4 5\xff\n6 9\n", 3),
+    ], ids=["negative-spin", "negative-head", "nan-head", "nan-middle", "inf-last", "nan-fourth", "non-utf8"])
+    def test_level_diagnostic_names_its_line(self, capsys, tmp_path, content, line):
+        bad = tmp_path / "b.band"
+        bad.write_bytes(content)
+        assert main(["table", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"qrotor: {bad}: line {line}: ")
+        assert captured.err.count("\n") == 1
+
     def test_empty_directory(self, capsys, tmp_path):
         assert main(["table", str(tmp_path)]) == 1
         assert "no band files" in capsys.readouterr().err

@@ -102,6 +102,33 @@ class TestParseBand:
         with pytest.raises(BandParseError, match="line 2.*fields"):
             parse_band(b"# nucleus: x\n2 1.0 extra\n4 2.0\n6 4.0\n")
 
+    @pytest.mark.parametrize("text,line,message", [
+        (b"# nucleus: x\n2 1.0\n4 2.0\n8 4.0\n", 4, "inconsistent spin step: 4.0 after 2.0"),
+        (b"# nucleus: x\n2 1.0\n# c\n2 2.0\n6 4.0\n", 4, "duplicate spin 2"),
+        (b"# nucleus: x\n4 1.0\n2 2.0\n6 4.0\n", 3, "spins must be strictly increasing"),
+        (b"# nucleus: x\n2 5.0\n4 9.0\n6 9.0\n", 4, "energies must be strictly increasing"),
+        (b"# nucleus: x\n2 1.0\n2 2.0\n", 3, "duplicate spin 2"),
+    ], ids=["step", "duplicate", "order", "energy", "before-level-count"])
+    def test_level_rule_message_bytes(self, text, line, message):
+        with pytest.raises(BandParseError) as exc_info:
+            parse_band(text)
+        assert (exc_info.value.line, str(exc_info.value)) == (line, f"line {line}: {message}")
+
+    def test_non_utf8_byte(self):
+        with pytest.raises(BandParseError) as exc_info:
+            parse_band(b"# nucleus: g\n2 0\n4 5\xff\n6 9\n")
+        assert str(exc_info.value) == "line 3: byte 0xff is not valid UTF-8"
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"], ids=["form-feed", "line-separator"])
+    def test_lines_end_only_at_newline(self, separator):
+        text = f"# nucleus: i\n2 0{separator}\n4 5\n6 4\n"
+        for data in (text, text.encode()):
+            with pytest.raises(BandParseError, match="^line 4: energies must be strictly increasing$"):
+                parse_band(data)
+
+    def test_crlf_line_endings(self):
+        assert parse_band(MINIMAL.replace(b"\n", b"\r\n")) == parse_band(MINIMAL)
+
 
 class TestRoundTrip:
     def test_canonicalization_idempotent(self):

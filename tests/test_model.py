@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qrotor.model import (
     BandData,
     BandError,
-    band_energies,
     energy,
     q_parameter_from_band,
     space_size,
@@ -171,23 +170,10 @@ class TestEnergy:
         minus = math.sin(-tau * j) * math.sin(-tau * (j + 1)) / math.sin(-tau) ** 2
         assert plus == pytest.approx(minus, rel=1e-15)
 
-
-class TestBandEnergies:
-    def test_classical_referenced(self):
-        band = make_band([2, 4, 6], [10.0, 30.0, 70.0])
-        out = band_energies(band, 1.0, None)
-        assert out == [(2.0, 0.0), (4.0, 14.0), (6.0, 36.0)]
-
-    def test_length_matches_band(self):
-        qp = q_parameter_from_band(DY_BAND)
-        assert len(band_energies(DY_BAND, 12.81, qp)) == len(DY_BAND.levels)
-
     def test_deformed_approaches_classical(self):
-        band = make_band([2, 4, 6], [10.0, 30.0, 70.0])
-        classical = band_energies(band, 5.0, None)
-        huge = band_energies(band, 5.0, QParameter.from_dim(100001))
-        for (_, c), (_, d) in zip(classical, huge):
-            assert abs(c - d) < 1e-4
+        qp = QParameter.from_dim(100001)
+        for j in (2.0, 4.0, 6.0):
+            assert abs(energy(j, 5.0, None) - energy(j, 5.0, qp)) < 1e-4
 
 
 class TestBandData:
@@ -226,3 +212,30 @@ class TestBandData:
         band = make_band([0, 1, 2], [0.0, 2.0, 6.0])
         assert band.spins == (0.0, 1.0, 2.0)
         assert band.energies == (0.0, 2.0, 6.0)
+
+    # (spins, energies) -> (index of the offending level, exact message)
+    LEVEL_ERRORS = {
+        "negative-spin": (([-1, 0, 1], [0.0, 1.0, 2.0]), (0, "spins must be nonnegative, got -1")),
+        "negative-head": (([2, 4, 6], [-5.0, 1.0, 2.0]), (0, "lowest level energy must be >= 0, got -5.0")),
+        "nan-head": (([2, 4, 6], [math.nan, 1.0, 2.0]), (0, "energy must be finite, got nan")),
+        "duplicate": (([2, 4, 4, 6], [0.0, 1.0, 2.0, 3.0]), (2, "duplicate spin 4")),
+        "decreasing": (([2, 4, 3, 6], [0.0, 1.0, 2.0, 3.0]), (2, "spins must be strictly increasing")),
+        "step": (([2, 4, 6, 10], [0.0, 1.0, 2.0, 3.0]), (3, "inconsistent spin step: 4.0 after 2.0")),
+        "energy-order": (([2, 4, 6], [0.0, 1.0, 1.0]), (2, "energies must be strictly increasing")),
+        "minus-inf": (([2, 4, 6], [0.0, -math.inf, 1.0]), (1, "energies must be strictly increasing")),
+        "nan-middle": (([2, 4, 6], [0.0, math.nan, 1.0]), (1, "energy must be finite, got nan")),
+        "inf-last": (([2, 4, 6], [0.0, 1.0, math.inf]), (2, "energy must be finite, got inf")),
+    }
+
+    @pytest.mark.parametrize("case", list(LEVEL_ERRORS))
+    def test_reports_offending_level(self, case):
+        (spins, energies), (level, message) = self.LEVEL_ERRORS[case]
+        with pytest.raises(BandError) as exc_info:
+            make_band(spins, energies)
+        assert (exc_info.value.level, str(exc_info.value)) == (level, message)
+
+    def test_level_free_errors_have_no_index(self):
+        for spins, name in (([2, 4], "x"), ([2, 4, 6], "")):
+            with pytest.raises(BandError) as exc_info:
+                make_band(spins, [1.0 + j for j in spins], name=name)
+            assert exc_info.value.level is None
