@@ -10,7 +10,7 @@ model is built on.
 __version__ = "0.1.0"
 
 from .bp_space import BPSpace, build_space, check_cyclic_shift, check_quantum_plane
-from .fit import FitResult, LevelResidual, Variant, chi2_at, compare, compare_batch, fit_A, fit_batch
+from .fit import FitResult, Variant, chi2_at, compare, compare_batch, fit_A, fit_batch
 from .ingest import (
     BandFile,
     BandParseError,
@@ -30,15 +30,16 @@ from .model import (
     spin_str,
     twice_spin,
 )
-from .qnum import QParameter, RegimeError, casimir_eigenvalue, qbracket, qbracket_classical
+from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue, in_regime, qbracket
 from .suq2 import IrrepMatrices, build_irrep, check_casimir, check_commutators
 
 __all__ = [
     "__version__",
     "QParameter",
     "RegimeError",
+    "bracket",
+    "in_regime",
     "qbracket",
-    "qbracket_classical",
     "casimir_eigenvalue",
     "BPSpace",
     "build_space",
@@ -57,7 +58,6 @@ __all__ = [
     "energy",
     "Variant",
     "FitResult",
-    "LevelResidual",
     "fit_A",
     "fit_batch",
     "chi2_at",

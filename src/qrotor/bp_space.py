@@ -16,7 +16,7 @@ D^2 entries are compared with the identity or the raising matrix.
 
 Sign convention: this module uses the shift phase q = exp(-i*tau), the
 natural one for the angle grid.  Energy formulas elsewhere use the real
-bracket sin(tau*x)/sin(tau), which is insensitive to the sign of tau.
+bracket ``qnum.bracket``, which is insensitive to the sign of tau.
 """
 
 from __future__ import annotations

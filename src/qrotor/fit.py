@@ -7,28 +7,28 @@ f the referenced eigenvalue factors.  Energies are handled in keV; following the
 convention, chi-squared is quoted in MeV^2.
 
 Every fit goes through one columnar kernel: the levels of a whole batch of
-bands are flattened into numpy columns once, and the per-band sums come
-from segment reductions.  ``fit_A`` and ``compare`` are its one-band
-cases.  Per-level residuals are built from the columns only when read.
+bands are flattened into numpy columns once, the eigenvalue factors come
+from ``qnum.bracket`` over a per-band tau column (0.0 for the j(j+1)
+baseline), and the per-band sums from segment reductions.  ``fit_A`` and
+``compare`` are its one-band cases.  Per-level residuals are built from
+the columns only when read.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import BandData, q_parameter_from_band
-from .qnum import QParameter, RegimeError
+from .qnum import QParameter, RegimeError, bracket, in_regime
 
 __all__ = [
     "Variant",
     "FitError",
-    "LevelResidual",
     "FitResult",
     "fit_A",
     "fit_batch",
@@ -47,13 +47,6 @@ class Variant(enum.Enum):
 
 class FitError(ValueError):
     """The band admits no physical one-parameter fit."""
-
-
-class LevelResidual(NamedTuple):
-    j: float
-    exp_kev: float
-    theo_kev: float
-    diff_kev: float
 
 
 class _Levels:
@@ -82,20 +75,14 @@ class _Levels:
         """Per-band sums of a level column."""
         return np.add.reduceat(column, self.starts)
 
-    def factors(self, qps: Sequence[QParameter | None]) -> tuple[np.ndarray, np.ndarray]:
-        """Head-referenced eigenvalue factors [j][j+1] (j(j+1) where the
-        band's parameter is None), and per band whether tau*(j_max+1) >= pi."""
-        classical = np.fromiter((qp is None for qp in qps), bool, len(qps))
-        tau = np.fromiter((0.0 if qp is None else qp.tau for qp in qps), float, len(qps))
-        j_max = self.j[self.starts + self.counts - 1]
+    def factors(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Head-referenced eigenvalue factors [j][j+1] at each band's
+        ``tau`` (0.0: j(j+1)), and per band whether it is in regime."""
+        t = np.repeat(tau, self.counts)
         with np.errstate(all="ignore"):
-            regime = ~classical & (tau * (j_max + 1.0) >= math.pi)
-            t = np.repeat(tau, self.counts)
-            sin_t = np.sin(t)
-            deformed = (np.sin(t * self.j) / sin_t) * (np.sin(t * (self.j + 1.0)) / sin_t)
-            f = np.where(np.repeat(classical, self.counts), self.j * (self.j + 1.0), deformed)
+            f = bracket(self.j, t) * bracket(self.j + 1.0, t)
             f -= self.head(f)
-        return f, regime
+            return f, in_regime(tau, self.j[self.starts + self.counts - 1])
 
     def score(self, f: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-band chi2 in MeV^2 and rms in keV at inertia parameters A."""
@@ -112,8 +99,7 @@ class FitResult:
     ``chi2`` is the sum of squared residuals in MeV^2, ``rms`` the
     root-mean-square deviation sqrt(chi2/N) in keV over the N fitted
     levels.  ``qp`` is None for the classical variant.  ``residual_columns``
-    and ``residuals`` are computed from the batch columns each time they
-    are read.
+    is computed from the batch columns each time it is read.
     """
 
     variant: Variant
@@ -137,25 +123,25 @@ class FitResult:
         diffs = levels.de[lo:hi] - self.A * f
         return levels.j[lo:hi], levels.e[lo:hi], theo, diffs
 
-    @property
-    def residuals(self) -> tuple[LevelResidual, ...]:
-        columns = [column.tolist() for column in self.residual_columns()]
-        return tuple(map(LevelResidual._make, zip(*columns)))
-
 
 def _regime_error(band: BandData, qp: QParameter) -> RegimeError:
     return RegimeError(f"tau*(j_max+1) >= pi for band '{band.name}' at dim={qp.dim}")
 
 
+def _tau_column(qps: Sequence[QParameter | None]) -> np.ndarray:
+    return np.fromiter((0.0 if qp is None else qp.tau for qp in qps), float, len(qps))
+
+
 def _fit(levels: _Levels, qps: Sequence[QParameter | None]) -> list[FitResult | FitError | RegimeError]:
-    """The kernel: closed-form A, chi2 and rms of every band at once, then
-    each band's checks in order (regime, spread, A > 0, finite results)."""
-    f, regime = levels.factors(qps)
+    """The kernel: closed-form A, chi2 and rms of every band at once, at
+    each band's tau, then each band's checks in order (regime, spread,
+    A > 0, finite results)."""
+    f, regime = levels.factors(_tau_column(qps))
     with np.errstate(all="ignore"):
         sff = levels.sums(f * f)
         A = levels.sums(levels.de * f) / sff
     chi2, rms = levels.score(f, A)
-    ok = ~regime & (sff != 0.0) & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
+    ok = regime & (sff != 0.0) & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
 
     results: list[FitResult | FitError | RegimeError] = []
     for k, (passed, qp, a, c, r) in enumerate(zip(ok.tolist(), qps, A.tolist(), chi2.tolist(), rms.tolist())):
@@ -164,7 +150,7 @@ def _fit(levels: _Levels, qps: Sequence[QParameter | None]) -> list[FitResult | 
             results.append(FitResult(variant, a, c, r, qp, levels, f, k))
             continue
         band = levels.bands[k]
-        if regime[k]:
+        if not regime[k]:
             results.append(_regime_error(band, qp))
         elif sff[k] == 0.0:
             results.append(FitError(f"band '{band.name}' has no spread in the model term"))
@@ -241,8 +227,8 @@ def compare(band: BandData) -> tuple[FitResult, FitResult]:
 def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
     """Least-squares objective at a given A, in MeV^2."""
     levels = _Levels([band])
-    f, regime = levels.factors([qp])
-    if regime[0]:
+    f, regime = levels.factors(_tau_column([qp]))
+    if not regime[0]:
         raise _regime_error(band, qp)
     chi2, _ = levels.score(f, np.array([A], dtype=float))
     return float(chi2[0])

@@ -101,11 +101,16 @@ def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
         tokens = line.split()
         if len(tokens) != 2:
             raise BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
+        # float() also reads digit separators ("1_0" is 10); band files hold plain decimals.
         try:
+            if "_" in tokens[0]:
+                raise ValueError
             twoj = twice_spin(float(tokens[0]))
         except ValueError:
             raise BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)") from None
         try:
+            if "_" in tokens[1]:
+                raise ValueError
             energy = float(tokens[1])
         except ValueError:
             raise BandParseError(line_no, f"non-numeric energy {tokens[1]!r}") from None
@@ -138,7 +143,7 @@ def write_band(band: BandFile | BandData) -> bytes:
     else:
         data, note = band, None
     lines = [f"# nucleus: {data.name}"]
-    if note:
+    if note is not None:
         lines.extend(f"# note: {part}" for part in note.split("\n"))
     lines.extend(f"{spin_str(twoj)} {energy!r}" for twoj, energy in data.levels)
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -248,9 +253,8 @@ def emit_plot_data(band: BandData, fit_q: FitResult, fit_cl: FitResult) -> bytes
         f"# nucleus: {band.name}",
         "# j exp_keV theo_q_keV theo_classical_keV resid_q_keV resid_classical_keV",
     ]
-    for (twoj, _), rq, rc in zip(band.levels, fit_q.residuals, fit_cl.residuals):
-        lines.append(
-            f"{spin_str(twoj)} {rq.exp_kev:.3f} {rq.theo_kev:.3f} {rc.theo_kev:.3f} "
-            f"{rq.diff_kev:.3f} {rc.diff_kev:.3f}"
-        )
+    _, exp, theo_q, diff_q = (column.tolist() for column in fit_q.residual_columns())
+    _, _, theo_cl, diff_cl = (column.tolist() for column in fit_cl.residual_columns())
+    for (twoj, _), e, tq, tc, dq, dc in zip(band.levels, exp, theo_q, theo_cl, diff_q, diff_cl):
+        lines.append(f"{spin_str(twoj)} {e:.3f} {tq:.3f} {tc:.3f} {dq:.3f} {dc:.3f}")
     return ("\n".join(lines) + "\n").encode("utf-8")

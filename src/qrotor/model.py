@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qnum import QParameter, RegimeError, casimir_eigenvalue
+from .qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
 
 __all__ = [
     "BandError",
@@ -161,7 +161,7 @@ def energy(j: float, A: float, qp: QParameter | None) -> float:
     """
     if not (A > 0):
         raise ValueError(f"inertia parameter A must be positive, got {A}")
-    if qp is not None and qp.tau * (j + 1.0) >= math.pi:
+    if qp is not None and not in_regime(qp.tau, j):
         raise RegimeError(
             f"tau*(j+1) = {qp.tau * (j + 1.0):.4f} >= pi at j={j}, dim={qp.dim}; "
             "energies would leave the monotone regime"

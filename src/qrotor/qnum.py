@@ -1,8 +1,12 @@
-"""Scalar q-number arithmetic for a pure-phase deformation parameter.
+"""q-number arithmetic for a pure-phase deformation parameter.
 
 The deformed number [x] = sin(tau*x)/sin(tau) is real for q = exp(i*tau)
 on the unit circle and reduces to the ordinary number x as tau -> 0.
-Everything here is a pure function of immutable values.
+``bracket`` is the one place it is computed: elementwise over arrays of x
+and tau, with tau = 0 giving x itself, so band energies, fits over a tau
+column and irrep matrices all share it.  ``in_regime`` is the one test of
+the monotone regime tau*(j_max+1) < pi.  Everything here is a pure
+function of immutable values.
 """
 
 from __future__ import annotations
@@ -10,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "QParameter",
     "RegimeError",
+    "bracket",
+    "in_regime",
     "qbracket",
-    "qbracket_classical",
     "casimir_eigenvalue",
 ]
 
@@ -61,23 +68,30 @@ class QParameter:
         return complex(math.cos(self.tau), math.sin(self.tau))
 
 
-def qbracket(x: float, qp: QParameter) -> float:
-    """Deformed number [x] = sin(tau*x)/sin(tau).
+def bracket(x, tau) -> np.ndarray:
+    """Deformed number [x] = sin(tau*x)/sin(tau), elementwise over the
+    broadcast of ``x`` and ``tau``; exactly x where tau == 0.
 
     Exact at the anchors: [0] = 0 and [1] = 1.  Antisymmetric in x.
-    Accepts any finite real x so the same routine serves operator spectra
-    (arguments 2m) and energy eigenvalues (arguments j, j+1).
+    Raises ValueError if any x is not finite.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"bracket argument must be finite, got {x}")
-    return math.sin(qp.tau * x) / math.sin(qp.tau)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"bracket argument must be finite, got {x[~np.isfinite(x)].flat[0]}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tau == 0.0, x, np.sin(tau * x) / np.sin(tau))
 
 
-def qbracket_classical(x: float) -> float:
-    """tau -> 0 limit of the deformed number: the identity map."""
-    if not math.isfinite(x):
-        raise ValueError(f"bracket argument must be finite, got {x}")
-    return float(x)
+def in_regime(tau, j_max):
+    """Whether tau*(j_max+1) < pi, the monotone regime where the model's
+    levels are defined; elementwise over arrays, and true at tau = 0 for
+    any finite j_max."""
+    return tau * (j_max + 1.0) < math.pi
+
+
+def qbracket(x: float, qp: QParameter) -> float:
+    """``bracket`` of one finite real x at the deformation ``qp``, as a float."""
+    return float(bracket(x, qp.tau))
 
 
 def casimir_eigenvalue(j: float, qp: QParameter | None) -> float:
@@ -87,6 +101,5 @@ def casimir_eigenvalue(j: float, qp: QParameter | None) -> float:
     """
     if not (j >= 0):
         raise ValueError(f"spin must be nonnegative, got {j}")
-    if qp is None:
-        return j * (j + 1.0)
-    return qbracket(j, qp) * qbracket(j + 1.0, qp)
+    tau = 0.0 if qp is None else qp.tau
+    return float(bracket(j, tau) * bracket(j + 1.0, tau))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParameter, RegimeError, casimir_eigenvalue, qbracket, qbracket_classical
+from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue
 
 __all__ = ["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir"]
 
@@ -37,15 +37,14 @@ class IrrepMatrices:
     jminus: np.ndarray
 
     @property
+    def tau(self) -> float:
+        """The deformation's tau, 0.0 for the classical variant."""
+        return 0.0 if self.qp is None else self.qp.tau
+
+    @property
     def m_values(self) -> np.ndarray:
         twoj = round(2 * self.j)
-        return np.array([(twoj - 2 * k) / 2.0 for k in range(twoj + 1)])
-
-
-def _bracket(qp: QParameter | None):
-    if qp is None:
-        return qbracket_classical
-    return lambda x: qbracket(x, qp)
+        return (twoj - 2.0 * np.arange(twoj + 1)) / 2.0
 
 
 def build_irrep(j: float, qp: QParameter | None) -> IrrepMatrices:
@@ -58,25 +57,21 @@ def build_irrep(j: float, qp: QParameter | None) -> IrrepMatrices:
     twoj = round(2 * j)
     if abs(2 * j - twoj) > 1e-9 or j < 0:
         raise ValueError(f"spin must be a nonnegative integer or half-integer, got {j}")
-    dim = twoj + 1
-    br = _bracket(qp)
+    tau = 0.0 if qp is None else qp.tau
 
-    m = np.array([(twoj - 2 * k) / 2.0 for k in range(dim)])
-    jz = np.diag(m)
-
-    jplus = np.zeros((dim, dim))
-    for k in range(1, dim):
-        source = m[k]
-        product = br(j - source) * br(j + source + 1.0)
-        if product < 0.0:
-            raise RegimeError(
-                f"negative bracket product {product:.3e} at j={j}, m={source}"
-                + ("" if qp is None else f", dim={qp.dim}")
-                + "; the space is too small for this spin"
-            )
-        jplus[k - 1, k] = np.sqrt(product)
-
-    return IrrepMatrices(j=float(j), qp=qp, jz=jz, jplus=jplus, jminus=jplus.T.copy())
+    m = (twoj - 2.0 * np.arange(twoj + 1)) / 2.0
+    source = m[1:]
+    product = bracket(j - source, tau) * bracket(j + source + 1.0, tau)
+    negative = np.flatnonzero(product < 0.0)
+    if negative.size:
+        k = negative[0]
+        raise RegimeError(
+            f"negative bracket product {product[k]:.3e} at j={j}, m={source[k]}"
+            + ("" if qp is None else f", dim={qp.dim}")
+            + "; the space is too small for this spin"
+        )
+    jplus = np.diag(np.sqrt(product), 1)
+    return IrrepMatrices(j=float(j), qp=qp, jz=np.diag(m), jplus=jplus, jminus=jplus.T.copy())
 
 
 def _maxabs(a: np.ndarray) -> float:
@@ -89,9 +84,7 @@ def check_commutators(irrep: IrrepMatrices) -> float:
     Checks [J+, J-] = [2 Jz] (bracket applied to the spectrum of 2 Jz) and
     [Jz, J+-] = +- J+-.
     """
-    br = _bracket(irrep.qp)
-    m = irrep.m_values
-    target = np.diag([br(2.0 * mv) for mv in m])
+    target = np.diag(bracket(2.0 * irrep.m_values, irrep.tau))
     d1 = _maxabs(irrep.jplus @ irrep.jminus - irrep.jminus @ irrep.jplus - target)
     d2 = _maxabs(irrep.jz @ irrep.jplus - irrep.jplus @ irrep.jz - irrep.jplus)
     d3 = _maxabs(irrep.jz @ irrep.jminus - irrep.jminus @ irrep.jz + irrep.jminus)
@@ -100,8 +93,7 @@ def check_commutators(irrep: IrrepMatrices) -> float:
 
 def check_casimir(irrep: IrrepMatrices) -> float:
     """Max-norm deviation of [Jz][Jz+1] + J- J+ from [j][j+1] * identity."""
-    br = _bracket(irrep.qp)
     m = irrep.m_values
-    c2 = np.diag([br(mv) * br(mv + 1.0) for mv in m]) + irrep.jminus @ irrep.jplus
+    c2 = np.diag(bracket(m, irrep.tau) * bracket(m + 1.0, irrep.tau)) + irrep.jminus @ irrep.jplus
     ev = casimir_eigenvalue(irrep.j, irrep.qp)
     return _maxabs(c2 - ev * np.eye(len(m)))

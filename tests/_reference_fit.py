@@ -1,7 +1,8 @@
 """Per-band scalar references for the columnar fit kernel.
 
-One band at a time, one level at a time: eigenvalue factors from
-``casimir_eigenvalue``, sums with numpy dot products.  ``reference_fit``
+One band at a time, one level at a time: eigenvalue factors [j][j+1]
+from ``math.sin``, independent of the ``qnum.bracket`` kernel the fit uses,
+and sums with numpy dot products.  ``reference_fit``
 raises the same exception types with the same messages, in the same order,
 as the kernel is documented to, so batch results can be compared with it
 band by band.  ``fit_A_oracle`` finds A without the closed form at all.
@@ -10,12 +11,28 @@ band by band.  ``fit_A_oracle`` finds A without the closed form at all.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from qrotor.fit import KEV_PER_MEV, FitError, LevelResidual
+from qrotor.fit import KEV_PER_MEV, FitError
 from qrotor.model import BandData, q_parameter_from_band
-from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue
+from qrotor.qnum import QParameter, RegimeError
+
+
+class LevelResidual(NamedTuple):
+    j: float
+    exp_kev: float
+    theo_kev: float
+    diff_kev: float
+
+
+def _factor(j: float, qp: QParameter | None) -> float:
+    """[j][j+1] = sin(tau j) sin(tau (j+1)) / sin(tau)^2, or j(j+1) for qp=None."""
+    if qp is None:
+        return j * (j + 1.0)
+    sin_tau = math.sin(qp.tau)
+    return (math.sin(qp.tau * j) / sin_tau) * (math.sin(qp.tau * (j + 1.0)) / sin_tau)
 
 
 def _referenced(band: BandData, qp: QParameter | None) -> tuple[np.ndarray, np.ndarray]:
@@ -24,7 +41,7 @@ def _referenced(band: BandData, qp: QParameter | None) -> tuple[np.ndarray, np.n
     if qp is not None and qp.tau * (band.j_max + 1.0) >= math.pi:
         raise RegimeError(f"tau*(j_max+1) >= pi for band '{band.name}' at dim={qp.dim}")
     energies = np.array(band.energies)
-    factors = np.array([casimir_eigenvalue(j, qp) for j in band.spins])
+    factors = np.array([_factor(j, qp) for j in band.spins])
     with np.errstate(all="ignore"):
         return energies - energies[0], factors - factors[0]
 

@@ -22,7 +22,8 @@ def _fit_json(band: BandData, result: FitResult) -> dict:
         "rms_keV": result.rms,
         "variant": result.variant.value,
         "residuals": [
-            {"j": r.j, "exp_keV": r.exp_kev, "theo_keV": r.theo_kev} for r in result.residuals
+            {"j": j, "exp_keV": exp, "theo_keV": theo}
+            for j, exp, theo, _ in zip(*(column.tolist() for column in result.residual_columns()))
         ],
     }
 

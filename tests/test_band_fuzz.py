@@ -3,7 +3,7 @@
 round-trip, and ``qrotor table --json`` exits 0 or 1 with strict JSON."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrotor.cli import main
@@ -45,6 +45,7 @@ band_bytes = st.one_of(st.binary(max_size=64), band_texts())
 
 @settings(max_examples=500, deadline=None)
 @given(raw=band_bytes)
+@example(raw=b"# nucleus: x\n# note:\n2 1\n4 2\n6 3\n")
 def test_parse_raises_band_errors_or_round_trips(raw):
     """A ``BandParseError`` is checked; any other exception fails the test."""
     try:
@@ -62,6 +63,7 @@ def test_parse_raises_band_errors_or_round_trips(raw):
         return
     band = band_file.parsed
     assert parse_band(write_band(band)) == band
+    assert parse_band_file(write_band(band_file)) == band_file
     assert write_band(parse_band_file(write_band(band_file))) == write_band(band_file)
 
 

@@ -30,6 +30,10 @@ BUNDLED_TABLE = (
 # json.dumps(rows, indent=2) gave before the report was formatted from the fit columns.
 BUNDLED_JSON_SHA256 = "139369411edcfbeb22d38f6117f67d229783ba8ba62124dadfb0ef38a5bbb041"
 
+# SHA-256 of `qrotor plotdata data/bands/*.band` (paths sorted): 1679 bytes,
+# taken while plotdata still read per-level residual tuples.
+BUNDLED_PLOT_SHA256 = "f9f1fc1bedc6b514ca42de75351f06e098da70093a3e3e1fcc268816135d9a4b"
+
 
 def _strict_json(text):
     def reject(constant):
@@ -228,6 +232,12 @@ class TestPlotdataCommand:
         assert main(["plotdata", str(dy162_path), str(good_band)]) == 0
         out = capsys.readouterr().out
         assert out.count("# nucleus:") == 2
+
+    def test_bundled_bands_bytes(self, capsysbinary, bands_dir):
+        assert main(["plotdata", *sorted(str(path) for path in bands_dir.glob("*.band"))]) == 0
+        out = capsysbinary.readouterr().out
+        assert len(out) == 1679
+        assert hashlib.sha256(out).hexdigest() == BUNDLED_PLOT_SHA256
 
 
 class TestVerifyCommand:

