@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParameter
+from .qnum import QParameter, max_abs
 
 __all__ = [
     "MAX_DENSE_DIM",
@@ -50,22 +50,25 @@ MAX_DENSE_DIM = 1001
 class BPSpace:
     """Matrix realization of the finite angle phase space.
 
-    Basis ordering is m = -l..l (ascending).  ``angle_basis[n]`` holds the
-    components of the n-th angle state over that basis; ``exp_iphi`` is the
-    exponentiated angle operator and ``q_jz`` the diagonal of the shift
-    q^{Jz}.
+    Basis ordering is m = -l..l (ascending).  ``theta0`` is the reference
+    angle of the angle grid; ``angle_basis[n]`` holds the components of the
+    n-th angle state over that basis; ``exp_iphi`` is the exponentiated angle
+    operator and ``q_jz`` the diagonal of the shift q^{Jz}.
     """
 
     qp: QParameter
-    dim: int
+    theta0: float
     exp_iphi: np.ndarray
     q_jz: np.ndarray
     angle_basis: np.ndarray
 
     @property
+    def dim(self) -> int:
+        return self.qp.dim
+
+    @property
     def m_values(self) -> np.ndarray:
-        l = (self.dim - 1) // 2
-        return np.arange(-l, l + 1, dtype=float)
+        return np.arange(self.dim, dtype=float) - (self.dim - 1) // 2
 
 
 def _angles(dim: int, theta0: float) -> np.ndarray:
@@ -98,7 +101,7 @@ def _times_weighted_conj_angle(x: np.ndarray, weight: np.ndarray | float, theta0
     return out
 
 
-def build_space(l: float, theta0: float = 0.0, max_dim: int = MAX_DENSE_DIM) -> BPSpace:
+def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     """Construct the (2l+1)-dimensional space with its operator matrices.
 
     The angle states are |theta_n> with components exp(-i*m*theta_n)/sqrt(D)
@@ -106,21 +109,20 @@ def build_space(l: float, theta0: float = 0.0, max_dim: int = MAX_DENSE_DIM) -> 
     assembled from its spectral sum over these states; q^{Jz} is diagonal
     with entries exp(-i*m*2*pi/D).
 
-    Raises ValueError for l off the half-integer grid or 2l+1 < 3; an even
-    2l+1 (half-integer l) is rejected by the parameter's oddness invariant.
+    Raises ValueError for l off the half-integer grid, for 2l+1 even or
+    outside 3..MAX_DENSE_DIM, and for a non-finite theta0.
     """
     twol = round(2 * l)
     if abs(2 * l - twol) > 1e-9:
         raise ValueError(f"l must be an integer or half-integer, got {l}")
     dim = twol + 1
-    if dim < 3:
-        raise ValueError(f"need 2l+1 >= 3, got 2l+1 = {dim}")
-    if dim > max_dim:
-        raise ValueError(f"2l+1 = {dim} exceeds the dense-matrix cap {max_dim}")
-    qp = QParameter.from_dim(dim, theta0)
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"2l+1 = {dim} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
+    qp = QParameter.from_dim(dim)
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
 
-    lint = (dim - 1) // 2
-    m = np.arange(-lint, lint + 1, dtype=float)
+    m = np.arange(dim, dtype=float) - (dim - 1) // 2
     theta = _angles(dim, theta0)
 
     angle_basis = np.exp(-1j * np.outer(theta, m)) / math.sqrt(dim)
@@ -130,17 +132,13 @@ def build_space(l: float, theta0: float = 0.0, max_dim: int = MAX_DENSE_DIM) -> 
 
     q_jz = np.exp(-1j * qp.tau * m)
 
-    return BPSpace(qp=qp, dim=dim, exp_iphi=exp_iphi, q_jz=q_jz, angle_basis=angle_basis)
-
-
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+    return BPSpace(qp=qp, theta0=theta0, exp_iphi=exp_iphi, q_jz=q_jz, angle_basis=angle_basis)
 
 
 def _identity_deviation(product: np.ndarray) -> float:
     """Max-norm of ``product`` minus identity; ``product`` is overwritten."""
     product.flat[:: len(product) + 1] -= 1.0
-    return _maxabs(product)
+    return max_abs(product)
 
 
 def check_quantum_plane(space: BPSpace) -> float:
@@ -149,7 +147,7 @@ def check_quantum_plane(space: BPSpace) -> float:
     qd = space.q_jz
     lhs = qd[:, None] * space.exp_iphi
     rhs = q * (space.exp_iphi * qd[None, :])
-    return _maxabs(lhs - rhs)
+    return max_abs(lhs - rhs)
 
 
 def _cyclic_raising(dim: int, theta0: float) -> np.ndarray:
@@ -163,29 +161,29 @@ def _cyclic_raising(dim: int, theta0: float) -> np.ndarray:
 
 def check_cyclic_shift(space: BPSpace) -> float:
     """Max-norm deviation of exp_iphi from the cyclic raising matrix."""
-    return _maxabs(space.exp_iphi - _cyclic_raising(space.dim, space.qp.theta0))
+    return max_abs(space.exp_iphi - _cyclic_raising(space.dim, space.theta0))
 
 
 def check_unitarity(space: BPSpace) -> float:
     """Max-norm deviation of U U^dagger from identity for U = exp_iphi, with
     U^dagger = A^T diag(exp(-i*theta)) conj(A), and of |q_m|^2 from one."""
-    theta0 = space.qp.theta0
+    theta0 = space.theta0
     w_bar = np.exp(-1j * _angles(space.dim, theta0))
     product = _times_weighted_conj_angle(_times_angle_transpose(space.exp_iphi, theta0), w_bar, theta0)
     d1 = _identity_deviation(product)
-    d2 = _maxabs(np.abs(space.q_jz) ** 2 - 1.0)
+    d2 = max_abs(np.abs(space.q_jz) ** 2 - 1.0)
     return max(d1, d2)
 
 
 def check_angle_orthonormality(space: BPSpace) -> float:
     """Max-norm deviation of the angle-state Gram matrix from identity, taken
     on its transpose (A A^dagger)^T = conj(A) A^T."""
-    return _identity_deviation(_times_angle_transpose(space.angle_basis.conj(), space.qp.theta0))
+    return _identity_deviation(_times_angle_transpose(space.angle_basis.conj(), space.theta0))
 
 
 def check_angle_completeness(space: BPSpace) -> float:
     """Max-norm deviation of sum_n |theta_n><theta_n| = A^T conj(A) from identity."""
-    return _identity_deviation(_times_weighted_conj_angle(space.angle_basis.T, 1.0, space.qp.theta0))
+    return _identity_deviation(_times_weighted_conj_angle(space.angle_basis.T, 1.0, space.theta0))
 
 
 def check_angle_cycling(space: BPSpace) -> float:
@@ -195,11 +193,11 @@ def check_angle_cycling(space: BPSpace) -> float:
     for integer m the wrap-around is phase-free.
     """
     shifted = space.angle_basis * space.q_jz[None, :]
-    return _maxabs(shifted - np.roll(space.angle_basis, -1, axis=0))
+    return max_abs(shifted - np.roll(space.angle_basis, -1, axis=0))
 
 
 def check_shift_power(space: BPSpace) -> float:
     """(exp_iphi)^D equals exp(i*D*theta0) times identity."""
     powered = np.linalg.matrix_power(space.exp_iphi, space.dim)
-    target = np.exp(1j * space.dim * space.qp.theta0) * np.eye(space.dim)
-    return _maxabs(powered - target)
+    target = np.exp(1j * space.dim * space.theta0) * np.eye(space.dim)
+    return max_abs(powered - target)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .bp_space import (
+    MAX_DENSE_DIM,
     build_space,
     check_angle_completeness,
     check_angle_cycling,
@@ -43,8 +44,8 @@ def _odd_dim(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid dimension {text!r}") from None
-    if value < 3 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"max dimension must be odd and >= 3, got {value}")
+    if value < 3 or value % 2 == 0 or value > MAX_DENSE_DIM:
+        raise argparse.ArgumentTypeError(f"max dimension must be odd, from 3 to {MAX_DENSE_DIM}, got {value}")
     return value
 
 
@@ -88,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the operator-algebra identities numerically")
     p_verify.add_argument("--max-dim", type=_odd_dim, default=DEFAULT_MAX_DIM,
-                          help="largest space dimension in the sweep (odd, default 201)")
+                          help=f"largest space dimension in the sweep (odd, {MAX_DENSE_DIM} at most, "
+                          f"default {DEFAULT_MAX_DIM})")
     p_verify.add_argument("--tolerance", type=_tolerance, default=None,
                           help="override the per-check tolerances with one value")
     add_output(p_verify)
@@ -208,6 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = []
 
     def record(name: str, params: str, deviation: float, tol: float) -> None:
+        tol = tol if args.tolerance is None else args.tolerance
         status = "PASS" if deviation <= tol else "FAIL"
         lines.append(f"{name:<22} {params:<24} dev={deviation:.3e} tol={tol:g} {status}")
         if status == "FAIL":
@@ -215,14 +218,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     for l in l_sweep:
         for theta0 in (0.0, 0.6):
-            space = build_space(l, theta0, max_dim=args.max_dim)
-            tol = args.tolerance if args.tolerance is not None else _bp_tolerance(space.dim)
+            space = build_space(l, theta0)
             params = f"l={l} theta0={theta0:.1f}"
             for name, check in BP_CHECKS:
-                record(name, params, check(space), tol)
+                record(name, params, check(space), _bp_tolerance(space.dim))
             if space.dim <= 101:
-                power_tol = args.tolerance if args.tolerance is not None else 1e-10
-                record("shift-power", params, check_shift_power(space), power_tol)
+                record("shift-power", params, check_shift_power(space), 1e-10)
 
     for l in l_sweep:
         dim = 2 * l + 1
@@ -234,9 +235,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             except RegimeError:
                 lines.append(f"{'irrep':<22} {params:<24} skipped (space too small for spin)")
                 continue
-            tol = args.tolerance if args.tolerance is not None else _irrep_tolerance(dim)
             for name, check in IRREP_CHECKS:
-                record(name, params, check(irrep), tol)
+                record(name, params, check(irrep), _irrep_tolerance(dim))
 
     code = _emit(args, ("\n".join(lines) + "\n").encode("utf-8"))
     for failure in failures:

@@ -98,11 +98,11 @@ class FitResult:
 
     ``chi2`` is the sum of squared residuals in MeV^2, ``rms`` the
     root-mean-square deviation sqrt(chi2/N) in keV over the N fitted
-    levels.  ``qp`` is None for the classical variant.  ``residual_columns``
-    is computed from the batch columns each time it is read.
+    levels.  ``qp`` is None for the classical variant, which ``variant``
+    reads.  ``residual_columns`` is computed from the batch columns each
+    time it is read.
     """
 
-    variant: Variant
     A: float
     chi2: float
     rms: float
@@ -110,6 +110,10 @@ class FitResult:
     _levels: _Levels = field(repr=False, compare=False)
     _factors: np.ndarray = field(repr=False, compare=False)
     _band: int = field(repr=False, compare=False)
+
+    @property
+    def variant(self) -> Variant:
+        return Variant.CLASSICAL if self.qp is None else Variant.Q_DEFORMED
 
     def residual_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The band's levels as float columns: spin j, experimental energy,
@@ -146,8 +150,7 @@ def _fit(levels: _Levels, qps: Sequence[QParameter | None]) -> list[FitResult | 
     results: list[FitResult | FitError | RegimeError] = []
     for k, (passed, qp, a, c, r) in enumerate(zip(ok.tolist(), qps, A.tolist(), chi2.tolist(), rms.tolist())):
         if passed:
-            variant = Variant.CLASSICAL if qp is None else Variant.Q_DEFORMED
-            results.append(FitResult(variant, a, c, r, qp, levels, f, k))
+            results.append(FitResult(a, c, r, qp, levels, f, k))
             continue
         band = levels.bands[k]
         if not regime[k]:

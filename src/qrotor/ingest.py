@@ -8,7 +8,7 @@ Band files are line-oriented UTF-8:
     4 265.785
     ...
 
-Spins are decimal (integer or .5), energies are keV.  Blank lines and
+Spins (integer or .5) and energies (keV) are ASCII decimals.  Blank lines and
 other ``#`` comments are ignored.  Parsing checks the text (headers, field
 count, number syntax) and leaves the level rules to ``BandData``; either
 way a failure names its line.  Serialization emits a canonical form that
@@ -64,6 +64,13 @@ def parse_band(text: bytes | str) -> BandData:
     return parse_band_file(text).parsed
 
 
+def _decimal(token: str) -> float:
+    """float(token) for an ASCII decimal; float() also reads "1_0" as 10, and non-ASCII digits."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return float(token)
+
+
 def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
     """Parse band-file text, keeping the provenance note lines."""
     if isinstance(text, bytes):
@@ -101,17 +108,12 @@ def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
         tokens = line.split()
         if len(tokens) != 2:
             raise BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
-        # float() also reads digit separators ("1_0" is 10); band files hold plain decimals.
         try:
-            if "_" in tokens[0]:
-                raise ValueError
-            twoj = twice_spin(float(tokens[0]))
+            twoj = twice_spin(_decimal(tokens[0]))
         except ValueError:
             raise BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)") from None
         try:
-            if "_" in tokens[1]:
-                raise ValueError
-            energy = float(tokens[1])
+            energy = _decimal(tokens[1])
         except ValueError:
             raise BandParseError(line_no, f"non-numeric energy {tokens[1]!r}") from None
         levels.append((twoj, energy))

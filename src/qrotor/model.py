@@ -147,10 +147,7 @@ def space_size(j_min: float, j_max: float, step: float) -> int:
 
 def q_parameter_from_band(band: BandData) -> QParameter:
     """Deformation parameter fixed by the band's own spin content."""
-    dim = space_size(band.j_min, band.j_max, band.step)
-    if dim < 5:
-        raise BandError(f"embedding dimension {dim} from band '{band.name}' is too small")
-    return QParameter.from_dim(dim)
+    return QParameter.from_dim(space_size(band.j_min, band.j_max, band.step))
 
 
 def energy(j: float, A: float, qp: QParameter | None) -> float:

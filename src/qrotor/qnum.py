@@ -5,13 +5,15 @@ on the unit circle and reduces to the ordinary number x as tau -> 0.
 ``bracket`` is the one place it is computed: elementwise over arrays of x
 and tau, with tau = 0 giving x itself, so band energies, fits over a tau
 column and irrep matrices all share it.  ``in_regime`` is the one test of
-the monotone regime tau*(j_max+1) < pi.  Everything here is a pure
-function of immutable values.
+the monotone regime tau*(j_max+1) < pi.  A ``QParameter`` is its odd space
+dimension alone; tau = 2*pi/dim is derived from it on read.  Everything
+here is a pure function of immutable values.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,35 +34,29 @@ class RegimeError(ValueError):
 
 
 def _check_dim(dim) -> None:
-    if dim != int(dim) or dim < 3 or dim % 2 == 0:
-        raise ValueError(f"space dimension must be an odd integer >= 3, got {dim}")
+    if not (3 <= dim <= sys.float_info.max and dim == int(dim) and dim % 2 == 1):
+        raise ValueError(f"space dimension must be an odd integer from 3 to {sys.float_info.max:g}, got {dim}")
 
 
 @dataclass(frozen=True)
 class QParameter:
-    """Deformation parameter tau = 2*pi/dim derived from an odd space dimension.
+    """Deformation parameter of an odd space dimension: tau = 2*pi/dim,
+    derived on read."""
 
-    tau is stored redundantly next to the dimension it derives from; the
-    relation is checked on construction.  theta0 is the reference angle of
-    the discrete angle grid and never enters band energies.
-    """
-
-    tau: float
     dim: int
-    theta0: float = 0.0
 
     def __post_init__(self):
         _check_dim(self.dim)
-        if self.tau != 2.0 * math.pi / self.dim:
-            raise ValueError(f"tau={self.tau!r} does not equal 2*pi/{self.dim}")
-        if not math.isfinite(self.theta0):
-            raise ValueError(f"theta0 must be finite, got {self.theta0}")
 
     @classmethod
-    def from_dim(cls, dim: int, theta0: float = 0.0) -> "QParameter":
+    def from_dim(cls, dim: int) -> "QParameter":
         """Build the parameter for a given odd space dimension."""
         _check_dim(dim)
-        return cls(tau=2.0 * math.pi / dim, dim=int(dim), theta0=theta0)
+        return cls(int(dim))
+
+    @property
+    def tau(self) -> float:
+        return 2.0 * math.pi / self.dim
 
     @property
     def q(self) -> complex:
@@ -87,6 +83,11 @@ def in_regime(tau, j_max):
     levels are defined; elementwise over arrays, and true at tau = 0 for
     any finite j_max."""
     return tau * (j_max + 1.0) < math.pi
+
+
+def max_abs(a: np.ndarray) -> float:
+    """Max-norm of an array: the deviation every identity check reports."""
+    return float(np.max(np.abs(a)))
 
 
 def qbracket(x: float, qp: QParameter) -> float:

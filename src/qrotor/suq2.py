@@ -5,10 +5,10 @@ multiplet |j m> with matrix elements built from deformed numbers,
 
     <j,m+1| J+ |j,m> = sqrt([j-m][j+m+1]),
 
-and J- is the transpose.  In the operating regime (space dimension much
-larger than 2j+1) every bracket under a square root is nonnegative, so the
-matrices are real.  The commutation relations and the invariant operator
-are verified numerically against the stored matrices.
+and J- is its transpose, read from J+ rather than stored.  In the operating
+regime (space dimension much larger than 2j+1) every bracket under a square
+root is nonnegative, so the matrices are real.  The commutation relations
+and the invariant operator are verified numerically against the matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue
+from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue, max_abs
 
 __all__ = ["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir"]
 
@@ -27,14 +27,17 @@ class IrrepMatrices:
     """Matrices of Jz and the ladder operators on one spin-j multiplet.
 
     Basis ordering is m = j..-j (descending), putting J+ on the first
-    superdiagonal.  ``qp=None`` marks the undeformed (classical) variant.
+    superdiagonal; J- is read as the transpose of J+.  ``qp=None`` marks the undeformed (classical) variant.
     """
 
     j: float
     qp: QParameter | None
     jz: np.ndarray
     jplus: np.ndarray
-    jminus: np.ndarray
+
+    @property
+    def jminus(self) -> np.ndarray:
+        return self.jplus.T
 
     @property
     def tau(self) -> float:
@@ -43,8 +46,7 @@ class IrrepMatrices:
 
     @property
     def m_values(self) -> np.ndarray:
-        twoj = round(2 * self.j)
-        return (twoj - 2.0 * np.arange(twoj + 1)) / 2.0
+        return np.diag(self.jz)
 
 
 def build_irrep(j: float, qp: QParameter | None) -> IrrepMatrices:
@@ -68,14 +70,9 @@ def build_irrep(j: float, qp: QParameter | None) -> IrrepMatrices:
         raise RegimeError(
             f"negative bracket product {product[k]:.3e} at j={j}, m={source[k]}"
             + ("" if qp is None else f", dim={qp.dim}")
-            + "; the space is too small for this spin"
+            + "; the spin does not fit in the space"
         )
-    jplus = np.diag(np.sqrt(product), 1)
-    return IrrepMatrices(j=float(j), qp=qp, jz=np.diag(m), jplus=jplus, jminus=jplus.T.copy())
-
-
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+    return IrrepMatrices(j=float(j), qp=qp, jz=np.diag(m), jplus=np.diag(np.sqrt(product), 1))
 
 
 def check_commutators(irrep: IrrepMatrices) -> float:
@@ -85,9 +82,9 @@ def check_commutators(irrep: IrrepMatrices) -> float:
     [Jz, J+-] = +- J+-.
     """
     target = np.diag(bracket(2.0 * irrep.m_values, irrep.tau))
-    d1 = _maxabs(irrep.jplus @ irrep.jminus - irrep.jminus @ irrep.jplus - target)
-    d2 = _maxabs(irrep.jz @ irrep.jplus - irrep.jplus @ irrep.jz - irrep.jplus)
-    d3 = _maxabs(irrep.jz @ irrep.jminus - irrep.jminus @ irrep.jz + irrep.jminus)
+    d1 = max_abs(irrep.jplus @ irrep.jminus - irrep.jminus @ irrep.jplus - target)
+    d2 = max_abs(irrep.jz @ irrep.jplus - irrep.jplus @ irrep.jz - irrep.jplus)
+    d3 = max_abs(irrep.jz @ irrep.jminus - irrep.jminus @ irrep.jz + irrep.jminus)
     return max(d1, d2, d3)
 
 
@@ -96,4 +93,4 @@ def check_casimir(irrep: IrrepMatrices) -> float:
     m = irrep.m_values
     c2 = np.diag(bracket(m, irrep.tau) * bracket(m + 1.0, irrep.tau)) + irrep.jminus @ irrep.jplus
     ev = casimir_eigenvalue(irrep.j, irrep.qp)
-    return _maxabs(c2 - ev * np.eye(len(m)))
+    return max_abs(c2 - ev * np.eye(len(m)))

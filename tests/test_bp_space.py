@@ -79,7 +79,18 @@ class TestBuildSpace:
     def test_rejects_above_dense_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_space((MAX_DENSE_DIM + 1) // 2 + 1)
-        assert build_space((MAX_DENSE_DIM - 1) // 2, max_dim=MAX_DENSE_DIM).dim == MAX_DENSE_DIM
+        assert build_space((MAX_DENSE_DIM - 1) // 2).dim == MAX_DENSE_DIM
+
+    @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta0(self, theta0):
+        with pytest.raises(ValueError, match="theta0 must be finite"):
+            build_space(1, theta0=theta0)
+
+    def test_stores_dimension_and_reference_angle_once(self):
+        space = build_space(2, theta0=0.6)
+        assert {f.name for f in dataclasses.fields(space)} == {"qp", "theta0", "exp_iphi", "q_jz", "angle_basis"}
+        assert space.dim == space.qp.dim == 5
+        assert space.theta0 == 0.6
 
 
 class TestQuantumPlane:

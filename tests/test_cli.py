@@ -274,11 +274,23 @@ class TestVerifyCommand:
             main(["verify", "--max-dim", "4"])
         assert exc_info.value.code == 2
 
+    def test_max_dim_above_dense_cap_usage_error(self, capsys, monkeypatch):
+        # rejected while parsing arguments: no space is built
+        monkeypatch.setattr("qrotor.cli.build_space", None)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", "--max-dim", "1003"])
+        assert exc_info.value.code == 2
+        assert "from 3 to 1001, got 1003" in capsys.readouterr().err
+
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["verify", "--tolerance", "1e-30"]) == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "exceeds" in captured.err
+        # the override replaces every check's tolerance, shift-power and irrep checks included
+        checked = [line for line in captured.out.splitlines() if "skipped" not in line]
+        assert {line.split()[0] for line in checked} >= {"shift-power", "commutators", "casimir"}
+        assert all(" tol=1e-30 " in line for line in checked)
 
     def test_large_sweep_lines_and_deviations(self, capsys):
         assert main(["verify", "--max-dim", "1001"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -38,6 +39,13 @@ class TestClosedForm:
         assert result.A == pytest.approx(10.0, rel=1e-12)
         assert result.chi2 < 1e-15
         assert result.qp is None
+
+    def test_variant_is_read_from_qp(self):
+        fit_q = fit_A(exact_band("exact", 12.81, DY, SPINS_2_18), DY)
+        assert "variant" not in {f.name for f in dataclasses.fields(fit_q)}
+        assert dataclasses.replace(fit_q, qp=None).variant is Variant.CLASSICAL
+        fit_cl = fit_A(exact_band("classical", 10.0, None, SPINS_2_18), None)
+        assert dataclasses.replace(fit_cl, qp=DY).variant is Variant.Q_DEFORMED
 
     def test_rms_definition(self):
         rng = np.random.default_rng(7)

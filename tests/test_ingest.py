@@ -93,6 +93,18 @@ class TestParseBand:
             parse_band(f"# nucleus: x\n2 1.0\n{row}\n6 40.0\n")
         assert str(exc.value) == f"line 3: {message}"
 
+    @pytest.mark.parametrize("row,message", [
+        ("\u0664 2.5", "invalid spin '\u0664' (integer or half-integer)"),
+        ("\uff14 2.5", "invalid spin '\uff14' (integer or half-integer)"),
+        ("4 \u0662.\u0665", "non-numeric energy '\u0662.\u0665'"),
+        ("4 2.\uff15", "non-numeric energy '2.\uff15'"),
+    ], ids=["arabic-indic-spin", "fullwidth-spin", "arabic-indic-energy", "fullwidth-energy"])
+    def test_rejects_non_ascii_digits(self, row, message):
+        # float() reads Arabic-Indic and fullwidth digits as 0-9; band files hold ASCII decimals
+        with pytest.raises(BandParseError) as exc:
+            parse_band(f"# nucleus: x\n2 1.0\n{row}\n6 40.0\n".encode("utf-8"))
+        assert str(exc.value) == f"line 3: {message}"
+
     def test_duplicate_spin(self):
         with pytest.raises(BandParseError, match="duplicate spin"):
             parse_band(b"# nucleus: x\n2 1.0\n2 2.0\n6 4.0\n")

@@ -20,21 +20,33 @@ class TestQParameter:
         qp = QParameter.from_dim(DY_DIM)
         assert qp.dim == DY_DIM
         assert qp.tau == 2.0 * math.pi / DY_DIM
-        assert qp.theta0 == 0.0
+
+    @given(odd_dims | st.integers(min_value=1, max_value=2**1000).map(lambda k: 2 * k + 1))
+    def test_tau_is_two_pi_over_dim_bit_for_bit(self, dim):
+        assert QParameter.from_dim(dim).tau == 2.0 * math.pi / dim
 
     def test_q_is_pure_phase(self):
         qp = QParameter.from_dim(DY_DIM)
         assert abs(abs(qp.q) - 1.0) < 1e-15
         assert qp.q.imag > 0
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 0, -3, 188])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 0, -3, 188, 5.5, math.inf, math.nan])
     def test_rejects_bad_dims(self, dim):
         with pytest.raises(ValueError):
             QParameter.from_dim(dim)
 
-    def test_rejects_inconsistent_tau(self):
-        with pytest.raises(ValueError, match="does not equal"):
+    def test_dim_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(QParameter)] == ["dim"]
+        assert QParameter(189) == QParameter.from_dim(189)
+        with pytest.raises(TypeError):
             QParameter(tau=0.0332, dim=189)
+
+    @pytest.mark.parametrize("dim", [10**400 + 1, 2**1025 + 1], ids=["10**400+1", "2**1025+1"])
+    def test_rejects_dims_too_large_for_a_float(self, dim):
+        with pytest.raises(ValueError, match="odd integer from 3"):
+            QParameter.from_dim(dim)
+        with pytest.raises(ValueError, match="odd integer from 3"):
+            QParameter(dim)
 
     def test_frozen(self):
         qp = QParameter.from_dim(5)

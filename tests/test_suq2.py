@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ class TestBuildIrrep:
     def test_jminus_is_transpose(self):
         ir = build_irrep(2.0, DY)
         assert np.array_equal(ir.jminus, ir.jplus.T)
+
+    def test_jminus_is_read_from_jplus(self):
+        ir = build_irrep(2.0, DY)
+        assert "jminus" not in {f.name for f in dataclasses.fields(ir)}
+        other = np.arange(25.0).reshape(5, 5)
+        assert np.array_equal(dataclasses.replace(ir, jplus=other).jminus, other.T)
+
+    def test_m_values_read_from_jz(self):
+        ir = build_irrep(1.5, DY)
+        assert ir.m_values.tolist() == [1.5, 0.5, -0.5, -1.5]
+        assert dataclasses.replace(ir, jz=np.diag([7.0, 8.0])).m_values.tolist() == [7.0, 8.0]
 
     def test_superdiagonal_structure(self):
         ir = build_irrep(2.0, DY)
