@@ -9,10 +9,13 @@ numerically rather than assumed.
 
 The angle-state components A[n, m] = exp(-i*m*theta_n)/sqrt(D) are a
 discrete Fourier transform up to diagonal phases (the Pegg-Barnett finite
-phase space).  Every D x D product below has A or conj(A) as one factor,
-applied by an FFT along rows in O(D^2 log D); the other factor is the
-explicit matrix under test.  Each product is still formed in full and all
-D^2 entries are compared with the identity or the raising matrix.
+phase space), so A is built from the D roots of unity, indexed by n*m mod D,
+and one phase row.  Every D x D product below has A or conj(A) as one
+factor, applied by an in-place FFT along rows in O(D^2 log D); the other
+factor is the explicit matrix under test.  Each product is still formed in
+full and all D^2 entries are compared with the identity or the raising
+matrix.  A space stores two D x D matrices, read-only; a check works in one
+D x D buffer of its own, plus the modulus array of the max-norm.
 
 Sign convention: this module uses the shift phase q = exp(-i*tau), the
 natural one for the angle grid.  Energy formulas elsewhere use the real
@@ -75,39 +78,51 @@ def _angles(dim: int, theta0: float) -> np.ndarray:
     return theta0 + 2.0 * math.pi * np.arange(dim) / dim
 
 
+def _roots(dim: int) -> np.ndarray:
+    """w_k = exp(-2*pi*i*k/D) for k < D: the D values exp(-2*pi*i*n*m/D)
+    takes over integers n and m, at k = n*m mod D."""
+    return np.exp(-2j * math.pi * np.arange(dim) / dim)
+
+
 def _dft_phases(dim: int, theta0: float) -> tuple[np.ndarray, np.ndarray]:
     """s_n and p_m in A = diag(s) F diag(p) / sqrt(D), F the ``np.fft.fft``
-    kernel; l*n is reduced modulo D so that s keeps full precision."""
+    kernel; s_n = conj(w_k) at k = l*n mod D."""
     l = (dim - 1) // 2
-    s = np.exp(2j * math.pi * ((l * np.arange(dim)) % dim) / dim)
+    s = _roots(dim)[(l * np.arange(dim)) % dim].conj()
     return s, np.exp(-1j * theta0 * np.arange(-l, l + 1))
 
 
 def _times_angle_transpose(x: np.ndarray, theta0: float) -> np.ndarray:
-    """x @ A.T, as A.T = diag(p) F diag(s) / sqrt(D)."""
+    """x @ A.T, as A.T = diag(p) F diag(s) / sqrt(D); the row-contiguous
+    buffer ``x``, owned by the caller, is transformed in place and returned."""
     s, p = _dft_phases(x.shape[-1], theta0)
-    out = np.fft.fft(x * p, axis=-1)
-    out *= s / math.sqrt(len(s))
-    return out
+    x *= p
+    np.fft.fft(x, axis=-1, out=x)
+    x *= s / math.sqrt(len(s))
+    return x
 
 
 def _times_weighted_conj_angle(x: np.ndarray, weight: np.ndarray | float, theta0: float) -> np.ndarray:
     """x @ diag(weight) @ conj(A), as conj(A) = diag(conj(s)) conj(F)
     diag(conj(p)) / sqrt(D) and conj(F) / D is the ``np.fft.ifft`` kernel.
-    ``x`` may be a transposed view; the FFT runs on a row-contiguous copy."""
+    Like ``_times_angle_transpose``, it transforms the row-contiguous buffer
+    ``x`` in place and returns it."""
     s, p = _dft_phases(x.shape[-1], theta0)
-    out = np.fft.ifft(np.multiply(x, weight * s.conj(), order="C"), axis=-1)
-    out *= math.sqrt(len(s)) * p.conj()
-    return out
+    x *= weight * s.conj()
+    np.fft.ifft(x, axis=-1, out=x)
+    x *= math.sqrt(len(s)) * p.conj()
+    return x
 
 
 def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     """Construct the (2l+1)-dimensional space with its operator matrices.
 
     The angle states are |theta_n> with components exp(-i*m*theta_n)/sqrt(D)
-    and theta_n = theta0 + 2*pi*n/D.  The exponentiated angle operator is
-    assembled from its spectral sum over these states; q^{Jz} is diagonal
-    with entries exp(-i*m*2*pi/D).
+    and theta_n = theta0 + 2*pi*n/D, that is exp(-i*m*theta0) * w_k / sqrt(D)
+    with w_k the D-th root of unity at k = n*m mod D.  The exponentiated
+    angle operator is assembled from its spectral sum over these states;
+    q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).  The three arrays are
+    read-only.
 
     Raises ValueError for l off the half-integer grid, for 2l+1 even or
     outside 3..MAX_DENSE_DIM, and for a non-finite theta0.
@@ -122,16 +137,17 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
 
-    m = np.arange(dim, dtype=float) - (dim - 1) // 2
-    theta = _angles(dim, theta0)
-
-    angle_basis = np.exp(-1j * np.outer(theta, m)) / math.sqrt(dim)
+    m = np.arange(dim) - (dim - 1) // 2
+    angle_basis = _roots(dim)[np.multiply.outer(np.arange(dim), m) % dim]
+    angle_basis *= _dft_phases(dim, theta0)[1] / math.sqrt(dim)
 
     # exp(i*Phi) = sum_n exp(i*theta_n) |theta_n><theta_n| = A^T diag(exp(i*theta)) conj(A)
-    exp_iphi = _times_weighted_conj_angle(angle_basis.T, np.exp(1j * theta), theta0)
+    exp_iphi = _times_weighted_conj_angle(angle_basis.T.copy(), np.exp(1j * _angles(dim, theta0)), theta0)
 
     q_jz = np.exp(-1j * qp.tau * m)
 
+    for array in (angle_basis, exp_iphi, q_jz):
+        array.setflags(write=False)
     return BPSpace(qp=qp, theta0=theta0, exp_iphi=exp_iphi, q_jz=q_jz, angle_basis=angle_basis)
 
 
@@ -142,26 +158,22 @@ def _identity_deviation(product: np.ndarray) -> float:
 
 
 def check_quantum_plane(space: BPSpace) -> float:
-    """Max-norm deviation of q^{Jz} e^{iPhi} - q e^{iPhi} q^{Jz} from zero."""
+    """Max-norm deviation of q^{Jz} e^{iPhi} - q e^{iPhi} q^{Jz} from zero,
+    formed entrywise as (q_i - q*q_j) * e^{iPhi}_ij."""
     q = np.exp(-1j * space.qp.tau)
-    qd = space.q_jz
-    lhs = qd[:, None] * space.exp_iphi
-    rhs = q * (space.exp_iphi * qd[None, :])
-    return max_abs(lhs - rhs)
-
-
-def _cyclic_raising(dim: int, theta0: float) -> np.ndarray:
-    """One-step cyclic raising matrix in the |m> basis with the wrap-around
-    corner phase exp(i*D*theta0)."""
-    ref = np.zeros((dim, dim), dtype=complex)
-    ref[np.arange(1, dim), np.arange(dim - 1)] = 1.0
-    ref[0, dim - 1] = np.exp(1j * dim * theta0)
-    return ref
+    deviation = np.subtract.outer(space.q_jz, q * space.q_jz)
+    deviation *= space.exp_iphi
+    return max_abs(deviation)
 
 
 def check_cyclic_shift(space: BPSpace) -> float:
-    """Max-norm deviation of exp_iphi from the cyclic raising matrix."""
-    return max_abs(space.exp_iphi - _cyclic_raising(space.dim, space.theta0))
+    """Max-norm deviation of exp_iphi from the one-step cyclic raising matrix,
+    whose wrap-around corner carries the phase exp(i*D*theta0)."""
+    dim = space.dim
+    deviation = space.exp_iphi.copy()
+    deviation.flat[dim :: dim + 1] -= 1.0
+    deviation[0, dim - 1] -= np.exp(1j * dim * space.theta0)
+    return max_abs(deviation)
 
 
 def check_unitarity(space: BPSpace) -> float:
@@ -169,7 +181,7 @@ def check_unitarity(space: BPSpace) -> float:
     U^dagger = A^T diag(exp(-i*theta)) conj(A), and of |q_m|^2 from one."""
     theta0 = space.theta0
     w_bar = np.exp(-1j * _angles(space.dim, theta0))
-    product = _times_weighted_conj_angle(_times_angle_transpose(space.exp_iphi, theta0), w_bar, theta0)
+    product = _times_weighted_conj_angle(_times_angle_transpose(space.exp_iphi.copy(), theta0), w_bar, theta0)
     d1 = _identity_deviation(product)
     d2 = max_abs(np.abs(space.q_jz) ** 2 - 1.0)
     return max(d1, d2)
@@ -183,17 +195,20 @@ def check_angle_orthonormality(space: BPSpace) -> float:
 
 def check_angle_completeness(space: BPSpace) -> float:
     """Max-norm deviation of sum_n |theta_n><theta_n| = A^T conj(A) from identity."""
-    return _identity_deviation(_times_weighted_conj_angle(space.angle_basis.T, 1.0, space.theta0))
+    return _identity_deviation(_times_weighted_conj_angle(space.angle_basis.T.copy(), 1.0, space.theta0))
 
 
 def check_angle_cycling(space: BPSpace) -> float:
     """q^{Jz} permutes angle states cyclically: |theta_n> -> |theta_{n+1}>.
 
-    Returns the max-norm deviation of the shifted basis from the rolled one;
-    for integer m the wrap-around is phase-free.
+    Returns the max-norm deviation of the shifted basis from the basis with
+    its rows moved up by one; for integer m the wrap-around is phase-free.
     """
-    shifted = space.angle_basis * space.q_jz[None, :]
-    return max_abs(shifted - np.roll(space.angle_basis, -1, axis=0))
+    basis = space.angle_basis
+    deviation = basis * space.q_jz
+    deviation[:-1] -= basis[1:]
+    deviation[-1] -= basis[0]
+    return max_abs(deviation)
 
 
 def check_shift_power(space: BPSpace) -> float:

@@ -35,7 +35,15 @@ class RegimeError(ValueError):
 
 def _check_dim(dim) -> None:
     if not (3 <= dim <= sys.float_info.max and dim == int(dim) and dim % 2 == 1):
-        raise ValueError(f"space dimension must be an odd integer from 3 to {sys.float_info.max:g}, got {dim}")
+        raise ValueError(f"space dimension must be an odd integer from 3 to {sys.float_info.max:g}, got {_shown(dim)}")
+
+
+def _shown(value) -> str:
+    """``value`` as text, or the digit count of an integer too long to print."""
+    if not isinstance(value, int) or value.bit_length() <= 64:
+        return f"{value}"
+    digits = int(value.bit_length() * math.log10(2)) + 1  # one too many at most
+    return f"an integer of {digits - (abs(value) < 10 ** (digits - 1))} digits"
 
 
 @dataclass(frozen=True)

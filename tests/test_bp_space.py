@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from qrotor.bp_space import (
     check_shift_power,
     check_unitarity,
 )
-from qrotor.cli import BP_CHECKS, _bp_tolerance
+from qrotor.cli import BP_CHECKS, _bp_tolerance, main
 
 
 def basis_vector(dim, idx):
@@ -196,6 +198,84 @@ class TestDenseOracle:
         # forms alone pass it
         assert dense_orthonormality(conjugated) <= 1e-12
         assert dense_completeness(conjugated) <= 1e-12
+
+
+SPACE_ARRAYS = ("angle_basis", "exp_iphi", "q_jz")
+
+
+class TestReadOnlySpace:
+    @pytest.mark.parametrize("theta0", [0.0, 0.6])
+    def test_checks_leave_arrays_bit_identical(self, theta0):
+        built = build_space(25, theta0)
+        # a writable copy as well, so that a kernel writing into its input
+        # is caught even without the read-only flags
+        writable = dataclasses.replace(built, **{name: getattr(built, name).copy() for name in SPACE_ARRAYS})
+        for space in (built, writable):
+            before = {name: getattr(space, name).tobytes() for name in SPACE_ARRAYS}
+            for name, check in (*BP_CHECKS, ("shift-power", check_shift_power)):
+                check(space)
+                for array in SPACE_ARRAYS:
+                    assert getattr(space, array).tobytes() == before[array], (name, array)
+
+    @pytest.mark.parametrize("name", SPACE_ARRAYS)
+    def test_arrays_are_read_only(self, name):
+        array = getattr(build_space(2, 0.6), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+
+
+class TestAngleBasisAccuracy:
+    @pytest.mark.parametrize("theta0", [0.0, 0.6])
+    def test_entries_match_mpmath(self, theta0):
+        l = 500
+        dim = 2 * l + 1
+        basis = build_space(l, theta0).angle_basis
+        rng = np.random.default_rng(20261018)
+        rows = [*rng.integers(0, dim, 300), dim - 1, dim - 1, dim // 2]
+        cols = [*rng.integers(0, dim, 300), 0, dim - 1, 0]  # the last three: largest |n*m|
+        with mpmath.workdps(40):
+            scale = 1 / mpmath.sqrt(dim)
+            worst = 0.0
+            for n, k in zip(rows, cols):
+                theta_n = mpmath.mpf(theta0) + 2 * mpmath.pi * n / dim
+                exact = mpmath.expj(-(k - l) * theta_n) * scale
+                worst = max(worst, float(abs(mpmath.mpc(basis[n, k]) - exact)))
+        assert worst <= 2e-15
+
+
+MEMORY_DIM = 501
+# One complex D x D work buffer plus the float modulus array of the max-norm.
+CHECK_BUDGET = 24 * MEMORY_DIM**2
+# Allowance for phase vectors, FFT plan caches and Python objects; at
+# D = 501 they take about 10 KB per check and 0.22 MB per verify run.
+CHECK_SLACK = 64 * 1024
+RUN_SLACK = 1024 * 1024
+
+
+def _traced_peak(func, *args) -> int:
+    """Peak bytes ``func(*args)`` allocates, as numpy reports its buffers
+    to tracemalloc; what was allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("name,check", BP_CHECKS, ids=[name for name, _ in BP_CHECKS])
+    def test_check_works_in_one_buffer(self, name, check):
+        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
+        check(space)  # numpy's FFT module and plan cache are loaded outside the trace
+        assert _traced_peak(check, space) <= CHECK_BUDGET + CHECK_SLACK
+
+    def test_verify_keeps_one_space_alive(self, tmp_path):
+        space_bytes = 2 * 16 * MEMORY_DIM**2  # angle_basis and exp_iphi
+        peak = _traced_peak(main, ["verify", "--max-dim", str(MEMORY_DIM), "-o", str(tmp_path / "verify.txt")])
+        assert peak <= space_bytes + CHECK_BUDGET + RUN_SLACK
 
 
 def test_import_does_not_load_numpy_fft():

@@ -301,6 +301,14 @@ class TestVerifyCommand:
         assert {line.split()[-2] for line in checks} == {"tol=1e-12", "tol=1e-10", "tol=1e-11"}
         assert max(float(line.split()[-3][len("dev="):]) for line in checks) <= 1e-12
 
+    def test_phase_space_deviations_at_dense_cap(self, capsys):
+        # with the angle basis read from the roots of unity, every phase-space
+        # deviation at D = 1001 stays near 1e-14
+        assert main(["verify", "--max-dim", "1001"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if " l=" in line]
+        assert len(lines) == 6 * 2 * 5 + 2 * 4
+        assert max(float(line.split()[-3][len("dev="):]) for line in lines) <= 1e-13
+
     def test_tolerance_printed_as_given(self, capsys):
         code = main(["verify", "--max-dim", "5", "--tolerance", "4.9e-16"])
         captured = capsys.readouterr()

@@ -48,6 +48,21 @@ class TestQParameter:
         with pytest.raises(ValueError, match="odd integer from 3"):
             QParameter(dim)
 
+    @pytest.mark.parametrize(
+        "dim,digits",
+        [(10**5000 + 1, 5001), (10**400 + 1, 401), (10**400 - 1, 400), (-(10**30), 31)],
+        ids=["10**5000+1", "10**400+1", "10**400-1", "-10**30"],
+    )
+    def test_long_integer_named_by_digit_count(self, dim, digits):
+        with pytest.raises(ValueError, match="odd integer from 3") as info:
+            QParameter.from_dim(dim)
+        assert str(info.value).endswith(f"got an integer of {digits} digits")
+        assert len(str(info.value)) < 100
+
+    def test_short_integer_printed_in_full(self):
+        with pytest.raises(ValueError, match=r"got 10000000000000000000$"):
+            QParameter.from_dim(10**19)
+
     def test_frozen(self):
         qp = QParameter.from_dim(5)
         with pytest.raises(dataclasses.FrozenInstanceError):
