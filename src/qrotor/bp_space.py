@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParameter, max_abs
+from .qnum import QParameter, max_abs, twice_spin
 
 __all__ = [
     "MAX_DENSE_DIM",
@@ -124,13 +124,10 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).  The three arrays are
     read-only.
 
-    Raises ValueError for l off the half-integer grid, for 2l+1 even or
-    outside 3..MAX_DENSE_DIM, and for a non-finite theta0.
+    Raises ValueError for l not finite or off the half-integer grid, for
+    2l+1 even or outside 3..MAX_DENSE_DIM, and for a non-finite theta0.
     """
-    twol = round(2 * l)
-    if abs(2 * l - twol) > 1e-9:
-        raise ValueError(f"l must be an integer or half-integer, got {l}")
-    dim = twol + 1
+    dim = twice_spin(l) + 1
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"2l+1 = {dim} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
     qp = QParameter.from_dim(dim)

@@ -1,6 +1,8 @@
 """Command-line entry point: fit bands, verify the operator algebra,
 emit report tables and plot-ready data.
 
+``table`` (alias ``fit``) and ``plotdata`` share one runner, ``cmd_bands``;
+an input directory stands for its ``*.band`` files, sorted by name.
 Exit codes: 0 success, 1 validation or regime failure, 2 usage error.
 All diagnostics go to standard error; results go to standard output or
 the ``-o`` path, byte-identically for identical inputs.
@@ -33,7 +35,7 @@ from .model import BandData, q_parameter_from_band
 from .qnum import QParameter, RegimeError
 from .suq2 import build_irrep, check_casimir, check_commutators
 
-__all__ = ["main", "cmd_fit", "cmd_verify", "cmd_table", "cmd_plotdata"]
+__all__ = ["main", "cmd_bands", "cmd_verify"]
 
 DEFAULT_MAX_DIM = 201
 VERIFY_SPINS = (0.5, 1.0, 2.0, 5.0, 10.0)
@@ -71,21 +73,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output(p):
         p.add_argument("-o", "--output", type=Path, default=None, help="write results to this file")
 
-    p_fit = sub.add_parser("fit", help="fit A for each band file and print the report")
-    p_fit.add_argument("inputs", nargs="+", type=Path, help="band files")
-    p_fit.add_argument("--json", action="store_true", help="emit the JSON report with residuals")
-    p_fit.add_argument("--classical-only", action="store_true", help="fit only the j(j+1) baseline")
-    add_output(p_fit)
-
-    p_table = sub.add_parser("table", help="fit band files or directories and write the table")
+    p_table = sub.add_parser("table", aliases=["fit"], help="fit band files or directories and write the table")
     p_table.add_argument("inputs", nargs="+", type=Path, help="band files or directories of *.band")
     p_table.add_argument("--json", action="store_true", help="emit the JSON report with residuals")
     p_table.add_argument("--classical-only", action="store_true", help="fit only the j(j+1) baseline")
     add_output(p_table)
+    # A renderer looks write_report up in this module when called, so the name
+    # bench/spans.py swaps applies to every band subcommand.
+    p_table.set_defaults(handler=cmd_bands, render=lambda args, results: write_report(results, as_json=args.json))
 
     p_plot = sub.add_parser("plotdata", help="emit 6-column level/residual data per band")
-    p_plot.add_argument("inputs", nargs="+", type=Path, help="band files")
+    p_plot.add_argument("inputs", nargs="+", type=Path, help="band files or directories of *.band")
     add_output(p_plot)
+    p_plot.set_defaults(handler=cmd_bands, classical_only=False,
+                        render=lambda args, results: b"\n".join(emit_plot_data(*entry) for entry in results))
 
     p_verify = sub.add_parser("verify", help="verify the operator-algebra identities numerically")
     p_verify.add_argument("--max-dim", type=_odd_dim, default=DEFAULT_MAX_DIM,
@@ -94,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=_tolerance, default=None,
                           help="override the per-check tolerances with one value")
     add_output(p_verify)
+    p_verify.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -139,45 +141,26 @@ def _fit_one(path: Path, classical_only: bool):
     return outcome
 
 
-def _run_fits(args: argparse.Namespace, paths: list[Path], render) -> int:
-    """Fit the band files, print each failure in path order, then emit
-    ``render`` of the (band, deformed fit, classical fit) entries."""
+def cmd_bands(args: argparse.Namespace) -> int:
+    """Fit the band files and directories in ``args.inputs``, print each
+    failure in path order, then emit ``args.render`` of the fitted bands."""
+    paths: list[Path] = []
+    for item in args.inputs:
+        paths.extend(sorted(item.glob("*.band"), key=lambda p: p.name) if item.is_dir() else [item])
+    if not paths:
+        print("qrotor: no band files found", file=sys.stderr)
+        return 1
     results = []
     code = 0
-    for path, outcome in zip(paths, _fit_paths(paths, getattr(args, "classical_only", False))):
+    for path, outcome in zip(paths, _fit_paths(paths, args.classical_only)):
         if isinstance(outcome, ValueError):
             print(f"qrotor: {path}: {outcome}", file=sys.stderr)
             code = 1
         else:
             results.append(outcome)
     if results:
-        code |= _emit(args, render(results))
+        code |= _emit(args, args.render(args, results))
     return code
-
-
-def _report(args: argparse.Namespace):
-    return lambda results: write_report(results, as_json=args.json)
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    return _run_fits(args, args.inputs, _report(args))
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    paths: list[Path] = []
-    for item in args.inputs:
-        if item.is_dir():
-            paths.extend(sorted(item.glob("*.band"), key=lambda p: p.name))
-        else:
-            paths.append(item)
-    if not paths:
-        print("qrotor: no band files found", file=sys.stderr)
-        return 1
-    return _run_fits(args, paths, _report(args))
-
-
-def cmd_plotdata(args: argparse.Namespace) -> int:
-    return _run_fits(args, args.inputs, lambda results: b"\n".join(emit_plot_data(*entry) for entry in results))
 
 
 BP_CHECKS = (
@@ -247,13 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "fit": cmd_fit,
-        "table": cmd_table,
-        "plotdata": cmd_plotdata,
-        "verify": cmd_verify,
-    }[args.subcommand]
-    return handler(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

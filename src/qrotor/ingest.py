@@ -1,6 +1,6 @@
 """Band data files, report tables, and plot-ready output.
 
-Band files are line-oriented UTF-8:
+Band files are line-oriented UTF-8, with or without a leading byte-order mark:
 
     # nucleus: 162Dy
     # note: free-text provenance, may repeat
@@ -79,6 +79,7 @@ def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
         except UnicodeDecodeError as exc:
             line_no = text.count(b"\n", 0, exc.start) + 1
             raise BandParseError(line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8") from None
+    text = text.removeprefix("\ufeff")  # one leading byte-order mark
 
     name: str | None = None
     notes: list[str] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
+from .qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime, twice_spin
 
 __all__ = [
     "BandError",
@@ -35,17 +35,6 @@ class BandError(ValueError):
     def __init__(self, message: str, level: int | None = None):
         super().__init__(message)
         self.level = level
-
-
-def twice_spin(j: float) -> int:
-    """Convert a decimal spin (integer or half-integer) to a twice-spin int."""
-    doubled = 2 * float(j)
-    if not math.isfinite(doubled):
-        raise ValueError(f"spin must be finite, got {j}")
-    twoj = round(doubled)
-    if abs(doubled - twoj) > 1e-9:
-        raise ValueError(f"spin must be an integer or half-integer, got {j}")
-    return int(twoj)
 
 
 def spin_str(twoj: int) -> str:

@@ -5,9 +5,10 @@ on the unit circle and reduces to the ordinary number x as tau -> 0.
 ``bracket`` is the one place it is computed: elementwise over arrays of x
 and tau, with tau = 0 giving x itself, so band energies, fits over a tau
 column and irrep matrices all share it.  ``in_regime`` is the one test of
-the monotone regime tau*(j_max+1) < pi.  A ``QParameter`` is its odd space
-dimension alone; tau = 2*pi/dim is derived from it on read.  Everything
-here is a pure function of immutable values.
+the monotone regime tau*(j_max+1) < pi, and ``twice_spin`` the one test
+that a spin is finite and on the half-integer grid.  A ``QParameter`` is its
+odd space dimension alone, stored as an ``int``; tau = 2*pi/dim is derived
+from it on read.  Everything here is a pure function of immutable values.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 __all__ = [
     "QParameter",
     "RegimeError",
+    "twice_spin",
     "bracket",
     "in_regime",
     "qbracket",
@@ -31,6 +33,17 @@ __all__ = [
 class RegimeError(ValueError):
     """Parameters left the regime where the model is defined (large space,
     small spin), e.g. a bracket under a square root went negative."""
+
+
+def twice_spin(j: float) -> int:
+    """Convert a decimal spin (integer or half-integer) to a twice-spin int."""
+    doubled = 2 * float(j)
+    if not math.isfinite(doubled):
+        raise ValueError(f"spin must be finite, got {j}")
+    twoj = round(doubled)
+    if abs(doubled - twoj) > 1e-9:
+        raise ValueError(f"spin must be an integer or half-integer, got {j}")
+    return int(twoj)
 
 
 def _check_dim(dim) -> None:
@@ -55,12 +68,12 @@ class QParameter:
 
     def __post_init__(self):
         _check_dim(self.dim)
+        object.__setattr__(self, "dim", int(self.dim))
 
     @classmethod
     def from_dim(cls, dim: int) -> "QParameter":
         """Build the parameter for a given odd space dimension."""
-        _check_dim(dim)
-        return cls(int(dim))
+        return cls(dim)
 
     @property
     def tau(self) -> float:

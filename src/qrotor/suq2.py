@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue, max_abs
+from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue, max_abs, twice_spin
 
 __all__ = ["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir"]
 
@@ -56,9 +56,9 @@ def build_irrep(j: float, qp: QParameter | None) -> IrrepMatrices:
     negative, which signals that the embedding space is not large compared
     to the spin.
     """
-    twoj = round(2 * j)
-    if abs(2 * j - twoj) > 1e-9 or j < 0:
-        raise ValueError(f"spin must be a nonnegative integer or half-integer, got {j}")
+    twoj = twice_spin(j)
+    if twoj < 0:
+        raise ValueError(f"spin must be nonnegative, got {j}")
     tau = 0.0 if qp is None else qp.tau
 
     m = (twoj - 2.0 * np.arange(twoj + 1)) / 2.0

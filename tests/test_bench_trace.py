@@ -16,12 +16,21 @@ def spans(monkeypatch):
     return spans
 
 
-@pytest.mark.parametrize("argv", [["table", str(REPO_ROOT / "data" / "bands")], ["verify", "--max-dim", "21"]],
-                         ids=["table", "verify"])
-def test_traced_main_matches_plain_run(spans, tmp_path, argv):
+BANDS = REPO_ROOT / "data" / "bands"
+# Spans every band subcommand records through the names it calls in cli.py.
+BAND_SPANS = {"ingest.read_band_file", "cli.emit"}
+
+
+@pytest.mark.parametrize("argv,recorded", [
+    (["table", str(BANDS)], BAND_SPANS | {"ingest.write_report"}),
+    (["verify", "--max-dim", "21"], {"bp_space.build_space", "suq2.build_irrep", "cli.emit"}),
+    (["fit", str(BANDS / "dy162.band")], BAND_SPANS | {"ingest.write_report"}),
+    (["plotdata", str(BANDS)], BAND_SPANS),
+], ids=["table", "verify", "fit", "plotdata"])
+def test_traced_main_matches_plain_run(spans, tmp_path, argv, recorded):
     traced, plain = tmp_path / "traced", tmp_path / "plain"
     tracer = spans.Tracer()
     assert spans.traced_main(tracer, [*argv, "-o", str(traced)]) == 0
-    assert len(tracer.name) > 1
+    assert recorded <= {tracer.names[nid] for nid in tracer.name}
     assert main([*argv, "-o", str(plain)]) == 0
     assert traced.read_bytes() == plain.read_bytes()

@@ -73,6 +73,11 @@ class TestBuildSpace:
         with pytest.raises(ValueError):
             build_space(l)
 
+    @pytest.mark.parametrize("l", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_l(self, l):
+        with pytest.raises(ValueError, match=f"^spin must be finite, got {l}$"):
+            build_space(l)
+
     def test_rejects_half_integer_l(self):
         # 2l+1 even contradicts the odd-dimension invariant
         with pytest.raises(ValueError, match="odd"):

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from conftest import REPO_ROOT
-from qrotor.cli import _fit_one, main
+from qrotor.cli import _fit_one, build_parser, cmd_bands, main
 from qrotor.ingest import BandParseError
 
 GOOD = b"# nucleus: goodium\n2 100.0\n4 330.0\n6 690.0\n"
@@ -238,6 +238,53 @@ class TestPlotdataCommand:
         out = capsysbinary.readouterr().out
         assert len(out) == 1679
         assert hashlib.sha256(out).hexdigest() == BUNDLED_PLOT_SHA256
+
+
+def _run(capsysbinary, argv):
+    code = main(argv)
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def mixed_dir(tmp_path, bands_dir):
+    """The bundled bands plus a good and a bad band, and a file that is not *.band."""
+    corpus = tmp_path / "mixed"
+    shutil.copytree(bands_dir, corpus)
+    (corpus / "bad.band").write_bytes(BAD)
+    (corpus / "good.band").write_bytes(GOOD)
+    (corpus / "notes.txt").write_bytes(b"not a band\n")
+    return corpus
+
+
+class TestOneBandRunner:
+    """``fit`` is an alias of ``table``, and every band subcommand takes
+    directories, through one handler."""
+
+    @pytest.mark.parametrize("sub", ["table", "fit", "plotdata"])
+    def test_one_handler(self, sub):
+        assert build_parser().parse_args([sub, "x.band"]).handler is cmd_bands
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--classical-only"], ["--json", "--classical-only"]],
+                             ids=["table", "json", "classical-only", "json-classical-only"])
+    def test_fit_directory_is_table(self, capsysbinary, bands_dir, mixed_dir, flags):
+        for corpus, code in ((bands_dir, 0), (mixed_dir, 1)):
+            table = _run(capsysbinary, ["table", *flags, str(corpus)])
+            assert table[0] == code and table[1]
+            assert _run(capsysbinary, ["fit", *flags, str(corpus)]) == table
+        assert b"bad.band" in table[2] and b"notes.txt" not in table[2]
+
+    def test_plotdata_directory_is_sorted_files(self, capsysbinary, bands_dir, mixed_dir):
+        for corpus, code in ((bands_dir, 0), (mixed_dir, 1)):
+            files = sorted(str(path) for path in corpus.glob("*.band"))
+            plot = _run(capsysbinary, ["plotdata", str(corpus)])
+            assert plot[0] == code
+            assert plot == _run(capsysbinary, ["plotdata", *files])
+        assert hashlib.sha256(_run(capsysbinary, ["plotdata", str(bands_dir)])[1]).hexdigest() == BUNDLED_PLOT_SHA256
+
+    @pytest.mark.parametrize("sub", ["table", "fit", "plotdata"])
+    def test_empty_directory(self, capsysbinary, tmp_path, sub):
+        assert _run(capsysbinary, [sub, str(tmp_path)]) == (1, b"", b"qrotor: no band files found\n")
 
 
 class TestVerifyCommand:

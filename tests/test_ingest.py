@@ -152,6 +152,21 @@ class TestParseBand:
     def test_crlf_line_endings(self):
         assert parse_band(MINIMAL.replace(b"\n", b"\r\n")) == parse_band(MINIMAL)
 
+    def test_leading_byte_order_mark_skipped(self):
+        for data in (b"\xef\xbb\xbf" + MINIMAL, "\ufeff" + MINIMAL.decode()):
+            assert parse_band_file(data) == parse_band_file(MINIMAL)
+        assert write_band(parse_band_file(b"\xef\xbb\xbf" + MINIMAL)) == MINIMAL
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("\ufeff\ufeff# nucleus: x\n2 1\n4 2\n6 3\n", 1, "data before the required '# nucleus:' header"),
+        ("\ufeff# nucleus: x\n2 1\n\ufeff4 2\n6 3\n", 3, "invalid spin '\\ufeff4' (integer or half-integer)"),
+    ], ids=["second-mark", "mark-on-level-line"])
+    def test_later_byte_order_mark_names_its_line(self, text, line, message):
+        for data in (text, text.encode()):
+            with pytest.raises(BandParseError) as exc_info:
+                parse_band(data)
+            assert str(exc_info.value) == f"line {line}: {message}"
+
 
 class TestRoundTrip:
     def test_canonicalization_idempotent(self):

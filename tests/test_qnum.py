@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -7,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrotor import qnum
+from qrotor.fit import fit_A
+from qrotor.ingest import write_report
+from qrotor.model import BandData
 from qrotor.qnum import QParameter, bracket, casimir_eigenvalue, qbracket
 
 DY_DIM = 189
@@ -62,6 +67,20 @@ class TestQParameter:
     def test_short_integer_printed_in_full(self):
         with pytest.raises(ValueError, match=r"got 10000000000000000000$"):
             QParameter.from_dim(10**19)
+
+    @pytest.mark.parametrize("dim", [189.0, np.int64(189)], ids=["float", "numpy-int64"])
+    def test_integral_dim_stored_as_int(self, dim):
+        for qp in (QParameter(dim), QParameter.from_dim(dim)):
+            assert type(qp.dim) is int and qp == QParameter(DY_DIM)
+        band = BandData.from_levels("dy", [(j, 12.8 * j * (j + 1)) for j in range(2, 20, 2)])
+        doc = json.loads(write_report([(band, fit_A(band, qp), fit_A(band, None))], as_json=True))
+        assert doc[0]["dim"] == DY_DIM and doc[0]["tau"] == 2.0 * math.pi / DY_DIM
+
+    def test_from_dim_checks_once(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(qnum, "_check_dim", checked.append)
+        QParameter.from_dim(DY_DIM)
+        assert checked == [DY_DIM]
 
     def test_frozen(self):
         qp = QParameter.from_dim(5)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ class TestBuildIrrep:
     def test_rejects_bad_spin(self, j):
         with pytest.raises(ValueError):
             build_irrep(j, DY)
+
+    @pytest.mark.parametrize("qp", [DY, None], ids=["deformed", "classical"])
+    @pytest.mark.parametrize("j", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_spin(self, j, qp):
+        with pytest.raises(ValueError, match=f"^spin must be finite, got {j}$"):
+            build_irrep(j, qp)
 
 
 class TestCommutators:
