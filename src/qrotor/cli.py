@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -27,11 +28,11 @@ from .bp_space import (
     check_shift_power,
     check_unitarity,
 )
-# fit_A and q_parameter_from_band are not called here; bench/spans.py traces
-# the CLI by swapping them, with _fit_one, under these names.
+# fit_A, read_band_file and q_parameter_from_band are not called here;
+# bench/spans.py traces the CLI by swapping them, with _fit_one, under these names.
 from .fit import compare_batch, fit_A
-from .ingest import emit_plot_data, read_band_file, write_report
-from .model import BandData, q_parameter_from_band
+from .ingest import emit_plot_data, read_band_file, read_bands, write_report
+from .model import q_parameter_from_band
 from .qnum import QParameter, RegimeError
 from .suq2 import build_irrep, check_casimir, check_commutators
 
@@ -116,16 +117,11 @@ def _emit(args: argparse.Namespace, payload: bytes) -> int:
     return 0
 
 
-def _fit_paths(paths: list[Path], classical_only: bool) -> list[tuple | ValueError]:
-    """Read every band file, then fit all the bands read in one batch; per
-    path, (band, deformed fit or None, classical fit) or its failure."""
-    read: list[BandData | ValueError] = []
-    for path in paths:
-        try:
-            read.append(read_band_file(path).parsed)
-        except ValueError as exc:
-            read.append(exc)
-    fits = iter(compare_batch([band for band in read if isinstance(band, BandData)], classical_only))
+def _fit_paths(paths: list[Path | str], classical_only: bool) -> list[tuple | ValueError]:
+    """Read every band file in one batch, then fit all the bands read in one
+    batch; per path, (band, deformed fit or None, classical fit) or its failure."""
+    read, bands = read_bands(paths)
+    fits = iter(compare_batch(bands, classical_only))
     outcomes: list[tuple | ValueError] = []
     for band in read:
         fit = band if isinstance(band, ValueError) else next(fits)
@@ -144,9 +140,14 @@ def _fit_one(path: Path, classical_only: bool):
 def cmd_bands(args: argparse.Namespace) -> int:
     """Fit the band files and directories in ``args.inputs``, print each
     failure in path order, then emit ``args.render`` of the fitted bands."""
-    paths: list[Path] = []
+    paths: list[Path | str] = []
     for item in args.inputs:
-        paths.extend(sorted(item.glob("*.band"), key=lambda p: p.name) if item.is_dir() else [item])
+        if item.is_dir():
+            # Joined as Path.glob joins them, without a Path per file.
+            base = "" if str(item) == "." else os.path.join(item, "")
+            paths.extend(base + name for name in sorted(os.listdir(item)) if name.endswith(".band"))
+        else:
+            paths.append(item)
     if not paths:
         print("qrotor: no band files found", file=sys.stderr)
         return 1

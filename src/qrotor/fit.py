@@ -6,8 +6,9 @@ A* = sum(e*f)/sum(f*f) with e the referenced experimental energies and
 f the referenced eigenvalue factors.  Energies are handled in keV; following the reporting
 convention, chi-squared is quoted in MeV^2.
 
-Every fit goes through one columnar kernel: the levels of a whole batch of
-bands are flattened into numpy columns once, the eigenvalue factors come
+Every fit goes through one columnar kernel: it takes the level columns of
+a whole batch of bands (``model.Bands``, which the batch reader fills
+directly, or gathers from BandData objects once), the eigenvalue factors come
 from ``qnum.bracket`` over a per-band tau column (0.0 for the j(j+1)
 baseline), and the per-band sums from segment reductions.  ``fit_A`` and
 ``compare`` are its one-band cases.  Per-level residuals are built from
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .model import BandData, q_parameter_from_band
+from .model import BandData, Bands, q_parameters
 from .qnum import QParameter, RegimeError, bracket, in_regime
 
 __all__ = [
@@ -54,17 +54,12 @@ class _Levels:
     ``e`` and head-referenced energies ``de``.  Band k owns the slice
     ``starts[k]:starts[k] + counts[k]`` of every column."""
 
-    def __init__(self, bands: Sequence[BandData]):
+    def __init__(self, bands: Bands):
         self.bands = bands
-        self.counts = np.fromiter((len(band.levels) for band in bands), np.intp, len(bands))
-        self.starts = np.cumsum(self.counts) - self.counts
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(band.levels for band in bands)),
-            float,
-            2 * int(self.counts.sum()),
-        )
-        self.j = flat[0::2] / 2.0
-        self.e = flat[1::2].copy()
+        self.counts = bands.counts
+        self.starts = bands.starts
+        self.j = bands.j
+        self.e = bands.e
         self.de = self.e - self.head(self.e)
 
     def head(self, column: np.ndarray) -> np.ndarray:
@@ -177,7 +172,7 @@ def fit_batch(
     """
     if len(bands) != len(qps):
         raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")
-    return _fit(_Levels(bands), qps)
+    return _fit(_Levels(Bands.of(bands)), qps)
 
 
 def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
@@ -189,13 +184,6 @@ def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
     return result
 
 
-def _tau_rule(band: BandData) -> QParameter | ValueError:
-    try:
-        return q_parameter_from_band(band)
-    except ValueError as exc:
-        return exc
-
-
 def compare_batch(
     bands: Sequence[BandData], classical_only: bool = False
 ) -> list[tuple[FitResult | None, FitResult] | ValueError]:
@@ -203,12 +191,13 @@ def compare_batch(
     ``classical_only``; classical fit), or the first exception its checks
     raise, in the order classical FitError, BandError from the tau rule,
     RegimeError, deformed FitError."""
+    bands = Bands.of(bands)
     levels = _Levels(bands)
     classical = _fit(levels, [None] * len(bands))
     if classical_only:
         return [fit if isinstance(fit, ValueError) else (None, fit) for fit in classical]
 
-    qps = [None if isinstance(fit, ValueError) else _tau_rule(band) for band, fit in zip(bands, classical)]
+    qps = [None if isinstance(fit, ValueError) else qp for qp, fit in zip(q_parameters(bands), classical)]
     # Bands that already failed are fitted classically here; that result is dropped.
     deformed = _fit(levels, [qp if isinstance(qp, QParameter) else None for qp in qps])
     outcomes: list[tuple[FitResult | None, FitResult] | ValueError] = []
@@ -229,7 +218,7 @@ def compare(band: BandData) -> tuple[FitResult, FitResult]:
 
 def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
     """Least-squares objective at a given A, in MeV^2."""
-    levels = _Levels([band])
+    levels = _Levels(Bands.of([band]))
     f, regime = levels.factors(_tau_column([qp]))
     if not regime[0]:
         raise _regime_error(band, qp)

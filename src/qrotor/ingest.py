@@ -9,8 +9,10 @@ Band files are line-oriented UTF-8, with or without a leading byte-order mark:
     ...
 
 Spins (integer or .5) and energies (keV) are ASCII decimals.  Blank lines and
-other ``#`` comments are ignored.  Parsing checks the text (headers, field
-count, number syntax) and leaves the level rules to ``BandData``; either
+other ``#`` comments are ignored.  Files are read in batches: each file's
+text is scanned once (encoding, headers, field count, number syntax) into
+flat columns, then the half-integer grid and the band rules
+(``model.band_faults``) are checked over the whole batch at once; either
 way a failure names its line.  Serialization emits a canonical form that
 round-trips byte-identically.  All report output is deterministic: fixed
 formats, '.' decimal separator, no locale dependence.
@@ -19,13 +21,17 @@ formats, '.' decimal separator, no locale dependence.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from .fit import FitResult
-from .model import BandData, BandError, spin_str, twice_spin
+from .model import BandData, BandError, Bands, band_faults, spin_str
+from .qnum import twice_spins
 
 __all__ = [
     "BandParseError",
@@ -33,6 +39,7 @@ __all__ = [
     "parse_band",
     "parse_band_file",
     "read_band_file",
+    "read_bands",
     "write_band",
     "write_report",
     "emit_plot_data",
@@ -71,72 +78,172 @@ def _decimal(token: str) -> float:
     return float(token)
 
 
-def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
-    """Parse band-file text, keeping the provenance note lines."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = text.count(b"\n", 0, exc.start) + 1
-            raise BandParseError(line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8") from None
-    text = text.removeprefix("\ufeff")  # one leading byte-order mark
+class _Columns:
+    """The data lines of a batch of band files as flat columns, one file
+    after another: spin and energy (NaN where the token is no ASCII
+    decimal, an energy's level then listed in ``bad_energies``; a NaN spin
+    fails the grid test either way) and line number."""
 
-    name: str | None = None
-    notes: list[str] = []
-    levels: list[tuple[int, float]] = []
-    line_of: list[int] = []
+    def __init__(self):
+        self.spins: list[float] = []
+        self.energies: list[float] = []
+        self.line_nos: list[int] = []
+        self.bad_energies: list[int] = []
 
-    # Lines end at "\n" only: str.splitlines would also break at form feeds
-    # and Unicode separators and shift every later line number.
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("nucleus:"):
-                if name is not None:
-                    raise BandParseError(line_no, "duplicate '# nucleus:' header")
-                name = body[len("nucleus:"):].strip()
-                if not name:
-                    raise BandParseError(line_no, "empty nucleus name")
-            elif body.startswith("note:"):
-                notes.append(body[len("note:"):].strip())
-            continue
+    def scan(self, text: bytes | str) -> tuple[str | None, str | None, list[str], tuple[int, str] | None]:
+        """Check one file's text (encoding, headers, field count, number
+        syntax) and append each data line before its first fault.  Returns the decoded text, the
+        band name, the note lines and that fault as (line, message), or None."""
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line_no = text.count(b"\n", 0, exc.start) + 1
+                return None, None, [], (line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8")
+        text = text.removeprefix("\ufeff")  # one leading byte-order mark
+        read = float if text.isascii() and "_" not in text else _decimal
+        spins, energies, line_nos = self.spins, self.energies, self.line_nos
 
+        name: str | None = None
+        notes: list[str] = []
+        # Lines end at "\n" only: str.splitlines would also break at form feeds
+        # and Unicode separators and shift every later line number.
+        for line_no, raw in enumerate(text.split("\n"), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line[0] == "#":
+                body = line[1:].strip()
+                if body.startswith("nucleus:"):
+                    if name is not None:
+                        return text, name, notes, (line_no, "duplicate '# nucleus:' header")
+                    name = body[len("nucleus:"):].strip()
+                    if not name:
+                        return text, name, notes, (line_no, "empty nucleus name")
+                elif body.startswith("note:"):
+                    notes.append(body[len("note:"):].strip())
+                continue
+            if name is None:
+                return text, name, notes, (line_no, "data before the required '# nucleus:' header")
+            tokens = line.split()
+            if len(tokens) != 2:
+                return text, name, notes, (line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
+            try:
+                spins.append(read(tokens[0]))
+            except ValueError:
+                spins.append(math.nan)
+            try:
+                energies.append(read(tokens[1]))
+            except ValueError:
+                self.bad_energies.append(len(energies))
+                energies.append(math.nan)
+            line_nos.append(line_no)
         if name is None:
-            raise BandParseError(line_no, "data before the required '# nucleus:' header")
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
-        try:
-            twoj = twice_spin(_decimal(tokens[0]))
-        except ValueError:
-            raise BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)") from None
-        try:
-            energy = _decimal(tokens[1])
-        except ValueError:
-            raise BandParseError(line_no, f"non-numeric energy {tokens[1]!r}") from None
-        levels.append((twoj, energy))
-        line_of.append(line_no)
+            return text, name, notes, (0, "missing '# nucleus:' header")
+        return text, name, notes, None
 
-    if name is None:
-        raise BandParseError(0, "missing '# nucleus:' header")
-    try:
-        band = BandData(name=name, levels=tuple(levels))
-    except BandError as exc:
-        raise BandParseError(0 if exc.level is None else line_of[exc.level], str(exc)) from None
-    note = "\n".join(notes) if notes else None
+
+def _number_fault(text: str, line_no: int, spin_ok: bool) -> tuple[int, str]:
+    """The fault of a data line whose spin or energy does not read."""
+    spin, energy = text.split("\n")[line_no - 1].split()
+    if spin_ok:
+        return line_no, f"non-numeric energy {energy!r}"
+    return line_no, f"invalid spin {spin!r} (integer or half-integer)"
+
+
+def _parse_batch(
+    texts: Iterable[bytes | str | BandError],
+) -> tuple[list[BandData | BandError], list[str | None], Bands]:
+    """Parse a batch of band-file texts (or the error reading each) in one
+    pass: per text, its band or its first failure, and its note; and the
+    bands read, as one batch.
+
+    Every text is scanned once into flat columns.  The half-integer grid and
+    the band rules are then checked over the whole batch at once.  A file's
+    failure is its first text fault in line order (a spin or energy that
+    does not read counts at its own line), else its band's first fault,
+    named by the line of the level at fault.
+    """
+    columns = _Columns()
+    decoded, names, notes, faults, counts = [], [], [], [], []
+    for text in texts:
+        before = len(columns.line_nos)
+        if isinstance(text, BandError):
+            text, name, note, fault = None, None, [], text
+        else:
+            text, name, note, fault = columns.scan(text)
+        decoded.append(text)
+        names.append(name)
+        notes.append("\n".join(note) if note else None)
+        faults.append(fault)
+        counts.append(len(columns.line_nos) - before)
+    counts = np.array(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    line_nos = columns.line_nos
+    spins = np.array(columns.spins, dtype=float)
+    energies = np.array(columns.energies, dtype=float)
+    twoj, spin_ok = twice_spins(spins)
+    number_ok = spin_ok.copy()
+    number_ok[columns.bad_energies] = False
+    bad = np.append(np.flatnonzero(~number_ok), len(line_nos))
+    first_bad = bad[np.searchsorted(bad, starts)]
+    for k in np.flatnonzero(first_bad < starts + counts).tolist():
+        at = first_bad[k]
+        faults[k] = _number_fault(decoded[k], line_nos[at], bool(spin_ok[at]))
+
+    faulty_bands = band_faults(names, twoj, energies, counts)
+    outcomes: list[BandData | BandError] = []
+    kept = np.zeros(len(names), dtype=bool)
+    twoj_list, energy_list = twoj.tolist(), energies.tolist()
+    for k, (name, fault, start, count) in enumerate(zip(names, faults, starts.tolist(), counts.tolist())):
+        if fault is None and k in faulty_bands:
+            level = faulty_bands[k].level
+            fault = (0 if level is None else line_nos[start + level], str(faulty_bands[k]))
+        if isinstance(fault, BandError):
+            outcomes.append(fault)
+        elif fault is not None:
+            outcomes.append(BandParseError(*fault))
+        else:
+            end = start + count
+            outcomes.append(BandData._checked(name, tuple(twoj_list[start:end]), tuple(energy_list[start:end])))
+            kept[k] = True
+    levels = np.repeat(kept, counts)
+    read = [band for band in outcomes if isinstance(band, BandData)]
+    bands = Bands(read, twoj[levels], energies[levels], counts[kept])
+    return outcomes, notes, bands
+
+
+def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
+    """Parse band-file text, keeping the provenance note lines: the
+    one-text case of the batch reader."""
+    (band,), (note,), _ = _parse_batch([text])
+    if isinstance(band, BandError):
+        raise band
     return BandFile(path=path, parsed=band, source_note=note)
+
+
+def _read(path: Path | str) -> bytes | BandError:
+    try:
+        with open(path, "rb", buffering=0) as file:
+            return file.readall()
+    except OSError as exc:
+        return BandError(f"cannot read band file: {exc}")
 
 
 def read_band_file(path: Path | str) -> BandFile:
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise BandError(f"cannot read band file: {exc}") from None
+    raw = _read(path)
+    if isinstance(raw, BandError):
+        raise raw
     return parse_band_file(raw, path=path)
+
+
+def read_bands(paths: Sequence[Path | str]) -> tuple[list[BandData | BandError], Bands]:
+    """Read and parse every band file in one batch: per path, its band or
+    the BandError that stops it; and the bands read, as one batch with the
+    columns the fit kernel takes."""
+    outcomes, _, bands = _parse_batch(map(_read, paths))
+    return outcomes, bands
 
 
 def write_band(band: BandFile | BandData) -> bytes:
@@ -220,8 +327,11 @@ def _json_floats(values: list[float]) -> list[str]:
     return list(map(float.__repr__, values))
 
 
-def _fit_json(name: str, result: FitResult) -> str:
-    """One report row; ``name`` is the band name already JSON-encoded."""
+def _fit_json(name: str, result: FitResult, levels: list[list[str]]) -> str:
+    """One report row; ``name`` is the band name already JSON-encoded.
+    ``levels`` holds the band's spins and experimental energies as text:
+    the band's first row formats them into it, its other row reuses them,
+    since both fits share those columns."""
     qp = result.qp
     if qp is None:
         tau, dim = "null", "null"
@@ -230,8 +340,10 @@ def _fit_json(name: str, result: FitResult) -> str:
         tau, A, chi2, rms = _json_floats([qp.tau, result.A, result.chi2, result.rms])
         dim = int.__repr__(qp.dim)
     j, exp, theo, _ = result.residual_columns()
-    levels = _json_floats(list(chain.from_iterable(zip(j.tolist(), exp.tolist(), theo.tolist()))))
-    residuals = ",\n".join([_JSON_LEVEL] * len(j)) % tuple(levels)
+    if not levels:
+        levels += [_json_floats(j.tolist()), _json_floats(exp.tolist())]
+    values = chain.from_iterable(zip(*levels, _json_floats(theo.tolist())))
+    residuals = ",\n".join([_JSON_LEVEL] * len(j)) % tuple(values)
     variant = encode_basestring_ascii(result.variant.value)
     return _JSON_ROW % (name, tau, dim, A, chi2, rms, variant, residuals)
 
@@ -241,7 +353,8 @@ def _report_json(results) -> bytes:
     for entry in results:
         band, fit_q, fit_cl = _entry_fits(entry)
         name = encode_basestring_ascii(band.name)
-        rows.extend(_fit_json(name, result) for result in (fit_q, fit_cl) if result is not None)
+        levels: list[list[str]] = []
+        rows.extend(_fit_json(name, result, levels) for result in (fit_q, fit_cl) if result is not None)
     rows[0] = "[\n" + rows[0]
     rows[-1] += "\n]\n"
     text = ",\n".join(rows)

@@ -7,22 +7,30 @@ be just large enough to contain the multiplets of every observed level,
 
 and tau = 2*pi/dim.  Level energies are then A*[j][j+1] with a single
 inertia parameter A in keV.  Spins are stored internally as twice-spin
-integers so half-integer bands need no fractional arithmetic.
+integers so half-integer bands need no fractional arithmetic.  The band
+rules (``band_faults``) and the tau rule (``q_parameters``) each run over a
+whole batch of bands as numpy passes; one band is their one-item case.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime, twice_spin
 
 __all__ = [
     "BandError",
     "BandData",
+    "Bands",
+    "band_faults",
     "twice_spin",
     "spin_str",
     "space_size",
+    "q_parameters",
     "q_parameter_from_band",
     "energy",
 ]
@@ -44,46 +52,38 @@ def spin_str(twoj: int) -> str:
     return f"{twoj / 2:.1f}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class BandData:
     """One named rotational band: ordered (twice-spin, energy keV) levels.
 
     Levels must be at least three, with nonnegative spins increasing by a
     constant step, a head energy >= 0, and finite energies strictly
-    increasing with spin.  This is the one place those rules are checked.
+    increasing with spin.  ``band_faults`` is the one place those rules are
+    checked, over a whole batch of bands; building a BandData from a level
+    list is its one-band case.  The levels are stored as a spin column and
+    an energy column; ``levels`` pairs them up when read.
     """
 
     name: str
-    levels: tuple[tuple[int, float], ...]
+    _twoj: tuple[int, ...]
+    energies: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.name:
-            raise BandError("band needs a nonempty name")
-        # Each level is checked once against its predecessor, so the error
-        # names the level whose own spin or energy breaks a rule.  The level
-        # count comes last, so a fault in a two-level band still names its level.
-        levels = self.levels
-        twostep = self.twostep if len(levels) > 1 else 0
-        for index, (twoj, e) in enumerate(levels):
-            if index == 0:
-                if twoj < 0:
-                    raise BandError(f"spins must be nonnegative, got {spin_str(twoj)}", index)
-                if e < 0:
-                    raise BandError(f"lowest level energy must be >= 0, got {e}", index)
-            else:
-                prev_j, prev_e = levels[index - 1]
-                if twoj == prev_j:
-                    raise BandError(f"duplicate spin {spin_str(twoj)}", index)
-                if twoj < prev_j:
-                    raise BandError("spins must be strictly increasing", index)
-                if twoj - prev_j != twostep:
-                    raise BandError(f"inconsistent spin step: {(twoj - prev_j) / 2} after {twostep / 2}", index)
-                if e <= prev_e:
-                    raise BandError("energies must be strictly increasing", index)
-            if not math.isfinite(e):
-                raise BandError(f"energy must be finite, got {e}", index)
-        if len(levels) < 3:
-            raise BandError(f"band needs at least 3 levels, got {len(levels)}")
+    def __init__(self, name: str, levels):
+        twoj, energies = (tuple(column) for column in zip(*levels)) if levels else ((), ())
+        fault = band_faults([name], _exact_ints(twoj), np.array(energies, dtype=float), np.array([len(twoj)]))
+        if fault:
+            raise fault[0]
+        vars(self).update(name=name, _twoj=twoj, energies=energies)
+
+    @classmethod
+    def _checked(cls, name: str, twoj: tuple[int, ...], energies: tuple[float, ...]) -> "BandData":
+        """A band whose levels ``band_faults`` has already passed."""
+        band = object.__new__(cls)
+        vars(band).update(name=name, _twoj=twoj, energies=energies)
+        return band
+
+    def __repr__(self) -> str:
+        return f"BandData(name={self.name!r}, levels={self.levels!r})"
 
     @classmethod
     def from_levels(cls, name: str, levels) -> "BandData":
@@ -91,29 +91,142 @@ class BandData:
         return cls(name=name, levels=tuple((twice_spin(j), float(e)) for j, e in levels))
 
     @property
+    def levels(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self._twoj, self.energies))
+
+    @property
     def j_min(self) -> float:
-        return self.levels[0][0] / 2.0
+        return self._twoj[0] / 2
 
     @property
     def j_max(self) -> float:
-        return self.levels[-1][0] / 2.0
+        return self._twoj[-1] / 2
 
     @property
     def twostep(self) -> int:
         """Twice the spin step, from the first two levels."""
-        return self.levels[1][0] - self.levels[0][0]
+        return self._twoj[1] - self._twoj[0]
 
     @property
     def step(self) -> float:
-        return self.twostep / 2.0
+        return self.twostep / 2
 
     @property
     def spins(self) -> tuple[float, ...]:
-        return tuple(twoj / 2.0 for twoj, _ in self.levels)
+        return tuple(twoj / 2 for twoj in self._twoj)
+
+
+def _exact_ints(values) -> np.ndarray:
+    """Integers as a column whose arithmetic is exact: int64 while every
+    value is below 2**53 in magnitude (so sums of a few stay exact), else
+    Python ints."""
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    if column.size and (column.max() >= 2**53 or column.min() <= -(2**53)):
+        return np.array(values, dtype=object)
+    return column
+
+
+class Bands(Sequence):
+    """The validated bands of one batch, each as a ``BandData`` and all as
+    flat columns: exact twice-spins ``twoj`` (see ``_exact_ints``) and
+    energies ``e``.  Band k owns the slice ``starts[k]:starts[k] + counts[k]``
+    of both."""
+
+    def __init__(self, bands: list[BandData], twoj: np.ndarray, e: np.ndarray, counts: np.ndarray):
+        self._bands = bands
+        self.twoj = _exact_ints(twoj)
+        self.e = e
+        self.counts = counts
+        self.starts = np.cumsum(counts) - counts
+
+    @classmethod
+    def of(cls, bands: Sequence[BandData]) -> "Bands":
+        """``bands`` as a batch, with its columns gathered from each band."""
+        if isinstance(bands, Bands):
+            return bands
+        counts = np.fromiter((len(band.energies) for band in bands), np.intp, len(bands))
+        twoj = [twoj for band in bands for twoj in band._twoj]
+        e = np.fromiter(chain.from_iterable(band.energies for band in bands), float, int(counts.sum()))
+        return cls(list(bands), twoj, e, counts)
+
+    def __len__(self) -> int:
+        return len(self._bands)
+
+    def __getitem__(self, index):
+        return self._bands[index]
 
     @property
-    def energies(self) -> tuple[float, ...]:
-        return tuple(e for _, e in self.levels)
+    def j(self) -> np.ndarray:
+        """The spins as floats."""
+        return np.asarray(self.twoj / 2, dtype=float)
+
+
+def _level_fault(rule: int, twoj: int, prev_twoj: int, twostep: int, e: float) -> str:
+    """The message of level rule ``rule`` (numbered from 1 in the order
+    ``band_faults`` checks them) for a level that breaks it."""
+    return (
+        f"spins must be nonnegative, got {spin_str(twoj)}",
+        f"lowest level energy must be >= 0, got {e}",
+        f"duplicate spin {spin_str(twoj)}",
+        "spins must be strictly increasing",
+        f"inconsistent spin step: {(twoj - prev_twoj) / 2} after {twostep / 2}",
+        "energies must be strictly increasing",
+        f"energy must be finite, got {e}",
+    )[rule - 1]
+
+
+def band_faults(names: Sequence[str], twoj: np.ndarray, e: np.ndarray, counts: np.ndarray) -> dict[int, BandError]:
+    """The band rules over a batch of level columns, band k owning the
+    ``counts[k]`` levels after those of the bands before it: the first fault
+    of each failing band, by band index.
+
+    A band needs a nonempty name.  Then each level is checked against its
+    predecessor, so the error names the level whose own spin or energy
+    breaks a rule, and within a level the rules go in ``_level_fault``'s
+    order.  The level count comes last, so a fault in a two-level band still
+    names its level.  ``twoj`` must be exact (``_exact_ints``).
+    """
+    starts = np.cumsum(counts) - counts
+    head = np.zeros(len(e), dtype=bool)
+    head[starts[counts > 0]] = True
+    later = ~head
+    prev_twoj, prev_e = np.roll(twoj, 1), np.roll(e, 1)
+    pairs = counts > 1
+    twostep = np.zeros(len(counts), dtype=twoj.dtype)
+    twostep[pairs] = twoj[starts[pairs] + 1] - twoj[starts[pairs]]
+    broken = [
+        head & (twoj < 0),
+        head & (e < 0),
+        later & (twoj == prev_twoj),
+        later & (twoj < prev_twoj),
+        later & (twoj - prev_twoj != np.repeat(twostep, counts)),
+        later & (e <= prev_e),
+        ~np.isfinite(e),
+    ]
+    rule = np.select(broken, list(range(1, len(broken) + 1)), 0)
+    failing = np.append(np.flatnonzero(rule), len(e))
+    first = failing[np.searchsorted(failing, starts)]  # each band's first failing level, if below its end
+    at_fault = (first < starts + counts) | (counts < 3)
+    faults = {k: BandError("band needs a nonempty name") for k, name in enumerate(names) if not name}
+    for k in np.flatnonzero(at_fault).tolist():
+        if k in faults:
+            continue
+        at = int(first[k])
+        if at < starts[k] + counts[k]:
+            message = _level_fault(int(rule[at]), int(twoj[at]), int(prev_twoj[at]), int(twostep[k]), float(e[at]))
+            faults[k] = BandError(message, at - int(starts[k]))
+        else:
+            faults[k] = BandError(f"band needs at least 3 levels, got {int(counts[k])}")
+    return faults
+
+
+def _series_dim(head, step, count):
+    """Sum of (2j+1) over ``count`` twice-spins from ``head`` by ``step``,
+    bumped to the next odd number if even; elementwise over columns."""
+    return (count * (head + 1) + step * count * (count - 1) // 2) | 1
 
 
 def space_size(j_min: float, j_max: float, step: float) -> int:
@@ -126,17 +239,42 @@ def space_size(j_min: float, j_max: float, step: float) -> int:
         raise ValueError(f"step must be positive, got {step}")
     if b < a or (b - a) % s != 0:
         raise ValueError(f"spin range {j_min}..{j_max} is not aligned with step {step}")
-    # n terms of the arithmetic series (a + 1) + (a + 1 + s) + ... of 2j+1
-    n = (b - a) // s + 1
-    total = n * (a + 1) + s * n * (n - 1) // 2
-    if total % 2 == 0:
-        total += 1
-    return total
+    return _series_dim(a, s, (b - a) // s + 1)
+
+
+def _q_parameter(dim: int) -> QParameter | ValueError:
+    try:
+        return QParameter(dim)
+    except ValueError as exc:
+        return exc
+
+
+def q_parameters(bands: Sequence[BandData]) -> list[QParameter | ValueError]:
+    """The tau rule over a batch: per band, the deformation fixed by its
+    own spin content, or the ValueError its dimension raises.  Dimensions
+    come from the arithmetic series of head twice-spin, step and count, one
+    ``QParameter`` per distinct dimension."""
+    bands = Bands.of(bands)
+    head = bands.twoj[bands.starts]
+    step = bands.twoj[bands.starts + 1] - head
+    counts = bands.counts
+    # With int64 twice-spins below 2**53 (``_exact_ints``), each term of the
+    # series sum stays below count * 2**53, so the sum stays below 2**63 for
+    # fewer than 2**9 levels.
+    if head.dtype != object and len(counts) and counts.max() >= 2**9:
+        head, step, counts = head.astype(object), step.astype(object), counts.astype(object)
+    dims = _series_dim(head, step, counts).tolist()
+    made = {dim: _q_parameter(dim) for dim in set(dims)}
+    return [made[dim] for dim in dims]
 
 
 def q_parameter_from_band(band: BandData) -> QParameter:
-    """Deformation parameter fixed by the band's own spin content."""
-    return QParameter.from_dim(space_size(band.j_min, band.j_max, band.step))
+    """Deformation parameter fixed by the band's own spin content: the
+    one-band case of ``q_parameters``."""
+    qp = q_parameters([band])[0]
+    if isinstance(qp, ValueError):
+        raise qp
+    return qp
 
 
 def energy(j: float, A: float, qp: QParameter | None) -> float:

@@ -5,8 +5,8 @@ on the unit circle and reduces to the ordinary number x as tau -> 0.
 ``bracket`` is the one place it is computed: elementwise over arrays of x
 and tau, with tau = 0 giving x itself, so band energies, fits over a tau
 column and irrep matrices all share it.  ``in_regime`` is the one test of
-the monotone regime tau*(j_max+1) < pi, and ``twice_spin`` the one test
-that a spin is finite and on the half-integer grid.  A ``QParameter`` is its
+the monotone regime tau*(j_max+1) < pi, and ``twice_spins`` the one test
+that spins are finite and on the half-integer grid.  A ``QParameter`` is its
 odd space dimension alone, stored as an ``int``; tau = 2*pi/dim is derived
 from it on read.  Everything here is a pure function of immutable values.
 """
@@ -23,6 +23,7 @@ __all__ = [
     "QParameter",
     "RegimeError",
     "twice_spin",
+    "twice_spins",
     "bracket",
     "in_regime",
     "qbracket",
@@ -35,15 +36,41 @@ class RegimeError(ValueError):
     small spin), e.g. a bracket under a square root went negative."""
 
 
+# Every float at least this large in magnitude is an integer, so its twice
+# is exact as a Python int even where 2.0 * spin overflows.
+_INTEGRAL_FLOATS = 2.0**52
+
+
+def twice_spins(spins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The half-integer grid test over a column of spins: each spin's exact
+    twice-spin (0 where the test fails) and whether it passes, that is,
+    whether it is finite and within 1e-9 of the half-integer grid.
+
+    The twice-spins are int64 while every spin is below 2**52 in magnitude;
+    otherwise they are Python ints, with 2*int(j) for the larger spins.
+    """
+    spins = np.asarray(spins, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        doubled = np.round(2.0 * spins)
+        integral = np.isfinite(spins) & (np.abs(spins) >= _INTEGRAL_FLOATS)
+        on_grid = integral | (np.abs(2.0 * spins - doubled) <= 1e-9)
+    if not integral.any():
+        return np.where(on_grid, doubled, 0.0).astype(np.int64), on_grid
+    exact = [2 * int(j) if big else int(d) if ok else 0
+             for j, d, big, ok in zip(spins.tolist(), doubled.tolist(), integral.tolist(), on_grid.tolist())]
+    return np.array(exact, dtype=object), on_grid
+
+
 def twice_spin(j: float) -> int:
-    """Convert a decimal spin (integer or half-integer) to a twice-spin int."""
-    doubled = 2 * float(j)
-    if not math.isfinite(doubled):
+    """Convert a decimal spin (integer or half-integer) to a twice-spin int:
+    the one-spin case of ``twice_spins``."""
+    value = float(j)
+    twoj, on_grid = twice_spins(np.array([value]))
+    if not math.isfinite(value):
         raise ValueError(f"spin must be finite, got {j}")
-    twoj = round(doubled)
-    if abs(doubled - twoj) > 1e-9:
+    if not on_grid[0]:
         raise ValueError(f"spin must be an integer or half-integer, got {j}")
-    return int(twoj)
+    return int(twoj[0])
 
 
 def _check_dim(dim) -> None:

@@ -21,19 +21,19 @@ OTHER_LINES = [b"# nucleus:", b"# nucleus: y", "# nucleus: \u03b1 y".encode(), b
 
 
 @st.composite
-def band_texts(draw):
+def band_texts(draw, tokens=TOKENS, starts=(0.0, 0.5, 2.0)):
     """A well-formed band with a drawn start, step and length, with up to two
     of its lines replaced by, or preceded by, a token row, another line, or
     that line's spin with a token for its energy."""
-    start = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    start = draw(st.sampled_from(starts))
     step = draw(st.sampled_from([0.5, 1.0, 2.0]))
     count = draw(st.integers(0, 8))
     lines = [b"# nucleus: x"] + [b"%r %r" % (start + k * step, 10.0 * k * (k + 1)) for k in range(count)]
-    token_row = st.lists(st.sampled_from(TOKENS), max_size=3).map(b" ".join)
+    token_row = st.lists(st.sampled_from(tokens), max_size=3).map(b" ".join)
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines) - 1))
         spin = lines[at].split(b" ")[0]
-        energy_row = st.sampled_from(TOKENS).map(lambda token: spin + b" " + token)
+        energy_row = st.sampled_from(tokens).map(lambda token: spin + b" " + token)
         line = draw(st.one_of(token_row, st.sampled_from(OTHER_LINES), energy_row))
         lines[at:at + draw(st.integers(0, 1))] = [line]
     newline = draw(st.sampled_from([b"\n", b"\r\n"]))

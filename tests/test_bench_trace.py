@@ -18,7 +18,23 @@ def spans(monkeypatch):
 
 BANDS = REPO_ROOT / "data" / "bands"
 # Spans every band subcommand records through the names it calls in cli.py.
-BAND_SPANS = {"ingest.read_band_file", "cli.emit"}
+# The band path reads all its files with one batch reader, so it records no
+# per-file ingest.read_band_file span; cli.py still imports that name.
+BAND_SPANS = {"cli.emit"}
+
+
+def test_instrumented_names_resolve(spans):
+    """Every name in the list ``spans.instrumented`` swaps resolves in
+    qrotor.cli, and each is put back when the pass ends."""
+    from qrotor import cli
+
+    code = spans.instrumented.__wrapped__.__code__
+    names = next(const for const in code.co_consts if isinstance(const, tuple) and "_emit" in const)
+    assert [name for name in names if not hasattr(cli, name)] == []
+    before = {name: getattr(cli, name) for name in names}
+    with spans.instrumented(spans.Tracer()):
+        assert [name for name in names if getattr(cli, name) is before[name]] == []
+    assert [name for name in names if getattr(cli, name) is not before[name]] == []
 
 
 @pytest.mark.parametrize("argv,recorded", [

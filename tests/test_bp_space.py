@@ -78,6 +78,10 @@ class TestBuildSpace:
         with pytest.raises(ValueError, match=f"^spin must be finite, got {l}$"):
             build_space(l)
 
+    def test_spin_doubled_past_float_range_hits_dense_cap(self):
+        with pytest.raises(ValueError, match=f"^2l\\+1 = {2 * int(1e308) + 1} exceeds the dense-matrix cap"):
+            build_space(1e308)
+
     def test_rejects_half_integer_l(self):
         # 2l+1 even contradicts the odd-dimension invariant
         with pytest.raises(ValueError, match="odd"):

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ BAD = b"# nucleus: badium\n2 100.0\n4 330.0\n8 690.0\n"
 OVERFLOW = b"# nucleus: overflowium\n0 0\n1 1e-7\n2 1e308\n"
 HUGE_SPINS = b"# nucleus: hugium\n0 0\n1e300 1\n2e300 2\n"
 INF_SPIN = b"# nucleus: infinitium\n0 0\ninf 1\n2 2\n"
+# Finite spins whose twice overflows a float.
+MAX_SPIN = b"# nucleus: maximium\n0 0\n1e308 1\n6 2\n"
+MAX_SPINS = b"# nucleus: maximium\n1e308 0\n1.0000000000000002e308 1\n1.0000000000000004e308 2\n"
 
 BUNDLED_TABLE = (
     "nucleus       tau   A[keV]   1e3*chi2  rms[keV]  rms_cl[keV]\n"
@@ -174,6 +178,22 @@ class TestTableCommand:
         assert captured.out == ""
         assert "line 3: invalid spin 'inf'" in captured.err
 
+    @pytest.mark.parametrize("content,diagnostic", [
+        (MAX_SPIN, "line 4: spins must be strictly increasing"),
+        (MAX_SPINS, "band 'maximium' has no finite fit: A, chi2 or rms overflows"),
+    ], ids=["one", "all"])
+    @pytest.mark.parametrize("argv", [["table"], ["table", "--json"], ["plotdata"]], ids=" ".join)
+    def test_spin_doubled_past_float_range_is_a_band_diagnostic(self, capsys, tmp_path, dy162_path,
+                                                               content, diagnostic, argv):
+        bad = tmp_path / "max.band"
+        bad.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, str(dy162_path), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"qrotor: {bad}: {diagnostic}\n"
+        assert "162Dy" in captured.out and "maximium" not in captured.out
+
     @pytest.mark.parametrize("content,line", [
         (b"# nucleus: x\n-2 0\n0 5\n2 9\n", 2),
         (b"# nucleus: x\n2 -5.0\n4 5\n6 9\n", 2),
@@ -281,6 +301,21 @@ class TestOneBandRunner:
             assert plot[0] == code
             assert plot == _run(capsysbinary, ["plotdata", *files])
         assert hashlib.sha256(_run(capsysbinary, ["plotdata", str(bands_dir)])[1]).hexdigest() == BUNDLED_PLOT_SHA256
+
+    @pytest.mark.parametrize("spelling", [".", "./", "d", "d/", "./d", "d/../d", "ABS"])
+    def test_directory_expands_as_glob(self, capsys, monkeypatch, tmp_path, spelling):
+        # the names Path.glob("*.band") yields, sorted, spelt as it spells them
+        d = tmp_path / "d"
+        d.mkdir()
+        for name in ("b.band", ".hidden.band", ".band", "a b.band", "xband", "c.BAND", "c.band.txt"):
+            (d / name).write_bytes(b"# nucleus: x\n2 1\n")
+        (d / "sub.band").mkdir()
+        monkeypatch.chdir(d if spelling in (".", "./") else tmp_path)
+        item = str(d) if spelling == "ABS" else spelling
+        assert main(["table", item]) == 1
+        failed = [line.split(": ")[1] for line in capsys.readouterr().err.splitlines()]
+        assert failed == [str(path) for path in sorted(Path(item).glob("*.band"), key=lambda path: path.name)]
+        assert len(failed) == 5
 
     @pytest.mark.parametrize("sub", ["table", "fit", "plotdata"])
     def test_empty_directory(self, capsysbinary, tmp_path, sub):

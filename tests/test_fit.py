@@ -277,7 +277,8 @@ class TestCompareBatch:
                 raise BandError(f"embedding dimension 3 from band '{band.name}' is too small")
             return q_parameter_from_band(band)
 
-        monkeypatch.setattr("qrotor.fit.q_parameter_from_band", tau_rule)
+        # compare_batch takes the tau rule of the whole batch at once
+        monkeypatch.setattr("qrotor.fit.q_parameters", lambda bands: [_reference(tau_rule, band) for band in bands])
         rng = np.random.default_rng(43)
         bands = [random_band(rng, tag)[0] for tag in range(60)]
         tiny = BandData.from_levels("tiny", [(0, 0.0), (1, 10.0), (2, 30.0)])

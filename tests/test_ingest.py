@@ -77,10 +77,17 @@ class TestParseBand:
         with pytest.raises(BandParseError, match="line 2.*spin"):
             parse_band(b"# nucleus: x\n2.3 1.0\n4 2.0\n6 4.0\n")
 
-    @pytest.mark.parametrize("spin", ["inf", "-inf", "nan", "1e308"])
+    @pytest.mark.parametrize("spin", ["inf", "-inf", "nan"])
     def test_non_finite_spin(self, spin):
         with pytest.raises(BandParseError, match=f"line 3.*invalid spin '{spin}'"):
             parse_band(f"# nucleus: x\n0 1.0\n{spin} 2.0\n6 4.0\n")
+
+    @pytest.mark.parametrize("spin", ["1e308", "1.7976931348623157e308"])
+    def test_spin_doubled_past_float_range(self, spin):
+        # finite, so on the grid: the band rules, not the spin syntax, reject it
+        with pytest.raises(BandParseError) as exc_info:
+            parse_band(f"# nucleus: x\n0 1.0\n{spin} 2.0\n6 4.0\n")
+        assert str(exc_info.value) == "line 4: spins must be strictly increasing"
 
     @pytest.mark.parametrize("row,message", [
         ("1_2 2.0", "invalid spin '1_2' (integer or half-integer)"),
@@ -354,6 +361,23 @@ class TestJsonReport:
             write_report([(band, bad, fc)], as_json=True)
         with pytest.raises(ValueError, match="not JSON compliant: nan$"):
             reference_report_json([(band, bad, fc)])
+
+
+def test_json_spins_and_energies_formatted_once_per_band(monkeypatch):
+    # a band's deformed and classical rows share its j and exp_keV columns
+    from qrotor import ingest
+
+    formatted = []
+    json_floats = ingest._json_floats
+    monkeypatch.setattr(ingest, "_json_floats", lambda values: formatted.append(len(values)) or json_floats(values))
+    entries = _mixed_entries(count=40)
+    payload = write_report(entries, as_json=True)
+    assert payload == reference_report_json(entries)
+    expected = 0
+    for band, fit_q, fit_cl in entries:
+        rows = (fit_q is not None) + (fit_cl is not None)
+        expected += 4 * (fit_q is not None) + 3 * (fit_cl is not None) + (2 + rows) * len(band.levels)
+    assert sum(formatted) == expected
 
 
 class TestPlotData:

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qrotor.ingest import read_bands, write_band
 from qrotor.model import (
     BandData,
     BandError,
     energy,
     q_parameter_from_band,
+    q_parameters,
     space_size,
     spin_str,
     twice_spin,
@@ -41,10 +43,16 @@ class TestSpinHelpers:
         with pytest.raises(ValueError):
             twice_spin(0.3)
 
-    @pytest.mark.parametrize("j", [math.inf, -math.inf, math.nan, 1e308])
+    @pytest.mark.parametrize("j", [math.inf, -math.inf, math.nan])
     def test_twice_spin_rejects_non_finite(self, j):
         with pytest.raises(ValueError):
             twice_spin(j)
+
+    @pytest.mark.parametrize("j", [1e308, -1e308, 1.7976931348623157e308, 1e300, 1e16, 2.0**53, 2.0**52])
+    def test_twice_spin_of_integral_float(self, j):
+        # every float of magnitude 2**52 or more is an integer; its twice is
+        # exact, even where 2.0 * j overflows
+        assert twice_spin(j) == 2 * int(j)
 
     @pytest.mark.parametrize("twoj,text", [(4, "2"), (15, "7.5"), (0, "0"), (1, "0.5")])
     def test_spin_str(self, twoj, text):
@@ -174,6 +182,33 @@ class TestEnergy:
         qp = QParameter.from_dim(100001)
         for j in (2.0, 4.0, 6.0):
             assert abs(energy(j, 5.0, None) - energy(j, 5.0, qp)) < 1e-4
+
+
+def _written(directory, band):
+    path = directory / "band.band"
+    path.write_bytes(write_band(band))
+    return path
+
+
+class TestTauRuleExactness:
+    # (head spin, spin step, level count): spins past 2**52, whose twice-spins
+    # overflow int64 in the series sum, and many levels just below it.
+    @pytest.mark.parametrize("j_min,step,count", [
+        (1e18, 128.0, 5), (2e18, 256.0, 3), (2.0**62, 2.0**10, 3), (2.0**51, 2.0**39, 2000), (1e16, 2.0, 3),
+        (1e300, 2.0**950, 3),
+    ], ids=["1e18", "2e18", "2**62", "2000-levels", "1e16", "1e300"])
+    def test_dim_is_the_exact_series_sum(self, tmp_path, j_min, step, count):
+        band = make_band([j_min + k * step for k in range(count)], [float(k) for k in range(count)])
+        a, s = twice_spin(j_min), twice_spin(step)
+        dim = sum(twoj + 1 for twoj in range(a, a + count * s, s)) | 1
+        try:
+            expected = QParameter(dim)
+        except ValueError as exc:
+            expected = exc
+        _, read = read_bands([_written(tmp_path, band)])
+        for got in (q_parameters([band, DY_BAND])[0], q_parameters([band])[0], q_parameters(read)[0]):
+            assert type(got) is type(expected) and str(got) == str(expected)
+        assert q_parameters([DY_BAND, band])[0] == q_parameter_from_band(DY_BAND)
 
 
 class TestBandData:

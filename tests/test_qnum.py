@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference_ingest import _twice_spin
 from qrotor import qnum
 from qrotor.fit import fit_A
 from qrotor.ingest import write_report
@@ -86,6 +87,37 @@ class TestQParameter:
         qp = QParameter.from_dim(5)
         with pytest.raises(dataclasses.FrozenInstanceError):
             qp.tau = 1.0
+
+
+def _sequential_twice_spin(j):
+    try:
+        return _twice_spin(j)
+    except ValueError:
+        return None
+
+
+# Spins on and off the half-integer grid below 2**52, where a float can hold
+# a fraction, and integral floats from 2**52 up, whose doubles reach past the
+# largest float.
+FRACTIONAL_RANGE = [0.0, -0.0, 0.5, -0.5, 2.5, 7.5, 0.3, 0.25, 0.5 + 1e-10, 0.5 + 1e-8, 2.0**51 + 0.5,
+                    2.0**52 - 0.5, math.inf, -math.inf, math.nan]
+INTEGRAL_RANGE = [2.0**52, 2.0**53, 9007199254740993.0, 1e16, 1e300, 1e308, -1e308, 1.7976931348623157e308]
+
+
+class TestGridColumn:
+    @pytest.mark.parametrize("spins", [FRACTIONAL_RANGE, INTEGRAL_RANGE, FRACTIONAL_RANGE + INTEGRAL_RANGE],
+                             ids=["fractional", "integral", "both"])
+    def test_agrees_with_sequential_rule(self, spins):
+        twoj, on_grid = qnum.twice_spins(np.array(spins))
+        assert twoj.dtype == (np.int64 if spins is FRACTIONAL_RANGE else object)
+        got = [value if ok else None for value, ok in zip(twoj.tolist(), on_grid.tolist())]
+        assert got == [_sequential_twice_spin(j) for j in spins]
+        for j, value in zip(spins, got):
+            if value is None:
+                with pytest.raises(ValueError):
+                    qnum.twice_spin(j)
+            else:
+                assert qnum.twice_spin(j) == value
 
 
 class TestQBracket:
