@@ -12,10 +12,13 @@ discrete Fourier transform up to diagonal phases (the Pegg-Barnett finite
 phase space), so A is built from the D roots of unity, indexed by n*m mod D,
 and one phase row.  Every D x D product below has A or conj(A) as one
 factor, applied by an in-place FFT along rows in O(D^2 log D); the other
-factor is the explicit matrix under test.  Each product is still formed in
-full and all D^2 entries are compared with the identity or the raising
-matrix.  A space stores two D x D matrices, read-only; a check works in one
-D x D buffer of its own, plus the modulus array of the max-norm.
+factor is the explicit matrix under test.  All D^2 entries of each product
+are compared with the identity or the raising matrix, but every step is
+row-local, so the products stream over blocks of ``_BLOCK_ROWS`` rows: a
+check works in one block buffer of its own, plus the modulus array of the
+max-norm, and folds each block's max-norm with ``np.max``, which keeps a
+NaN that Python's ``max`` would drop.  A space stores two D x D matrices,
+read-only, and ``build_space`` fills them block by block, in place.
 
 Sign convention: this module uses the shift phase q = exp(-i*tau), the
 natural one for the angle grid.  Energy formulas elsewhere use the real
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParameter, max_abs, twice_spin
+from .qnum import QParameter, _shown, max_abs, twice_spin
 
 __all__ = [
     "MAX_DENSE_DIM",
@@ -47,6 +50,11 @@ __all__ = [
 # Dense-matrix cap; verification runs at small dimensions and real bands
 # stay near 10^3, so dense storage is always tractable.
 MAX_DENSE_DIM = 1001
+
+# Rows per block of a streamed product: 64 complex rows at D = 1001 are
+# 1 MiB, so a block and the stored rows it reads stay within a 2 MiB-per-core
+# L2 cache.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -92,26 +100,33 @@ def _dft_phases(dim: int, theta0: float) -> tuple[np.ndarray, np.ndarray]:
     return s, np.exp(-1j * theta0 * np.arange(-l, l + 1))
 
 
-def _times_angle_transpose(x: np.ndarray, theta0: float) -> np.ndarray:
-    """x @ A.T, as A.T = diag(p) F diag(s) / sqrt(D); the row-contiguous
-    buffer ``x``, owned by the caller, is transformed in place and returned."""
-    s, p = _dft_phases(x.shape[-1], theta0)
+def _times_angle_transpose(x: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """x @ A.T, as A.T = diag(p) F diag(s) / sqrt(D), with (s, p) = ``phases``
+    from ``_dft_phases``; the row-contiguous buffer ``x``, owned by the
+    caller, is transformed in place and returned."""
+    s, p = phases
     x *= p
     np.fft.fft(x, axis=-1, out=x)
     x *= s / math.sqrt(len(s))
     return x
 
 
-def _times_weighted_conj_angle(x: np.ndarray, weight: np.ndarray | float, theta0: float) -> np.ndarray:
+def _times_weighted_conj_angle(x: np.ndarray, weight: np.ndarray | float, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """x @ diag(weight) @ conj(A), as conj(A) = diag(conj(s)) conj(F)
     diag(conj(p)) / sqrt(D) and conj(F) / D is the ``np.fft.ifft`` kernel.
     Like ``_times_angle_transpose``, it transforms the row-contiguous buffer
     ``x`` in place and returns it."""
-    s, p = _dft_phases(x.shape[-1], theta0)
+    s, p = phases
     x *= weight * s.conj()
     np.fft.ifft(x, axis=-1, out=x)
     x *= math.sqrt(len(s)) * p.conj()
     return x
+
+
+def _row_blocks(dim: int) -> list[slice]:
+    """Consecutive slices of ``_BLOCK_ROWS`` rows, the last one shorter,
+    that cover rows 0..dim-1."""
+    return [slice(start, min(start + _BLOCK_ROWS, dim)) for start in range(0, dim, _BLOCK_ROWS)]
 
 
 def build_space(l: float, theta0: float = 0.0) -> BPSpace:
@@ -121,25 +136,35 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     and theta_n = theta0 + 2*pi*n/D, that is exp(-i*m*theta0) * w_k / sqrt(D)
     with w_k the D-th root of unity at k = n*m mod D.  The exponentiated
     angle operator is assembled from its spectral sum over these states;
-    q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).  The three arrays are
-    read-only.
+    q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).  Both matrices are
+    filled a row block at a time, in place.  The three arrays are read-only.
 
     Raises ValueError for l not finite or off the half-integer grid, for
     2l+1 even or outside 3..MAX_DENSE_DIM, and for a non-finite theta0.
     """
     dim = twice_spin(l) + 1
     if dim > MAX_DENSE_DIM:
-        raise ValueError(f"2l+1 = {dim} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
+        raise ValueError(f"2l+1 = {_shown(dim)} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
     qp = QParameter.from_dim(dim)
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
 
     m = np.arange(dim) - (dim - 1) // 2
-    angle_basis = _roots(dim)[np.multiply.outer(np.arange(dim), m) % dim]
-    angle_basis *= _dft_phases(dim, theta0)[1] / math.sqrt(dim)
+    roots, phases = _roots(dim), _dft_phases(dim, theta0)
+    column_phase = phases[1] / math.sqrt(dim)
+    angle_basis = np.empty((dim, dim), dtype=complex)
+    for rows in _row_blocks(dim):
+        k = np.multiply.outer(np.arange(rows.start, rows.stop), m)
+        k %= dim
+        np.take(roots, k, out=angle_basis[rows], mode="clip")  # "clip" writes into ``out`` unbuffered
+        angle_basis[rows] *= column_phase
 
     # exp(i*Phi) = sum_n exp(i*theta_n) |theta_n><theta_n| = A^T diag(exp(i*theta)) conj(A)
-    exp_iphi = _times_weighted_conj_angle(angle_basis.T.copy(), np.exp(1j * _angles(dim, theta0)), theta0)
+    weight = np.exp(1j * _angles(dim, theta0))
+    exp_iphi = np.empty((dim, dim), dtype=complex)
+    for rows in _row_blocks(dim):
+        exp_iphi[rows] = angle_basis[:, rows].T
+        _times_weighted_conj_angle(exp_iphi[rows], weight, phases)
 
     q_jz = np.exp(-1j * qp.tau * m)
 
@@ -148,51 +173,74 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     return BPSpace(qp=qp, theta0=theta0, exp_iphi=exp_iphi, q_jz=q_jz, angle_basis=angle_basis)
 
 
-def _identity_deviation(product: np.ndarray) -> float:
-    """Max-norm of ``product`` minus identity; ``product`` is overwritten."""
-    product.flat[:: len(product) + 1] -= 1.0
-    return max_abs(product)
+def _identity_deviation(block: np.ndarray, rows: slice) -> float:
+    """Max-norm of ``block``, the rows ``rows`` of a D x D product, minus
+    the same rows of the identity; ``block`` is overwritten."""
+    block.flat[rows.start :: block.shape[1] + 1] -= 1.0
+    return max_abs(block)
 
 
 def check_quantum_plane(space: BPSpace) -> float:
     """Max-norm deviation of q^{Jz} e^{iPhi} - q e^{iPhi} q^{Jz} from zero,
     formed entrywise as (q_i - q*q_j) * e^{iPhi}_ij."""
-    q = np.exp(-1j * space.qp.tau)
-    deviation = np.subtract.outer(space.q_jz, q * space.q_jz)
-    deviation *= space.exp_iphi
-    return max_abs(deviation)
+    q_shifted = np.exp(-1j * space.qp.tau) * space.q_jz
+
+    def deviation(rows: slice) -> float:
+        block = np.subtract.outer(space.q_jz[rows], q_shifted)
+        block *= space.exp_iphi[rows]
+        return max_abs(block)
+
+    return max_abs([deviation(rows) for rows in _row_blocks(space.dim)])
 
 
 def check_cyclic_shift(space: BPSpace) -> float:
     """Max-norm deviation of exp_iphi from the one-step cyclic raising matrix,
     whose wrap-around corner carries the phase exp(i*D*theta0)."""
     dim = space.dim
-    deviation = space.exp_iphi.copy()
-    deviation.flat[dim :: dim + 1] -= 1.0
-    deviation[0, dim - 1] -= np.exp(1j * dim * space.theta0)
-    return max_abs(deviation)
+
+    def deviation(rows: slice) -> float:
+        block = space.exp_iphi[rows].copy()
+        i = np.arange(max(rows.start, 1), rows.stop)  # the rows with a one at (i, i-1)
+        block[i - rows.start, i - 1] -= 1.0
+        if rows.start == 0:
+            block[0, dim - 1] -= np.exp(1j * dim * space.theta0)
+        return max_abs(block)
+
+    return max_abs([deviation(rows) for rows in _row_blocks(dim)])
 
 
 def check_unitarity(space: BPSpace) -> float:
     """Max-norm deviation of U U^dagger from identity for U = exp_iphi, with
     U^dagger = A^T diag(exp(-i*theta)) conj(A), and of |q_m|^2 from one."""
-    theta0 = space.theta0
-    w_bar = np.exp(-1j * _angles(space.dim, theta0))
-    product = _times_weighted_conj_angle(_times_angle_transpose(space.exp_iphi.copy(), theta0), w_bar, theta0)
-    d1 = _identity_deviation(product)
+    phases = _dft_phases(space.dim, space.theta0)
+    w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
+
+    def deviation(rows: slice) -> float:
+        block = _times_angle_transpose(space.exp_iphi[rows].copy(), phases)
+        return _identity_deviation(_times_weighted_conj_angle(block, w_bar, phases), rows)
+
+    d1 = max_abs([deviation(rows) for rows in _row_blocks(space.dim)])
     d2 = max_abs(np.abs(space.q_jz) ** 2 - 1.0)
-    return max(d1, d2)
+    return max_abs([d1, d2])
 
 
 def check_angle_orthonormality(space: BPSpace) -> float:
     """Max-norm deviation of the angle-state Gram matrix from identity, taken
     on its transpose (A A^dagger)^T = conj(A) A^T."""
-    return _identity_deviation(_times_angle_transpose(space.angle_basis.conj(), space.theta0))
+    phases = _dft_phases(space.dim, space.theta0)
+    return max_abs([
+        _identity_deviation(_times_angle_transpose(space.angle_basis[rows].conj(), phases), rows)
+        for rows in _row_blocks(space.dim)
+    ])
 
 
 def check_angle_completeness(space: BPSpace) -> float:
     """Max-norm deviation of sum_n |theta_n><theta_n| = A^T conj(A) from identity."""
-    return _identity_deviation(_times_weighted_conj_angle(space.angle_basis.T.copy(), 1.0, space.theta0))
+    phases = _dft_phases(space.dim, space.theta0)
+    return max_abs([
+        _identity_deviation(_times_weighted_conj_angle(space.angle_basis[:, rows].T.copy(), 1.0, phases), rows)
+        for rows in _row_blocks(space.dim)
+    ])
 
 
 def check_angle_cycling(space: BPSpace) -> float:
@@ -202,10 +250,14 @@ def check_angle_cycling(space: BPSpace) -> float:
     its rows moved up by one; for integer m the wrap-around is phase-free.
     """
     basis = space.angle_basis
-    deviation = basis * space.q_jz
-    deviation[:-1] -= basis[1:]
-    deviation[-1] -= basis[0]
-    return max_abs(deviation)
+
+    def deviation(rows: slice) -> float:
+        block = basis[rows] * space.q_jz
+        block[:-1] -= basis[rows.start + 1 : rows.stop]
+        block[-1] -= basis[rows.stop % space.dim]
+        return max_abs(block)
+
+    return max_abs([deviation(rows) for rows in _row_blocks(space.dim)])
 
 
 def check_shift_power(space: BPSpace) -> float:

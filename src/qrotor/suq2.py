@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue, max_abs, twice_spin
+from .bp_space import MAX_DENSE_DIM
+from .qnum import QParameter, RegimeError, _shown, bracket, casimir_eigenvalue, max_abs, twice_spin
 
 __all__ = ["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir"]
 
@@ -52,13 +53,16 @@ class IrrepMatrices:
 def build_irrep(j: float, qp: QParameter | None) -> IrrepMatrices:
     """Build the (2j+1)-dimensional irrep matrices at deformation qp.
 
-    Raises RegimeError if any product [j-m][j+m+1] under a square root is
-    negative, which signals that the embedding space is not large compared
-    to the spin.
+    Raises ValueError for a negative spin or 2j+1 above MAX_DENSE_DIM, before
+    any array is made, and RegimeError if any product [j-m][j+m+1] under a
+    square root is negative, which signals that the embedding space is not
+    large compared to the spin.
     """
     twoj = twice_spin(j)
     if twoj < 0:
         raise ValueError(f"spin must be nonnegative, got {j}")
+    if twoj + 1 > MAX_DENSE_DIM:
+        raise ValueError(f"2j+1 = {_shown(twoj + 1)} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
     tau = 0.0 if qp is None else qp.tau
 
     m = (twoj - 2.0 * np.arange(twoj + 1)) / 2.0

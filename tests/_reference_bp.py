@@ -1,9 +1,14 @@
-"""Dense O(D^3) forms of the phase-space products.
+"""Whole-matrix and dense O(D^3) forms of the phase-space products.
 
-These are the matrix products ``qrotor.bp_space`` formed with ``@`` before
-it applied the angle-basis factor by FFT: the spectral sum for exp(i*Phi),
-U U^dagger, the angle-state Gram matrix and sum_n |theta_n><theta_n|.
-Tests compare the FFT path with them.
+``whole_build_space`` and ``WHOLE_CHECKS`` are ``qrotor.bp_space``'s
+construction and identity checks as they were before they streamed over row
+blocks: each product is formed as one D x D array, with the same FFT kernels
+in the same order, so the blocked forms must match them bit for bit.
+
+The dense forms are the matrix products ``qrotor.bp_space`` formed with
+``@`` before it applied the angle-basis factor by FFT: the spectral sum for
+exp(i*Phi), U U^dagger, the angle-state Gram matrix and
+sum_n |theta_n><theta_n|.  Tests compare the FFT path with them.
 """
 
 from __future__ import annotations
@@ -12,11 +17,86 @@ import math
 
 import numpy as np
 
-from qrotor.bp_space import BPSpace
+from qrotor.bp_space import (
+    BPSpace,
+    _angles,
+    _dft_phases,
+    _roots,
+    _times_angle_transpose,
+    _times_weighted_conj_angle,
+)
+from qrotor.qnum import QParameter, max_abs, twice_spin
 
 
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+def whole_build_space(l: float, theta0: float = 0.0) -> BPSpace:
+    """``build_space`` with the angle basis gathered through a D x D index
+    array and exp(i*Phi) transformed from a transposed copy of it; for valid
+    arguments only, and the arrays stay writable."""
+    dim = twice_spin(l) + 1
+    qp = QParameter.from_dim(dim)
+    m = np.arange(dim) - (dim - 1) // 2
+    phases = _dft_phases(dim, theta0)
+    angle_basis = _roots(dim)[np.multiply.outer(np.arange(dim), m) % dim]
+    angle_basis *= phases[1] / math.sqrt(dim)
+    exp_iphi = _times_weighted_conj_angle(angle_basis.T.copy(), np.exp(1j * _angles(dim, theta0)), phases)
+    q_jz = np.exp(-1j * qp.tau * m)
+    return BPSpace(qp=qp, theta0=theta0, exp_iphi=exp_iphi, q_jz=q_jz, angle_basis=angle_basis)
+
+
+def _identity_deviation(product: np.ndarray) -> float:
+    product.flat[:: len(product) + 1] -= 1.0
+    return max_abs(product)
+
+
+def whole_quantum_plane(space: BPSpace) -> float:
+    q = np.exp(-1j * space.qp.tau)
+    deviation = np.subtract.outer(space.q_jz, q * space.q_jz)
+    deviation *= space.exp_iphi
+    return max_abs(deviation)
+
+
+def whole_cyclic_shift(space: BPSpace) -> float:
+    dim = space.dim
+    deviation = space.exp_iphi.copy()
+    deviation.flat[dim :: dim + 1] -= 1.0
+    deviation[0, dim - 1] -= np.exp(1j * dim * space.theta0)
+    return max_abs(deviation)
+
+
+def whole_unitarity(space: BPSpace) -> float:
+    phases = _dft_phases(space.dim, space.theta0)
+    w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
+    product = _times_weighted_conj_angle(_times_angle_transpose(space.exp_iphi.copy(), phases), w_bar, phases)
+    return max(_identity_deviation(product), max_abs(np.abs(space.q_jz) ** 2 - 1.0))
+
+
+def whole_angle_orthonormality(space: BPSpace) -> float:
+    phases = _dft_phases(space.dim, space.theta0)
+    return _identity_deviation(_times_angle_transpose(space.angle_basis.conj(), phases))
+
+
+def whole_angle_completeness(space: BPSpace) -> float:
+    phases = _dft_phases(space.dim, space.theta0)
+    return _identity_deviation(_times_weighted_conj_angle(space.angle_basis.T.copy(), 1.0, phases))
+
+
+def whole_angle_cycling(space: BPSpace) -> float:
+    basis = space.angle_basis
+    deviation = basis * space.q_jz
+    deviation[:-1] -= basis[1:]
+    deviation[-1] -= basis[0]
+    return max_abs(deviation)
+
+
+# Keyed by the names of ``qrotor.cli.BP_CHECKS``.
+WHOLE_CHECKS = {
+    "quantum-plane": whole_quantum_plane,
+    "cyclic-shift": whole_cyclic_shift,
+    "unitarity": whole_unitarity,
+    "angle-orthonormality": whole_angle_orthonormality,
+    "angle-completeness": whole_angle_completeness,
+    "angle-cycling": whole_angle_cycling,
+}
 
 
 def dense_exp_iphi(angle_basis: np.ndarray, theta0: float) -> np.ndarray:
@@ -29,16 +109,16 @@ def dense_exp_iphi(angle_basis: np.ndarray, theta0: float) -> np.ndarray:
 def dense_unitarity(space: BPSpace) -> float:
     eye = np.eye(space.dim)
     q_jz = np.diag(space.q_jz)
-    d1 = _maxabs(space.exp_iphi @ space.exp_iphi.conj().T - eye)
-    d2 = _maxabs(q_jz @ q_jz.conj().T - eye)
+    d1 = max_abs(space.exp_iphi @ space.exp_iphi.conj().T - eye)
+    d2 = max_abs(q_jz @ q_jz.conj().T - eye)
     return max(d1, d2)
 
 
 def dense_orthonormality(space: BPSpace) -> float:
     gram = space.angle_basis @ space.angle_basis.conj().T
-    return _maxabs(gram - np.eye(space.dim))
+    return max_abs(gram - np.eye(space.dim))
 
 
 def dense_completeness(space: BPSpace) -> float:
     proj = space.angle_basis.T @ space.angle_basis.conj()
-    return _maxabs(proj - np.eye(space.dim))
+    return max_abs(proj - np.eye(space.dim))

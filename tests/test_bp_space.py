@@ -9,9 +9,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from _reference_bp import dense_completeness, dense_exp_iphi, dense_orthonormality, dense_unitarity
+from _reference_bp import (
+    WHOLE_CHECKS,
+    dense_completeness,
+    dense_exp_iphi,
+    dense_orthonormality,
+    dense_unitarity,
+    whole_build_space,
+)
 from conftest import REPO_ROOT
 from qrotor.bp_space import (
+    _BLOCK_ROWS,
     MAX_DENSE_DIM,
     build_space,
     check_angle_completeness,
@@ -79,7 +87,7 @@ class TestBuildSpace:
             build_space(l)
 
     def test_spin_doubled_past_float_range_hits_dense_cap(self):
-        with pytest.raises(ValueError, match=f"^2l\\+1 = {2 * int(1e308) + 1} exceeds the dense-matrix cap"):
+        with pytest.raises(ValueError, match="^2l\\+1 = an integer of 309 digits exceeds the dense-matrix cap 1001$"):
             build_space(1e308)
 
     def test_rejects_half_integer_l(self):
@@ -209,6 +217,66 @@ class TestDenseOracle:
         assert dense_completeness(conjugated) <= 1e-12
 
 
+# Odd dims on both sides of one and two row blocks, and the largest space.
+BLOCK_EDGE_DIMS = sorted({(_BLOCK_ROWS - 1) | 1, (_BLOCK_ROWS + 1) | 1, (2 * _BLOCK_ROWS + 1) | 1, MAX_DENSE_DIM})
+
+
+class TestBlockedMatchesWholeMatrix:
+    """Streaming over row blocks changes no bit of a space or a deviation."""
+
+    @pytest.mark.parametrize("theta0", [0.0, 0.6, math.pi / 3])
+    @pytest.mark.parametrize("dim", BLOCK_EDGE_DIMS)
+    def test_arrays_and_deviations_bit_identical(self, dim, theta0):
+        space = build_space((dim - 1) // 2, theta0)
+        whole = whole_build_space((dim - 1) // 2, theta0)
+        for name in ("angle_basis", "exp_iphi", "q_jz"):
+            assert np.array_equal(getattr(space, name), getattr(whole, name)), name
+        for name, check in BP_CHECKS:
+            assert check(space) == WHOLE_CHECKS[name](whole), name
+
+
+NAN_DIM = 2 * _BLOCK_ROWS + 1  # three row blocks, the last of one row
+NAN_CHECKS = {
+    "exp_iphi": ("quantum-plane", "cyclic-shift", "unitarity"),
+    "angle_basis": ("angle-orthonormality", "angle-completeness", "angle-cycling"),
+}
+
+
+def _with_nan(space, name):
+    """``space`` with its array ``name`` NaN in the last entry, which lies in
+    the last row block and, for the completeness check, the last column block."""
+    poisoned = getattr(space, name).copy()
+    poisoned[-1, -1] = math.nan
+    return dataclasses.replace(space, **{name: poisoned})
+
+
+class TestNaNPropagates:
+    @pytest.mark.parametrize("array", sorted(NAN_CHECKS))
+    def test_checks_return_nan(self, array):
+        space = _with_nan(build_space((NAN_DIM - 1) // 2, 0.6), array)
+        for name, check in BP_CHECKS:
+            if name in NAN_CHECKS[array]:
+                assert math.isnan(check(space)), name
+            else:
+                assert check(space) <= _bp_tolerance(NAN_DIM), name
+
+    @pytest.mark.parametrize("array", sorted(NAN_CHECKS))
+    def test_verify_fails(self, array, tmp_path, monkeypatch, capsys):
+        def poisoned_build(l, theta0=0.0):
+            space = build_space(l, theta0)
+            return _with_nan(space, array) if space.dim == NAN_DIM else space
+
+        monkeypatch.setattr("qrotor.cli.build_space", poisoned_build)
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--max-dim", str(NAN_DIM), "-o", str(out)]) == 1
+        failed = [line for line in out.read_text().splitlines() if line.endswith(" FAIL")]
+        assert [line.split()[0] for line in failed] == [
+            name for _ in (0.0, 0.6) for name, _ in BP_CHECKS if name in NAN_CHECKS[array]
+        ]
+        assert all("dev=nan" in line for line in failed)
+        assert capsys.readouterr().err.count("deviation nan exceeds") == len(failed)
+
+
 SPACE_ARRAYS = ("angle_basis", "exp_iphi", "q_jz")
 
 
@@ -255,10 +323,12 @@ class TestAngleBasisAccuracy:
 
 
 MEMORY_DIM = 501
-# One complex D x D work buffer plus the float modulus array of the max-norm.
-CHECK_BUDGET = 24 * MEMORY_DIM**2
-# Allowance for phase vectors, FFT plan caches and Python objects; at
-# D = 501 they take about 10 KB per check and 0.22 MB per verify run.
+# One complex block of rows plus the float modulus array of its max-norm.
+BLOCK_BUDGET = 24 * _BLOCK_ROWS * MEMORY_DIM
+SPACE_BYTES = 2 * 16 * MEMORY_DIM**2  # angle_basis and exp_iphi
+# Allowance for phase vectors, FFT plan caches and work buffers and Python
+# objects; at D = 501 they take about 30 KB per check and 0.22 MB per verify
+# run.
 CHECK_SLACK = 64 * 1024
 RUN_SLACK = 1024 * 1024
 
@@ -279,12 +349,15 @@ class TestMemory:
     def test_check_works_in_one_buffer(self, name, check):
         space = build_space((MEMORY_DIM - 1) // 2, 0.6)
         check(space)  # numpy's FFT module and plan cache are loaded outside the trace
-        assert _traced_peak(check, space) <= CHECK_BUDGET + CHECK_SLACK
+        assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
+
+    def test_build_fills_the_stored_arrays_in_place(self):
+        build_space((MEMORY_DIM - 1) // 2, 0.6)
+        assert _traced_peak(build_space, (MEMORY_DIM - 1) // 2, 0.6) <= SPACE_BYTES + BLOCK_BUDGET + CHECK_SLACK
 
     def test_verify_keeps_one_space_alive(self, tmp_path):
-        space_bytes = 2 * 16 * MEMORY_DIM**2  # angle_basis and exp_iphi
         peak = _traced_peak(main, ["verify", "--max-dim", str(MEMORY_DIM), "-o", str(tmp_path / "verify.txt")])
-        assert peak <= space_bytes + CHECK_BUDGET + RUN_SLACK
+        assert peak <= SPACE_BYTES + BLOCK_BUDGET + RUN_SLACK
 
 
 def test_import_does_not_load_numpy_fft():

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qrotor.bp_space import MAX_DENSE_DIM
 from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, qbracket
 from qrotor.suq2 import build_irrep, check_casimir, check_commutators
 
@@ -81,6 +83,22 @@ class TestBuildIrrep:
         for j in (2.0, 5.0):
             with pytest.raises(RegimeError):
                 build_irrep(j, dim3)
+
+    @pytest.mark.parametrize("qp", [DY, None], ids=["deformed", "classical"])
+    @pytest.mark.parametrize("j,shown", [(1e9, "2000000001"), (1e308, "an integer of 309 digits")])
+    def test_rejects_multiplets_above_dense_cap_before_any_array(self, j, shown, qp):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^2j\\+1 = {shown} exceeds the dense-matrix cap {MAX_DENSE_DIM}$"):
+                build_irrep(j, qp)
+            assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+        finally:
+            tracemalloc.stop()
+
+    def test_dense_cap_edge(self):
+        assert build_irrep((MAX_DENSE_DIM - 1) / 2, None).jz.shape == (MAX_DENSE_DIM, MAX_DENSE_DIM)
+        with pytest.raises(ValueError, match="cap"):
+            build_irrep((MAX_DENSE_DIM + 1) / 2, None)
 
     @pytest.mark.parametrize("j", [-1.0, 0.3])
     def test_rejects_bad_spin(self, j):
