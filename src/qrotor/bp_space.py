@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParameter, _shown, max_abs, twice_spin
+from .qnum import QParameter, max_abs, twice_spin
 
 __all__ = [
     "MAX_DENSE_DIM",
@@ -144,7 +144,7 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     """
     dim = twice_spin(l) + 1
     if dim > MAX_DENSE_DIM:
-        raise ValueError(f"2l+1 = {_shown(dim)} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
+        raise ValueError(f"2l+1 = {dim} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
     qp = QParameter.from_dim(dim)
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")

@@ -6,13 +6,13 @@ A* = sum(e*f)/sum(f*f) with e the referenced experimental energies and
 f the referenced eigenvalue factors.  Energies are handled in keV; following the reporting
 convention, chi-squared is quoted in MeV^2.
 
-Every fit goes through one columnar kernel: it takes the level columns of
-a whole batch of bands (``model.Bands``, which the batch reader fills
-directly, or gathers from BandData objects once), the eigenvalue factors come
-from ``qnum.bracket`` over a per-band tau column (0.0 for the j(j+1)
-baseline), and the per-band sums from segment reductions.  ``fit_A`` and
-``compare`` are its one-band cases.  Per-level residuals are built from
-the columns only when read.
+Every fit goes through one columnar kernel over ``model.Bands``, the one
+level-column type, which the batch reader fills directly or gathers from
+BandData objects once.  The eigenvalue factors come from ``qnum.bracket``
+over a per-band tau column (0.0 for the j(j+1) baseline), and the per-band
+sums from ``Bands.sums``.  ``fit_A`` and ``compare`` are its one-band cases.
+A ``FitResult`` holds its ``Bands`` and builds per-level residuals from the
+columns only when read.
 """
 
 from __future__ import annotations
@@ -49,42 +49,22 @@ class FitError(ValueError):
     """The band admits no physical one-parameter fit."""
 
 
-class _Levels:
-    """The levels of a batch of bands as flat columns: spins ``j``, energies
-    ``e`` and head-referenced energies ``de``.  Band k owns the slice
-    ``starts[k]:starts[k] + counts[k]`` of every column."""
+def factors(bands: Bands, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Head-referenced eigenvalue factors [j][j+1] at each band's ``tau``
+    (0.0: j(j+1)), and per band whether it is in regime."""
+    t = np.repeat(tau, bands.counts)
+    with np.errstate(all="ignore"):
+        f = bracket(bands.j, t) * bracket(bands.j + 1.0, t)
+        f -= bands.head(f)
+        return f, in_regime(tau, bands.j[bands.starts + bands.counts - 1])
 
-    def __init__(self, bands: Bands):
-        self.bands = bands
-        self.counts = bands.counts
-        self.starts = bands.starts
-        self.j = bands.j
-        self.e = bands.e
-        self.de = self.e - self.head(self.e)
 
-    def head(self, column: np.ndarray) -> np.ndarray:
-        """Each band's first value of ``column``, repeated over its levels."""
-        return np.repeat(column[self.starts], self.counts)
-
-    def sums(self, column: np.ndarray) -> np.ndarray:
-        """Per-band sums of a level column."""
-        return np.add.reduceat(column, self.starts)
-
-    def factors(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Head-referenced eigenvalue factors [j][j+1] at each band's
-        ``tau`` (0.0: j(j+1)), and per band whether it is in regime."""
-        t = np.repeat(tau, self.counts)
-        with np.errstate(all="ignore"):
-            f = bracket(self.j, t) * bracket(self.j + 1.0, t)
-            f -= self.head(f)
-            return f, in_regime(tau, self.j[self.starts + self.counts - 1])
-
-    def score(self, f: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-band chi2 in MeV^2 and rms in keV at inertia parameters A."""
-        with np.errstate(all="ignore"):
-            diffs = (self.de - np.repeat(A, self.counts) * f) / KEV_PER_MEV
-            chi2 = self.sums(diffs**2)
-            return chi2, KEV_PER_MEV * np.sqrt(chi2 / self.counts)
+def score(bands: Bands, f: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-band chi2 in MeV^2 and rms in keV at inertia parameters A."""
+    with np.errstate(all="ignore"):
+        diffs = (bands.de - np.repeat(A, bands.counts) * f) / KEV_PER_MEV
+        chi2 = bands.sums(diffs**2)
+        return chi2, KEV_PER_MEV * np.sqrt(chi2 / bands.counts)
 
 
 @dataclass(frozen=True)
@@ -102,7 +82,7 @@ class FitResult:
     chi2: float
     rms: float
     qp: QParameter | None
-    _levels: _Levels = field(repr=False, compare=False)
+    _bands: Bands = field(repr=False, compare=False)
     _factors: np.ndarray = field(repr=False, compare=False)
     _band: int = field(repr=False, compare=False)
 
@@ -114,13 +94,13 @@ class FitResult:
         """The band's levels as float columns: spin j, experimental energy,
         theoretical energy (on the experimental band head) and their
         difference, all in keV."""
-        levels = self._levels
-        lo = int(levels.starts[self._band])
-        hi = lo + int(levels.counts[self._band])
+        bands = self._bands
+        lo = int(bands.starts[self._band])
+        hi = lo + int(bands.counts[self._band])
         f = self._factors[lo:hi]
-        theo = levels.e[lo] + self.A * f
-        diffs = levels.de[lo:hi] - self.A * f
-        return levels.j[lo:hi], levels.e[lo:hi], theo, diffs
+        theo = bands.e[lo] + self.A * f
+        diffs = bands.de[lo:hi] - self.A * f
+        return bands.j[lo:hi], bands.e[lo:hi], theo, diffs
 
 
 def _regime_error(band: BandData, qp: QParameter) -> RegimeError:
@@ -131,23 +111,23 @@ def _tau_column(qps: Sequence[QParameter | None]) -> np.ndarray:
     return np.fromiter((0.0 if qp is None else qp.tau for qp in qps), float, len(qps))
 
 
-def _fit(levels: _Levels, qps: Sequence[QParameter | None]) -> list[FitResult | FitError | RegimeError]:
+def _fit(bands: Bands, qps: Sequence[QParameter | None]) -> list[FitResult | FitError | RegimeError]:
     """The kernel: closed-form A, chi2 and rms of every band at once, at
     each band's tau, then each band's checks in order (regime, spread,
     A > 0, finite results)."""
-    f, regime = levels.factors(_tau_column(qps))
+    f, regime = factors(bands, _tau_column(qps))
     with np.errstate(all="ignore"):
-        sff = levels.sums(f * f)
-        A = levels.sums(levels.de * f) / sff
-    chi2, rms = levels.score(f, A)
+        sff = bands.sums(f * f)
+        A = bands.sums(bands.de * f) / sff
+    chi2, rms = score(bands, f, A)
     ok = regime & (sff != 0.0) & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
 
     results: list[FitResult | FitError | RegimeError] = []
     for k, (passed, qp, a, c, r) in enumerate(zip(ok.tolist(), qps, A.tolist(), chi2.tolist(), rms.tolist())):
         if passed:
-            results.append(FitResult(a, c, r, qp, levels, f, k))
+            results.append(FitResult(a, c, r, qp, bands, f, k))
             continue
-        band = levels.bands[k]
+        band = bands[k]
         if not regime[k]:
             results.append(_regime_error(band, qp))
         elif sff[k] == 0.0:
@@ -172,7 +152,7 @@ def fit_batch(
     """
     if len(bands) != len(qps):
         raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")
-    return _fit(_Levels(Bands.of(bands)), qps)
+    return _fit(Bands.of(bands), qps)
 
 
 def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
@@ -190,16 +170,22 @@ def compare_batch(
     """``compare`` over a batch: per band (deformed fit, or None when
     ``classical_only``; classical fit), or the first exception its checks
     raise, in the order classical FitError, BandError from the tau rule,
-    RegimeError, deformed FitError."""
+    RegimeError, deformed FitError.
+
+    With tau from the rule, a valid band never leaves the regime: its
+    three levels or more give j_max >= 2s, s the spin
+    step, so dim >= 6*j_max - 6s + 3 >= 3*j_max + 3 > 2*(j_max + 1), and
+    tau*(j_max + 1)/pi = 2*(j_max + 1)/dim is at most 2/3.  The RegimeError
+    branch stays for library callers who pick tau by hand.
+    """
     bands = Bands.of(bands)
-    levels = _Levels(bands)
-    classical = _fit(levels, [None] * len(bands))
+    classical = _fit(bands, [None] * len(bands))
     if classical_only:
         return [fit if isinstance(fit, ValueError) else (None, fit) for fit in classical]
 
     qps = [None if isinstance(fit, ValueError) else qp for qp, fit in zip(q_parameters(bands), classical)]
     # Bands that already failed are fitted classically here; that result is dropped.
-    deformed = _fit(levels, [qp if isinstance(qp, QParameter) else None for qp in qps])
+    deformed = _fit(bands, [qp if isinstance(qp, QParameter) else None for qp in qps])
     outcomes: list[tuple[FitResult | None, FitResult] | ValueError] = []
     for fit_cl, qp, fit_q in zip(classical, qps, deformed):
         failures = [x for x in (fit_cl, qp, fit_q) if isinstance(x, ValueError)]
@@ -218,9 +204,9 @@ def compare(band: BandData) -> tuple[FitResult, FitResult]:
 
 def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
     """Least-squares objective at a given A, in MeV^2."""
-    levels = _Levels(Bands.of([band]))
-    f, regime = levels.factors(_tau_column([qp]))
+    bands = Bands.of([band])
+    f, regime = factors(bands, _tau_column([qp]))
     if not regime[0]:
         raise _regime_error(band, qp)
-    chi2, _ = levels.score(f, np.array([A], dtype=float))
+    chi2, _ = score(bands, f, np.array([A], dtype=float))
     return float(chi2[0])

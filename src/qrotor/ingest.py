@@ -8,14 +8,15 @@ Band files are line-oriented UTF-8, with or without a leading byte-order mark:
     4 265.785
     ...
 
-Spins (integer or .5) and energies (keV) are ASCII decimals.  Blank lines and
-other ``#`` comments are ignored.  Files are read in batches: each file's
-text is scanned once (encoding, headers, field count, number syntax) into
-flat columns, then the half-integer grid and the band rules
-(``model.band_faults``) are checked over the whole batch at once; either
-way a failure names its line.  Serialization emits a canonical form that
-round-trips byte-identically.  All report output is deterministic: fixed
-formats, '.' decimal separator, no locale dependence.
+Spins (integer or .5, at most ``qnum.MAX_SPIN`` in magnitude) and energies
+(keV) are ASCII decimals.  Blank lines and other ``#`` comments are ignored.
+Files are read in batches: each file's text is scanned once (encoding,
+headers, field count, number syntax) into flat columns, then the spin test
+(``qnum.twice_spins``) and the band rules (``model.band_faults``) are
+checked over the whole batch at once; either way a failure names its line.
+Serialization emits a canonical form that round-trips byte-identically.  All
+report output is deterministic: fixed formats, '.' decimal separator, no
+locale dependence.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .fit import FitResult
 from .model import BandData, BandError, Bands, band_faults, spin_str
-from .qnum import twice_spins
+from .qnum import MAX_SPIN, twice_spins
 
 __all__ = [
     "BandParseError",
@@ -143,12 +144,15 @@ class _Columns:
         return text, name, notes, None
 
 
-def _number_fault(text: str, line_no: int, spin_ok: bool) -> tuple[int, str]:
-    """The fault of a data line whose spin or energy does not read."""
-    spin, energy = text.split("\n")[line_no - 1].split()
+def _number_fault(text: str, line_no: int, spin: float, spin_ok: bool) -> tuple[int, str]:
+    """The fault of a data line whose spin (read as ``spin``) or energy does
+    not read."""
+    spin_token, energy = text.split("\n")[line_no - 1].split()
     if spin_ok:
         return line_no, f"non-numeric energy {energy!r}"
-    return line_no, f"invalid spin {spin!r} (integer or half-integer)"
+    if math.isfinite(spin) and abs(spin) > MAX_SPIN:
+        return line_no, f"spin {spin_token!r} exceeds {MAX_SPIN}"
+    return line_no, f"invalid spin {spin_token!r} (integer or half-integer)"
 
 
 def _parse_batch(
@@ -189,7 +193,7 @@ def _parse_batch(
     first_bad = bad[np.searchsorted(bad, starts)]
     for k in np.flatnonzero(first_bad < starts + counts).tolist():
         at = first_bad[k]
-        faults[k] = _number_fault(decoded[k], line_nos[at], bool(spin_ok[at]))
+        faults[k] = _number_fault(decoded[k], line_nos[at], spins[at], bool(spin_ok[at]))
 
     faulty_bands = band_faults(names, twoj, energies, counts)
     outcomes: list[BandData | BandError] = []

@@ -6,21 +6,23 @@ be just large enough to contain the multiplets of every observed level,
     dim = sum over observed j of (2j+1),  bumped to the next odd number,
 
 and tau = 2*pi/dim.  Level energies are then A*[j][j+1] with a single
-inertia parameter A in keV.  Spins are stored internally as twice-spin
-integers so half-integer bands need no fractional arithmetic.  The band
-rules (``band_faults``) and the tau rule (``q_parameters``) each run over a
-whole batch of bands as numpy passes; one band is their one-item case.
+inertia parameter A in keV.  Spins are stored as twice-spin integers, int64
+under the cap ``qnum.MAX_SPIN``, so half-integer bands need no fractional
+arithmetic.  ``Bands`` is the one level-column type: the band rules
+(``band_faults``), the tau rule (``q_parameters``) and the fit kernel each
+run over its columns as numpy passes; one band is their one-item case.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime, twice_spin
+from .qnum import MAX_SPIN, QParameter, RegimeError, casimir_eigenvalue, in_regime, twice_spin
 
 __all__ = [
     "BandError",
@@ -56,12 +58,12 @@ def spin_str(twoj: int) -> str:
 class BandData:
     """One named rotational band: ordered (twice-spin, energy keV) levels.
 
-    Levels must be at least three, with nonnegative spins increasing by a
-    constant step, a head energy >= 0, and finite energies strictly
-    increasing with spin.  ``band_faults`` is the one place those rules are
-    checked, over a whole batch of bands; building a BandData from a level
-    list is its one-band case.  The levels are stored as a spin column and
-    an energy column; ``levels`` pairs them up when read.
+    Levels must be at least three, with nonnegative spins up to ``MAX_SPIN``
+    increasing by a constant step, a head energy >= 0, and finite energies
+    strictly increasing with spin.  ``band_faults`` is the one place those
+    rules are checked, over a whole batch of bands; building a BandData from
+    a level list is its one-band case.  The levels are stored as a spin
+    column and an energy column; ``levels`` pairs them up when read.
     """
 
     name: str
@@ -70,7 +72,9 @@ class BandData:
 
     def __init__(self, name: str, levels):
         twoj, energies = (tuple(column) for column in zip(*levels)) if levels else ((), ())
-        fault = band_faults([name], _exact_ints(twoj), np.array(energies, dtype=float), np.array([len(twoj)]))
+        # Past the cap, any twice-spin breaks the same rule, so one that fits int64 stands in.
+        capped = np.array([t if abs(t) <= 2 * MAX_SPIN else 2 * MAX_SPIN + 1 for t in twoj], dtype=np.int64)
+        fault = band_faults([name], capped, np.array(energies, dtype=float), np.array([len(twoj)]))
         if fault:
             raise fault[0]
         vars(self).update(name=name, _twoj=twoj, energies=energies)
@@ -116,31 +120,20 @@ class BandData:
         return tuple(twoj / 2 for twoj in self._twoj)
 
 
-def _exact_ints(values) -> np.ndarray:
-    """Integers as a column whose arithmetic is exact: int64 while every
-    value is below 2**53 in magnitude (so sums of a few stay exact), else
-    Python ints."""
-    try:
-        column = np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-    if column.size and (column.max() >= 2**53 or column.min() <= -(2**53)):
-        return np.array(values, dtype=object)
-    return column
-
-
 class Bands(Sequence):
     """The validated bands of one batch, each as a ``BandData`` and all as
-    flat columns: exact twice-spins ``twoj`` (see ``_exact_ints``) and
-    energies ``e``.  Band k owns the slice ``starts[k]:starts[k] + counts[k]``
-    of both."""
+    flat level columns: int64 twice-spins ``twoj``, spins ``j``, energies
+    ``e`` and head-referenced energies ``de``.  Band k owns the slice
+    ``starts[k]:starts[k] + counts[k]`` of every column."""
 
     def __init__(self, bands: list[BandData], twoj: np.ndarray, e: np.ndarray, counts: np.ndarray):
         self._bands = bands
-        self.twoj = _exact_ints(twoj)
+        self.twoj = np.asarray(twoj, dtype=np.int64)
+        self.j = self.twoj / 2
         self.e = e
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
+        self.de = e - self.head(e)
 
     @classmethod
     def of(cls, bands: Sequence[BandData]) -> "Bands":
@@ -148,8 +141,9 @@ class Bands(Sequence):
         if isinstance(bands, Bands):
             return bands
         counts = np.fromiter((len(band.energies) for band in bands), np.intp, len(bands))
-        twoj = [twoj for band in bands for twoj in band._twoj]
-        e = np.fromiter(chain.from_iterable(band.energies for band in bands), float, int(counts.sum()))
+        n = int(counts.sum())
+        twoj = np.fromiter(chain.from_iterable(band._twoj for band in bands), np.int64, n)
+        e = np.fromiter(chain.from_iterable(band.energies for band in bands), float, n)
         return cls(list(bands), twoj, e, counts)
 
     def __len__(self) -> int:
@@ -158,16 +152,20 @@ class Bands(Sequence):
     def __getitem__(self, index):
         return self._bands[index]
 
-    @property
-    def j(self) -> np.ndarray:
-        """The spins as floats."""
-        return np.asarray(self.twoj / 2, dtype=float)
+    def head(self, column: np.ndarray) -> np.ndarray:
+        """Each band's first value of ``column``, repeated over its levels."""
+        return np.repeat(column[self.starts], self.counts)
+
+    def sums(self, column: np.ndarray) -> np.ndarray:
+        """Per-band sums of a level column."""
+        return np.add.reduceat(column, self.starts)
 
 
 def _level_fault(rule: int, twoj: int, prev_twoj: int, twostep: int, e: float) -> str:
     """The message of level rule ``rule`` (numbered from 1 in the order
     ``band_faults`` checks them) for a level that breaks it."""
     return (
+        f"spin exceeds {MAX_SPIN}",
         f"spins must be nonnegative, got {spin_str(twoj)}",
         f"lowest level energy must be >= 0, got {e}",
         f"duplicate spin {spin_str(twoj)}",
@@ -187,7 +185,7 @@ def band_faults(names: Sequence[str], twoj: np.ndarray, e: np.ndarray, counts: n
     predecessor, so the error names the level whose own spin or energy
     breaks a rule, and within a level the rules go in ``_level_fault``'s
     order.  The level count comes last, so a fault in a two-level band still
-    names its level.  ``twoj`` must be exact (``_exact_ints``).
+    names its level.  ``twoj`` is int64.
     """
     starts = np.cumsum(counts) - counts
     head = np.zeros(len(e), dtype=bool)
@@ -198,6 +196,7 @@ def band_faults(names: Sequence[str], twoj: np.ndarray, e: np.ndarray, counts: n
     twostep = np.zeros(len(counts), dtype=twoj.dtype)
     twostep[pairs] = twoj[starts[pairs] + 1] - twoj[starts[pairs]]
     broken = [
+        np.abs(twoj) > 2 * MAX_SPIN,
         head & (twoj < 0),
         head & (e < 0),
         later & (twoj == prev_twoj),
@@ -225,7 +224,8 @@ def band_faults(names: Sequence[str], twoj: np.ndarray, e: np.ndarray, counts: n
 
 def _series_dim(head, step, count):
     """Sum of (2j+1) over ``count`` twice-spins from ``head`` by ``step``,
-    bumped to the next odd number if even; elementwise over columns."""
+    bumped to the next odd number if even; elementwise over columns.  Valid
+    bands have twice-spins up to 2**31, so every term stays below 2**63."""
     return (count * (head + 1) + step * count * (count - 1) // 2) | 1
 
 
@@ -256,14 +256,7 @@ def q_parameters(bands: Sequence[BandData]) -> list[QParameter | ValueError]:
     ``QParameter`` per distinct dimension."""
     bands = Bands.of(bands)
     head = bands.twoj[bands.starts]
-    step = bands.twoj[bands.starts + 1] - head
-    counts = bands.counts
-    # With int64 twice-spins below 2**53 (``_exact_ints``), each term of the
-    # series sum stays below count * 2**53, so the sum stays below 2**63 for
-    # fewer than 2**9 levels.
-    if head.dtype != object and len(counts) and counts.max() >= 2**9:
-        head, step, counts = head.astype(object), step.astype(object), counts.astype(object)
-    dims = _series_dim(head, step, counts).tolist()
+    dims = _series_dim(head, bands.twoj[bands.starts + 1] - head, bands.counts).tolist()
     made = {dim: _q_parameter(dim) for dim in set(dims)}
     return [made[dim] for dim in dims]
 
@@ -280,15 +273,17 @@ def q_parameter_from_band(band: BandData) -> QParameter:
 def energy(j: float, A: float, qp: QParameter | None) -> float:
     """Level energy A*[j][j+1] in keV; undeformed A*j*(j+1) for ``qp=None``.
 
-    Requires A > 0 and, in the deformed case, tau*(j+1) < pi so the band
-    stays in the monotone regime.
+    Requires a finite A > 0, a spin ``casimir_eigenvalue`` accepts and, in
+    the deformed case, tau*(j+1) < pi so the band stays in the monotone
+    regime.
     """
-    if not (A > 0):
-        raise ValueError(f"inertia parameter A must be positive, got {A}")
+    if not (0.0 < A < math.inf):
+        raise ValueError(f"inertia parameter A must be positive and finite, got {A}")
+    eigenvalue = casimir_eigenvalue(j, qp)
     if qp is not None and not in_regime(qp.tau, j):
         raise RegimeError(
             f"tau*(j+1) = {qp.tau * (j + 1.0):.4f} >= pi at j={j}, dim={qp.dim}; "
             "energies would leave the monotone regime"
         )
-    return A * casimir_eigenvalue(j, qp)
+    return A * eigenvalue
 

@@ -6,9 +6,11 @@ on the unit circle and reduces to the ordinary number x as tau -> 0.
 and tau, with tau = 0 giving x itself, so band energies, fits over a tau
 column and irrep matrices all share it.  ``in_regime`` is the one test of
 the monotone regime tau*(j_max+1) < pi, and ``twice_spins`` the one test
-that spins are finite and on the half-integer grid.  A ``QParameter`` is its
-odd space dimension alone, stored as an ``int``; tau = 2*pi/dim is derived
-from it on read.  Everything here is a pure function of immutable values.
+that spins are finite, on the half-integer grid and at most ``MAX_SPIN`` in
+magnitude, which keeps every twice-spin column int64.  A ``QParameter`` is
+its odd space dimension alone, stored as an ``int``; tau = 2*pi/dim is
+derived from it on read.  Everything here is a pure function of immutable
+values.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_SPIN",
     "QParameter",
     "RegimeError",
     "twice_spin",
@@ -36,38 +39,41 @@ class RegimeError(ValueError):
     small spin), e.g. a bracket under a square root went negative."""
 
 
-# Every float at least this large in magnitude is an integer, so its twice
-# is exact as a Python int even where 2.0 * spin overflows.
-_INTEGRAL_FLOATS = 2.0**52
+# The largest spin magnitude any entry point accepts; physical bands stay
+# below j = 100.  With it, a valid band's sum of (2j+1) stays below 2**62.
+MAX_SPIN = 2**30
 
 
 def twice_spins(spins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The half-integer grid test over a column of spins: each spin's exact
+    """The half-integer grid test over a column of spins: each spin's int64
     twice-spin (0 where the test fails) and whether it passes, that is,
-    whether it is finite and within 1e-9 of the half-integer grid.
-
-    The twice-spins are int64 while every spin is below 2**52 in magnitude;
-    otherwise they are Python ints, with 2*int(j) for the larger spins.
-    """
+    whether it is finite, at most ``MAX_SPIN`` in magnitude and within 1e-9
+    of the half-integer grid."""
     spins = np.asarray(spins, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         doubled = np.round(2.0 * spins)
-        integral = np.isfinite(spins) & (np.abs(spins) >= _INTEGRAL_FLOATS)
-        on_grid = integral | (np.abs(2.0 * spins - doubled) <= 1e-9)
-    if not integral.any():
-        return np.where(on_grid, doubled, 0.0).astype(np.int64), on_grid
-    exact = [2 * int(j) if big else int(d) if ok else 0
-             for j, d, big, ok in zip(spins.tolist(), doubled.tolist(), integral.tolist(), on_grid.tolist())]
-    return np.array(exact, dtype=object), on_grid
+        on_grid = (np.abs(spins) <= MAX_SPIN) & (np.abs(2.0 * spins - doubled) <= 1e-9)
+    return np.where(on_grid, doubled, 0.0).astype(np.int64), on_grid
+
+
+def _checked_spin(j: float) -> float:
+    """``j`` as a float; ValueError naming it if it is not finite or its
+    magnitude is above ``MAX_SPIN``."""
+    try:
+        value = float(j)
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"spin {_shown(j)} exceeds {MAX_SPIN}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"spin must be finite, got {j}")
+    if abs(value) > MAX_SPIN:
+        raise ValueError(f"spin {j} exceeds {MAX_SPIN}")
+    return value
 
 
 def twice_spin(j: float) -> int:
     """Convert a decimal spin (integer or half-integer) to a twice-spin int:
     the one-spin case of ``twice_spins``."""
-    value = float(j)
-    twoj, on_grid = twice_spins(np.array([value]))
-    if not math.isfinite(value):
-        raise ValueError(f"spin must be finite, got {j}")
+    twoj, on_grid = twice_spins(np.array([_checked_spin(j)]))
     if not on_grid[0]:
         raise ValueError(f"spin must be an integer or half-integer, got {j}")
     return int(twoj[0])
@@ -146,9 +152,10 @@ def qbracket(x: float, qp: QParameter) -> float:
 def casimir_eigenvalue(j: float, qp: QParameter | None) -> float:
     """Invariant-operator eigenvalue [j][j+1] on the spin-j multiplet.
 
-    With ``qp=None`` returns the undeformed j*(j+1).
+    With ``qp=None`` returns the undeformed j*(j+1).  Raises ValueError for
+    a spin that is negative, not finite or above ``MAX_SPIN``.
     """
-    if not (j >= 0):
+    if _checked_spin(j) < 0:
         raise ValueError(f"spin must be nonnegative, got {j}")
     tau = 0.0 if qp is None else qp.tau
     return float(bracket(j, tau) * bracket(j + 1.0, tau))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp_space import MAX_DENSE_DIM
-from .qnum import QParameter, RegimeError, _shown, bracket, casimir_eigenvalue, max_abs, twice_spin
+from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue, max_abs, twice_spin
 
 __all__ = ["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir"]
 
@@ -62,7 +62,7 @@ def build_irrep(j: float, qp: QParameter | None) -> IrrepMatrices:
     if twoj < 0:
         raise ValueError(f"spin must be nonnegative, got {j}")
     if twoj + 1 > MAX_DENSE_DIM:
-        raise ValueError(f"2j+1 = {_shown(twoj + 1)} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
+        raise ValueError(f"2j+1 = {twoj + 1} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
     tau = 0.0 if qp is None else qp.tau
 
     m = (twoj - 2.0 * np.arange(twoj + 1)) / 2.0

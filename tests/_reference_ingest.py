@@ -2,8 +2,8 @@
 file at a time, line by line, with the band rules checked level by level.
 
 Tests compare the batch reader in ``qrotor.ingest`` with it.  Its spin rule
-is the sequential statement of the half-integer grid test: finite, and
-twice an integer-valued float of magnitude 2**52 or more is taken exactly.
+is the sequential statement of the half-integer grid test: finite, at most
+``MAX_SPIN`` in magnitude, and within 1e-9 of the half-integer grid.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from pathlib import Path
 
 from qrotor.ingest import BandFile, BandParseError
 from qrotor.model import BandData, BandError, spin_str
+from qrotor.qnum import MAX_SPIN
 
 
 def _twice_spin(j: float) -> int:
     if not math.isfinite(j):
         raise ValueError(f"spin must be finite, got {j}")
-    if abs(j) >= 2.0**52:
-        return 2 * int(j)
+    if abs(j) > MAX_SPIN:
+        raise ValueError(f"spin {j} exceeds {MAX_SPIN}")
     doubled = 2 * j
     twoj = round(doubled)
     if abs(doubled - twoj) > 1e-9:
@@ -94,7 +95,13 @@ def reference_parse_band_file(text: bytes | str, path: Path | None = None) -> Ba
         if len(tokens) != 2:
             raise BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
         try:
-            twoj = _twice_spin(_decimal(tokens[0]))
+            spin = _decimal(tokens[0])
+        except ValueError:
+            spin = math.nan
+        if math.isfinite(spin) and abs(spin) > MAX_SPIN:
+            raise BandParseError(line_no, f"spin {tokens[0]!r} exceeds {MAX_SPIN}")
+        try:
+            twoj = _twice_spin(spin)
         except ValueError:
             raise BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)") from None
         try:

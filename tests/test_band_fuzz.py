@@ -10,12 +10,15 @@ from qrotor.cli import main
 from qrotor.ingest import BandParseError, parse_band, parse_band_file, write_band
 from test_cli import _strict_json
 
-# Messages of the per-level rules checked by BandData (the rest are text rules).
+# Messages of the per-level rules checked by BandData, and of the spin cap
+# (the rest are text rules).
 LEVEL_RULES = ("spins must be", "lowest level energy", "duplicate spin", "inconsistent spin step",
-               "energies must be", "energy must be finite")
+               "energies must be", "energy must be finite", "spin '")
 
+# Spins at the cap, 2**30, past it, twice it and past minus it.
+CAP_TOKENS = [b"1073741824", b"1073741824.5", b"1073741825", b"2147483648", b"-1073741825"]
 TOKENS = [b"0", b"1", b"2", b"4", b"5", b"-0", b"-2", b"2.5", b"1_0", b"nan", b"inf", b"-inf", b"1e308",
-          b"x", b"\x0c", "\u2028".encode(), b"\xff", b"\xc3"]
+          b"x", b"\x0c", "\u2028".encode(), b"\xff", b"\xc3"] + CAP_TOKENS
 OTHER_LINES = [b"# nucleus:", b"# nucleus: y", "# nucleus: \u03b1 y".encode(), b"# note: n", b"# note:",
                b"# comment", b""]
 

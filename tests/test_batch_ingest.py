@@ -15,14 +15,14 @@ from _reference_ingest import reference_read_band_file
 from qrotor.cli import main
 from qrotor.ingest import BandFile, read_band_file, read_bands
 from qrotor.model import BandData, BandError
-from test_band_fuzz import TOKENS, band_texts
+from test_band_fuzz import CAP_TOKENS, TOKENS, band_texts
 
-# Spins whose twice is exact only as a Python int; 1e308 doubles past the
-# largest float.
-HUGE_SPINS = [b"1e16", b"9007199254740993", b"1e300", b"1e308"]
-# Starts around 2**51, 2**52 and 2**53, where the float spacing reaches 0.5,
-# 1 and 2, then past them.
-HUGE_STARTS = (0.0, 0.5, 2.0, 2.0**51 - 1, 2.0**52 - 2, 2.0**53 - 4, 1e16, 1e300, 1e308)
+# Spins on both sides of the cap, 2**30, and far past it; 1e308 doubles past
+# the largest float.
+HUGE_SPINS = [b"1073741823.5", b"1073741824", b"1073741824.5", b"1073741825", b"2147483648", b"1e16", b"1e308"]
+# Starts whose bands end below, at or past the cap, or begin past it.
+HUGE_STARTS = (0.0, 0.5, 2.0, 2.0**30 - 8, 2.0**30 - 4, 2.0**30 - 1, 2.0**30 - 0.5, 2.0**30, 2.0**30 + 0.5,
+               1e16, 1e308)
 
 # A file's bytes, mostly band text, or None for a path with no file.
 batch_files = st.lists(
@@ -73,10 +73,10 @@ def test_batch_reader_matches_sequential_oracle(work, files):
             assert getattr(outcome, "line", None) == getattr(expected, "line", None)
 
 
-# Tokens whose reading is the same before and after twice a spin of 2**52 or
-# more became exact; a spin past about 9e307 is left out, since it was read
-# as not finite before.
-MIXED_TOKENS = [token for token in TOKENS if token != b"1e308"] + [
+# Tokens of the mixed directory, the same files as when it was first pinned:
+# a spin past about 9e307 and the cap tokens are left out.  Its three huge
+# spins, from 1e16, are now refused by the spin cap.
+MIXED_TOKENS = [token for token in TOKENS if token != b"1e308" and token not in CAP_TOKENS] + [
     b"1e16", b"9007199254740993", b"1e300", b"2.25", b"0.5", b"1e-7", b"+3"]
 FIXED_FILES = [
     b"# nucleus: spaced\n\t2\t80 \n# mid\n\n4  265\x0c\n6 548\n",
@@ -132,12 +132,15 @@ def write_mixed_directory(directory, seed=10, count=2000):
 
 
 # (exit code, SHA-256 and length of stdout, SHA-256 and length of stderr) of
-# each subcommand over the mixed directory, taken from the sequential reader.
-MIXED_ERRORS = ("3a1e7a8b01254954a2e1466a0cf0d8038701e6f2124344468fef233ba052d74c", 51851)
+# each subcommand over the mixed directory.  First taken from the sequential
+# reader, then re-taken when spins were capped at 2**30: the "huge" band's
+# rows (spins from 1e16) left stdout, and the diagnostics of the files that
+# hold a spin past the cap changed.  Nothing else did.
+MIXED_ERRORS = ("8f507a06f2c7d090ac3f334fe8a7660a378c4bdc40649eddad93cb3bb99eeb74", 52595)
 MIXED_PINS = {
-    ("table",): (1, "a85c89e40098f41e4f38c2b2393fae85318ba5415ee6789c15b38ec41d26ec62", 78450, *MIXED_ERRORS),
-    ("table", "--json"): (1, "4c162dc71513d81f3f458c61118d2a77ff54e61d1a4b5abf86a5d5ce9c5e41a8", 2363791, *MIXED_ERRORS),
-    ("plotdata",): (1, "a6e9ecb66329eba5a4827c6d3cdd48c22d4ab5c23fcb507a558df2cc92bff011", 472970, *MIXED_ERRORS),
+    ("table",): (1, "c3f1cc96b0c69d7791d2b21ce8776a47e19d19f64ec3f8b86c6d744c5d55237f", 77379, *MIXED_ERRORS),
+    ("table", "--json"): (1, "39ea695068fa431324270b8a7e4d201b95321398055500e64ccefc7723ce047d", 2345023, *MIXED_ERRORS),
+    ("plotdata",): (1, "4ec31e1571d29fdc41018bfee1c4e10c14a272c8124202b7ae1b7a3363b5a30e", 468941, *MIXED_ERRORS),
 }
 
 

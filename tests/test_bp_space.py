@@ -87,8 +87,11 @@ class TestBuildSpace:
             build_space(l)
 
     def test_spin_doubled_past_float_range_hits_dense_cap(self):
-        with pytest.raises(ValueError, match="^2l\\+1 = an integer of 309 digits exceeds the dense-matrix cap 1001$"):
+        # the spin cap comes first; the largest spin it admits hits the dense cap
+        with pytest.raises(ValueError, match="^spin 1e\\+308 exceeds 1073741824$"):
             build_space(1e308)
+        with pytest.raises(ValueError, match="^2l\\+1 = 2147483649 exceeds the dense-matrix cap 1001$"):
+            build_space(2**30)
 
     def test_rejects_half_integer_l(self):
         # 2l+1 even contradicts the odd-dimension invariant

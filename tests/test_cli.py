@@ -17,11 +17,13 @@ GOOD = b"# nucleus: goodium\n2 100.0\n4 330.0\n6 690.0\n"
 BAD = b"# nucleus: badium\n2 100.0\n4 330.0\n8 690.0\n"
 # Finite input whose least-squares sums overflow to inf or nan.
 OVERFLOW = b"# nucleus: overflowium\n0 0\n1 1e-7\n2 1e308\n"
+# Spins past the cap, 2**30.
 HUGE_SPINS = b"# nucleus: hugium\n0 0\n1e300 1\n2e300 2\n"
 INF_SPIN = b"# nucleus: infinitium\n0 0\ninf 1\n2 2\n"
-# Finite spins whose twice overflows a float.
-MAX_SPIN = b"# nucleus: maximium\n0 0\n1e308 1\n6 2\n"
-MAX_SPINS = b"# nucleus: maximium\n1e308 0\n1.0000000000000002e308 1\n1.0000000000000004e308 2\n"
+# Finite spins whose twice overflows a float, and spins just past the cap.
+FLOAT_MAX_SPIN = b"# nucleus: maximium\n0 0\n1e308 1\n6 2\n"
+FLOAT_MAX_SPINS = b"# nucleus: maximium\n1e308 0\n1.0000000000000002e308 1\n1.0000000000000004e308 2\n"
+PAST_CAP_SPINS = b"# nucleus: maximium\n1073741823 0\n1073741824 1\n1073741825 2\n"
 
 BUNDLED_TABLE = (
     "nucleus       tau   A[keV]   1e3*chi2  rms[keV]  rms_cl[keV]\n"
@@ -151,12 +153,15 @@ class TestTableCommand:
         failed = [line.split(":")[1].strip() for line in captured.err.splitlines()]
         assert failed == [str(tmp_path / name) for name in ("b.band", "c.band", "e.band", "f.band", "g.band")]
         assert "line 4" in captured.err and "line 3: invalid spin 'inf'" in captured.err
+        assert "line 3: spin '1e300' exceeds 1073741824" in captured.err
         rows = [line.split()[0] for line in captured.out.splitlines()[1:]]
         assert rows == ["goodium", "162Dy", "goodium"]
 
     @pytest.mark.parametrize("content", [OVERFLOW, HUGE_SPINS])
     @pytest.mark.parametrize("as_json", [False, True])
     def test_non_finite_fit_fails_closed(self, capsys, tmp_path, dy162_path, content, as_json):
+        # the huge spins are refused by the spin cap before any fit
+        diagnostic = {OVERFLOW: "no finite fit", HUGE_SPINS: "line 3: spin '1e300' exceeds 1073741824"}[content]
         bad = tmp_path / "bad.band"
         bad.write_bytes(content)
         with warnings.catch_warnings():
@@ -164,7 +169,7 @@ class TestTableCommand:
             code = main(["table", *(["--json"] if as_json else []), str(dy162_path), str(bad)])
         assert code == 1
         captured = capsys.readouterr()
-        assert f"{bad}: " in captured.err and "no finite fit" in captured.err
+        assert f"{bad}: " in captured.err and diagnostic in captured.err
         assert "overflowium" not in captured.out and "hugium" not in captured.out
         assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
         if as_json:
@@ -179,9 +184,10 @@ class TestTableCommand:
         assert "line 3: invalid spin 'inf'" in captured.err
 
     @pytest.mark.parametrize("content,diagnostic", [
-        (MAX_SPIN, "line 4: spins must be strictly increasing"),
-        (MAX_SPINS, "band 'maximium' has no finite fit: A, chi2 or rms overflows"),
-    ], ids=["one", "all"])
+        (FLOAT_MAX_SPIN, "line 3: spin '1e308' exceeds 1073741824"),
+        (FLOAT_MAX_SPINS, "line 2: spin '1e308' exceeds 1073741824"),
+        (PAST_CAP_SPINS, "line 4: spin '1073741825' exceeds 1073741824"),
+    ], ids=["one", "all", "past-cap"])
     @pytest.mark.parametrize("argv", [["table"], ["table", "--json"], ["plotdata"]], ids=" ".join)
     def test_spin_doubled_past_float_range_is_a_band_diagnostic(self, capsys, tmp_path, dy162_path,
                                                                content, diagnostic, argv):

@@ -84,10 +84,10 @@ class TestParseBand:
 
     @pytest.mark.parametrize("spin", ["1e308", "1.7976931348623157e308"])
     def test_spin_doubled_past_float_range(self, spin):
-        # finite, so on the grid: the band rules, not the spin syntax, reject it
+        # finite, but far past the spin cap, which names its own line
         with pytest.raises(BandParseError) as exc_info:
             parse_band(f"# nucleus: x\n0 1.0\n{spin} 2.0\n6 4.0\n")
-        assert str(exc_info.value) == "line 4: spins must be strictly increasing"
+        assert str(exc_info.value) == f"line 3: spin '{spin}' exceeds 1073741824"
 
     @pytest.mark.parametrize("row,message", [
         ("1_2 2.0", "invalid spin '1_2' (integer or half-integer)"),

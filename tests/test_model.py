@@ -1,10 +1,11 @@
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qrotor.ingest import read_bands, write_band
+from qrotor.ingest import read_bands
 from qrotor.model import (
     BandData,
     BandError,
@@ -15,11 +16,20 @@ from qrotor.model import (
     spin_str,
     twice_spin,
 )
-from qrotor.qnum import QParameter, RegimeError
+from qrotor.qnum import MAX_SPIN, QParameter, RegimeError, in_regime
 
 
 def make_band(spins, energies, name="test"):
     return BandData.from_levels(name, list(zip(spins, energies)))
+
+
+@st.composite
+def series_to_the_cap(draw):
+    """(head twice-spin, twice-step, level count) of a band whose spins stay
+    within the cap."""
+    count = draw(st.integers(3, 40))
+    step = draw(st.integers(1, 2 * MAX_SPIN // (count - 1)))
+    return draw(st.integers(0, 2 * MAX_SPIN - step * (count - 1))), step, count
 
 
 MALFORMED_RANGES = {
@@ -50,9 +60,17 @@ class TestSpinHelpers:
 
     @pytest.mark.parametrize("j", [1e308, -1e308, 1.7976931348623157e308, 1e300, 1e16, 2.0**53, 2.0**52])
     def test_twice_spin_of_integral_float(self, j):
-        # every float of magnitude 2**52 or more is an integer; its twice is
-        # exact, even where 2.0 * j overflows
-        assert twice_spin(j) == 2 * int(j)
+        # every float of magnitude 2**52 or more is an integer, and far past
+        # the spin cap, even where 2.0 * j overflows
+        with pytest.raises(ValueError, match=f"^spin {re.escape(str(j))} exceeds 1073741824$"):
+            twice_spin(j)
+
+    def test_twice_spin_at_the_cap(self):
+        assert MAX_SPIN == 2**30
+        assert (twice_spin(2**30), twice_spin(-(2**30)), twice_spin(2**30 - 0.5)) == (2**31, -(2**31), 2**31 - 1)
+        for j in (2**30 + 0.5, 2**30 + 1, -(2**30) - 1, 2**70, -(10**400)):
+            with pytest.raises(ValueError, match="exceeds 1073741824$"):
+                twice_spin(j)
 
     @pytest.mark.parametrize("twoj,text", [(4, "2"), (15, "7.5"), (0, "0"), (1, "0.5")])
     def test_spin_str(self, twoj, text):
@@ -127,6 +145,24 @@ class TestQParameterFromBand:
         big = make_band(range(2, 19, 2), [100 * k * k for k in range(1, 10)])
         assert q_parameter_from_band(big).tau < q_parameter_from_band(small).tau
 
+    # Three levels or more give j_max >= 2s, s the spin step, so
+    # dim >= 6*j_max - 6s + 3 >= 3*j_max + 3 > 2*(j_max + 1): the margin
+    # tau*(j_max + 1)/pi = (2*j_max + 2)/dim is at most 2/3, reached by
+    # spins 0, 1, 2.
+    @given(series_to_the_cap())
+    @example((0, 2, 3))
+    @example((0, MAX_SPIN, 3))
+    @example((2 * MAX_SPIN - 39, 1, 40))
+    def test_rule_tau_stays_in_regime(self, series):
+        head, step, count = series
+        twoj = [head + k * step for k in range(count)]
+        band = BandData("x", [(t, float(k)) for k, t in enumerate(twoj)])
+        qp = q_parameters([band])[0]
+        assert qp.dim == sum(t + 1 for t in twoj) | 1
+        twoj_max = twoj[-1]
+        assert 3 * (twoj_max + 2) <= 2 * qp.dim
+        assert in_regime(qp.tau, twoj_max / 2)
+
     @given(st.integers(0, 10), st.integers(1, 4), st.integers(2, 12))
     def test_band_tau_below_half_pi(self, twice_jmin, twice_step, extra):
         # any fittable band yields 0 < tau < pi/2
@@ -154,6 +190,21 @@ class TestEnergy:
             energy(2.0, 0.0, None)
         with pytest.raises(ValueError):
             energy(2.0, -1.0, None)
+        for A in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^inertia parameter A must be positive and finite, got {A}$"):
+                energy(2.0, A, None)
+
+    @pytest.mark.parametrize("qp", [None, QParameter.from_dim(189)], ids=["classical", "deformed"])
+    @pytest.mark.parametrize("j,message", [
+        (1e200, "spin 1e+200 exceeds 1073741824"), (2.0**30 + 1, "spin 1073741825.0 exceeds 1073741824"),
+        (math.nan, "spin must be finite, got nan"), (math.inf, "spin must be finite, got inf"),
+        (-math.inf, "spin must be finite, got -inf"), (10**400, "spin an integer of 401 digits exceeds 1073741824"),
+    ], ids=["1e200", "cap+1", "nan", "inf", "-inf", "10**400"])
+    def test_rejects_spin_not_finite_or_past_the_cap(self, j, message, qp):
+        # a spin error, not a RegimeError or an inf energy
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc_info:
+            energy(j, 1.0, qp)
+        assert type(exc_info.value) is ValueError
 
     def test_rejects_regime_violation(self):
         with pytest.raises(RegimeError):
@@ -184,30 +235,32 @@ class TestEnergy:
             assert abs(energy(j, 5.0, None) - energy(j, 5.0, qp)) < 1e-4
 
 
-def _written(directory, band):
-    path = directory / "band.band"
-    path.write_bytes(write_band(band))
-    return path
-
-
 class TestTauRuleExactness:
-    # (head spin, spin step, level count): spins past 2**52, whose twice-spins
-    # overflow int64 in the series sum, and many levels just below it.
+    # (head spin, spin step, level count).  Up to the spin cap the dimension
+    # is the exact series sum; reading a band past it gives the cap
+    # diagnostic at the line of its first spin past the cap.
     @pytest.mark.parametrize("j_min,step,count", [
         (1e18, 128.0, 5), (2e18, 256.0, 3), (2.0**62, 2.0**10, 3), (2.0**51, 2.0**39, 2000), (1e16, 2.0, 3),
-        (1e300, 2.0**950, 3),
-    ], ids=["1e18", "2e18", "2**62", "2000-levels", "1e16", "1e300"])
+        (1e300, 2.0**950, 3), (2.0**30 - 2, 1.0, 3), (2.0**30 - 1999 * 2.0**10, 2.0**10, 2000),
+        (0.0, 2.0**29, 3), (2.0**30 - 19.5, 0.5, 40), (2.0**30 - 1, 0.5, 4),
+    ], ids=["1e18", "2e18", "2**62", "2000-levels", "1e16", "1e300", "cap", "cap-2000-levels", "cap-wide-step",
+            "cap-half-step", "past-cap"])
     def test_dim_is_the_exact_series_sum(self, tmp_path, j_min, step, count):
-        band = make_band([j_min + k * step for k in range(count)], [float(k) for k in range(count)])
+        spins = [j_min + k * step for k in range(count)]
+        path = tmp_path / "band.band"
+        path.write_text("# nucleus: x\n" + "".join(f"{j!r} {k}\n" for k, j in enumerate(spins)))
+        (outcome,), read = read_bands([path])
+        if spins[-1] > MAX_SPIN:
+            past = next(k for k, j in enumerate(spins) if j > MAX_SPIN)
+            assert str(outcome) == f"line {past + 2}: spin '{spins[past]!r}' exceeds 1073741824"
+            with pytest.raises(ValueError, match="exceeds 1073741824$"):
+                make_band(spins, [float(k) for k in range(count)])
+            return
+        band = make_band(spins, [float(k) for k in range(count)])
         a, s = twice_spin(j_min), twice_spin(step)
         dim = sum(twoj + 1 for twoj in range(a, a + count * s, s)) | 1
-        try:
-            expected = QParameter(dim)
-        except ValueError as exc:
-            expected = exc
-        _, read = read_bands([_written(tmp_path, band)])
         for got in (q_parameters([band, DY_BAND])[0], q_parameters([band])[0], q_parameters(read)[0]):
-            assert type(got) is type(expected) and str(got) == str(expected)
+            assert got == QParameter(dim)
         assert q_parameters([DY_BAND, band])[0] == q_parameter_from_band(DY_BAND)
 
 
@@ -268,6 +321,23 @@ class TestBandData:
         with pytest.raises(BandError) as exc_info:
             make_band(spins, energies)
         assert (exc_info.value.level, str(exc_info.value)) == (level, message)
+
+    # raw twice-spins -> (index of the offending level); the cap rule comes
+    # first, and twice-spins past int64 are refused the same way
+    RAW_PAST_CAP = {
+        "past-int64": ([0, 2**70, 2**71], 1),
+        "negative-past-int64": ([-(2**70), 0, 2**70], 0),
+        "huge-int": ([2, 4, 10**400], 2),
+        "past-cap": ([2**31 - 2, 2**31, 2**31 + 2], 2),
+        "negative-past-cap": ([-(2**31) - 1, 1, 3], 0),
+    }
+
+    @pytest.mark.parametrize("case", list(RAW_PAST_CAP))
+    def test_raw_twice_spins_past_the_cap(self, case):
+        twoj, level = self.RAW_PAST_CAP[case]
+        with pytest.raises(BandError) as exc_info:
+            BandData("x", [(t, float(k)) for k, t in enumerate(twoj)])
+        assert (exc_info.value.level, str(exc_info.value)) == (level, "spin exceeds 1073741824")
 
     def test_level_free_errors_have_no_index(self):
         for spins, name in (([2, 4], "x"), ([2, 4, 6], "")):

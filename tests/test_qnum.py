@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -96,10 +97,11 @@ def _sequential_twice_spin(j):
         return None
 
 
-# Spins on and off the half-integer grid below 2**52, where a float can hold
-# a fraction, and integral floats from 2**52 up, whose doubles reach past the
-# largest float.
-FRACTIONAL_RANGE = [0.0, -0.0, 0.5, -0.5, 2.5, 7.5, 0.3, 0.25, 0.5 + 1e-10, 0.5 + 1e-8, 2.0**51 + 0.5,
+# Spins on and off the half-integer grid, where a float can hold a fraction,
+# on both sides of the cap, 2**30; and integral floats from 2**52 up, far past
+# the cap, whose doubles reach past the largest float.
+FRACTIONAL_RANGE = [0.0, -0.0, 0.5, -0.5, 2.5, 7.5, 0.3, 0.25, 0.5 + 1e-10, 0.5 + 1e-8, 2.0**30 - 0.5,
+                    2.0**30, -(2.0**30), 2.0**30 + 0.5, -(2.0**30) - 0.5, 2.0**30 + 1, 2.0**51 + 0.5,
                     2.0**52 - 0.5, math.inf, -math.inf, math.nan]
 INTEGRAL_RANGE = [2.0**52, 2.0**53, 9007199254740993.0, 1e16, 1e300, 1e308, -1e308, 1.7976931348623157e308]
 
@@ -109,7 +111,7 @@ class TestGridColumn:
                              ids=["fractional", "integral", "both"])
     def test_agrees_with_sequential_rule(self, spins):
         twoj, on_grid = qnum.twice_spins(np.array(spins))
-        assert twoj.dtype == (np.int64 if spins is FRACTIONAL_RANGE else object)
+        assert twoj.dtype == np.int64
         got = [value if ok else None for value, ok in zip(twoj.tolist(), on_grid.tolist())]
         assert got == [_sequential_twice_spin(j) for j in spins]
         for j, value in zip(spins, got):
@@ -232,6 +234,17 @@ class TestCasimirEigenvalue:
     def test_rejects_negative_spin(self):
         with pytest.raises(ValueError):
             casimir_eigenvalue(-1.0, QParameter.from_dim(5))
+
+    @pytest.mark.parametrize("qp", [None, QParameter.from_dim(DY_DIM)], ids=["classical", "deformed"])
+    @pytest.mark.parametrize("j,message", [
+        (1e200, "spin 1e+200 exceeds 1073741824"), (2.0**30 + 0.5, "spin 1073741824.5 exceeds 1073741824"),
+        (-1e200, "spin -1e+200 exceeds 1073741824"), (math.nan, "spin must be finite, got nan"),
+        (math.inf, "spin must be finite, got inf"), (10**400, "spin an integer of 401 digits exceeds 1073741824"),
+    ], ids=["1e200", "cap+0.5", "-1e200", "nan", "inf", "10**400"])
+    def test_rejects_spin_not_finite_or_past_the_cap(self, j, message, qp):
+        # a spin error, never an inf eigenvalue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            casimir_eigenvalue(j, qp)
 
     @settings(max_examples=50)
     @given(st.integers(min_value=1, max_value=30), odd_dims.filter(lambda d: d >= 101))

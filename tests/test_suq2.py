@@ -85,12 +85,22 @@ class TestBuildIrrep:
                 build_irrep(j, dim3)
 
     @pytest.mark.parametrize("qp", [DY, None], ids=["deformed", "classical"])
-    @pytest.mark.parametrize("j,shown", [(1e9, "2000000001"), (1e308, "an integer of 309 digits")])
+    @pytest.mark.parametrize("j,shown", [(1e9, "2000000001"), (2**30, "2147483649")])
     def test_rejects_multiplets_above_dense_cap_before_any_array(self, j, shown, qp):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"^2j\\+1 = {shown} exceeds the dense-matrix cap {MAX_DENSE_DIM}$"):
                 build_irrep(j, qp)
+            assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("qp", [DY, None], ids=["deformed", "classical"])
+    def test_rejects_spins_past_the_cap_before_any_array(self, qp):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^spin 1e\\+308 exceeds 1073741824$"):
+                build_irrep(1e308, qp)
             assert tracemalloc.get_traced_memory()[1] < 64 * 1024
         finally:
             tracemalloc.stop()
