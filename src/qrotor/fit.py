@@ -9,8 +9,9 @@ convention, chi-squared is quoted in MeV^2.
 Every fit goes through one columnar kernel over ``model.Bands``, the one
 level-column type, which the batch reader fills directly or gathers from
 BandData objects once.  The eigenvalue factors come from ``qnum.bracket``
-over a per-band tau column (0.0 for the j(j+1) baseline), and the per-band
-sums from ``Bands.sums``.  ``fit_A`` and ``compare`` are its one-band cases.
+over a tau matrix, one row per variant (0.0 for the j(j+1) baseline), and
+the per-band sums from ``Bands.sums``.  ``fit_A`` and ``compare`` are its
+one-band cases; ``compare`` fits both variants in one pass.
 A ``FitResult`` holds its ``Bands`` and builds per-level residuals from the
 columns only when read.
 """
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BandData, Bands, q_parameters
+from .model import BandData, Bands, _check_inertia, q_parameters
 from .qnum import QParameter, RegimeError, bracket, in_regime
 
 __all__ = [
@@ -51,8 +52,9 @@ class FitError(ValueError):
 
 def factors(bands: Bands, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Head-referenced eigenvalue factors [j][j+1] at each band's ``tau``
-    (0.0: j(j+1)), and per band whether it is in regime."""
-    t = np.repeat(tau, bands.counts)
+    (0.0: j(j+1)) and whether each band is in regime; ``tau`` holds one
+    value per band, or one row of them per variant."""
+    t = np.repeat(tau, bands.counts, axis=-1)
     with np.errstate(all="ignore"):
         f = bracket(bands.j, t) * bracket(bands.j + 1.0, t)
         f -= bands.head(f)
@@ -60,9 +62,9 @@ def factors(bands: Bands, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def score(bands: Bands, f: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-band chi2 in MeV^2 and rms in keV at inertia parameters A."""
+    """Per-band chi2 in MeV^2 and rms in keV at inertia parameters A, row by row."""
     with np.errstate(all="ignore"):
-        diffs = (bands.de - np.repeat(A, bands.counts) * f) / KEV_PER_MEV
+        diffs = (bands.de - np.repeat(A, bands.counts, axis=-1) * f) / KEV_PER_MEV
         chi2 = bands.sums(diffs**2)
         return chi2, KEV_PER_MEV * np.sqrt(chi2 / bands.counts)
 
@@ -107,35 +109,35 @@ def _regime_error(band: BandData, qp: QParameter) -> RegimeError:
     return RegimeError(f"tau*(j_max+1) >= pi for band '{band.name}' at dim={qp.dim}")
 
 
-def _tau_column(qps: Sequence[QParameter | None]) -> np.ndarray:
-    return np.fromiter((0.0 if qp is None else qp.tau for qp in qps), float, len(qps))
+def _failure(band: BandData, qp: QParameter | None, regime: bool, sff: float, A: float) -> FitError | RegimeError:
+    """The first check a failing fit breaks: regime, spread, A > 0, finite results."""
+    if not regime:
+        return _regime_error(band, qp)
+    if sff == 0.0:
+        return FitError(f"band '{band.name}' has no spread in the model term")
+    if A <= 0.0:
+        return FitError(f"fitted A = {A:.4g} keV is not positive for band '{band.name}'")
+    return FitError(f"band '{band.name}' has no finite fit: A, chi2 or rms overflows")
 
 
-def _fit(bands: Bands, qps: Sequence[QParameter | None]) -> list[FitResult | FitError | RegimeError]:
-    """The kernel: closed-form A, chi2 and rms of every band at once, at
-    each band's tau, then each band's checks in order (regime, spread,
-    A > 0, finite results)."""
-    f, regime = factors(bands, _tau_column(qps))
+def _fit(bands: Bands, rows: Sequence[Sequence[QParameter | None]]) -> list[list[FitResult | FitError | RegimeError]]:
+    """The kernel: closed-form A, chi2 and rms of every band at once for
+    each row of deformations (a row of the tau matrix), then per row and
+    band its FitResult or the first check it fails."""
+    f, regime = factors(bands, np.array([[0.0 if qp is None else qp.tau for qp in row] for row in rows]))
     with np.errstate(all="ignore"):
         sff = bands.sums(f * f)
         A = bands.sums(bands.de * f) / sff
     chi2, rms = score(bands, f, A)
     ok = regime & (sff != 0.0) & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
 
-    results: list[FitResult | FitError | RegimeError] = []
-    for k, (passed, qp, a, c, r) in enumerate(zip(ok.tolist(), qps, A.tolist(), chi2.tolist(), rms.tolist())):
-        if passed:
-            results.append(FitResult(a, c, r, qp, bands, f, k))
-            continue
-        band = bands[k]
-        if not regime[k]:
-            results.append(_regime_error(band, qp))
-        elif sff[k] == 0.0:
-            results.append(FitError(f"band '{band.name}' has no spread in the model term"))
-        elif a <= 0.0:
-            results.append(FitError(f"fitted A = {a:.4g} keV is not positive for band '{band.name}'"))
-        else:
-            results.append(FitError(f"band '{band.name}' has no finite fit: A, chi2 or rms overflows"))
+    results = []
+    for r, (qps, f_row) in enumerate(zip(rows, f)):
+        columns = zip(ok[r].tolist(), qps, A[r].tolist(), chi2[r].tolist(), rms[r].tolist())
+        results.append([
+            FitResult(a, c, s, qp, bands, f_row, k) if passed else _failure(bands[k], qp, regime[r, k], sff[r, k], a)
+            for k, (passed, qp, a, c, s) in enumerate(columns)
+        ])
     return results
 
 
@@ -152,7 +154,7 @@ def fit_batch(
     """
     if len(bands) != len(qps):
         raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")
-    return _fit(Bands.of(bands), qps)
+    return _fit(Bands.of(bands), [qps])[0]
 
 
 def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
@@ -167,10 +169,9 @@ def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
 def compare_batch(
     bands: Sequence[BandData], classical_only: bool = False
 ) -> list[tuple[FitResult | None, FitResult] | ValueError]:
-    """``compare`` over a batch: per band (deformed fit, or None when
-    ``classical_only``; classical fit), or the first exception its checks
-    raise, in the order classical FitError, BandError from the tau rule,
-    RegimeError, deformed FitError.
+    """``compare`` over a batch in one kernel pass over two tau rows, the
+    j(j+1) baseline and the tau rule's: per band (deformed fit, or None when
+    ``classical_only``; classical fit), or its first failure, classical first.
 
     With tau from the rule, a valid band never leaves the regime: its
     three levels or more give j_max >= 2s, s the spin
@@ -179,18 +180,12 @@ def compare_batch(
     branch stays for library callers who pick tau by hand.
     """
     bands = Bands.of(bands)
-    classical = _fit(bands, [None] * len(bands))
-    if classical_only:
-        return [fit if isinstance(fit, ValueError) else (None, fit) for fit in classical]
-
-    qps = [None if isinstance(fit, ValueError) else qp for qp, fit in zip(q_parameters(bands), classical)]
-    # Bands that already failed are fitted classically here; that result is dropped.
-    deformed = _fit(bands, [qp if isinstance(qp, QParameter) else None for qp in qps])
-    outcomes: list[tuple[FitResult | None, FitResult] | ValueError] = []
-    for fit_cl, qp, fit_q in zip(classical, qps, deformed):
-        failures = [x for x in (fit_cl, qp, fit_q) if isinstance(x, ValueError)]
-        outcomes.append(failures[0] if failures else (fit_q, fit_cl))
-    return outcomes
+    baseline = [None] * len(bands)
+    fits = _fit(bands, [baseline] if classical_only else [baseline, q_parameters(bands)])
+    return [
+        fit_cl if isinstance(fit_cl, ValueError) else fit_q if isinstance(fit_q, ValueError) else (fit_q, fit_cl)
+        for fit_cl, fit_q in zip(fits[0], baseline if classical_only else fits[1])
+    ]
 
 
 def compare(band: BandData) -> tuple[FitResult, FitResult]:
@@ -203,10 +198,13 @@ def compare(band: BandData) -> tuple[FitResult, FitResult]:
 
 
 def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
-    """Least-squares objective at a given A, in MeV^2."""
+    """Least-squares objective at a given finite A > 0, in MeV^2; ValueError if it overflows."""
+    _check_inertia(A)
     bands = Bands.of([band])
-    f, regime = factors(bands, _tau_column([qp]))
+    f, regime = factors(bands, np.array([0.0 if qp is None else qp.tau]))
     if not regime[0]:
         raise _regime_error(band, qp)
-    chi2, _ = score(bands, f, np.array([A], dtype=float))
-    return float(chi2[0])
+    chi2 = score(bands, f, np.array([A], dtype=float))[0][0]
+    if not np.isfinite(chi2):
+        raise ValueError(f"chi2 at A={A} overflows for band '{band.name}'")
+    return float(chi2)

@@ -9,8 +9,9 @@ and tau = 2*pi/dim.  Level energies are then A*[j][j+1] with a single
 inertia parameter A in keV.  Spins are stored as twice-spin integers, int64
 under the cap ``qnum.MAX_SPIN``, so half-integer bands need no fractional
 arithmetic.  ``Bands`` is the one level-column type: the band rules
-(``band_faults``), the tau rule (``q_parameters``) and the fit kernel each
-run over its columns as numpy passes; one band is their one-item case.
+(``band_faults``), the tau rule (``q_parameters``, which cannot fail on a
+valid band) and the fit kernel each run over its columns, along the last
+axis, as numpy passes; one band is their one-item case.
 """
 
 from __future__ import annotations
@@ -153,12 +154,12 @@ class Bands(Sequence):
         return self._bands[index]
 
     def head(self, column: np.ndarray) -> np.ndarray:
-        """Each band's first value of ``column``, repeated over its levels."""
-        return np.repeat(column[self.starts], self.counts)
+        """Each band's first value of ``column`` along the last axis, repeated over its levels."""
+        return np.repeat(column[..., self.starts], self.counts, axis=-1)
 
     def sums(self, column: np.ndarray) -> np.ndarray:
-        """Per-band sums of a level column."""
-        return np.add.reduceat(column, self.starts)
+        """Per-band sums of a level column, along the last axis."""
+        return np.add.reduceat(column, self.starts, axis=-1)
 
 
 def _level_fault(rule: int, twoj: int, prev_twoj: int, twostep: int, e: float) -> str:
@@ -242,32 +243,30 @@ def space_size(j_min: float, j_max: float, step: float) -> int:
     return _series_dim(a, s, (b - a) // s + 1)
 
 
-def _q_parameter(dim: int) -> QParameter | ValueError:
-    try:
-        return QParameter(dim)
-    except ValueError as exc:
-        return exc
-
-
-def q_parameters(bands: Sequence[BandData]) -> list[QParameter | ValueError]:
+def q_parameters(bands: Sequence[BandData]) -> list[QParameter]:
     """The tau rule over a batch: per band, the deformation fixed by its
-    own spin content, or the ValueError its dimension raises.  Dimensions
-    come from the arithmetic series of head twice-spin, step and count, one
-    ``QParameter`` per distinct dimension."""
+    own spin content, from the arithmetic series of head twice-spin, step
+    and count, one ``QParameter`` per distinct dimension.  It cannot fail:
+    a valid band's dimension is odd, at least 7 (spins 0, 1/2, 1 sum to 6)
+    and at most (2**31 + 1)(2**30 + 1) < 2**62, the sum over every distinct
+    twice-spin from 0 to the cap's 2**31."""
     bands = Bands.of(bands)
     head = bands.twoj[bands.starts]
     dims = _series_dim(head, bands.twoj[bands.starts + 1] - head, bands.counts).tolist()
-    made = {dim: _q_parameter(dim) for dim in set(dims)}
+    made = {dim: QParameter(dim) for dim in set(dims)}
     return [made[dim] for dim in dims]
 
 
 def q_parameter_from_band(band: BandData) -> QParameter:
     """Deformation parameter fixed by the band's own spin content: the
     one-band case of ``q_parameters``."""
-    qp = q_parameters([band])[0]
-    if isinstance(qp, ValueError):
-        raise qp
-    return qp
+    return q_parameters([band])[0]
+
+
+def _check_inertia(A: float) -> None:
+    """ValueError unless the inertia parameter A is finite and positive."""
+    if not (0.0 < A < math.inf):
+        raise ValueError(f"inertia parameter A must be positive and finite, got {A}")
 
 
 def energy(j: float, A: float, qp: QParameter | None) -> float:
@@ -275,15 +274,16 @@ def energy(j: float, A: float, qp: QParameter | None) -> float:
 
     Requires a finite A > 0, a spin ``casimir_eigenvalue`` accepts and, in
     the deformed case, tau*(j+1) < pi so the band stays in the monotone
-    regime.
+    regime.  Raises ValueError when the energy overflows.
     """
-    if not (0.0 < A < math.inf):
-        raise ValueError(f"inertia parameter A must be positive and finite, got {A}")
+    _check_inertia(A)
     eigenvalue = casimir_eigenvalue(j, qp)
     if qp is not None and not in_regime(qp.tau, j):
         raise RegimeError(
             f"tau*(j+1) = {qp.tau * (j + 1.0):.4f} >= pi at j={j}, dim={qp.dim}; "
             "energies would leave the monotone regime"
         )
-    return A * eigenvalue
-
+    value = A * eigenvalue
+    if not math.isfinite(value):
+        raise ValueError(f"energy at j={j} with A={A} overflows")
+    return value

@@ -69,13 +69,13 @@ def reference_fit(band: BandData, qp: QParameter | None):
     return A, chi2, rms, residuals
 
 
-def reference_compare(band: BandData, classical_only: bool = False, tau_rule=q_parameter_from_band):
+def reference_compare(band: BandData, classical_only: bool = False):
     """(deformed fit or None, classical fit) as ``reference_fit`` tuples,
-    checked classical first, then the tau rule, then the deformed fit."""
+    checked classical first, then deformed."""
     fit_cl = reference_fit(band, None)
     if classical_only:
         return None, fit_cl
-    return reference_fit(band, tau_rule(band)), fit_cl
+    return reference_fit(band, q_parameter_from_band(band)), fit_cl
 
 
 def fit_A_oracle(band: BandData, qp: QParameter | None, grid: tuple[float, float, int]) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from _reference_fit import LevelResidual, fit_A_oracle, reference_compare, reference_fit
 from _synth import exact_band, noisy_band, random_band, spin_range
-from qrotor.fit import FitError, Variant, chi2_at, compare, compare_batch, fit_A, fit_batch
+from qrotor.fit import FitError, Variant, _fit, chi2_at, compare, compare_batch, factors, fit_A, fit_batch
 from qrotor.ingest import read_band_file
-from qrotor.model import BandData, BandError, energy, q_parameter_from_band
+from qrotor.model import BandData, Bands, energy, q_parameter_from_band
 from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
 
 DY = QParameter.from_dim(189)
@@ -96,6 +97,23 @@ class TestClosedForm:
         assert result.chi2 == pytest.approx(c * c * base.chi2, rel=1e-9, abs=1e-25)
 
 
+class TestChi2At:
+    @pytest.mark.parametrize("qp", [None, DY], ids=["classical", "deformed"])
+    @pytest.mark.parametrize("A", [math.inf, -math.inf, math.nan, -5.0, 0.0])
+    def test_rejects_inertia_not_finite_and_positive(self, dy162_path, qp, A):
+        band = read_band_file(dy162_path).parsed
+        message = f"inertia parameter A must be positive and finite, got {A}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chi2_at(band, qp, A)
+
+    @pytest.mark.parametrize("qp", [None, DY], ids=["classical", "deformed"])
+    @pytest.mark.parametrize("A", [1e300, 1.7e308])
+    def test_overflow_is_an_error(self, dy162_path, qp, A):
+        band = read_band_file(dy162_path).parsed
+        with pytest.raises(ValueError, match=f"^{re.escape(f'chi2 at A={A} overflows for band {band.name!r}')}$"):
+            chi2_at(band, qp, A)
+
+
 class TestOracle:
     def test_exact_band_agreement(self):
         band = exact_band("exact", 12.81, DY, SPINS_2_18)
@@ -177,6 +195,8 @@ OUT_OF_REGIME = (exact_band("out-of-regime", 10.0, None, spin_range(2.0, 2.0, 5)
 OVERFLOW = (BandData.from_levels("overflow", [(0, 0.0), (1, 1e-7), (2, 1e308)]), None)
 # A band up to the spin cap, 2**30, which fits finitely.
 HUGE_SPINS = (BandData.from_levels("huge-spins", [(0, 0.0), (2**29, 1.0), (2**30, 2.0)]), None)
+# An exact j(j+1) band so large that only the deformed fit's chi2 overflows.
+DEFORMED_OVERFLOW = exact_band("deformed-overflow", 2.0**532, None, spin_range(0.0, 1.0, 10))
 
 
 def _mixed_batch(seed: int, count: int):
@@ -271,25 +291,15 @@ class TestBatchKernel:
 
 class TestCompareBatch:
     @pytest.mark.parametrize("classical_only", [False, True])
-    def test_matches_reference_in_check_order(self, monkeypatch, classical_only):
-        # No validated band has an embedding dimension below 5 (three levels
-        # already give 7), so the tau rule's BandError is forced by name.
-        def tau_rule(band):
-            if band.name.startswith("tiny"):
-                raise BandError(f"embedding dimension 3 from band '{band.name}' is too small")
-            return q_parameter_from_band(band)
-
-        # compare_batch takes the tau rule of the whole batch at once
-        monkeypatch.setattr("qrotor.fit.q_parameters", lambda bands: [_reference(tau_rule, band) for band in bands])
+    def test_matches_reference_in_check_order(self, classical_only):
         rng = np.random.default_rng(43)
         bands = [random_band(rng, tag)[0] for tag in range(60)]
-        tiny = BandData.from_levels("tiny", [(0, 0.0), (1, 10.0), (2, 30.0)])
-        for k, extra in enumerate((tiny, OVERFLOW[0], HUGE_SPINS[0], tiny)):
+        for k, extra in enumerate((DEFORMED_OVERFLOW, OVERFLOW[0], HUGE_SPINS[0], DEFORMED_OVERFLOW)):
             bands.insert(15 * k, extra)
 
         outcomes = compare_batch(bands, classical_only)
         for band, outcome in zip(bands, outcomes):
-            expected = _reference(reference_compare, band, classical_only, tau_rule)
+            expected = _reference(reference_compare, band, classical_only)
             if isinstance(expected, Exception):
                 assert type(outcome) is type(expected)
                 assert str(outcome) == str(expected)
@@ -306,7 +316,35 @@ class TestCompareBatch:
             assert len(failures) == 1
         else:
             assert len(failures) == 3
-            assert "too small" in failures[0] and "too small" in failures[-1]
+            assert "'deformed-overflow'" in failures[0] and "'deformed-overflow'" in failures[-1]
+
+    @pytest.mark.parametrize("classical_only", [False, True])
+    def test_one_factors_pass_per_batch(self, monkeypatch, classical_only):
+        calls = []
+
+        def counted(bands, tau):
+            calls.append(np.shape(tau))
+            return factors(bands, tau)
+
+        monkeypatch.setattr("qrotor.fit.factors", counted)
+        bands = [band for band, _ in _mixed_batch(seed=13, count=40)]
+        compare_batch(bands, classical_only)
+        assert calls == [(1 if classical_only else 2, len(bands))]
+
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_each_row_equals_its_one_row_fit(self, seed):
+        entries = _mixed_batch(seed=seed, count=60)
+        bands = [band for band, _ in entries]
+        rows = [[qp for _, qp in entries], [None if qp else q_parameter_from_band(band) for band, qp in entries]]
+        for row, fits in zip(rows, _fit(Bands.of(bands), rows)):
+            for fit, alone in zip(fits, fit_batch(bands, row)):
+                assert type(fit) is type(alone)
+                if isinstance(alone, Exception):
+                    assert str(fit) == str(alone)
+                    continue
+                assert (fit.A, fit.chi2, fit.rms, fit.qp) == (alone.A, alone.chi2, alone.rms, alone.qp)
+                for got, want in zip(fit.residual_columns(), alone.residual_columns()):
+                    assert np.array_equal(got, want)
 
     def test_compare_raises_first_failure(self):
         with pytest.raises(FitError, match="no finite fit"):

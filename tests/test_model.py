@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from qrotor.ingest import read_bands
 from qrotor.model import (
     BandData,
     BandError,
+    _series_dim,
     energy,
     q_parameter_from_band,
     q_parameters,
@@ -158,10 +160,20 @@ class TestQParameterFromBand:
         twoj = [head + k * step for k in range(count)]
         band = BandData("x", [(t, float(k)) for k, t in enumerate(twoj)])
         qp = q_parameters([band])[0]
+        assert isinstance(qp, QParameter)
         assert qp.dim == sum(t + 1 for t in twoj) | 1
         twoj_max = twoj[-1]
         assert 3 * (twoj_max + 2) <= 2 * qp.dim
         assert in_regime(qp.tau, twoj_max / 2)
+
+    def test_largest_series_dim_is_odd_and_below_2_62(self):
+        # every twice-spin from 0 to the cap's 2**31: the largest sum a valid band can reach
+        column = _series_dim(*np.array([[0], [1], [2**31 + 1]], dtype=np.int64))
+        assert column.dtype == np.int64
+        dim = int(column[0])
+        assert dim == (2**31 + 1) * (2**31 + 2) // 2  # the exact sum of (twice-spin + 1)
+        assert dim % 2 == 1 and dim < 2**62
+        assert QParameter(dim).dim == dim
 
     @given(st.integers(0, 10), st.integers(1, 4), st.integers(2, 12))
     def test_band_tau_below_half_pi(self, twice_jmin, twice_step, extra):
@@ -209,6 +221,11 @@ class TestEnergy:
     def test_rejects_regime_violation(self):
         with pytest.raises(RegimeError):
             energy(2.0, 1.0, QParameter.from_dim(5))
+
+    @pytest.mark.parametrize("j,A", [(2**30, 1e300), (1000.0, 1e303), (2.0, 1.7e308)])
+    def test_rejects_overflowing_energy(self, j, A):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'energy at j={j} with A={A} overflows')}$"):
+            energy(j, A, None)
 
     def test_monotone_in_operating_regime(self):
         qp = q_parameter_from_band(DY_BAND)

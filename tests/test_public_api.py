@@ -1,8 +1,15 @@
 """Every exported name resolves: a name deleted from a module but left in
-its ``__all__`` (or in the package's) fails here, not at a user's import."""
+its ``__all__`` (or in the package's) fails here, not at a user's import.
+Importing the command line pulls in nothing beyond the standard library,
+numpy and qrotor itself, which keeps every run's start-up cost fixed."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +26,17 @@ def test_all_names_resolve(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_cli_imports_only_stdlib_and_numpy():
+    script = (
+        "import json, sys; before = set(sys.modules); import qrotor.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(qrotor.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    added = json.loads(run.stdout)
+    assert "qrotor.cli" in added
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qrotor"}
+    assert sorted({name for name in added if name.split(".")[0] not in allowed}) == []
