@@ -28,8 +28,8 @@ from .bp_space import (
     check_shift_power,
     check_unitarity,
 )
-# fit_A, read_band_file and q_parameter_from_band are not called here;
-# bench/spans.py traces the CLI by swapping them, with _fit_one, under these names.
+# fit_A, q_parameter_from_band and _fit_one, which alone calls read_band_file,
+# are not called here; bench/spans.py traces the CLI by swapping them under these names.
 from .fit import compare_batch, fit_A
 from .ingest import emit_plot_data, read_band_file, read_bands, write_report
 from .model import q_parameter_from_band
@@ -103,43 +103,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args: argparse.Namespace, payload: bytes) -> int:
     """Write ``payload`` as is to the ``-o`` path or standard output; 1, with
-    a diagnostic, when the path cannot be written, else 0."""
-    if args.output is None:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-        return 0
+    a diagnostic, when it cannot be written, else 0."""
     try:
-        args.output.write_bytes(payload)
+        if args.output is None:
+            sys.stdout.flush()
+            view = memoryview(payload)
+            while view:  # a write cut short by a closing reader returns its count; the next one raises
+                view = view[sys.stdout.buffer.write(view):]
+            sys.stdout.buffer.flush()
+        else:
+            args.output.write_bytes(payload)
     except OSError as exc:
-        print(f"qrotor: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        target = "standard output" if args.output is None else args.output
+        print(f"qrotor: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 
 
-def _fit_paths(paths: list[Path | str], classical_only: bool) -> list[tuple | ValueError]:
-    """Read every band file in one batch, then fit all the bands read in one
-    batch; per path, (band, deformed fit or None, classical fit) or its failure."""
-    read, bands = read_bands(paths)
-    fits = iter(compare_batch(bands, classical_only))
-    outcomes: list[tuple | ValueError] = []
-    for band in read:
-        fit = band if isinstance(band, ValueError) else next(fits)
-        outcomes.append(fit if isinstance(fit, ValueError) else (band, *fit))
-    return outcomes
-
-
 def _fit_one(path: Path, classical_only: bool):
     """Read and fit one band file on its own; raises its failure."""
-    outcome = _fit_paths([path], classical_only)[0]
-    if isinstance(outcome, ValueError):
-        raise outcome
-    return outcome
+    band = read_band_file(path).parsed
+    fit = compare_batch([band], classical_only)[0]
+    if isinstance(fit, ValueError):
+        raise fit
+    return (band, *fit)
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
-    """Fit the band files and directories in ``args.inputs``, print each
-    failure in path order, then emit ``args.render`` of the fitted bands."""
+    """Fit the band files and directories in ``args.inputs`` in one batch,
+    print each failure in path order, then emit ``args.render`` of the
+    fitted bands."""
     paths: list[Path | str] = []
     for item in args.inputs:
         if item.is_dir():
@@ -151,14 +144,17 @@ def cmd_bands(args: argparse.Namespace) -> int:
     if not paths:
         print("qrotor: no band files found", file=sys.stderr)
         return 1
+    read, bands = read_bands(paths)
+    fits = iter(compare_batch(bands, args.classical_only))
     results = []
     code = 0
-    for path, outcome in zip(paths, _fit_paths(paths, args.classical_only)):
+    for path, band in zip(paths, read):
+        outcome = band if isinstance(band, ValueError) else next(fits)
         if isinstance(outcome, ValueError):
             print(f"qrotor: {path}: {outcome}", file=sys.stderr)
             code = 1
         else:
-            results.append(outcome)
+            results.append((band, *outcome))
     if results:
         code |= _emit(args, args.render(args, results))
     return code

@@ -10,10 +10,11 @@ Band files are line-oriented UTF-8, with or without a leading byte-order mark:
 
 Spins (integer or .5, at most ``qnum.MAX_SPIN`` in magnitude) and energies
 (keV) are ASCII decimals.  Blank lines and other ``#`` comments are ignored.
-Files are read in batches: each file's text is scanned once (encoding,
-headers, field count, number syntax) into flat columns, then the spin test
-(``qnum.twice_spins``) and the band rules (``model.band_faults``) are
-checked over the whole batch at once; either way a failure names its line.
+Files are read in batches: each file's text is scanned once, line by line,
+for its encoding, headers, field counts, number syntax and the half-integer
+grid (``qnum.on_grid``) into flat columns, then the band rules
+(``model.band_faults``) are checked over the whole batch at once; either way
+a failure names its line.
 Serialization emits a canonical form that round-trips byte-identically.  All
 report output is deterministic: fixed formats, '.' decimal separator, no
 locale dependence.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .fit import FitResult
 from .model import BandData, BandError, Bands, band_faults, spin_str
-from .qnum import MAX_SPIN, twice_spins
+from .qnum import MAX_SPIN, on_grid
 
 __all__ = [
     "BandParseError",
@@ -81,29 +82,27 @@ def _decimal(token: str) -> float:
 
 class _Columns:
     """The data lines of a batch of band files as flat columns, one file
-    after another: spin and energy (NaN where the token is no ASCII
-    decimal, an energy's level then listed in ``bad_energies``; a NaN spin
-    fails the grid test either way) and line number."""
+    after another: twice-spin, energy and line number."""
 
     def __init__(self):
-        self.spins: list[float] = []
+        self.twoj: list[int] = []
         self.energies: list[float] = []
         self.line_nos: list[int] = []
-        self.bad_energies: list[int] = []
 
-    def scan(self, text: bytes | str) -> tuple[str | None, str | None, list[str], tuple[int, str] | None]:
+    def scan(self, text: bytes | str) -> tuple[str | None, list[str], BandParseError | None]:
         """Check one file's text (encoding, headers, field count, number
-        syntax) and append each data line before its first fault.  Returns the decoded text, the
-        band name, the note lines and that fault as (line, message), or None."""
+        syntax, half-integer grid) and append each data line before its
+        first fault.  Returns the band name, the note lines and that fault,
+        or None."""
         if isinstance(text, bytes):
             try:
                 text = text.decode("utf-8")
             except UnicodeDecodeError as exc:
                 line_no = text.count(b"\n", 0, exc.start) + 1
-                return None, None, [], (line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8")
+                return None, [], BandParseError(line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8")
         text = text.removeprefix("\ufeff")  # one leading byte-order mark
         read = float if text.isascii() and "_" not in text else _decimal
-        spins, energies, line_nos = self.spins, self.energies, self.line_nos
+        twojs, energies, line_nos = self.twoj, self.energies, self.line_nos
 
         name: str | None = None
         notes: list[str] = []
@@ -117,42 +116,36 @@ class _Columns:
                 body = line[1:].strip()
                 if body.startswith("nucleus:"):
                     if name is not None:
-                        return text, name, notes, (line_no, "duplicate '# nucleus:' header")
+                        return name, notes, BandParseError(line_no, "duplicate '# nucleus:' header")
                     name = body[len("nucleus:"):].strip()
                     if not name:
-                        return text, name, notes, (line_no, "empty nucleus name")
+                        return name, notes, BandParseError(line_no, "empty nucleus name")
                 elif body.startswith("note:"):
                     notes.append(body[len("note:"):].strip())
                 continue
             if name is None:
-                return text, name, notes, (line_no, "data before the required '# nucleus:' header")
+                return name, notes, BandParseError(line_no, "data before the required '# nucleus:' header")
             tokens = line.split()
             if len(tokens) != 2:
-                return text, name, notes, (line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
+                return name, notes, BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
             try:
-                spins.append(read(tokens[0]))
+                spin = read(tokens[0])
             except ValueError:
-                spins.append(math.nan)
+                spin = math.nan
+            twoj = on_grid(spin)
+            if twoj is None:
+                if MAX_SPIN < abs(spin) < math.inf:
+                    return name, notes, BandParseError(line_no, f"spin {tokens[0]!r} exceeds {MAX_SPIN}")
+                return name, notes, BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)")
             try:
                 energies.append(read(tokens[1]))
             except ValueError:
-                self.bad_energies.append(len(energies))
-                energies.append(math.nan)
+                return name, notes, BandParseError(line_no, f"non-numeric energy {tokens[1]!r}")
+            twojs.append(twoj)
             line_nos.append(line_no)
         if name is None:
-            return text, name, notes, (0, "missing '# nucleus:' header")
-        return text, name, notes, None
-
-
-def _number_fault(text: str, line_no: int, spin: float, spin_ok: bool) -> tuple[int, str]:
-    """The fault of a data line whose spin (read as ``spin``) or energy does
-    not read."""
-    spin_token, energy = text.split("\n")[line_no - 1].split()
-    if spin_ok:
-        return line_no, f"non-numeric energy {energy!r}"
-    if math.isfinite(spin) and abs(spin) > MAX_SPIN:
-        return line_no, f"spin {spin_token!r} exceeds {MAX_SPIN}"
-    return line_no, f"invalid spin {spin_token!r} (integer or half-integer)"
+            return name, notes, BandParseError(0, "missing '# nucleus:' header")
+        return name, notes, None
 
 
 def _parse_batch(
@@ -162,54 +155,37 @@ def _parse_batch(
     pass: per text, its band or its first failure, and its note; and the
     bands read, as one batch.
 
-    Every text is scanned once into flat columns.  The half-integer grid and
-    the band rules are then checked over the whole batch at once.  A file's
-    failure is its first text fault in line order (a spin or energy that
-    does not read counts at its own line), else its band's first fault,
-    named by the line of the level at fault.
+    Every text is scanned once into flat columns; the scan finds the text
+    faults, a spin off the half-integer grid or an energy that does not read
+    included.  The band rules are then checked over the whole batch at once.
+    A file's failure is its first text fault in line order, else its band's
+    first fault, named by the line of the level at fault.
     """
     columns = _Columns()
-    decoded, names, notes, faults, counts = [], [], [], [], []
+    names, notes, faults, counts = [], [], [], []
     for text in texts:
         before = len(columns.line_nos)
-        if isinstance(text, BandError):
-            text, name, note, fault = None, None, [], text
-        else:
-            text, name, note, fault = columns.scan(text)
-        decoded.append(text)
+        name, note, fault = (None, [], text) if isinstance(text, BandError) else columns.scan(text)
         names.append(name)
         notes.append("\n".join(note) if note else None)
         faults.append(fault)
         counts.append(len(columns.line_nos) - before)
     counts = np.array(counts, dtype=np.intp)
     starts = np.cumsum(counts) - counts
-    line_nos = columns.line_nos
-    spins = np.array(columns.spins, dtype=float)
+    twoj = np.array(columns.twoj, dtype=np.int64)
     energies = np.array(columns.energies, dtype=float)
-    twoj, spin_ok = twice_spins(spins)
-    number_ok = spin_ok.copy()
-    number_ok[columns.bad_energies] = False
-    bad = np.append(np.flatnonzero(~number_ok), len(line_nos))
-    first_bad = bad[np.searchsorted(bad, starts)]
-    for k in np.flatnonzero(first_bad < starts + counts).tolist():
-        at = first_bad[k]
-        faults[k] = _number_fault(decoded[k], line_nos[at], spins[at], bool(spin_ok[at]))
-
     faulty_bands = band_faults(names, twoj, energies, counts)
     outcomes: list[BandData | BandError] = []
     kept = np.zeros(len(names), dtype=bool)
-    twoj_list, energy_list = twoj.tolist(), energies.tolist()
     for k, (name, fault, start, count) in enumerate(zip(names, faults, starts.tolist(), counts.tolist())):
         if fault is None and k in faulty_bands:
             level = faulty_bands[k].level
-            fault = (0 if level is None else line_nos[start + level], str(faulty_bands[k]))
-        if isinstance(fault, BandError):
+            fault = BandParseError(0 if level is None else columns.line_nos[start + level], str(faulty_bands[k]))
+        if fault is not None:
             outcomes.append(fault)
-        elif fault is not None:
-            outcomes.append(BandParseError(*fault))
         else:
             end = start + count
-            outcomes.append(BandData._checked(name, tuple(twoj_list[start:end]), tuple(energy_list[start:end])))
+            outcomes.append(BandData._checked(name, tuple(columns.twoj[start:end]), tuple(columns.energies[start:end])))
             kept[k] = True
     levels = np.repeat(kept, counts)
     read = [band for band in outcomes if isinstance(band, BandData)]

@@ -8,10 +8,12 @@ be just large enough to contain the multiplets of every observed level,
 and tau = 2*pi/dim.  Level energies are then A*[j][j+1] with a single
 inertia parameter A in keV.  Spins are stored as twice-spin integers, int64
 under the cap ``qnum.MAX_SPIN``, so half-integer bands need no fractional
-arithmetic.  ``Bands`` is the one level-column type: the band rules
-(``band_faults``), the tau rule (``q_parameters``, which cannot fail on a
-valid band) and the fit kernel each run over its columns, along the last
-axis, as numpy passes; one band is their one-item case.
+arithmetic.  The band reader turns each decimal spin into one with
+``qnum.on_grid`` as it reads it; the band rules still refuse a raw
+twice-spin past the cap.  ``Bands`` is the one level-column type: the band
+rules (``band_faults``), the tau rule (``q_parameters``, which cannot fail
+on a valid band) and the fit kernel each run over its columns, along the
+last axis, as numpy passes; one band is their one-item case.
 """
 
 from __future__ import annotations

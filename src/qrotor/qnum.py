@@ -5,8 +5,8 @@ on the unit circle and reduces to the ordinary number x as tau -> 0.
 ``bracket`` is the one place it is computed: elementwise over arrays of x
 and tau, with tau = 0 giving x itself, so band energies, fits over a tau
 column and irrep matrices all share it.  ``in_regime`` is the one test of
-the monotone regime tau*(j_max+1) < pi, and ``twice_spins`` the one test
-that spins are finite, on the half-integer grid and at most ``MAX_SPIN`` in
+the monotone regime tau*(j_max+1) < pi, and ``on_grid`` the one test
+that a spin is finite, on the half-integer grid and at most ``MAX_SPIN`` in
 magnitude, which keeps every twice-spin column int64.  A ``QParameter`` is
 its odd space dimension alone, stored as an ``int``; tau = 2*pi/dim is
 derived from it on read.  Everything here is a pure function of immutable
@@ -25,8 +25,8 @@ __all__ = [
     "MAX_SPIN",
     "QParameter",
     "RegimeError",
+    "on_grid",
     "twice_spin",
-    "twice_spins",
     "bracket",
     "in_regime",
     "qbracket",
@@ -44,16 +44,14 @@ class RegimeError(ValueError):
 MAX_SPIN = 2**30
 
 
-def twice_spins(spins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The half-integer grid test over a column of spins: each spin's int64
-    twice-spin (0 where the test fails) and whether it passes, that is,
-    whether it is finite, at most ``MAX_SPIN`` in magnitude and within 1e-9
-    of the half-integer grid."""
-    spins = np.asarray(spins, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        doubled = np.round(2.0 * spins)
-        on_grid = (np.abs(spins) <= MAX_SPIN) & (np.abs(2.0 * spins - doubled) <= 1e-9)
-    return np.where(on_grid, doubled, 0.0).astype(np.int64), on_grid
+def on_grid(spin: float) -> int | None:
+    """The half-integer grid test: the spin's twice-spin if it is finite, at
+    most ``MAX_SPIN`` in magnitude and within 1e-9 of the half-integer grid,
+    else None."""
+    if not abs(spin) <= MAX_SPIN:  # also NaN
+        return None
+    twoj = round(2.0 * spin)
+    return twoj if abs(2.0 * spin - twoj) <= 1e-9 else None
 
 
 def _checked_spin(j: float) -> float:
@@ -72,11 +70,11 @@ def _checked_spin(j: float) -> float:
 
 def twice_spin(j: float) -> int:
     """Convert a decimal spin (integer or half-integer) to a twice-spin int:
-    the one-spin case of ``twice_spins``."""
-    twoj, on_grid = twice_spins(np.array([_checked_spin(j)]))
-    if not on_grid[0]:
+    ``on_grid``, raising ValueError where it fails."""
+    twoj = on_grid(_checked_spin(j))
+    if twoj is None:
         raise ValueError(f"spin must be an integer or half-integer, got {j}")
-    return int(twoj[0])
+    return twoj
 
 
 def _check_dim(dim) -> None:

@@ -89,7 +89,7 @@ def check_commutators(irrep: IrrepMatrices) -> float:
     d1 = max_abs(irrep.jplus @ irrep.jminus - irrep.jminus @ irrep.jplus - target)
     d2 = max_abs(irrep.jz @ irrep.jplus - irrep.jplus @ irrep.jz - irrep.jplus)
     d3 = max_abs(irrep.jz @ irrep.jminus - irrep.jminus @ irrep.jz + irrep.jminus)
-    return max(d1, d2, d3)
+    return max_abs([d1, d2, d3])
 
 
 def check_casimir(irrep: IrrepMatrices) -> float:

@@ -8,7 +8,7 @@ import random
 import shutil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference_ingest import reference_read_band_file
@@ -16,6 +16,7 @@ from qrotor.cli import main
 from qrotor.ingest import BandFile, read_band_file, read_bands
 from qrotor.model import BandData, BandError
 from test_band_fuzz import CAP_TOKENS, TOKENS, band_texts
+from test_ingest import PRECEDENCE
 
 # Spins on both sides of the cap, 2**30, and far past it; 1e308 doubles past
 # the largest float.
@@ -46,6 +47,10 @@ def work(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(files=batch_files)
+@example(files=[PRECEDENCE[0][0]])
+@example(files=[PRECEDENCE[1][0]])
+@example(files=[PRECEDENCE[2][0]])
+@example(files=[PRECEDENCE[3][0]])
 def test_batch_reader_matches_sequential_oracle(work, files):
     directory = work / "files"
     shutil.rmtree(directory, ignore_errors=True)

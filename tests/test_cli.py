@@ -459,6 +459,29 @@ class TestEntryPoint:
         assert proc.stdout == out.read_bytes()
         assert ("Dy\\u2013162" if as_json else "Dy\u2013162").encode() in proc.stdout
 
+    @pytest.mark.parametrize("argv,read", [
+        (["table", "--json", "CORPUS"], 0),
+        (["verify", "--max-dim", "51"], 0),
+        (["table", "--json", "CORPUS"], 10),
+    ], ids=["table-json", "verify", "table-json-mid-write"])
+    def test_closed_stdout_is_one_diagnostic(self, tmp_path, bands_dir, argv, read):
+        # 600 bands give a report of about 1.6 MB, far more than a pipe holds,
+        # so a reader that leaves after 10 bytes leaves the child mid-write.
+        for k in range(200):
+            for band in bands_dir.glob("*.band"):
+                shutil.copy(band, tmp_path / f"{k:03d}{band.name}")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "qrotor", *(str(tmp_path) if arg == "CORPUS" else arg for arg in argv)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=REPO_ROOT) as proc:
+            if read:
+                assert len(os.read(proc.stdout.fileno(), read)) > 0
+            proc.stdout.close()  # without a read, long before the child has imported numpy
+            err = proc.stderr.read().decode()
+            assert proc.wait() == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.splitlines() == ["qrotor: cannot write standard output: Broken pipe"]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])

@@ -26,6 +26,17 @@ from qrotor.qnum import QParameter
 MINIMAL = b"# nucleus: testium\n2 100.0\n4 330.0\n6 690.0\n"
 
 
+# Files with two faults each, the line and the message of the one that wins:
+# a file's first text fault in line order, a spin before the energy on its
+# line, else its band's first fault.
+PRECEDENCE = [
+    (b"# nucleus: x\n2 100\n2 200\n1.25 300\n", 4, "invalid spin '1.25' (integer or half-integer)"),
+    (b"# nucleus: x\n2 100\nfoo bar\n6 700\n", 3, "invalid spin 'foo' (integer or half-integer)"),
+    (b"# nucleus: x\n2 100\n2147483648 200\n6 300\n1 2 3\n", 3, "spin '2147483648' exceeds 1073741824"),
+    (b"# nucleus: x\n2 100\n4 200\n6 abc\n8 400\n# nucleus: y\n", 4, "non-numeric energy 'abc'"),
+]
+
+
 class TestParseBand:
     def test_minimal_file(self):
         band = parse_band(MINIMAL)
@@ -138,7 +149,9 @@ class TestParseBand:
         (b"# nucleus: x\n4 1.0\n2 2.0\n6 4.0\n", 3, "spins must be strictly increasing"),
         (b"# nucleus: x\n2 5.0\n4 9.0\n6 9.0\n", 4, "energies must be strictly increasing"),
         (b"# nucleus: x\n2 1.0\n2 2.0\n", 3, "duplicate spin 2"),
-    ], ids=["step", "duplicate", "order", "energy", "before-level-count"])
+        *PRECEDENCE,
+    ], ids=["step", "duplicate", "order", "energy", "before-level-count",
+            "band-then-spin", "spin-and-energy", "cap-then-fields", "energy-then-header"])
     def test_level_rule_message_bytes(self, text, line, message):
         with pytest.raises(BandParseError) as exc_info:
             parse_band(text)

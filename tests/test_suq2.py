@@ -136,6 +136,11 @@ class TestCommutators:
     def test_classical(self):
         assert check_commutators(build_irrep(3.0, None)) <= 1e-12
 
+    def test_nan_in_a_later_relation_is_reported(self):
+        irrep = build_irrep(2.0, QParameter.from_dim(51))
+        irrep.jz[0, 1] = math.nan  # [J+, J-] stays at rounding level; only [Jz, J+-] sees it
+        assert math.isnan(check_commutators(irrep))
+
 
 class TestCasimir:
     def test_spin_zero(self):
