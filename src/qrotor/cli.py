@@ -31,7 +31,7 @@ from .bp_space import (
 # fit_A, q_parameter_from_band and _fit_one, which alone calls read_band_file,
 # are not called here; bench/spans.py traces the CLI by swapping them under these names.
 from .fit import compare_batch, fit_A
-from .ingest import emit_plot_data, read_band_file, read_bands, write_report
+from .ingest import _decimal, emit_plot_data, read_band_file, read_bands, write_report
 from .model import q_parameter_from_band
 from .qnum import QParameter, RegimeError
 from .suq2 import build_irrep, check_casimir, check_commutators
@@ -44,7 +44,7 @@ VERIFY_SPINS = (0.5, 1.0, 2.0, 5.0, 10.0)
 
 def _odd_dim(text: str) -> int:
     try:
-        value = int(text)
+        value = _decimal(text, int)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid dimension {text!r}") from None
     if value < 3 or value % 2 == 0 or value > MAX_DENSE_DIM:
@@ -54,7 +54,7 @@ def _odd_dim(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
+        value = _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
     if not 0.0 < value < math.inf:
@@ -196,15 +196,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if status == "FAIL":
             failures.append(f"{name} {params}: deviation {deviation:.3e} exceeds {tol:g}")
 
-    for l in l_sweep:
+    # Largest space first, recorded in sweep order: shift-power's complex
+    # matmul at D >= 51 wakes OpenBLAS's worker thread, which then spins for
+    # about 0.13 s on another core and slows the threaded blocks of a larger space.
+    checked = {}
+    for l in reversed(l_sweep):
         for theta0 in (0.0, 0.6):
             space = build_space(l, theta0)
             params = f"l={l} theta0={theta0:.1f}"
-            for name, check in BP_CHECKS:
-                record(name, params, check(space), _bp_tolerance(space.dim))
+            checked[l, theta0] = [(name, params, check(space), _bp_tolerance(space.dim)) for name, check in BP_CHECKS]
             if space.dim <= 101:
-                record("shift-power", params, check_shift_power(space), 1e-10)
+                checked[l, theta0].append(("shift-power", params, check_shift_power(space), 1e-10))
             del space  # one space alive at a time: drop it before the next is built
+    for l in l_sweep:
+        for theta0 in (0.0, 0.6):
+            for row in checked[l, theta0]:
+                record(*row)
 
     for l in l_sweep:
         dim = 2 * l + 1

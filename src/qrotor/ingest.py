@@ -73,11 +73,11 @@ def parse_band(text: bytes | str) -> BandData:
     return parse_band_file(text).parsed
 
 
-def _decimal(token: str) -> float:
-    """float(token) for an ASCII decimal; float() also reads "1_0" as 10, and non-ASCII digits."""
+def _decimal(token: str, kind: type = float):
+    """kind(token) for an ASCII decimal; float() and int() also read "1_0" as 10, and non-ASCII digits."""
     if "_" in token or not token.isascii():
         raise ValueError(token)
-    return float(token)
+    return kind(token)
 
 
 class _Columns:

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -18,8 +20,10 @@ from _reference_bp import (
     whole_build_space,
 )
 from conftest import REPO_ROOT
+from qrotor import bp_space
 from qrotor.bp_space import (
     _BLOCK_ROWS,
+    _THREADED_MIN_DIM,
     MAX_DENSE_DIM,
     build_space,
     check_angle_completeness,
@@ -361,6 +365,120 @@ class TestMemory:
     def test_verify_keeps_one_space_alive(self, tmp_path):
         peak = _traced_peak(main, ["verify", "--max-dim", str(MEMORY_DIM), "-o", str(tmp_path / "verify.txt")])
         assert peak <= SPACE_BYTES + BLOCK_BUDGET + RUN_SLACK
+
+
+def force_cores(monkeypatch, cores):
+    """Make the process see ``cores`` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def count_threads(monkeypatch) -> list:
+    """The threads ``bp_space`` starts from now on, as they start."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(bp_space.threading, "Thread", Counted)
+    return started
+
+
+class TestThreads:
+    """Threads change which rows a block holds, never a bit of the result."""
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_arrays_and_deviations_match_the_serial_whole_matrix(self, monkeypatch, cores):
+        force_cores(monkeypatch, cores)
+        started = count_threads(monkeypatch)
+        space = build_space(500, 0.6)
+        whole = whole_build_space(500, 0.6)
+        for name in ("angle_basis", "exp_iphi", "q_jz"):
+            assert np.array_equal(getattr(space, name), getattr(whole, name)), name
+        for name, check in BP_CHECKS:
+            assert check(space) == WHOLE_CHECKS[name](whole), name
+        # two fills and six checks, each on ``cores`` threads with this one
+        assert len(started) == 8 * (cores - 1)
+
+    @pytest.mark.parametrize("name,check", BP_CHECKS, ids=[name for name, _ in BP_CHECKS])
+    def test_threads_share_one_block_budget(self, monkeypatch, name, check):
+        force_cores(monkeypatch, 3)
+        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
+        check(space)
+        assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
+
+    @pytest.mark.parametrize("dim,threads", [(_THREADED_MIN_DIM - 2, 0), (_THREADED_MIN_DIM, 2)])
+    def test_small_spaces_stay_serial(self, monkeypatch, dim, threads):
+        force_cores(monkeypatch, 3)
+        started = count_threads(monkeypatch)
+        check_cyclic_shift(build_space((dim - 1) // 2))
+        assert len(started) == 3 * threads
+
+    def test_cores_from_affinity_or_cpu_count(self, monkeypatch):
+        force_cores(monkeypatch, 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert bp_space._cores() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
+        assert bp_space._cores() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert bp_space._cores() == 1
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_error_reaches_the_caller_after_every_thread_joined(self, monkeypatch, cores):
+        # the third block is this thread's with two cores, a started thread's with three
+        force_cores(monkeypatch, cores)
+        started = count_threads(monkeypatch)
+        done = []
+
+        def work(rows):
+            if rows.start == 2 * (_BLOCK_ROWS // cores):
+                raise ArithmeticError(rows.start)
+            # started threads outlast this one, which would otherwise return first
+            time.sleep(0.001 if threading.current_thread() is threading.main_thread() else 0.004)
+            done.append(rows.start)
+
+        with pytest.raises(ArithmeticError):
+            bp_space._blockwise(MAX_DENSE_DIM, work)
+        assert len(started) == cores - 1
+        assert not any(thread.is_alive() for thread in started)
+        # blocks go out in turn, so every block of the other threads was worked through
+        size = _BLOCK_ROWS // cores
+        others = [first for first in range(cores) if first != 2 % cores]
+        assert {start for first in others for start in range(first * size, MAX_DENSE_DIM, size * cores)} <= set(done)
+
+    def test_more_threads_than_cores_lose_no_result(self, monkeypatch):
+        force_cores(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                starts = bp_space._blockwise(MAX_DENSE_DIM, lambda rows: rows.start)
+                assert starts == list(range(0, MAX_DENSE_DIM, _BLOCK_ROWS // 8))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_keep_the_callers_error_handling(self, monkeypatch):
+        force_cores(monkeypatch, 2)
+
+        def work(rows):
+            if rows.start == _BLOCK_ROWS // 2:  # the started thread's first block
+                return np.ones(1) / np.zeros(1)
+
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            bp_space._blockwise(MAX_DENSE_DIM, work)
+
+    def test_first_error_by_block_is_raised(self, monkeypatch):
+        force_cores(monkeypatch, 2)
+
+        def work(rows):
+            if rows.start > 0:
+                time.sleep(0.01 if rows.start < 3 * _BLOCK_ROWS else 0.0)
+                raise ArithmeticError(rows.start)
+
+        with pytest.raises(ArithmeticError) as exc_info:
+            bp_space._blockwise(MAX_DENSE_DIM, work)
+        assert exc_info.value.args == (_BLOCK_ROWS // 2,)
 
 
 def test_import_does_not_load_numpy_fft():

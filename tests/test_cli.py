@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import REPO_ROOT
+from qrotor.bp_space import build_space
 from qrotor.cli import _fit_one, build_parser, cmd_bands, main
 from qrotor.ingest import BandParseError
 
@@ -379,6 +380,9 @@ class TestVerifyCommand:
         checked = [line for line in captured.out.splitlines() if "skipped" not in line]
         assert {line.split()[0] for line in checked} >= {"shift-power", "commutators", "casimir"}
         assert all(" tol=1e-30 " in line for line in checked)
+        # spaces are checked largest first, yet failures follow the sweep order of the lines
+        named = [line.split(" dev=")[0].split() for line in checked if line.endswith(" FAIL")]
+        assert [error.split(": ")[2].split() for error in captured.err.splitlines()] == named
 
     def test_large_sweep_lines_and_deviations(self, capsys):
         assert main(["verify", "--max-dim", "1001"]) == 0
@@ -408,7 +412,39 @@ class TestVerifyCommand:
         assert len(errors) == len(failed)
         assert all(error.endswith(" exceeds 4.9e-16") for error in errors)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "-0.0", "tight"])
+    @pytest.mark.parametrize("value", ["5_1", "\u0665\u0661"])  # 51 to int(), as to the band reader's float()
+    def test_max_dim_is_an_ascii_decimal(self, capsys, monkeypatch, value):
+        monkeypatch.setattr("qrotor.cli.build_space", None)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", "--max-dim", value])
+        assert exc_info.value.code == 2
+        assert f"invalid dimension {value!r}" in capsys.readouterr().err
+
+    def test_largest_space_is_checked_first(self, capsys, monkeypatch):
+        # a BLAS thread woken by shift-power's matrix power would slow a larger
+        # space's threads; the lines still follow the sweep
+        built = []
+
+        def spy(l, theta0=0.0):
+            built.append(l)
+            return build_space(l, theta0)
+
+        monkeypatch.setattr("qrotor.cli.build_space", spy)
+        assert main(["verify", "--max-dim", "51"]) == 0
+        assert built == [25, 25, 5, 5, 2, 2, 1, 1]
+        spaces = [line.split()[1] for line in capsys.readouterr().out.splitlines() if " theta0=" in line]
+        assert list(dict.fromkeys(spaces)) == ["l=1", "l=2", "l=5", "l=25"]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("max_dim", [51, 201, 1001])
+    def test_output_does_not_depend_on_the_worker_count(self, capsys, monkeypatch, max_dim, workers):
+        assert main(["verify", "--max-dim", str(max_dim)]) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        assert main(["verify", "--max-dim", str(max_dim)]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "-0.0", "tight", "1_0"])
     def test_bad_tolerance_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc_info:
             main(["verify", "--max-dim", "5", f"--tolerance={value}"])

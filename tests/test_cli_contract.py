@@ -31,8 +31,10 @@ TREES = st.fixed_dictionaries(
 INPUTS = [".", "a.band", "a.band", "b.band", "c.txt", "sub", "sub/d.band", "sub.band", "missing.band"]
 # -o into the tree, into a directory that does not exist, and onto a directory.
 OUTPUTS = [None, "out.txt", "missing/out.txt", "sub"]
+# "5_1" and "\u0665\u0661" are 51, and "1_0" is 10, to Python's int() and float().
 MAX_DIMS = [str(dim) for dim in range(3, 22, 2)] + ["1", "2", "4", "-3", "1003", "5.0", "1e3", "x", ""]
-TOLERANCES = ["1e-12", "1", "1e-300", "0", "-1", "nan", "inf", "x", ""]
+MAX_DIMS += ["5_1", "\u0665\u0661"]
+TOLERANCES = ["1e-12", "1", "1e-300", "0", "-1", "nan", "inf", "x", "", "1_0"]
 BAND_FLAGS = ["--json", "--classical-only"]
 VERIFY_FLAGS = ["--max-dim", "--tolerance"]
 

@@ -28,7 +28,9 @@ def test_all_names_resolve(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
-def test_cli_imports_only_stdlib_and_numpy():
+@pytest.fixture(scope="module")
+def cli_import_adds():
+    """The modules ``import qrotor.cli`` loads in a fresh interpreter."""
     script = (
         "import json, sys; before = set(sys.modules); import qrotor.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
@@ -36,7 +38,17 @@ def test_cli_imports_only_stdlib_and_numpy():
     src = str(Path(qrotor.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    added = json.loads(run.stdout)
-    assert "qrotor.cli" in added
+    return json.loads(run.stdout)
+
+
+def test_cli_imports_only_stdlib_and_numpy(cli_import_adds):
+    assert "qrotor.cli" in cli_import_adds
     allowed = set(sys.stdlib_module_names) | {"numpy", "qrotor"}
-    assert sorted({name for name in added if name.split(".")[0] not in allowed}) == []
+    assert sorted({name for name in cli_import_adds if name.split(".")[0] not in allowed}) == []
+
+
+@pytest.mark.parametrize("heavy", ["concurrent.futures", "logging", "multiprocessing"])
+def test_cli_import_skips_heavy_stdlib(cli_import_adds, heavy):
+    # concurrent.futures imports logging, which alone adds about 12 ms and
+    # 0.6 MiB to every run, ``--version`` included
+    assert heavy not in cli_import_adds
