@@ -21,13 +21,13 @@ NaN that Python's ``max`` would drop.  A space stores two D x D matrices,
 read-only, and ``build_space`` fills them block by block, in place.
 
 From D = ``_THREADED_MIN_DIM`` up, the blocks of each fill and check are
-shared out among one thread per usable core, as numpy runs its FFTs and
-elementwise loops without the GIL.  The threads share the one budget of
-``_BLOCK_ROWS`` rows, so a check's memory does not grow with the core count,
-and every row is computed as on one thread while the max-norm fold does not
-depend on order, so arrays and deviations are bit-identical to the serial
-ones.  Smaller spaces stay serial: there, starting threads costs more than
-it saves.  On 2 cores (Xeon, numpy 2.4.6), building a D = 1001 space and
+shared out between two threads where two cores are usable, as numpy runs its
+FFTs and elementwise loops without the GIL.  The two threads share the one
+budget of ``_BLOCK_ROWS`` rows, 32 rows each, and every row is computed as
+on one thread while the max-norm fold does not depend on order, so arrays
+and deviations are bit-identical to the serial ones.  More cores do not
+start more threads (``_MAX_WORKERS``), and smaller spaces stay serial:
+there, starting threads costs more than it saves.  On 2 cores (Xeon, numpy 2.4.6), building a D = 1001 space and
 running its six streamed checks takes about 110 ms on two threads and
 155-170 ms on one.
 
@@ -70,6 +70,12 @@ MAX_DENSE_DIM = 1001
 # rows it reads stay within a 2 MiB-per-core L2 cache, and two threads take
 # 32 rows each.
 _BLOCK_ROWS = 64
+# Most threads a streamed product runs on.  Speed, the cut-off below and the
+# memory budget were measured with two threads on 2 cores only; more threads
+# would shrink the blocks while per-thread scratch (pocketfft's work buffer,
+# the ufunc buffer) does not shrink, so raise this only with measurements on
+# that many cores.
+_MAX_WORKERS = 2
 # Smallest D whose streamed products run on threads.  Build and six checks of
 # one space, one thread against two on 2 cores, median of 41 alternating
 # pairs: 1.1 against 5.1 ms at D = 51 and 12.0 against 13.9 ms at D = 201
@@ -79,7 +85,7 @@ _BLOCK_ROWS = 64
 _THREADED_MIN_DIM = 401
 # Elements of the scratch buffer numpy allocates for each ufunc call that
 # broadcasts an operand.  At numpy's default of 8192 it is 128 KiB of complex,
-# one per thread, which would outgrow the modulus array of a thread's smaller
+# one per thread, which would outgrow the modulus array of a thread's 32-row
 # block and so the shared budget; at 1024 it is 16 KiB, and a 32 x 1001
 # ``block *= row`` takes 24 us instead of 44.
 _UFUNC_BUFFER = 1024
@@ -161,14 +167,14 @@ def _blockwise(dim: int, work: Callable[[slice], float | None]) -> list:
     0..dim-1, in row order.
 
     From ``_THREADED_MIN_DIM`` up, the blocks are shared out in turn among
-    one thread per core, this one included, and the threads' blocks together
-    hold ``_BLOCK_ROWS`` rows at most; below it, one thread works through
-    blocks of ``_BLOCK_ROWS`` rows.  Each thread runs ``work`` under the
-    caller's numpy error handling, with the ufunc buffer at ``_UFUNC_BUFFER``
-    elements.  The first exception, by block, is raised once every thread
-    has joined.
+    one thread per core, this one included, ``_MAX_WORKERS`` at most, and
+    the threads' blocks together hold ``_BLOCK_ROWS`` rows; below it, one
+    thread works through blocks of ``_BLOCK_ROWS`` rows.  Each thread runs
+    ``work`` under the caller's numpy error handling, with the ufunc buffer
+    at ``_UFUNC_BUFFER`` elements.  The first exception, by block, is raised
+    once every thread has joined.
     """
-    workers = min(_cores(), _BLOCK_ROWS) if dim >= _THREADED_MIN_DIM else 1
+    workers = min(_cores(), _MAX_WORKERS) if dim >= _THREADED_MIN_DIM else 1
     size = _BLOCK_ROWS // workers
     blocks = [slice(start, min(start + size, dim)) for start in range(0, dim, size)]
     results: list = [None] * len(blocks)
