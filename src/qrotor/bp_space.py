@@ -27,9 +27,12 @@ budget of ``_BLOCK_ROWS`` rows, 32 rows each, and every row is computed as
 on one thread while the max-norm fold does not depend on order, so arrays
 and deviations are bit-identical to the serial ones.  More cores do not
 start more threads (``_MAX_WORKERS``), and smaller spaces stay serial:
-there, starting threads costs more than it saves.  On 2 cores (Xeon, numpy 2.4.6), building a D = 1001 space and
-running its six streamed checks takes about 110 ms on two threads and
-155-170 ms on one.
+there, starting threads costs more than it saves.  On 2 cores (Xeon, numpy
+2.4.6), building a D = 1001 space and running its six streamed checks takes
+about 110 ms on two threads and 155-170 ms on one.  Shift-power's D x D
+matrix products run in numpy's einsum loops, not in BLAS, whose worker thread
+spins on another core for about 0.13 s after a matmul: a D = 101 power takes
+26 ms, against 2.2 ms in BLAS.
 
 Sign convention: this module uses the shift phase q = exp(-i*tau), the
 natural one for the angle grid.  Energy formulas elsewhere use the real
@@ -346,7 +349,12 @@ def check_angle_cycling(space: BPSpace) -> float:
 
 
 def check_shift_power(space: BPSpace) -> float:
-    """(exp_iphi)^D equals exp(i*D*theta0) times identity."""
-    powered = np.linalg.matrix_power(space.exp_iphi, space.dim)
+    """(exp_iphi)^D equals exp(i*D*theta0) times identity, the power squared
+    and multiplied from D's lowest bit up, as ``np.linalg.matrix_power`` does."""
+    powered, squared = None, space.exp_iphi
+    for k, bit in enumerate(reversed(f"{space.dim:b}")):
+        squared = np.einsum("ij,kj->ik", squared, squared.T.copy()) if k else squared
+        if bit == "1":
+            powered = squared if powered is None else np.einsum("ij,kj->ik", powered, squared.T.copy())
     target = np.exp(1j * space.dim * space.theta0) * np.eye(space.dim)
     return max_abs(powered - target)

@@ -135,12 +135,16 @@ def cmd_bands(args: argparse.Namespace) -> int:
     fitted bands."""
     paths: list[Path | str] = []
     for item in args.inputs:
-        if item.is_dir():
-            # Joined as Path.glob joins them, without a Path per file.
-            base = "" if str(item) == "." else os.path.join(item, "")
-            paths.extend(base + name for name in sorted(os.listdir(item)) if name.endswith(".band"))
-        else:
-            paths.append(item)
+        try:
+            if item.is_dir():
+                # Joined as Path.glob joins them, without a Path per file.
+                base = "" if str(item) == "." else os.path.join(item, "")
+                paths.extend(base + name for name in sorted(os.listdir(item)) if name.endswith(".band"))
+            else:
+                paths.append(item)
+        except OSError as exc:  # a name too long to look up, a directory that cannot be listed
+            print(f"qrotor: {item}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     if not paths:
         print("qrotor: no band files found", file=sys.stderr)
         return 1
@@ -196,22 +200,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if status == "FAIL":
             failures.append(f"{name} {params}: deviation {deviation:.3e} exceeds {tol:g}")
 
-    # Largest space first, recorded in sweep order: shift-power's complex
-    # matmul at D >= 51 wakes OpenBLAS's worker thread, which then spins for
-    # about 0.13 s on another core and slows the threaded blocks of a larger space.
-    checked = {}
-    for l in reversed(l_sweep):
+    for l in l_sweep:
         for theta0 in (0.0, 0.6):
             space = build_space(l, theta0)
             params = f"l={l} theta0={theta0:.1f}"
-            checked[l, theta0] = [(name, params, check(space), _bp_tolerance(space.dim)) for name, check in BP_CHECKS]
+            for name, check in BP_CHECKS:
+                record(name, params, check(space), _bp_tolerance(space.dim))
             if space.dim <= 101:
-                checked[l, theta0].append(("shift-power", params, check_shift_power(space), 1e-10))
+                record("shift-power", params, check_shift_power(space), 1e-10)
             del space  # one space alive at a time: drop it before the next is built
-    for l in l_sweep:
-        for theta0 in (0.0, 0.6):
-            for row in checked[l, theta0]:
-                record(*row)
 
     for l in l_sweep:
         dim = 2 * l + 1

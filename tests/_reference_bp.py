@@ -9,6 +9,8 @@ The dense forms are the matrix products ``qrotor.bp_space`` formed with
 ``@`` before it applied the angle-basis factor by FFT: the spectral sum for
 exp(i*Phi), U U^dagger, the angle-state Gram matrix and
 sum_n |theta_n><theta_n|.  Tests compare the FFT path with them.
+``matrix_power_shift_power`` is shift-power with its power taken by
+``np.linalg.matrix_power`` (BLAS), the oracle for the einsum power.
 """
 
 from __future__ import annotations
@@ -122,3 +124,9 @@ def dense_orthonormality(space: BPSpace) -> float:
 def dense_completeness(space: BPSpace) -> float:
     proj = space.angle_basis.T @ space.angle_basis.conj()
     return max_abs(proj - np.eye(space.dim))
+
+
+def matrix_power_shift_power(space: BPSpace) -> float:
+    """Max-norm deviation of (exp_iphi)^D from exp(i*D*theta0) times identity."""
+    powered = np.linalg.matrix_power(space.exp_iphi, space.dim)
+    return max_abs(powered - np.exp(1j * space.dim * space.theta0) * np.eye(space.dim))

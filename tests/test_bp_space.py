@@ -17,6 +17,7 @@ from _reference_bp import (
     dense_exp_iphi,
     dense_orthonormality,
     dense_unitarity,
+    matrix_power_shift_power,
     whole_build_space,
 )
 from conftest import REPO_ROOT
@@ -222,6 +223,44 @@ class TestDenseOracle:
         # forms alone pass it
         assert dense_orthonormality(conjugated) <= 1e-12
         assert dense_completeness(conjugated) <= 1e-12
+
+
+class TestShiftPower:
+    """The einsum power against ``np.linalg.matrix_power``, and no BLAS."""
+
+    @pytest.mark.parametrize("theta0", [0.0, 0.6, math.pi / 3])
+    @pytest.mark.parametrize("dim", [3, 5, 11, 21, 51, 53, 101])
+    def test_matches_matrix_power_oracle(self, dim, theta0):
+        space = build_space((dim - 1) / 2, theta0)
+        assert abs(check_shift_power(space) - matrix_power_shift_power(space)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [3, 5, 51, 53, 101])
+    def test_product_count_is_binary_exponentiation(self, monkeypatch, dim):
+        # bench/spans.py counts bit_length - 1 squarings and popcount - 1 multiplies
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or einsum(*args))
+        check_shift_power(build_space((dim - 1) / 2))
+        assert calls == ["ij,kj->ik"] * (dim.bit_length() - 1 + bin(dim).count("1") - 1)
+
+    def test_leaves_no_thread_spinning(self):
+        """A BLAS matmul at D = 101 leaves OpenBLAS's worker thread spinning
+        on another core, about 135 ms of CPU in the next 0.3 s on 2 cores; the
+        einsum power leaves none.  On one core OpenBLAS starts no worker, so
+        there the test passes whatever the power uses."""
+        script = (
+            "import resource, time\n"
+            "from qrotor.bp_space import build_space, check_shift_power\n"
+            "check_shift_power(build_space(50, 0.6))\n"
+            "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2])\n"
+            "before = cpu()\n"
+            "time.sleep(0.3)\n"
+            "print(cpu() - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.03
 
 
 # Odd dims on both sides of one and two row blocks, and the largest space.

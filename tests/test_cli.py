@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -10,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from conftest import REPO_ROOT
-from qrotor.bp_space import build_space
 from qrotor.cli import _fit_one, build_parser, cmd_bands, main
 from qrotor.ingest import BandParseError
 
@@ -223,6 +223,26 @@ class TestTableCommand:
         assert main(["table", str(tmp_path)]) == 1
         assert "no band files" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["table", "plotdata"])
+    def test_overlong_name_is_one_diagnostic(self, capsys, tmp_path, dy162_path, subcommand):
+        # Path.is_dir raises for a name past the file system's limit instead of returning False
+        long = tmp_path / ("a" * 295 + ".band")
+        assert main([subcommand, str(dy162_path), str(long)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qrotor: {long}: File name too long\n"
+
+    def test_unlistable_directory_is_one_diagnostic(self, capsys, monkeypatch, tmp_path):
+        # refused by its permission bits, which do not bind root
+        def refuse(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "listdir", refuse)
+        assert main(["table", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qrotor: {tmp_path}: Permission denied\n"
+
     def test_output_file(self, tmp_path, bands_dir):
         out = tmp_path / "report.txt"
         assert main(["table", str(bands_dir), "-o", str(out)]) == 0
@@ -380,7 +400,7 @@ class TestVerifyCommand:
         checked = [line for line in captured.out.splitlines() if "skipped" not in line]
         assert {line.split()[0] for line in checked} >= {"shift-power", "commutators", "casimir"}
         assert all(" tol=1e-30 " in line for line in checked)
-        # spaces are checked largest first, yet failures follow the sweep order of the lines
+        # failures follow the order of the lines
         named = [line.split(" dev=")[0].split() for line in checked if line.endswith(" FAIL")]
         assert [error.split(": ")[2].split() for error in captured.err.splitlines()] == named
 
@@ -419,21 +439,6 @@ class TestVerifyCommand:
             main(["verify", "--max-dim", value])
         assert exc_info.value.code == 2
         assert f"invalid dimension {value!r}" in capsys.readouterr().err
-
-    def test_largest_space_is_checked_first(self, capsys, monkeypatch):
-        # a BLAS thread woken by shift-power's matrix power would slow a larger
-        # space's threads; the lines still follow the sweep
-        built = []
-
-        def spy(l, theta0=0.0):
-            built.append(l)
-            return build_space(l, theta0)
-
-        monkeypatch.setattr("qrotor.cli.build_space", spy)
-        assert main(["verify", "--max-dim", "51"]) == 0
-        assert built == [25, 25, 5, 5, 2, 2, 1, 1]
-        spaces = [line.split()[1] for line in capsys.readouterr().out.splitlines() if " theta0=" in line]
-        assert list(dict.fromkeys(spaces)) == ["l=1", "l=2", "l=5", "l=25"]
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("max_dim", [51, 201, 1001])

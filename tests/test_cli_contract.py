@@ -11,6 +11,7 @@ cannot be relied on to happen.
 
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -28,9 +29,11 @@ CONTENTS = st.just(DY_LEVELS) | band_bytes
 TREES = st.fixed_dictionaries(
     {"a.band": CONTENTS}, optional={name: CONTENTS for name in ["b.band", "c.txt", "sub/d.band", "sub.band/e.band"]}
 )
-INPUTS = [".", "a.band", "a.band", "b.band", "c.txt", "sub", "sub/d.band", "sub.band", "missing.band"]
-# -o into the tree, into a directory that does not exist, and onto a directory.
-OUTPUTS = [None, "out.txt", "missing/out.txt", "sub"]
+# A name longer than a file system allows, which Path.is_dir raises for.
+LONG = "a" * 295 + ".band"
+INPUTS = [".", "a.band", "a.band", "b.band", "c.txt", "sub", "sub/d.band", "sub.band", "missing.band", LONG]
+# -o into the tree, into a directory that does not exist, onto a directory, and onto an over-long name.
+OUTPUTS = [None, "out.txt", "missing/out.txt", "sub", LONG]
 # "5_1" and "\u0665\u0661" are 51, and "1_0" is 10, to Python's int() and float().
 MAX_DIMS = [str(dim) for dim in range(3, 22, 2)] + ["1", "2", "4", "-3", "1003", "5.0", "1e3", "x", ""]
 MAX_DIMS += ["5_1", "\u0665\u0661"]
@@ -89,6 +92,7 @@ def work(tmp_path_factory):
 @example(files={"a.band": DY_LEVELS}, command=(["fit", "--json", ".", "-o", "out.txt"], "out.txt"))
 @example(files={}, command=(["table", "a.band", "-o", "missing/out.txt"], "missing/out.txt"))
 @example(files={}, command=(["table", "--json"], None))
+@example(files={"a.band": DY_LEVELS}, command=(["table", "--json", "a.band", LONG, "-o", LONG], LONG))
 @example(files={}, command=(["verify", "--max-dim", "5", "--tolerance", "1e-300", "-o", "sub"], "sub"))
 def test_main_ends_in_an_exit_code_and_strict_json(work, files, command):
     argv, output = command
@@ -104,7 +108,7 @@ def test_main_ends_in_an_exit_code_and_strict_json(work, files, command):
         assert code in (0, 1, 2)
         event(f"{argv[0]} exit {code}")
         if "--json" in argv and code != 2:
-            written = output is not None and (root / output).is_file()
+            written = output is not None and os.path.isfile(root / output)  # False for an over-long name
             payload = (root / output).read_bytes() if written else stdout
             if code == 0 or payload:
                 event("strict JSON checked")
