@@ -247,10 +247,13 @@ class TestShiftPower:
         """A BLAS matmul at D = 101 leaves OpenBLAS's worker thread spinning
         on another core, about 135 ms of CPU in the next 0.3 s on 2 cores; the
         einsum power leaves none.  On one core OpenBLAS starts no worker, so
-        there the test passes whatever the power uses."""
+        there the test passes whatever the power uses.  The 0.5 s settle
+        before the power lets the spin that follows OpenBLAS's start-up end,
+        so the window times the power's aftermath only."""
         script = (
             "import resource, time\n"
             "from qrotor.bp_space import build_space, check_shift_power\n"
+            "time.sleep(0.5)\n"
             "check_shift_power(build_space(50, 0.6))\n"
             "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2])\n"
             "before = cpu()\n"

@@ -1,7 +1,9 @@
 """Every exported name resolves: a name deleted from a module but left in
 its ``__all__`` (or in the package's) fails here, not at a user's import.
 Importing the command line pulls in nothing beyond the standard library,
-numpy and qrotor itself, which keeps every run's start-up cost fixed."""
+numpy and qrotor itself, which keeps every run's start-up cost fixed.
+The package itself loads no numpy, so ``python -m qrotor`` runs OpenBLAS
+on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise."""
 
 import importlib
 import json
@@ -9,6 +11,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,98 @@ def test_cli_import_skips_heavy_stdlib(cli_import_adds, heavy):
     # concurrent.futures imports logging, which alone adds about 12 ms and
     # 0.6 MiB to every run, ``--version`` included
     assert heavy not in cli_import_adds
+
+
+SRC = Path(qrotor.__file__).resolve().parent.parent
+
+
+def run_fresh(script, **env_changes):
+    """Run ``script`` in a fresh interpreter that imports qrotor from ``SRC``;
+    an ``env_changes`` value of None removes that variable."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+
+
+class TestLazyNames:
+    """The package resolves its exported names on first use, and behaves as
+    a package that imported them all up front.  The first two tests run in a
+    fresh interpreter, where no name has been resolved yet."""
+
+    def test_star_import_binds_every_name(self):
+        script = "from qrotor import *; import qrotor; print([n for n in qrotor.__all__ if n not in globals()])"
+        assert run_fresh(script).stdout == "[]\n"
+
+    def test_dir_lists_every_name(self):
+        script = "import qrotor; print(sorted(set(qrotor.__all__) - set(dir(qrotor))))"
+        assert run_fresh(script).stdout == "[]\n"
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match=r"^module 'qrotor' has no attribute 'x'$"):
+            qrotor.x
+
+    def test_from_import_reaches_submodule(self):
+        from qrotor import cli
+
+        assert cli is sys.modules["qrotor.cli"]
+
+
+class TestStartUp:
+    """``import qrotor`` loads no numpy, and ``python -m qrotor`` runs OpenBLAS
+    on one thread unless the user set ``OPENBLAS_NUM_THREADS``.  With its
+    default pool OpenBLAS starts a worker per extra core, which spins about
+    0.13 s of CPU after start-up."""
+
+    def test_package_import_loads_no_numpy(self):
+        assert run_fresh("import qrotor, sys; print('numpy' in sys.modules)").stdout == "False\n"
+
+    def test_main_defaults_to_one_blas_thread(self):
+        script = (
+            "import json, os, qrotor.__main__\n"
+            "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
+        )
+        blas_threads, tasks = json.loads(run_fresh(script, OPENBLAS_NUM_THREADS=None).stdout)
+        assert blas_threads == "1"
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert tasks == 1
+
+    def test_main_keeps_user_setting(self):
+        script = "import os, qrotor.__main__; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_fresh(script, OPENBLAS_NUM_THREADS="2").stdout == "2\n"
+
+    def test_version_run_spends_no_cpu_beyond_its_wall_time(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "qrotor", "--version"], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert usage.ru_utime + usage.ru_stime <= wall + 0.01
+
+
+def test_console_script_is_cli_main_through_dunder_main(monkeypatch):
+    """The installed ``qrotor`` command gets ``python -m qrotor``'s default."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("no pyproject.toml beside src/")
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8")).get("project", {}).get("scripts", {})
+    if "qrotor" not in scripts:
+        pytest.skip("no qrotor console script declared")
+    module_name, _, attr = scripts["qrotor"].partition(":")
+    assert module_name == "qrotor.__main__"
+    # Importing qrotor.__main__ sets OPENBLAS_NUM_THREADS; a throwaway copy of
+    # the environment keeps it from the children later tests spawn.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    from qrotor import cli
+
+    assert getattr(importlib.import_module(module_name), attr) is cli.main
