@@ -529,7 +529,7 @@ class TestThreads:
 def test_import_does_not_load_numpy_fft():
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", "import qrotor, sys; assert 'numpy.fft' not in sys.modules"],
+        [sys.executable, "-c", "import qrotor.cli, sys; assert 'numpy.fft' not in sys.modules"],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stderr

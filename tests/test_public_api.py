@@ -31,6 +31,28 @@ def test_all_names_resolve(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
+SRC = Path(qrotor.__file__).resolve().parent.parent
+
+
+def fresh_env(**changes):
+    """The environment for a child interpreter that imports qrotor from
+    ``SRC``; a ``changes`` value of None removes that variable."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    for key, value in changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def run_fresh(script, **env_changes):
+    """Run ``script`` in a fresh interpreter with ``fresh_env(**env_changes)``."""
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(**env_changes), check=True
+    )
+
+
 @pytest.fixture(scope="module")
 def cli_import_adds():
     """The modules ``import qrotor.cli`` loads in a fresh interpreter."""
@@ -38,10 +60,7 @@ def cli_import_adds():
         "import json, sys; before = set(sys.modules); import qrotor.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    src = str(Path(qrotor.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    return json.loads(run.stdout)
+    return json.loads(run_fresh(script).stdout)
 
 
 def test_cli_imports_only_stdlib_and_numpy(cli_import_adds):
@@ -55,21 +74,6 @@ def test_cli_import_skips_heavy_stdlib(cli_import_adds, heavy):
     # concurrent.futures imports logging, which alone adds about 12 ms and
     # 0.6 MiB to every run, ``--version`` included
     assert heavy not in cli_import_adds
-
-
-SRC = Path(qrotor.__file__).resolve().parent.parent
-
-
-def run_fresh(script, **env_changes):
-    """Run ``script`` in a fresh interpreter that imports qrotor from ``SRC``;
-    an ``env_changes`` value of None removes that variable."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    for key, value in env_changes.items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
 
 
 class TestLazyNames:
@@ -121,10 +125,9 @@ class TestStartUp:
         assert run_fresh(script, OPENBLAS_NUM_THREADS="2").stdout == "2\n"
 
     def test_version_run_spends_no_cpu_beyond_its_wall_time(self):
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        env.pop("OPENBLAS_NUM_THREADS", None)
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "qrotor", "--version"], env=env,
+        proc = subprocess.Popen([sys.executable, "-m", "qrotor", "--version"],
+                                env=fresh_env(OPENBLAS_NUM_THREADS=None),
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
