@@ -30,8 +30,8 @@ from .bp_space import (
 )
 # fit_A, q_parameter_from_band and _fit_one, which alone calls read_band_file,
 # are not called here; bench/spans.py traces the CLI by swapping them under these names.
-from .fit import compare_batch, fit_A
-from .ingest import _decimal, emit_plot_data, read_band_file, read_bands, write_report
+from .fit import _compare, compare_batch, fit_A
+from .ingest import _decimal, _plot_data, _read_batch, read_band_file, write_report
 from .model import q_parameter_from_band
 from .qnum import QParameter, RegimeError
 from .suq2 import build_irrep, check_casimir, check_commutators
@@ -81,13 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_table)
     # A renderer looks write_report up in this module when called, so the name
     # bench/spans.py swaps applies to every band subcommand.
-    p_table.set_defaults(handler=cmd_bands, render=lambda args, results: write_report(results, as_json=args.json))
+    p_table.set_defaults(handler=cmd_bands, render=lambda args, fits: write_report(fits, as_json=args.json))
 
     p_plot = sub.add_parser("plotdata", help="emit 6-column level/residual data per band")
     p_plot.add_argument("inputs", nargs="+", type=Path, help="band files or directories of *.band")
     add_output(p_plot)
     p_plot.set_defaults(handler=cmd_bands, classical_only=False,
-                        render=lambda args, results: b"\n".join(emit_plot_data(*entry) for entry in results))
+                        render=lambda args, fits: _plot_data(fits))
 
     p_verify = sub.add_parser("verify", help="verify the operator-algebra identities numerically")
     p_verify.add_argument("--max-dim", type=_odd_dim, default=DEFAULT_MAX_DIM,
@@ -132,7 +132,7 @@ def _fit_one(path: Path, classical_only: bool):
 def cmd_bands(args: argparse.Namespace) -> int:
     """Fit the band files and directories in ``args.inputs`` in one batch,
     print each failure in path order, then emit ``args.render`` of the
-    fitted bands."""
+    batch's fits, which reports the bands that read and fitted."""
     paths: list[Path | str] = []
     for item in args.inputs:
         try:
@@ -148,19 +148,18 @@ def cmd_bands(args: argparse.Namespace) -> int:
     if not paths:
         print("qrotor: no band files found", file=sys.stderr)
         return 1
-    read, bands = read_bands(paths)
-    fits = iter(compare_batch(bands, args.classical_only))
-    results = []
+    faults, bands = _read_batch(paths)
+    fits = _compare(bands, args.classical_only)
+    failed = fits.failed()
+    read = iter(range(len(bands)))
     code = 0
-    for path, band in zip(paths, read):
-        outcome = band if isinstance(band, ValueError) else next(fits)
-        if isinstance(outcome, ValueError):
-            print(f"qrotor: {path}: {outcome}", file=sys.stderr)
+    for path, fault in zip(paths, faults):
+        fault = failed.get(next(read)) if fault is None else fault
+        if fault is not None:
+            print(f"qrotor: {path}: {fault}", file=sys.stderr)
             code = 1
-        else:
-            results.append((band, *outcome))
-    if results:
-        code |= _emit(args, args.render(args, results))
+    if len(failed) < len(bands):
+        code |= _emit(args, args.render(args, fits))
     return code
 
 

@@ -10,10 +10,12 @@ Every fit goes through one columnar kernel over ``model.Bands``, the one
 level-column type, which the batch reader fills directly or gathers from
 BandData objects once.  The eigenvalue factors come from ``qnum.bracket``
 over a tau matrix, one row per variant (0.0 for the j(j+1) baseline), and
-the per-band sums from ``Bands.sums``.  ``fit_A`` and ``compare`` are its
-one-band cases; ``compare`` fits both variants in one pass.
-A ``FitResult`` holds its ``Bands`` and builds per-level residuals from the
-columns only when read.
+the per-band sums from ``Bands.sums``.  The kernel returns its columns as a
+``Fits``, which the report writers format directly; ``fit_batch`` and
+``compare_batch`` build one ``FitResult`` per band from them, and ``fit_A``
+and ``compare`` are their one-band cases; ``compare`` fits both variants in
+one pass.  A ``FitResult`` holds its ``Bands`` and builds per-level
+residuals from the columns only when read.
 """
 
 from __future__ import annotations
@@ -92,53 +94,125 @@ class FitResult:
     def variant(self) -> Variant:
         return Variant.CLASSICAL if self.qp is None else Variant.Q_DEFORMED
 
+    def _level_factors(self) -> np.ndarray:
+        """The band's head-referenced eigenvalue factors."""
+        lo = int(self._bands.starts[self._band])
+        return self._factors[lo:lo + int(self._bands.counts[self._band])]
+
     def residual_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The band's levels as float columns: spin j, experimental energy,
         theoretical energy (on the experimental band head) and their
         difference, all in keV."""
         bands = self._bands
+        f = self._level_factors()
         lo = int(bands.starts[self._band])
-        hi = lo + int(bands.counts[self._band])
-        f = self._factors[lo:hi]
+        hi = lo + len(f)
         theo = bands.e[lo] + self.A * f
         diffs = bands.de[lo:hi] - self.A * f
         return bands.j[lo:hi], bands.e[lo:hi], theo, diffs
 
 
-def _regime_error(band: BandData, qp: QParameter) -> RegimeError:
-    return RegimeError(f"tau*(j_max+1) >= pi for band '{band.name}' at dim={qp.dim}")
+def _regime_error(name: str, qp: QParameter) -> RegimeError:
+    return RegimeError(f"tau*(j_max+1) >= pi for band '{name}' at dim={qp.dim}")
 
 
-def _failure(band: BandData, qp: QParameter | None, regime: bool, sff: float, A: float) -> FitError | RegimeError:
+def _failure(name: str, qp: QParameter | None, regime: bool, sff: float, A: float) -> FitError | RegimeError:
     """The first check a failing fit breaks: regime, spread, A > 0, finite results."""
     if not regime:
-        return _regime_error(band, qp)
+        return _regime_error(name, qp)
     if sff == 0.0:
-        return FitError(f"band '{band.name}' has no spread in the model term")
+        return FitError(f"band '{name}' has no spread in the model term")
     if A <= 0.0:
-        return FitError(f"fitted A = {A:.4g} keV is not positive for band '{band.name}'")
-    return FitError(f"band '{band.name}' has no finite fit: A, chi2 or rms overflows")
+        return FitError(f"fitted A = {A:.4g} keV is not positive for band '{name}'")
+    return FitError(f"band '{name}' has no finite fit: A, chi2 or rms overflows")
 
 
-def _fit(bands: Bands, rows: Sequence[Sequence[QParameter | None]]) -> list[list[FitResult | FitError | RegimeError]]:
+class Fits:
+    """The fits of a batch of bands as columns, one row per row of the tau
+    matrix: per row and band the deformation (``qps``, None for the j(j+1)
+    baseline), ``tau``, ``A`` in keV, ``chi2`` in MeV^2, ``rms`` in keV and
+    whether the fit passed (``ok``); per row and level the head-referenced
+    eigenvalue factors ``f``; and per row the first check each failing band
+    fails, by band index.  From ``compare`` and ``Fits.gather``, row 0 holds
+    the j(j+1) baseline and row 1, if present, the deformed fits."""
+
+    __slots__ = ("bands", "qps", "tau", "f", "A", "chi2", "rms", "ok", "failures")
+
+    def __init__(self, bands: Bands, qps, tau, f, A, chi2, rms, ok, failures: list[dict[int, ValueError]]):
+        self.bands, self.qps, self.tau, self.f = bands, qps, tau, f
+        self.A, self.chi2, self.rms, self.ok, self.failures = A, chi2, rms, ok, failures
+
+    @classmethod
+    def gather(cls, entries) -> "Fits":
+        """A nonempty list of (band, deformed FitResult or None, classical
+        FitResult or None) entries, each with at least one fit, as the
+        columns of a ``compare`` pass; ``ok`` is false where an entry has no
+        fit of that row."""
+        for band, fit_q, fit_cl in entries:
+            if fit_q is None and fit_cl is None:
+                raise ValueError(f"no fit results supplied for band '{band.name}'")
+        bands = Bands.of([band for band, _, _ in entries])
+        rows = [[fit for _, _, fit in entries], [fit for _, fit, _ in entries]]
+
+        def column(read, missing=np.nan):
+            return np.array([[missing if fit is None else read(fit) for fit in row] for row in rows], dtype=float)
+
+        counts = bands.counts.tolist()
+        f = np.array([
+            np.concatenate([np.zeros(count) if fit is None else fit._level_factors() for fit, count in zip(row, counts)])
+            for row in rows
+        ])
+        ok = np.array([[fit is not None for fit in row] for row in rows])
+        qps = [[None if fit is None else fit.qp for fit in row] for row in rows]
+        tau = column(lambda fit: 0.0 if fit.qp is None else fit.qp.tau, 0.0)
+        return cls(bands, qps, tau, f, column(lambda fit: fit.A), column(lambda fit: fit.chi2),
+                   column(lambda fit: fit.rms), ok, [{}, {}])
+
+    def failed(self) -> dict[int, ValueError]:
+        """Each failing band's first failure, row 0's first."""
+        first: dict[int, ValueError] = {}
+        for failures in reversed(self.failures):
+            first.update(failures)
+        return first
+
+    def shown(self) -> np.ndarray:
+        """The indices of the bands with no failed fit, in batch order."""
+        kept = np.ones(len(self.bands), dtype=bool)
+        kept[list(self.failed())] = False
+        return np.flatnonzero(kept)
+
+    def residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row and level, the theoretical energy on the experimental band
+        head and the experimental minus theoretical energy, in keV."""
+        bands = self.bands
+        with np.errstate(all="ignore"):
+            model = np.repeat(self.A, bands.counts, axis=-1) * self.f
+            return bands.head(bands.e) + model, bands.de - model
+
+
+def _fit(bands: Bands, rows: Sequence[Sequence[QParameter | None]]) -> Fits:
     """The kernel: closed-form A, chi2 and rms of every band at once for
-    each row of deformations (a row of the tau matrix), then per row and
-    band its FitResult or the first check it fails."""
-    f, regime = factors(bands, np.array([[0.0 if qp is None else qp.tau for qp in row] for row in rows]))
+    each row of deformations (a row of the tau matrix), and per row the
+    first check each failing band fails."""
+    tau = np.array([[0.0 if qp is None else qp.tau for qp in row] for row in rows]).reshape(len(rows), len(bands))
+    f, regime = factors(bands, tau)
     with np.errstate(all="ignore"):
         sff = bands.sums(f * f)
         A = bands.sums(bands.de * f) / sff
     chi2, rms = score(bands, f, A)
     ok = regime & (sff != 0.0) & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
+    failures: list[dict[int, ValueError]] = [{} for _ in rows]
+    for r, k in zip(*np.nonzero(~ok)):
+        failures[r][k] = _failure(bands.names[k], rows[r][k], regime[r, k], sff[r, k], float(A[r, k]))
+    return Fits(bands, rows, tau, f, A, chi2, rms, ok, failures)
 
-    results = []
-    for r, (qps, f_row) in enumerate(zip(rows, f)):
-        columns = zip(ok[r].tolist(), qps, A[r].tolist(), chi2[r].tolist(), rms[r].tolist())
-        results.append([
-            FitResult(a, c, s, qp, bands, f_row, k) if passed else _failure(bands[k], qp, regime[r, k], sff[r, k], a)
-            for k, (passed, qp, a, c, s) in enumerate(columns)
-        ])
-    return results
+
+def _outcomes(fits: Fits, r: int) -> list[FitResult | FitError | RegimeError]:
+    """Row ``r`` of the kernel's columns per band: its FitResult, or the
+    first check it fails."""
+    failures = fits.failures[r]
+    columns = zip(fits.qps[r], fits.A[r].tolist(), fits.chi2[r].tolist(), fits.rms[r].tolist())
+    return [failures.get(k) or FitResult(a, c, s, qp, fits.bands, fits.f[r], k) for k, (qp, a, c, s) in enumerate(columns)]
 
 
 def fit_batch(
@@ -154,7 +228,7 @@ def fit_batch(
     """
     if len(bands) != len(qps):
         raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")
-    return _fit(Bands.of(bands), [qps])[0]
+    return _outcomes(_fit(Bands.of(bands), [qps]), 0)
 
 
 def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
@@ -164,6 +238,13 @@ def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
     if isinstance(result, ValueError):
         raise result
     return result
+
+
+def _compare(bands: Bands, classical_only: bool) -> Fits:
+    """The kernel over two tau rows, the j(j+1) baseline and the tau rule's,
+    or over the baseline alone."""
+    baseline = [None] * len(bands)
+    return _fit(bands, [baseline] if classical_only else [baseline, q_parameters(bands)])
 
 
 def compare_batch(
@@ -179,12 +260,12 @@ def compare_batch(
     tau*(j_max + 1)/pi = 2*(j_max + 1)/dim is at most 2/3.  The RegimeError
     branch stays for library callers who pick tau by hand.
     """
-    bands = Bands.of(bands)
-    baseline = [None] * len(bands)
-    fits = _fit(bands, [baseline] if classical_only else [baseline, q_parameters(bands)])
+    fits = _compare(Bands.of(bands), classical_only)
+    fits_cl = _outcomes(fits, 0)
+    fits_q = [None] * len(fits_cl) if classical_only else _outcomes(fits, 1)
     return [
         fit_cl if isinstance(fit_cl, ValueError) else fit_q if isinstance(fit_q, ValueError) else (fit_q, fit_cl)
-        for fit_cl, fit_q in zip(fits[0], baseline if classical_only else fits[1])
+        for fit_cl, fit_q in zip(fits_cl, fits_q)
     ]
 
 
@@ -203,7 +284,7 @@ def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
     bands = Bands.of([band])
     f, regime = factors(bands, np.array([0.0 if qp is None else qp.tau]))
     if not regime[0]:
-        raise _regime_error(band, qp)
+        raise _regime_error(band.name, qp)
     chi2 = score(bands, f, np.array([A], dtype=float))[0][0]
     if not np.isfinite(chi2):
         raise ValueError(f"chi2 at A={A} overflows for band '{band.name}'")

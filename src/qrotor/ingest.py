@@ -14,7 +14,11 @@ Files are read in batches: each file's text is scanned once, line by line,
 for its encoding, headers, field counts, number syntax and the half-integer
 grid (``qnum.on_grid``) into flat columns, then the band rules
 (``model.band_faults``) are checked over the whole batch at once; either way
-a failure names its line.
+a failure names its line.  Only regular files are read: a pipe or a device
+is refused before any read.  The report table, the JSON report and the plot
+data are each formatted by one function from the columns of a fitted batch
+(``fit.Fits``); ``write_report`` and ``emit_plot_data`` gather per-band
+entries into those columns first.
 Serialization emits a canonical form that round-trips byte-identically.  All
 report output is deterministic: fixed formats, '.' decimal separator, no
 locale dependence.
@@ -22,7 +26,10 @@ locale dependence.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
+import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -31,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fit import FitResult
+from .fit import FitResult, Fits, Variant
 from .model import BandData, BandError, Bands, band_faults, spin_str
 from .qnum import MAX_SPIN, on_grid
 
@@ -148,12 +155,10 @@ class _Columns:
         return name, notes, None
 
 
-def _parse_batch(
-    texts: Iterable[bytes | str | BandError],
-) -> tuple[list[BandData | BandError], list[str | None], Bands]:
+def _parse_batch(texts: Iterable[bytes | str | BandError]) -> tuple[list[BandError | None], list[str | None], Bands]:
     """Parse a batch of band-file texts (or the error reading each) in one
-    pass: per text, its band or its first failure, and its note; and the
-    bands read, as one batch.
+    pass: per text, its first failure or None, and its note; and the bands
+    read, as one batch.
 
     Every text is scanned once into flat columns; the scan finds the text
     faults, a spin off the half-integer grid or an energy that does not read
@@ -174,38 +179,48 @@ def _parse_batch(
     starts = np.cumsum(counts) - counts
     twoj = np.array(columns.twoj, dtype=np.int64)
     energies = np.array(columns.energies, dtype=float)
-    faulty_bands = band_faults(names, twoj, energies, counts)
-    outcomes: list[BandData | BandError] = []
-    kept = np.zeros(len(names), dtype=bool)
-    for k, (name, fault, start, count) in enumerate(zip(names, faults, starts.tolist(), counts.tolist())):
-        if fault is None and k in faulty_bands:
-            level = faulty_bands[k].level
-            fault = BandParseError(0 if level is None else columns.line_nos[start + level], str(faulty_bands[k]))
-        if fault is not None:
-            outcomes.append(fault)
-        else:
-            end = start + count
-            outcomes.append(BandData._checked(name, tuple(columns.twoj[start:end]), tuple(columns.energies[start:end])))
-            kept[k] = True
+    for k, fault in band_faults(names, twoj, energies, counts).items():
+        if faults[k] is None:
+            line_no = 0 if fault.level is None else columns.line_nos[int(starts[k]) + fault.level]
+            faults[k] = BandParseError(line_no, str(fault))
+    kept = np.fromiter((fault is None for fault in faults), bool, len(faults))
     levels = np.repeat(kept, counts)
-    read = [band for band in outcomes if isinstance(band, BandData)]
-    bands = Bands(read, twoj[levels], energies[levels], counts[kept])
-    return outcomes, notes, bands
+    read = [name for name, fault in zip(names, faults) if fault is None]
+    return faults, notes, Bands(read, twoj[levels], energies[levels], counts[kept])
 
 
 def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
     """Parse band-file text, keeping the provenance note lines: the
     one-text case of the batch reader."""
-    (band,), (note,), _ = _parse_batch([text])
-    if isinstance(band, BandError):
-        raise band
-    return BandFile(path=path, parsed=band, source_note=note)
+    (fault,), (note,), bands = _parse_batch([text])
+    if fault is not None:
+        raise fault
+    return BandFile(path=path, parsed=bands[0], source_note=note)
+
+
+# Without O_NONBLOCK, opening a FIFO waits for a writer; O_BINARY (Windows
+# only) keeps "\r\n" as it is.
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
 
 
 def _read(path: Path | str) -> bytes | BandError:
+    """The bytes of a regular file, or the BandError that stops reading it.
+    A pipe, a device or a socket is refused before any read."""
     try:
-        with open(path, "rb", buffering=0) as file:
-            return file.readall()
+        fd = os.open(path, _OPEN_FLAGS)
+        try:
+            status = os.fstat(fd)
+            if stat.S_ISDIR(status.st_mode):  # os.read's EISDIR would carry no file name
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            if not stat.S_ISREG(status.st_mode):
+                return BandError("cannot read band file: not a regular file")
+            chunks = [os.read(fd, status.st_size + 1)]
+            while chunks[-1]:  # a file that grew since fstat
+                chunks.append(os.read(fd, 1 << 16))
+            chunks.pop()
+            return b"".join(chunks)  # one chunk is returned as it is, not copied
+        finally:
+            os.close(fd)
     except OSError as exc:
         return BandError(f"cannot read band file: {exc}")
 
@@ -218,12 +233,20 @@ def read_band_file(path: Path | str) -> BandFile:
     return parse_band_file(raw, path=path)
 
 
+def _read_batch(paths: Sequence[Path | str]) -> tuple[list[BandError | None], Bands]:
+    """Read and parse every band file in one batch: per path, the BandError
+    that stops it or None; and the bands read, as one batch."""
+    faults, _, bands = _parse_batch(map(_read, paths))
+    return faults, bands
+
+
 def read_bands(paths: Sequence[Path | str]) -> tuple[list[BandData | BandError], Bands]:
     """Read and parse every band file in one batch: per path, its band or
     the BandError that stops it; and the bands read, as one batch with the
     columns the fit kernel takes."""
-    outcomes, _, bands = _parse_batch(map(_read, paths))
-    return outcomes, bands
+    faults, bands = _read_batch(paths)
+    read = iter(bands)
+    return [next(read) if fault is None else fault for fault in faults], bands
 
 
 def write_band(band: BandFile | BandData) -> bytes:
@@ -239,42 +262,41 @@ def write_band(band: BandFile | BandData) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _entry_fits(entry):
-    band, fit_q, fit_cl = entry
-    if fit_q is None and fit_cl is None:
-        raise ValueError(f"no fit results supplied for band '{band.name}'")
-    return band, fit_q, fit_cl
-
-
 def write_report(results, as_json: bool = False) -> bytes:
     """Fixed-width fit table, or the full JSON document with residuals.
 
     ``results`` is a list of (band, deformed FitResult or None, classical
-    FitResult or None) entries; at least one fit per entry.
+    FitResult or None) entries, at least one fit per entry, or the
+    ``fit.Fits`` of a batch, whose bands without a failed fit are reported.
     """
-    if not results:
+    fits = results if isinstance(results, Fits) else Fits.gather(results) if results else None
+    if fits is None or not len(shown := fits.shown()):
         raise ValueError("no fit results to report")
-    if as_json:
-        return _report_json(results)
-    return _report_table(results)
+    return (_report_json if as_json else _report_table)(fits, shown)
 
 
-def _report_table(results) -> bytes:
-    width = max(8, max(len(_entry_fits(r)[0].name) for r in results))
+def _texts(template: str, values: np.ndarray, present: np.ndarray) -> list[str]:
+    """Each value in ``template``, or "-" where ``present`` is false."""
+    texts = [template % value for value in values.tolist()]
+    for k in np.flatnonzero(~present).tolist():
+        texts[k] = "-"
+    return texts
+
+
+def _report_table(fits: Fits, shown: np.ndarray) -> bytes:
+    names = [fits.bands.names[k] for k in shown.tolist()]
+    width = max(8, max(map(len, names)))
+    q = len(fits.qps) - 1  # the deformed row, or the baseline when fitted alone
+    has_q = fits.ok[q, shown] & (q > 0)
+    main = np.where(has_q, q, 0)  # a band's deformed fit, else its baseline fit
+    A, chi2, rms = (column[main, shown] for column in (fits.A, fits.chi2, fits.rms))
+    rows = zip(names, _texts("%.4f", fits.tau[q, shown], has_q), A.tolist(), (1e3 * chi2).tolist(), rms.tolist(),
+               _texts("%.2f", fits.rms[0, shown], fits.ok[0, shown]))
     header = (
         f"{'nucleus':<{width}} {'tau':>8} {'A[keV]':>8} {'1e3*chi2':>10} "
         f"{'rms[keV]':>9} {'rms_cl[keV]':>12}"
     )
-    lines = [header]
-    for entry in results:
-        band, fit_q, fit_cl = _entry_fits(entry)
-        main = fit_q if fit_q is not None else fit_cl
-        tau = f"{fit_q.qp.tau:.4f}" if fit_q is not None else "-"
-        rms_cl = f"{fit_cl.rms:.2f}" if fit_cl is not None else "-"
-        lines.append(
-            f"{band.name:<{width}} {tau:>8} {main.A:>8.2f} {1e3 * main.chi2:>10.2f} "
-            f"{main.rms:>9.2f} {rms_cl:>12}"
-        )
+    lines = [header, *map(f"%-{width}s %8s %8.2f %10.2f %9.2f %12s".__mod__, rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -307,34 +329,32 @@ def _json_floats(values: list[float]) -> list[str]:
     return list(map(float.__repr__, values))
 
 
-def _fit_json(name: str, result: FitResult, levels: list[list[str]]) -> str:
-    """One report row; ``name`` is the band name already JSON-encoded.
-    ``levels`` holds the band's spins and experimental energies as text:
-    the band's first row formats them into it, its other row reuses them,
-    since both fits share those columns."""
-    qp = result.qp
-    if qp is None:
-        tau, dim = "null", "null"
-        A, chi2, rms = _json_floats([result.A, result.chi2, result.rms])
-    else:
-        tau, A, chi2, rms = _json_floats([qp.tau, result.A, result.chi2, result.rms])
-        dim = int.__repr__(qp.dim)
-    j, exp, theo, _ = result.residual_columns()
-    if not levels:
-        levels += [_json_floats(j.tolist()), _json_floats(exp.tolist())]
-    values = chain.from_iterable(zip(*levels, _json_floats(theo.tolist())))
-    residuals = ",\n".join([_JSON_LEVEL] * len(j)) % tuple(values)
-    variant = encode_basestring_ascii(result.variant.value)
-    return _JSON_ROW % (name, tau, dim, A, chi2, rms, variant, residuals)
-
-
-def _report_json(results) -> bytes:
+def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
+    """Per band the deformed row, then the classical one, each where fitted."""
+    bands = fits.bands
+    theo, _ = fits.residuals()
+    starts, counts, ok = bands.starts.tolist(), bands.counts.tolist(), fits.ok.tolist()
+    A, chi2, rms, tau = (column.tolist() for column in (fits.A, fits.chi2, fits.rms, fits.tau))
+    classical, deformed = (encode_basestring_ascii(variant.value) for variant in (Variant.CLASSICAL, Variant.Q_DEFORMED))
     rows = []
-    for entry in results:
-        band, fit_q, fit_cl = _entry_fits(entry)
-        name = encode_basestring_ascii(band.name)
-        levels: list[list[str]] = []
-        rows.extend(_fit_json(name, result, levels) for result in (fit_q, fit_cl) if result is not None)
+    for k in shown.tolist():
+        name = encode_basestring_ascii(bands.names[k])
+        lo, hi = starts[k], starts[k] + counts[k]
+        levels = [_json_floats(bands.j[lo:hi].tolist()), _json_floats(bands.e[lo:hi].tolist())]
+        level_rows = ",\n".join([_JSON_LEVEL] * counts[k])
+        for r in reversed(range(len(fits.qps))):
+            if not ok[r][k]:
+                continue
+            qp = fits.qps[r][k]
+            if qp is None:
+                tau_text, dim, variant = "null", "null", classical
+                A_text, chi2_text, rms_text = _json_floats([A[r][k], chi2[r][k], rms[r][k]])
+            else:
+                tau_text, A_text, chi2_text, rms_text = _json_floats([tau[r][k], A[r][k], chi2[r][k], rms[r][k]])
+                dim, variant = int.__repr__(qp.dim), deformed
+            values = chain.from_iterable(zip(*levels, _json_floats(theo[r, lo:hi].tolist())))
+            residuals = level_rows % tuple(values)
+            rows.append(_JSON_ROW % (name, tau_text, dim, A_text, chi2_text, rms_text, variant, residuals))
     rows[0] = "[\n" + rows[0]
     rows[-1] += "\n]\n"
     text = ",\n".join(rows)
@@ -342,15 +362,31 @@ def _report_json(results) -> bytes:
     return text.encode("ascii")
 
 
+_PLOT_HEADER = "# j exp_keV theo_q_keV theo_classical_keV resid_q_keV resid_classical_keV"
+
+
 def emit_plot_data(band: BandData, fit_q: FitResult, fit_cl: FitResult) -> bytes:
     """Whitespace-separated columns ready for plotting tools:
     j, E_exp, E_q, E_classical, residual_q, residual_classical (keV)."""
-    lines = [
-        f"# nucleus: {band.name}",
-        "# j exp_keV theo_q_keV theo_classical_keV resid_q_keV resid_classical_keV",
-    ]
-    _, exp, theo_q, diff_q = (column.tolist() for column in fit_q.residual_columns())
-    _, _, theo_cl, diff_cl = (column.tolist() for column in fit_cl.residual_columns())
-    for (twoj, _), e, tq, tc, dq, dc in zip(band.levels, exp, theo_q, theo_cl, diff_q, diff_cl):
-        lines.append(f"{spin_str(twoj)} {e:.3f} {tq:.3f} {tc:.3f} {dq:.3f} {dc:.3f}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    if fit_q is None or fit_cl is None:
+        raise ValueError(f"plot data needs both fits for band '{band.name}'")
+    return _plot_data(Fits.gather([(band, fit_q, fit_cl)]))
+
+
+def _plot_data(fits: Fits) -> bytes:
+    """``emit_plot_data``'s block for every band of a two-row ``Fits``
+    without a failed fit, the blocks separated by an empty line."""
+    bands = fits.bands
+    theo, diff = fits.residuals()
+    twoj, inverse = np.unique(bands.twoj, return_inverse=True)
+    spins = [spin_str(value) for value in twoj.tolist()]
+    spins = [spins[index] for index in inverse.tolist()]
+    starts, counts = bands.starts.tolist(), bands.counts.tolist()
+    blocks = []
+    for k in fits.shown().tolist():
+        lo, hi = starts[k], starts[k] + counts[k]
+        rows = zip(spins[lo:hi], bands.e[lo:hi].tolist(), theo[1, lo:hi].tolist(), theo[0, lo:hi].tolist(),
+                   diff[1, lo:hi].tolist(), diff[0, lo:hi].tolist())
+        lines = [f"# nucleus: {bands.names[k]}", _PLOT_HEADER, *map("%s %.3f %.3f %.3f %.3f %.3f".__mod__, rows)]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks).encode("utf-8")

@@ -13,7 +13,8 @@ arithmetic.  The band reader turns each decimal spin into one with
 twice-spin past the cap.  ``Bands`` is the one level-column type: the band
 rules (``band_faults``), the tau rule (``q_parameters``, which cannot fail
 on a valid band) and the fit kernel each run over its columns, along the
-last axis, as numpy passes; one band is their one-item case.
+last axis, as numpy passes; one band is their one-item case.  A batch holds
+no ``BandData`` of its own; indexing it builds one.
 """
 
 from __future__ import annotations
@@ -124,13 +125,13 @@ class BandData:
 
 
 class Bands(Sequence):
-    """The validated bands of one batch, each as a ``BandData`` and all as
-    flat level columns: int64 twice-spins ``twoj``, spins ``j``, energies
-    ``e`` and head-referenced energies ``de``.  Band k owns the slice
-    ``starts[k]:starts[k] + counts[k]`` of every column."""
+    """The validated bands of one batch as flat level columns: names, int64
+    twice-spins ``twoj``, spins ``j``, energies ``e`` and head-referenced
+    energies ``de``.  Band k owns the slice ``starts[k]:starts[k] + counts[k]``
+    of every column; indexing builds its ``BandData`` from that slice."""
 
-    def __init__(self, bands: list[BandData], twoj: np.ndarray, e: np.ndarray, counts: np.ndarray):
-        self._bands = bands
+    def __init__(self, names: list[str], twoj: np.ndarray, e: np.ndarray, counts: np.ndarray):
+        self.names = names
         self.twoj = np.asarray(twoj, dtype=np.int64)
         self.j = self.twoj / 2
         self.e = e
@@ -147,13 +148,16 @@ class Bands(Sequence):
         n = int(counts.sum())
         twoj = np.fromiter(chain.from_iterable(band._twoj for band in bands), np.int64, n)
         e = np.fromiter(chain.from_iterable(band.energies for band in bands), float, n)
-        return cls(list(bands), twoj, e, counts)
+        return cls([band.name for band in bands], twoj, e, counts)
 
     def __len__(self) -> int:
-        return len(self._bands)
+        return len(self.names)
 
-    def __getitem__(self, index):
-        return self._bands[index]
+    def __getitem__(self, index: int) -> BandData:
+        k = range(len(self.names))[index]  # negative from the end, IndexError past either end
+        lo = int(self.starts[k])
+        hi = lo + int(self.counts[k])
+        return BandData._checked(self.names[k], tuple(self.twoj[lo:hi].tolist()), tuple(self.e[lo:hi].tolist()))
 
     def head(self, column: np.ndarray) -> np.ndarray:
         """Each band's first value of ``column`` along the last axis, repeated over its levels."""

@@ -12,7 +12,9 @@ import pytest
 
 from conftest import REPO_ROOT
 from qrotor.cli import _fit_one, build_parser, cmd_bands, main
+from qrotor.fit import FitResult
 from qrotor.ingest import BandParseError
+from qrotor.model import BandData
 
 GOOD = b"# nucleus: goodium\n2 100.0\n4 330.0\n6 690.0\n"
 BAD = b"# nucleus: badium\n2 100.0\n4 330.0\n8 690.0\n"
@@ -470,6 +472,88 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         main(["verify"])
         assert capsys.readouterr().out == first
+
+
+class TestBandPathObjects:
+    """``table``, ``table --json`` and ``plotdata`` read, fit and render the
+    batch as columns: no per-band ``BandData`` or ``FitResult`` is built."""
+
+    @pytest.mark.parametrize("argv", [["table"], ["table", "--json"], ["plotdata"]], ids=" ".join)
+    def test_builds_no_band_or_fit_objects(self, monkeypatch, tmp_path, bands_dir, argv):
+        corpus = tmp_path / "bands"
+        corpus.mkdir()
+        for k in range(40):
+            for band in bands_dir.glob("*.band"):
+                shutil.copy(band, corpus / f"{k:02d}{band.name}")
+        built = {"BandData": 0, "FitResult": 0}
+
+        def counted(cls, make):
+            def count(*args, **kwargs):
+                built[cls.__name__] += 1
+                return make(*args, **kwargs)
+
+            return count
+
+        monkeypatch.setattr(FitResult, "__init__", counted(FitResult, FitResult.__init__))
+        monkeypatch.setattr(BandData, "__init__", counted(BandData, BandData.__init__))
+        monkeypatch.setattr(BandData, "_checked", classmethod(counted(BandData, BandData._checked.__func__)))
+        assert main([*argv, str(corpus), "-o", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out").stat().st_size > 0
+        assert built == {"BandData": 0, "FitResult": 0}
+
+
+def _run_capped(argv, cwd):
+    """``python -m qrotor argv`` in ``cwd`` with its address space capped at
+    1 GiB where the platform can cap it, so a reader that does not stop at
+    an endless file fails here instead of filling memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "qrotor", *argv], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=60, preexec_fn=cap if os.name == "posix" else None)
+
+
+class TestBandInputs:
+    """Inputs that are not regular files end in one diagnostic and exit 1,
+    with the other bands still reported; each runs in its own process, so a
+    reader that waits or reads forever fails on the timeout."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_in_a_directory(self, tmp_path, dy162_path):
+        corpus = tmp_path / "bands"
+        corpus.mkdir()
+        os.mkfifo(corpus / "a.band")
+        shutil.copy(dy162_path, corpus / "b.band")
+        proc = _run_capped(["table", "bands"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (1, "qrotor: bands/a.band: cannot read band file: not a regular file\n")
+        assert "162Dy" in proc.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_device(self, tmp_path):
+        proc = _run_capped(["table", "/dev/zero"], tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "qrotor: /dev/zero: cannot read band file: not a regular file\n"
+
+    def test_directory_named_like_a_band_file(self, tmp_path, dy162_path):
+        (tmp_path / "bands" / "x.band").mkdir(parents=True)
+        shutil.copy(dy162_path, tmp_path / "bands" / "y.band")
+        proc = _run_capped(["table", "bands"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"qrotor: bands/x.band: cannot read band file: [Errno {errno.EISDIR}] "
+                               f"{os.strerror(errno.EISDIR)}: 'bands/x.band'\n")
+        assert "162Dy" in proc.stdout
+
+    def test_missing_file(self, tmp_path, dy162_path):
+        proc = _run_capped(["plotdata", str(dy162_path), "nope.band"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"qrotor: nope.band: cannot read band file: [Errno {errno.ENOENT}] "
+                               f"{os.strerror(errno.ENOENT)}: 'nope.band'\n")
+        assert proc.stdout.startswith("# nucleus: 162Dy\n")
 
 
 class TestEntryPoint:

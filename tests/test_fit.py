@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from _reference_fit import LevelResidual, fit_A_oracle, reference_compare, reference_fit
 from _synth import exact_band, noisy_band, random_band, spin_range
-from qrotor.fit import FitError, Variant, _fit, chi2_at, compare, compare_batch, factors, fit_A, fit_batch
+from qrotor.fit import FitError, Variant, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A, fit_batch
 from qrotor.ingest import read_band_file
 from qrotor.model import BandData, Bands, energy, q_parameter_from_band
 from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
@@ -336,8 +336,9 @@ class TestCompareBatch:
         entries = _mixed_batch(seed=seed, count=60)
         bands = [band for band, _ in entries]
         rows = [[qp for _, qp in entries], [None if qp else q_parameter_from_band(band) for band, qp in entries]]
-        for row, fits in zip(rows, _fit(Bands.of(bands), rows)):
-            for fit, alone in zip(fits, fit_batch(bands, row)):
+        fits = _fit(Bands.of(bands), rows)
+        for r, row in enumerate(rows):
+            for fit, alone in zip(_outcomes(fits, r), fit_batch(bands, row)):
                 assert type(fit) is type(alone)
                 if isinstance(alone, Exception):
                     assert str(fit) == str(alone)

@@ -410,3 +410,9 @@ class TestPlotData:
     def test_deterministic(self):
         band, fq, fc = _fitted()
         assert emit_plot_data(band, fq, fc) == emit_plot_data(band, fq, fc)
+
+    @pytest.mark.parametrize("missing", ["deformed", "classical"])
+    def test_needs_both_fits(self, missing):
+        band, fq, fc = _fitted()
+        with pytest.raises(ValueError, match="plot data needs both fits for band 'fitted'"):
+            emit_plot_data(band, None if missing == "deformed" else fq, None if missing == "classical" else fc)
