@@ -14,8 +14,9 @@ the per-band sums from ``Bands.sums``.  The kernel returns its columns as a
 ``Fits``, which the report writers format directly; ``fit_batch`` and
 ``compare_batch`` build one ``FitResult`` per band from them, and ``fit_A``
 and ``compare`` are their one-band cases; ``compare`` fits both variants in
-one pass.  A ``FitResult`` holds its ``Bands`` and builds per-level
-residuals from the columns only when read.
+one pass.  A ``FitResult`` is a value: it holds the ``BandData`` it fitted,
+not its batch, and its per-level residuals come from the same
+``Fits.residuals`` the reports use, over that one band.
 """
 
 from __future__ import annotations
@@ -78,50 +79,39 @@ class FitResult:
     ``chi2`` is the sum of squared residuals in MeV^2, ``rms`` the
     root-mean-square deviation sqrt(chi2/N) in keV over the N fitted
     levels.  ``qp`` is None for the classical variant, which ``variant``
-    reads.  ``residual_columns`` is computed from the batch columns each
-    time it is read.
+    reads.  The result holds the band it fitted, not the batch it was
+    fitted in; ``residual_columns`` gathers that one band and its fit into
+    a ``Fits`` and reads ``Fits.residuals``, as the reports do.
     """
 
     A: float
     chi2: float
     rms: float
     qp: QParameter | None
-    _bands: Bands = field(repr=False, compare=False)
-    _factors: np.ndarray = field(repr=False, compare=False)
-    _band: int = field(repr=False, compare=False)
+    _band: BandData = field(repr=False, compare=False)
 
     @property
     def variant(self) -> Variant:
         return Variant.CLASSICAL if self.qp is None else Variant.Q_DEFORMED
 
-    def _level_factors(self) -> np.ndarray:
-        """The band's head-referenced eigenvalue factors."""
-        lo = int(self._bands.starts[self._band])
-        return self._factors[lo:lo + int(self._bands.counts[self._band])]
-
     def residual_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The band's levels as float columns: spin j, experimental energy,
         theoretical energy (on the experimental band head) and their
         difference, all in keV."""
-        bands = self._bands
-        f = self._level_factors()
-        lo = int(bands.starts[self._band])
-        hi = lo + len(f)
-        theo = bands.e[lo] + self.A * f
-        diffs = bands.de[lo:hi] - self.A * f
-        return bands.j[lo:hi], bands.e[lo:hi], theo, diffs
+        row = int(self.qp is not None)
+        fits = Fits.gather([(self._band, self, None) if row else (self._band, None, self)])
+        theo, diffs = fits.residuals()
+        return fits.bands.j, fits.bands.e, theo[row], diffs[row]
 
 
 def _regime_error(name: str, qp: QParameter) -> RegimeError:
     return RegimeError(f"tau*(j_max+1) >= pi for band '{name}' at dim={qp.dim}")
 
 
-def _failure(name: str, qp: QParameter | None, regime: bool, sff: float, A: float) -> FitError | RegimeError:
-    """The first check a failing fit breaks: regime, spread, A > 0, finite results."""
+def _failure(name: str, qp: QParameter | None, regime: bool, A: float) -> FitError | RegimeError:
+    """The first check a failing fit breaks: regime, A > 0, finite results."""
     if not regime:
         return _regime_error(name, qp)
-    if sff == 0.0:
-        return FitError(f"band '{name}' has no spread in the model term")
     if A <= 0.0:
         return FitError(f"fitted A = {A:.4g} keV is not positive for band '{name}'")
     return FitError(f"band '{name}' has no finite fit: A, chi2 or rms overflows")
@@ -146,7 +136,8 @@ class Fits:
     def gather(cls, entries) -> "Fits":
         """A nonempty list of (band, deformed FitResult or None, classical
         FitResult or None) entries, each with at least one fit, as the
-        columns of a ``compare`` pass; ``ok`` is false where an entry has no
+        columns of a ``compare`` pass, the eigenvalue factors taken from
+        ``factors`` at each fit's tau; ``ok`` is false where an entry has no
         fit of that row."""
         for band, fit_q, fit_cl in entries:
             if fit_q is None and fit_cl is None:
@@ -157,14 +148,10 @@ class Fits:
         def column(read, missing=np.nan):
             return np.array([[missing if fit is None else read(fit) for fit in row] for row in rows], dtype=float)
 
-        counts = bands.counts.tolist()
-        f = np.array([
-            np.concatenate([np.zeros(count) if fit is None else fit._level_factors() for fit, count in zip(row, counts)])
-            for row in rows
-        ])
         ok = np.array([[fit is not None for fit in row] for row in rows])
         qps = [[None if fit is None else fit.qp for fit in row] for row in rows]
         tau = column(lambda fit: 0.0 if fit.qp is None else fit.qp.tau, 0.0)
+        f, _ = factors(bands, tau)
         return cls(bands, qps, tau, f, column(lambda fit: fit.A), column(lambda fit: fit.chi2),
                    column(lambda fit: fit.rms), ok, [{}, {}])
 
@@ -200,19 +187,19 @@ def _fit(bands: Bands, rows: Sequence[Sequence[QParameter | None]]) -> Fits:
         sff = bands.sums(f * f)
         A = bands.sums(bands.de * f) / sff
     chi2, rms = score(bands, f, A)
-    ok = regime & (sff != 0.0) & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
+    ok = regime & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
     failures: list[dict[int, ValueError]] = [{} for _ in rows]
     for r, k in zip(*np.nonzero(~ok)):
-        failures[r][k] = _failure(bands.names[k], rows[r][k], regime[r, k], sff[r, k], float(A[r, k]))
+        failures[r][k] = _failure(bands.names[k], rows[r][k], regime[r, k], float(A[r, k]))
     return Fits(bands, rows, tau, f, A, chi2, rms, ok, failures)
 
 
-def _outcomes(fits: Fits, r: int) -> list[FitResult | FitError | RegimeError]:
-    """Row ``r`` of the kernel's columns per band: its FitResult, or the
-    first check it fails."""
+def _outcomes(fits: Fits, r: int, bands: Sequence[BandData]) -> list[FitResult | FitError | RegimeError]:
+    """Row ``r`` of the kernel's columns per band: its FitResult on the
+    batch's band ``bands[k]``, or the first check it fails."""
     failures = fits.failures[r]
-    columns = zip(fits.qps[r], fits.A[r].tolist(), fits.chi2[r].tolist(), fits.rms[r].tolist())
-    return [failures.get(k) or FitResult(a, c, s, qp, fits.bands, fits.f[r], k) for k, (qp, a, c, s) in enumerate(columns)]
+    columns = zip(bands, fits.qps[r], fits.A[r].tolist(), fits.chi2[r].tolist(), fits.rms[r].tolist())
+    return [failures.get(k) or FitResult(a, c, s, qp, band) for k, (band, qp, a, c, s) in enumerate(columns)]
 
 
 def fit_batch(
@@ -222,13 +209,13 @@ def fit_batch(
     deformation ``qps[k]`` (None: the j(j+1) baseline), in one columnar pass.
 
     Returns, per band, its FitResult or the exception ``fit_A`` raises for
-    it: RegimeError when tau*(j_max+1) >= pi, FitError when the eigenvalue
-    factors have no spread, when the optimum lands at a nonpositive A
-    (unphysical inertia), or when A, chi2 or rms is not finite.
+    it: RegimeError when tau*(j_max+1) >= pi, FitError when the optimum
+    lands at a nonpositive A (unphysical inertia) or when A, chi2 or rms is
+    not finite.
     """
     if len(bands) != len(qps):
         raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")
-    return _outcomes(_fit(Bands.of(bands), [qps]), 0)
+    return _outcomes(_fit(Bands.of(bands), [qps]), 0, bands)
 
 
 def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
@@ -261,8 +248,9 @@ def compare_batch(
     branch stays for library callers who pick tau by hand.
     """
     fits = _compare(Bands.of(bands), classical_only)
-    fits_cl = _outcomes(fits, 0)
-    fits_q = [None] * len(fits_cl) if classical_only else _outcomes(fits, 1)
+    bands = list(bands)  # from a Bands, each band's BandData is built once
+    fits_cl = _outcomes(fits, 0, bands)
+    fits_q = [None] * len(fits_cl) if classical_only else _outcomes(fits, 1, bands)
     return [
         fit_cl if isinstance(fit_cl, ValueError) else fit_q if isinstance(fit_q, ValueError) else (fit_q, fit_cl)
         for fit_cl, fit_q in zip(fits_cl, fits_q)

@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import math
+import pickle
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from _reference_fit import LevelResidual, fit_A_oracle, reference_compare, reference_fit
 from _synth import exact_band, noisy_band, random_band, spin_range
 from qrotor.fit import FitError, Variant, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A, fit_batch
-from qrotor.ingest import read_band_file
+from qrotor.ingest import read_band_file, read_bands
 from qrotor.model import BandData, Bands, energy, q_parameter_from_band
 from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
 
@@ -273,6 +276,23 @@ class TestBatchKernel:
         fit_q, fit_cl = compare(HUGE_SPINS[0])
         assert all(math.isfinite(x) and x > 0.0 for fit in (fit_q, fit_cl) for x in (fit.A, fit.chi2, fit.rms))
 
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.integers(0, 2**20), twostep=st.integers(1, 8), count=st.integers(3, 40),
+           extra=st.none() | st.integers(0, 2**22))
+    def test_valid_bands_have_spread(self, head, twostep, count, extra):
+        # [j][j+1] first rises, then falls in j at any in-regime tau, so at
+        # most two of a valid band's levels share a factor: the kernel needs
+        # no check for factors without spread.  extra=None is the j(j+1)
+        # baseline; otherwise dim is the extra-th odd dimension above
+        # 2*(j_max+1), in regime.
+        twoj = head + twostep * np.arange(count)
+        bands = Bands(["b"], twoj, np.arange(count, dtype=float), np.array([count]))
+        n = int(twoj[-1]) + 2
+        tau = 0.0 if extra is None else QParameter.from_dim(n + 1 + n % 2 + 2 * extra).tau
+        f, regime = factors(bands, np.array([tau]))
+        assert regime[0]
+        assert bands.sums(f * f)[0] > 0.0
+
     def test_no_runtime_warnings(self):
         entries = _mixed_batch(seed=7, count=10)
         with warnings.catch_warnings():
@@ -338,7 +358,7 @@ class TestCompareBatch:
         rows = [[qp for _, qp in entries], [None if qp else q_parameter_from_band(band) for band, qp in entries]]
         fits = _fit(Bands.of(bands), rows)
         for r, row in enumerate(rows):
-            for fit, alone in zip(_outcomes(fits, r), fit_batch(bands, row)):
+            for fit, alone in zip(_outcomes(fits, r, bands), fit_batch(bands, row)):
                 assert type(fit) is type(alone)
                 if isinstance(alone, Exception):
                     assert str(fit) == str(alone)
@@ -350,6 +370,32 @@ class TestCompareBatch:
     def test_compare_raises_first_failure(self):
         with pytest.raises(FitError, match="no finite fit"):
             compare(OVERFLOW[0])
+
+
+class TestResultIsAValue:
+    """A FitResult holds the band it fitted, not the batch it came from."""
+
+    def test_result_does_not_hold_its_batch(self):
+        rng = np.random.default_rng(47)
+        batch = Bands.of([random_band(rng, tag)[0] for tag in range(1000)])
+        held = weakref.ref(batch)
+        fit_q, fit_cl = compare_batch(batch)[0]
+        for fit in (fit_q, fit_cl):
+            assert len(pickle.dumps(fit)) < 4096
+            copy = pickle.loads(pickle.dumps(fit))
+            assert copy == fit
+            for got, want in zip(copy.residual_columns(), fit.residual_columns()):
+                assert np.array_equal(got, want)
+        del batch
+        gc.collect()
+        assert held() is None
+
+    def test_residuals_survive_an_edit_of_the_batch(self, bands_dir):
+        read, bands = read_bands(sorted(bands_dir.glob("*.band")))
+        fit_q, _ = compare_batch(bands)[0]
+        before = [column.tobytes() for column in fit_q.residual_columns()]
+        bands.e += 1000.0
+        assert [column.tobytes() for column in fit_q.residual_columns()] == before
 
 
 # (dim, j_max, in regime): tau*(j_max+1) at 0.8 pi, 6/7 pi, just under pi,

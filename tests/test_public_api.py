@@ -153,3 +153,15 @@ def test_console_script_is_cli_main_through_dunder_main(monkeypatch):
     from qrotor import cli
 
     assert getattr(importlib.import_module(module_name), attr) is cli.main
+
+
+def test_version_is_stored_once():
+    """pyproject.toml reads the version from ``qrotor.__version__``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("no pyproject.toml beside src/")
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "qrotor.__version__"}
