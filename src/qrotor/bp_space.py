@@ -14,13 +14,26 @@ and one phase row.  Every D x D product below has A or conj(A) as one
 factor, applied by an in-place FFT along rows in O(D^2 log D); the other
 factor is the explicit matrix under test.  All D^2 entries of each product
 are compared with the identity or the raising matrix, but every step is
-row-local, so the products stream over blocks of ``_BLOCK_ROWS`` rows: a
-check works in one block buffer of its own, plus the modulus array of the
-max-norm, and folds each block's max-norm with ``np.max``, which keeps a
-NaN that Python's ``max`` would drop.  A space stores two D x D matrices,
-read-only, and ``build_space`` fills them block by block, in place.
+row-local, so the products stream over blocks of ``_BLOCK_ROWS`` rows and
+fold each block's max-norm with ``np.max``, which keeps a NaN that Python's
+``max`` would drop.
 
-From D = ``_THREADED_MIN_DIM`` up, the blocks of each fill and check are
+Each identity has one kernel, which maps a block of rows to its max-norm
+deviation.  A space holds no D x D array until a caller reads
+``angle_basis`` or ``exp_iphi``; the read fills that array block by block,
+in place, and keeps it, read-only.  On a space that holds an array, each
+check runs its kernel over the stored rows, in one block buffer of its own
+plus the modulus array of the max-norm.  On a space that holds none, the
+first check makes one pass that generates each block's basis rows, basis
+columns and exp(i*Phi) rows once and feeds them to all six kernels; the
+space keeps the six deviations, and the other checks return them.  That
+pass stores only two int16 tables of n*m mod D, 4 bytes per entry against
+32 for the two complex matrices.  ``qrotor verify`` reads no array but
+shift-power's exp(i*Phi) at D <= 101, so at D = 1001 its traced peak is
+8.5 MiB, against 32.1 MiB when each space stored both matrices, and its
+peak RSS 38.8 MiB, against 62.3.
+
+From D = ``_THREADED_MIN_DIM`` up, the blocks of each fill, check and pass are
 shared out between two threads where two cores are usable, as numpy runs its
 FFTs and elementwise loops without the GIL.  The two threads share the one
 budget of ``_BLOCK_ROWS`` rows, 32 rows each, and every row is computed as
@@ -28,8 +41,8 @@ on one thread while the max-norm fold does not depend on order, so arrays
 and deviations are bit-identical to the serial ones.  More cores do not
 start more threads (``_MAX_WORKERS``), and smaller spaces stay serial:
 there, starting threads costs more than it saves.  On 2 cores (Xeon, numpy
-2.4.6), building a D = 1001 space and running its six streamed checks takes
-about 110 ms on two threads and 155-170 ms on one.  Shift-power's D x D
+2.4.6), building a D = 1001 space and running its six checks takes about
+90 ms on two threads and 135-155 ms on one.  Shift-power's D x D
 matrix products run in numpy's einsum loops, not in BLAS, whose worker thread
 spins on another core for about 0.13 s after a matmul: a D = 101 power takes
 26 ms, against 2.2 ms in BLAS.
@@ -45,7 +58,8 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +108,27 @@ _THREADED_MIN_DIM = 401
 _UFUNC_BUFFER = 1024
 
 
+class _Array:
+    """A ``BPSpace`` array field.  An array given to the constructor is kept
+    as given; None, the default, leaves the space's own array to be built on
+    the first read, by ``_BUILDERS``, and kept, read-only."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, space: BPSpace | None, owner: type | None = None) -> np.ndarray | None:
+        if space is None:
+            return None  # the field's default
+        array = space.__dict__[self.name]
+        if array is None:
+            array = space.__dict__[self.name] = _BUILDERS[self.name](space)
+            array.setflags(write=False)
+        return array
+
+    def __set__(self, space: BPSpace, array: np.ndarray | None) -> None:
+        space.__dict__[self.name] = array
+
+
 @dataclass(frozen=True)
 class BPSpace:
     """Matrix realization of the finite angle phase space.
@@ -101,14 +136,15 @@ class BPSpace:
     Basis ordering is m = -l..l (ascending).  ``theta0`` is the reference
     angle of the angle grid; ``angle_basis[n]`` holds the components of the
     n-th angle state over that basis; ``exp_iphi`` is the exponentiated angle
-    operator and ``q_jz`` the diagonal of the shift q^{Jz}.
+    operator and ``q_jz`` the diagonal of the shift q^{Jz}.  An array left
+    out is the space's own, built from ``qp`` and ``theta0`` when first read.
     """
 
     qp: QParameter
     theta0: float
-    exp_iphi: np.ndarray
-    q_jz: np.ndarray
-    angle_basis: np.ndarray
+    exp_iphi: np.ndarray = _Array()
+    q_jz: np.ndarray = _Array()
+    angle_basis: np.ndarray = _Array()
 
     @property
     def dim(self) -> int:
@@ -117,6 +153,14 @@ class BPSpace:
     @property
     def m_values(self) -> np.ndarray:
         return np.arange(self.dim, dtype=float) - (self.dim - 1) // 2
+
+    def __repr__(self) -> str:
+        # what the space holds: an array not yet built shows as None and is not built for this
+        return f"BPSpace({', '.join(f'{f.name}={self.__dict__[f.name]!r}' for f in fields(self))})"
+
+    @cached_property
+    def _deviations(self) -> dict:
+        return _fused_deviations(self)
 
 
 def _angles(dim: int, theta0: float) -> np.ndarray:
@@ -216,8 +260,9 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     and theta_n = theta0 + 2*pi*n/D, that is exp(-i*m*theta0) * w_k / sqrt(D)
     with w_k the D-th root of unity at k = n*m mod D.  The exponentiated
     angle operator is assembled from its spectral sum over these states;
-    q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).  Both matrices are
-    filled a row block at a time, in place.  The three arrays are read-only.
+    q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).  The space holds none
+    of the three arrays until one is read; each is then filled a row block
+    at a time, in place, and kept read-only.
 
     Raises ValueError for l not finite or off the half-integer grid, for
     2l+1 even or outside 3..MAX_DENSE_DIM, and for a non-finite theta0.
@@ -228,35 +273,55 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     qp = QParameter.from_dim(dim)
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
+    return BPSpace(qp=qp, theta0=theta0)
 
+
+def _products(n: np.ndarray, m: np.ndarray, dim: int) -> np.ndarray:
+    """n*m mod D with n down and m along: the root index k of the angle
+    basis at [n, m], or, for n the m values, of its transpose."""
+    k = np.multiply.outer(n, m)
+    k %= dim
+    return k
+
+
+def _build_angle_basis(space: BPSpace) -> np.ndarray:
+    dim = space.dim
+    roots, column_phase = _roots(dim), _dft_phases(dim, space.theta0)[1] / math.sqrt(dim)
     m = np.arange(dim) - (dim - 1) // 2
-    roots, phases = _roots(dim), _dft_phases(dim, theta0)
-    column_phase = phases[1] / math.sqrt(dim)
-    angle_basis = np.empty((dim, dim), dtype=complex)
+    basis = np.empty((dim, dim), dtype=complex)
 
-    def fill_basis(rows: slice) -> None:
-        k = np.multiply.outer(np.arange(rows.start, rows.stop), m)
-        k %= dim
-        np.take(roots, k, out=angle_basis[rows], mode="clip")  # "clip" writes into ``out`` unbuffered
-        angle_basis[rows] *= column_phase
+    def fill(rows: slice) -> None:
+        # "clip" writes into ``out`` unbuffered, here and below
+        np.take(roots, _products(np.arange(rows.start, rows.stop), m, dim), out=basis[rows], mode="clip")
+        basis[rows] *= column_phase
 
-    _blockwise(dim, fill_basis)
+    _blockwise(dim, fill)
+    return basis
 
-    # exp(i*Phi) = sum_n exp(i*theta_n) |theta_n><theta_n| = A^T diag(exp(i*theta)) conj(A)
-    weight = np.exp(1j * _angles(dim, theta0))
+
+def _build_exp_iphi(space: BPSpace) -> np.ndarray:
+    """exp(i*Phi) = sum_n exp(i*theta_n) |theta_n><theta_n| = A^T diag(exp(i*theta)) conj(A),
+    each row block transformed in place from the same columns of A."""
+    dim = space.dim
+    roots, phases = _roots(dim), _dft_phases(dim, space.theta0)
+    column_phase, weight = phases[1] / math.sqrt(dim), np.exp(1j * _angles(dim, space.theta0))
+    m = np.arange(dim) - (dim - 1) // 2
     exp_iphi = np.empty((dim, dim), dtype=complex)
 
-    def fill_exp_iphi(rows: slice) -> None:
-        exp_iphi[rows] = angle_basis[:, rows].T
+    def fill(rows: slice) -> None:
+        np.take(roots, _products(m[rows], np.arange(dim), dim), out=exp_iphi[rows], mode="clip")
+        exp_iphi[rows] *= column_phase[rows, None]
         _times_weighted_conj_angle(exp_iphi[rows], weight, phases)
 
-    _blockwise(dim, fill_exp_iphi)
+    _blockwise(dim, fill)
+    return exp_iphi
 
-    q_jz = np.exp(-1j * qp.tau * m)
 
-    for array in (angle_basis, exp_iphi, q_jz):
-        array.setflags(write=False)
-    return BPSpace(qp=qp, theta0=theta0, exp_iphi=exp_iphi, q_jz=q_jz, angle_basis=angle_basis)
+def _build_q_jz(space: BPSpace) -> np.ndarray:
+    return np.exp(-1j * space.qp.tau * (np.arange(space.dim) - (space.dim - 1) // 2))
+
+
+_BUILDERS = {"angle_basis": _build_angle_basis, "exp_iphi": _build_exp_iphi, "q_jz": _build_q_jz}
 
 
 def _identity_deviation(block: np.ndarray, rows: slice) -> float:
@@ -266,69 +331,176 @@ def _identity_deviation(block: np.ndarray, rows: slice) -> float:
     return max_abs(block)
 
 
+# One kernel per identity: ``kernel(space)`` returns ``deviation(rows,
+# *inputs)``, the max-norm deviation of a block of rows, computed from one of
+# the block's three inputs, which it leaves unchanged: "exp_iphi", its rows
+# of exp(i*Phi); "basis", its rows of the angle basis and the row after
+# them, cyclically; "columns", its columns of the angle basis, transposed.
+
+
+def _quantum_plane(space: BPSpace) -> Callable[..., float]:
+    q_jz = space.q_jz
+    q_shifted = np.exp(-1j * space.qp.tau) * q_jz
+
+    def deviation(rows: slice, exp_iphi: np.ndarray) -> float:
+        block = np.subtract.outer(q_jz[rows], q_shifted)
+        block *= exp_iphi
+        return max_abs(block)
+
+    return deviation
+
+
+def _cyclic_shift(space: BPSpace) -> Callable[..., float]:
+    dim, corner = space.dim, np.exp(1j * space.dim * space.theta0)
+
+    def deviation(rows: slice, exp_iphi: np.ndarray) -> float:
+        block = exp_iphi.copy()
+        i = np.arange(max(rows.start, 1), rows.stop)  # the rows with a one at (i, i-1)
+        block[i - rows.start, i - 1] -= 1.0
+        if rows.start == 0:
+            block[0, dim - 1] -= corner
+        return max_abs(block)
+
+    return deviation
+
+
+def _unitarity(space: BPSpace) -> Callable[..., float]:
+    phases = _dft_phases(space.dim, space.theta0)
+    w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
+    q_deviation = max_abs(np.abs(space.q_jz) ** 2 - 1.0)
+
+    def deviation(rows: slice, exp_iphi: np.ndarray) -> float:
+        block = _times_angle_transpose(exp_iphi.copy(), phases)
+        return max_abs([_identity_deviation(_times_weighted_conj_angle(block, w_bar, phases), rows), q_deviation])
+
+    return deviation
+
+
+def _angle_orthonormality(space: BPSpace) -> Callable[..., float]:
+    phases = _dft_phases(space.dim, space.theta0)
+
+    def deviation(rows: slice, basis: np.ndarray, _after: np.ndarray) -> float:
+        return _identity_deviation(_times_angle_transpose(basis.conj(), phases), rows)
+
+    return deviation
+
+
+def _angle_completeness(space: BPSpace) -> Callable[..., float]:
+    phases = _dft_phases(space.dim, space.theta0)
+
+    def deviation(rows: slice, columns: np.ndarray) -> float:
+        return _identity_deviation(_times_weighted_conj_angle(columns.copy(), 1.0, phases), rows)
+
+    return deviation
+
+
+def _angle_cycling(space: BPSpace) -> Callable[..., float]:
+    q_jz = space.q_jz
+
+    def deviation(rows: slice, basis: np.ndarray, after: np.ndarray) -> float:
+        block = basis * q_jz
+        block[:-1] -= basis[1:]
+        block[-1] -= after
+        return max_abs(block)
+
+    return deviation
+
+
+_KERNELS = {
+    _quantum_plane: "exp_iphi",
+    _cyclic_shift: "exp_iphi",
+    _unitarity: "exp_iphi",
+    _angle_orthonormality: "basis",
+    _angle_completeness: "columns",
+    _angle_cycling: "basis",
+}
+
+
+def _stored_inputs(space: BPSpace, source: str) -> Callable[[slice], tuple]:
+    """The kernel input ``source`` of a block of rows, as views of the
+    space's stored arrays."""
+    if source == "exp_iphi":
+        exp_iphi = space.exp_iphi
+        return lambda rows: (exp_iphi[rows],)
+    basis = space.angle_basis
+    if source == "columns":
+        return lambda rows: (basis[:, rows].T,)
+    return lambda rows: (basis[rows], basis[rows.stop % len(basis)])
+
+
+def _fused_deviations(space: BPSpace) -> dict:
+    """Every kernel's deviation from one pass over row blocks, in which each
+    block's three inputs are generated once and no D x D complex array is
+    formed.  The root indices n*m mod D are read from an int16 table of
+    them and its transpose, filled first, 2 MiB each at D = 1001."""
+    dim = space.dim
+    roots, phases = _roots(dim), _dft_phases(dim, space.theta0)
+    column_phase, weight = phases[1] / math.sqrt(dim), np.exp(1j * _angles(dim, space.theta0))
+    m = np.arange(dim) - (dim - 1) // 2
+    by_rows = np.empty((dim, dim), dtype=np.int16)
+    by_columns = np.empty_like(by_rows)
+
+    def fill_by_rows(rows: slice) -> None:
+        by_rows[rows] = _products(np.arange(rows.start, rows.stop), m, dim)
+
+    def fill_by_columns(rows: slice) -> None:
+        by_columns[rows] = by_rows[:, rows].T
+
+    _blockwise(dim, fill_by_rows)
+    _blockwise(dim, fill_by_columns)
+    kernels = [(kernel(space), source) for kernel, source in _KERNELS.items()]
+
+    def deviations(rows: slice) -> list[float]:
+        basis = np.empty((rows.stop - rows.start + 1, dim), dtype=complex)
+        np.take(roots, by_rows[rows], out=basis[:-1], mode="clip")
+        np.take(roots, by_rows[rows.stop % dim], out=basis[-1], mode="clip")
+        basis *= column_phase
+        columns = np.take(roots, by_columns[rows])
+        columns *= column_phase[rows, None]
+        exp_iphi = _times_weighted_conj_angle(columns.copy(), weight, phases)
+        inputs = {"exp_iphi": (exp_iphi,), "basis": (basis[:-1], basis[-1]), "columns": (columns,)}
+        return [deviation(rows, *inputs[source]) for deviation, source in kernels]
+
+    blocks = _blockwise(dim, deviations)
+    return {kernel: max_abs([block[k] for block in blocks]) for k, kernel in enumerate(_KERNELS)}
+
+
+def _deviation(space: BPSpace, kernel: Callable[[BPSpace], Callable[..., float]]) -> float:
+    """The max-norm deviation ``kernel`` measures: over the stored rows on a
+    space that holds a D x D array, else from the space's one fused pass."""
+    if space.__dict__["angle_basis"] is None and space.__dict__["exp_iphi"] is None:
+        return space._deviations[kernel]
+    deviation, inputs = kernel(space), _stored_inputs(space, _KERNELS[kernel])
+    return max_abs(_blockwise(space.dim, lambda rows: deviation(rows, *inputs(rows))))
+
+
 def check_quantum_plane(space: BPSpace) -> float:
     """Max-norm deviation of q^{Jz} e^{iPhi} - q e^{iPhi} q^{Jz} from zero,
     formed entrywise as (q_i - q*q_j) * e^{iPhi}_ij."""
-    q_shifted = np.exp(-1j * space.qp.tau) * space.q_jz
-
-    def deviation(rows: slice) -> float:
-        block = np.subtract.outer(space.q_jz[rows], q_shifted)
-        block *= space.exp_iphi[rows]
-        return max_abs(block)
-
-    return max_abs(_blockwise(space.dim, deviation))
+    return _deviation(space, _quantum_plane)
 
 
 def check_cyclic_shift(space: BPSpace) -> float:
     """Max-norm deviation of exp_iphi from the one-step cyclic raising matrix,
     whose wrap-around corner carries the phase exp(i*D*theta0)."""
-    dim = space.dim
-
-    def deviation(rows: slice) -> float:
-        block = space.exp_iphi[rows].copy()
-        i = np.arange(max(rows.start, 1), rows.stop)  # the rows with a one at (i, i-1)
-        block[i - rows.start, i - 1] -= 1.0
-        if rows.start == 0:
-            block[0, dim - 1] -= np.exp(1j * dim * space.theta0)
-        return max_abs(block)
-
-    return max_abs(_blockwise(dim, deviation))
+    return _deviation(space, _cyclic_shift)
 
 
 def check_unitarity(space: BPSpace) -> float:
     """Max-norm deviation of U U^dagger from identity for U = exp_iphi, with
     U^dagger = A^T diag(exp(-i*theta)) conj(A), and of |q_m|^2 from one."""
-    phases = _dft_phases(space.dim, space.theta0)
-    w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
-
-    def deviation(rows: slice) -> float:
-        block = _times_angle_transpose(space.exp_iphi[rows].copy(), phases)
-        return _identity_deviation(_times_weighted_conj_angle(block, w_bar, phases), rows)
-
-    d1 = max_abs(_blockwise(space.dim, deviation))
-    d2 = max_abs(np.abs(space.q_jz) ** 2 - 1.0)
-    return max_abs([d1, d2])
+    return _deviation(space, _unitarity)
 
 
 def check_angle_orthonormality(space: BPSpace) -> float:
     """Max-norm deviation of the angle-state Gram matrix from identity, taken
     on its transpose (A A^dagger)^T = conj(A) A^T."""
-    phases = _dft_phases(space.dim, space.theta0)
-
-    def deviation(rows: slice) -> float:
-        return _identity_deviation(_times_angle_transpose(space.angle_basis[rows].conj(), phases), rows)
-
-    return max_abs(_blockwise(space.dim, deviation))
+    return _deviation(space, _angle_orthonormality)
 
 
 def check_angle_completeness(space: BPSpace) -> float:
     """Max-norm deviation of sum_n |theta_n><theta_n| = A^T conj(A) from identity."""
-    phases = _dft_phases(space.dim, space.theta0)
-
-    def deviation(rows: slice) -> float:
-        return _identity_deviation(_times_weighted_conj_angle(space.angle_basis[:, rows].T.copy(), 1.0, phases), rows)
-
-    return max_abs(_blockwise(space.dim, deviation))
+    return _deviation(space, _angle_completeness)
 
 
 def check_angle_cycling(space: BPSpace) -> float:
@@ -337,15 +509,7 @@ def check_angle_cycling(space: BPSpace) -> float:
     Returns the max-norm deviation of the shifted basis from the basis with
     its rows moved up by one; for integer m the wrap-around is phase-free.
     """
-    basis = space.angle_basis
-
-    def deviation(rows: slice) -> float:
-        block = basis[rows] * space.q_jz
-        block[:-1] -= basis[rows.start + 1 : rows.stop]
-        block[-1] -= basis[rows.stop % space.dim]
-        return max_abs(block)
-
-    return max_abs(_blockwise(space.dim, deviation))
+    return _deviation(space, _angle_cycling)
 
 
 def check_shift_power(space: BPSpace) -> float:

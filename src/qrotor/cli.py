@@ -207,7 +207,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 record(name, params, check(space), _bp_tolerance(space.dim))
             if space.dim <= 101:
                 record("shift-power", params, check_shift_power(space), 1e-10)
-            del space  # one space alive at a time: drop it before the next is built
 
     for l in l_sweep:
         dim = 2 * l + 1

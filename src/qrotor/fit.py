@@ -114,7 +114,7 @@ def _failure(name: str, qp: QParameter | None, regime: bool, A: float) -> FitErr
         return _regime_error(name, qp)
     if A <= 0.0:
         return FitError(f"fitted A = {A:.4g} keV is not positive for band '{name}'")
-    return FitError(f"band '{name}' has no finite fit: A, chi2 or rms overflows")
+    return FitError(f"band '{name}' has no finite fit: A, chi2 or rms is not finite")
 
 
 class Fits:

@@ -60,7 +60,7 @@ def reference_fit(band: BandData, qp: QParameter | None):
         chi2 = float(np.sum((diffs / KEV_PER_MEV) ** 2))
         rms = KEV_PER_MEV * math.sqrt(chi2 / len(band.levels)) if math.isfinite(chi2) else math.nan
     if not (math.isfinite(A) and math.isfinite(chi2) and math.isfinite(rms)):
-        raise FitError(f"band '{band.name}' has no finite fit: A, chi2 or rms overflows")
+        raise FitError(f"band '{band.name}' has no finite fit: A, chi2 or rms is not finite")
     head = band.energies[0]
     residuals = tuple(
         LevelResidual(j, float(exp), float(head + A * fv), float(d))

@@ -113,6 +113,11 @@ class TestBuildSpace:
         with pytest.raises(ValueError, match="theta0 must be finite"):
             build_space(1, theta0=theta0)
 
+    def test_repr_builds_no_array(self):
+        space = build_space(2, 0.6)
+        assert repr(space) == f"BPSpace(qp={space.qp!r}, theta0=0.6, exp_iphi=None, q_jz=None, angle_basis=None)"
+        assert repr(space.q_jz) in repr(space)
+
     def test_stores_dimension_and_reference_angle_once(self):
         space = build_space(2, theta0=0.6)
         assert {f.name for f in dataclasses.fields(space)} == {"qp", "theta0", "exp_iphi", "q_jz", "angle_basis"}
@@ -271,17 +276,21 @@ BLOCK_EDGE_DIMS = sorted({(_BLOCK_ROWS - 1) | 1, (_BLOCK_ROWS + 1) | 1, (2 * _BL
 
 
 class TestBlockedMatchesWholeMatrix:
-    """Streaming over row blocks changes no bit of a space or a deviation."""
+    """Streaming over row blocks changes no bit of a space or a deviation,
+    whether the checks run before any array is read (one fused pass over
+    generated blocks) or after (each kernel over the stored rows)."""
 
     @pytest.mark.parametrize("theta0", [0.0, 0.6, math.pi / 3])
     @pytest.mark.parametrize("dim", BLOCK_EDGE_DIMS)
     def test_arrays_and_deviations_bit_identical(self, dim, theta0):
-        space = build_space((dim - 1) // 2, theta0)
         whole = whole_build_space((dim - 1) // 2, theta0)
-        for name in ("angle_basis", "exp_iphi", "q_jz"):
-            assert np.array_equal(getattr(space, name), getattr(whole, name)), name
-        for name, check in BP_CHECKS:
-            assert check(space) == WHOLE_CHECKS[name](whole), name
+        expected = {name: WHOLE_CHECKS[name](whole) for name, _ in BP_CHECKS}
+        checked_first, read_first = build_space((dim - 1) // 2, theta0), build_space((dim - 1) // 2, theta0)
+        assert {name: check(checked_first) for name, check in BP_CHECKS} == expected
+        for space in (read_first, checked_first):
+            for name in ("angle_basis", "exp_iphi", "q_jz"):
+                assert np.array_equal(getattr(space, name), getattr(whole, name)), name
+        assert {name: check(read_first) for name, check in BP_CHECKS} == expected
 
 
 NAN_DIM = 2 * _BLOCK_ROWS + 1  # three row blocks, the last of one row
@@ -403,6 +412,21 @@ class TestMemory:
     def test_build_fills_the_stored_arrays_in_place(self):
         build_space((MEMORY_DIM - 1) // 2, 0.6)
         assert _traced_peak(build_space, (MEMORY_DIM - 1) // 2, 0.6) <= SPACE_BYTES + BLOCK_BUDGET + CHECK_SLACK
+
+    @pytest.mark.parametrize("name,check", BP_CHECKS, ids=[name for name, _ in BP_CHECKS])
+    def test_check_over_stored_arrays_works_in_one_buffer(self, name, check):
+        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
+        space.angle_basis, space.exp_iphi  # read: each check runs its own kernel over the stored rows
+        check(space)
+        assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
+
+    def test_unread_space_forms_no_matrix(self):
+        def build_and_check():
+            space = build_space((MEMORY_DIM - 1) // 2, 0.6)
+            return [check(space) for _, check in BP_CHECKS]
+
+        build_and_check()
+        assert _traced_peak(build_and_check) < 16 * MEMORY_DIM**2
 
     def test_verify_keeps_one_space_alive(self, tmp_path):
         peak = _traced_peak(main, ["verify", "--max-dim", str(MEMORY_DIM), "-o", str(tmp_path / "verify.txt")])

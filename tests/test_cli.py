@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -407,7 +408,15 @@ class TestVerifyCommand:
         assert [error.split(": ")[2].split() for error in captured.err.splitlines()] == named
 
     def test_large_sweep_lines_and_deviations(self, capsys):
-        assert main(["verify", "--max-dim", "1001"]) == 0
+        # numpy reports its buffers to tracemalloc: the run's traced peak
+        # stays below one D x D complex matrix at D = 1001
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--max-dim", "1001"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1001**2
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 111
         assert not any(line.startswith("lowering") for line in lines)

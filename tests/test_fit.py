@@ -200,6 +200,9 @@ OVERFLOW = (BandData.from_levels("overflow", [(0, 0.0), (1, 1e-7), (2, 1e308)]),
 HUGE_SPINS = (BandData.from_levels("huge-spins", [(0, 0.0), (2**29, 1.0), (2**30, 2.0)]), None)
 # An exact j(j+1) band so large that only the deformed fit's chi2 overflows.
 DEFORMED_OVERFLOW = exact_band("deformed-overflow", 2.0**532, None, spin_range(0.0, 1.0, 10))
+# Twice-spins 2**28 to 2**28 + 2 fitted near the top of the [j][j+1] arch:
+# their float64 factors are all equal, so sum f^2 rounds to 0 and A is 0/0.
+NO_SPREAD = BandData("no-spread", ((2**28, 0.0), (2**28 + 1, 1.0), (2**28 + 2, 2.0)))
 
 
 def _mixed_batch(seed: int, count: int):
@@ -275,6 +278,16 @@ class TestBatchKernel:
         assert "no finite fit" in str(result)
         fit_q, fit_cl = compare(HUGE_SPINS[0])
         assert all(math.isfinite(x) and x > 0.0 for fit in (fit_q, fit_cl) for x in (fit.A, fit.chi2, fit.rms))
+
+    @pytest.mark.parametrize("dim", [536870915, 536870917])
+    def test_no_spread_is_not_finite_not_an_overflow(self, dim):
+        qp = QParameter.from_dim(dim)
+        assert not factors(Bands.of([NO_SPREAD]), np.array([qp.tau]))[0].any()
+        with pytest.raises(FitError, match="^band 'no-spread' has no finite fit: A, chi2 or rms is not finite$"):
+            fit_A(NO_SPREAD, qp)
+        # the oracle keeps its own check for a model term without spread
+        with pytest.raises(FitError, match="no spread"):
+            reference_fit(NO_SPREAD, qp)
 
     @settings(max_examples=300, deadline=None)
     @given(head=st.integers(0, 2**20), twostep=st.integers(1, 8), count=st.integers(3, 40),
