@@ -21,17 +21,18 @@ fold each block's max-norm with ``np.max``, which keeps a NaN that Python's
 Each identity has one kernel, which maps a block of rows to its max-norm
 deviation.  A space holds no D x D array until a caller reads
 ``angle_basis`` or ``exp_iphi``; the read fills that array block by block,
-in place, and keeps it, read-only.  On a space that holds an array, each
-check runs its kernel over the stored rows, in one block buffer of its own
-plus the modulus array of the max-norm.  On a space that holds none, the
-first check makes one pass that generates each block's basis rows, basis
-columns and exp(i*Phi) rows once and feeds them to all six kernels; the
-space keeps the six deviations, and the other checks return them.  That
-pass stores only two int16 tables of n*m mod D, 4 bytes per entry against
-32 for the two complex matrices.  ``qrotor verify`` reads no array but
+in place, from the one block generator ``_Blocks``, and keeps it,
+read-only.  The first check of a space makes one pass over row blocks that
+feeds each block's inputs to all six kernels, and the space keeps the six
+deviations for the other checks.  An input is a view of the rows of an
+array the space holds, which needs no buffer, so there each kernel works in
+one block buffer of its own plus the modulus array of the max-norm.  An
+array the space does not hold is generated a block at a time instead: its
+basis rows (with the next row, for cycling), basis columns and exp(i*Phi)
+rows, each once per block.  ``qrotor verify`` reads no array but
 shift-power's exp(i*Phi) at D <= 101, so at D = 1001 its traced peak is
-8.5 MiB, against 32.1 MiB when each space stored both matrices, and its
-peak RSS 38.8 MiB, against 62.3.
+4.7 MiB, against 32.1 MiB when each space stored both matrices, and its
+peak RSS 35.0 MiB, against 62.3.
 
 From D = ``_THREADED_MIN_DIM`` up, the blocks of each fill, check and pass are
 shared out between two threads where two cores are usable, as numpy runs its
@@ -138,6 +139,8 @@ class BPSpace:
     n-th angle state over that basis; ``exp_iphi`` is the exponentiated angle
     operator and ``q_jz`` the diagonal of the shift q^{Jz}.  An array left
     out is the space's own, built from ``qp`` and ``theta0`` when first read.
+    The first ``check_*`` call measures all six identities and the space
+    keeps their deviations, so an array passed in must not change after it.
     """
 
     qp: QParameter
@@ -160,7 +163,7 @@ class BPSpace:
 
     @cached_property
     def _deviations(self) -> dict:
-        return _fused_deviations(self)
+        return _all_deviations(self)
 
 
 def _angles(dim: int, theta0: float) -> np.ndarray:
@@ -276,44 +279,52 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     return BPSpace(qp=qp, theta0=theta0)
 
 
-def _products(n: np.ndarray, m: np.ndarray, dim: int) -> np.ndarray:
-    """n*m mod D with n down and m along: the root index k of the angle
-    basis at [n, m], or, for n the m values, of its transpose."""
-    k = np.multiply.outer(n, m)
-    k %= dim
-    return k
+class _Blocks:
+    """Blocks of a space's own angle basis and exp(i*Phi), generated from the
+    D roots of unity, taken at n*m mod D, and the space's ``_dft_phases``,
+    given as ``phases`` or else computed; every entry is computed as in the
+    whole array."""
+
+    def __init__(self, space: BPSpace, phases: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        dim = self.dim = space.dim
+        self.roots, self.phases = _roots(dim), phases or _dft_phases(dim, space.theta0)
+        self.column_phase = self.phases[1] / math.sqrt(dim)
+        self.weight = np.exp(1j * _angles(dim, space.theta0))
+        self.n = np.arange(dim, dtype=np.min_scalar_type(-dim * dim))  # holds every n*m, |n*m| < D^2 / 2
+        self.m = self.n - (dim - 1) // 2
+
+    def _roots_at(self, n: np.ndarray, m: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        k = np.multiply.outer(n, m)
+        k %= self.dim
+        return np.take(self.roots, k, out=out, mode="clip")  # "clip" writes into ``out`` unbuffered
+
+    def basis(self, n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``n`` of the angle basis."""
+        out = self._roots_at(n, self.m, out)
+        out *= self.column_phase
+        return out
+
+    def columns(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Columns ``rows`` of the angle basis, transposed."""
+        out = self._roots_at(self.m[rows], self.n, out)
+        out *= self.column_phase[rows, None]
+        return out
+
+    def exp_iphi(self, columns: np.ndarray) -> np.ndarray:
+        """The same rows of exp(i*Phi) = sum_n exp(i*theta_n) |theta_n><theta_n|
+        = A^T diag(exp(i*theta)) conj(A), transformed in place from ``columns``."""
+        return _times_weighted_conj_angle(columns, self.weight, self.phases)
 
 
 def _build_angle_basis(space: BPSpace) -> np.ndarray:
-    dim = space.dim
-    roots, column_phase = _roots(dim), _dft_phases(dim, space.theta0)[1] / math.sqrt(dim)
-    m = np.arange(dim) - (dim - 1) // 2
-    basis = np.empty((dim, dim), dtype=complex)
-
-    def fill(rows: slice) -> None:
-        # "clip" writes into ``out`` unbuffered, here and below
-        np.take(roots, _products(np.arange(rows.start, rows.stop), m, dim), out=basis[rows], mode="clip")
-        basis[rows] *= column_phase
-
-    _blockwise(dim, fill)
+    blocks, basis = _Blocks(space), np.empty((space.dim, space.dim), dtype=complex)
+    _blockwise(space.dim, lambda rows: blocks.basis(blocks.n[rows], out=basis[rows]))
     return basis
 
 
 def _build_exp_iphi(space: BPSpace) -> np.ndarray:
-    """exp(i*Phi) = sum_n exp(i*theta_n) |theta_n><theta_n| = A^T diag(exp(i*theta)) conj(A),
-    each row block transformed in place from the same columns of A."""
-    dim = space.dim
-    roots, phases = _roots(dim), _dft_phases(dim, space.theta0)
-    column_phase, weight = phases[1] / math.sqrt(dim), np.exp(1j * _angles(dim, space.theta0))
-    m = np.arange(dim) - (dim - 1) // 2
-    exp_iphi = np.empty((dim, dim), dtype=complex)
-
-    def fill(rows: slice) -> None:
-        np.take(roots, _products(m[rows], np.arange(dim), dim), out=exp_iphi[rows], mode="clip")
-        exp_iphi[rows] *= column_phase[rows, None]
-        _times_weighted_conj_angle(exp_iphi[rows], weight, phases)
-
-    _blockwise(dim, fill)
+    blocks, exp_iphi = _Blocks(space), np.empty((space.dim, space.dim), dtype=complex)
+    _blockwise(space.dim, lambda rows: blocks.exp_iphi(blocks.columns(rows, out=exp_iphi[rows])))
     return exp_iphi
 
 
@@ -331,14 +342,15 @@ def _identity_deviation(block: np.ndarray, rows: slice) -> float:
     return max_abs(block)
 
 
-# One kernel per identity: ``kernel(space)`` returns ``deviation(rows,
-# *inputs)``, the max-norm deviation of a block of rows, computed from one of
-# the block's three inputs, which it leaves unchanged: "exp_iphi", its rows
-# of exp(i*Phi); "basis", its rows of the angle basis and the row after
-# them, cyclically; "columns", its columns of the angle basis, transposed.
+# One kernel per identity: ``kernel(space, phases)``, with ``phases`` the
+# space's ``_dft_phases``, returns ``deviation(rows, *inputs)``, the max-norm
+# deviation of a block of rows, computed from one of the block's three
+# inputs, which it leaves unchanged: "exp_iphi", its rows of exp(i*Phi);
+# "basis", its rows of the angle basis and the row after them, cyclically;
+# "columns", its columns of the angle basis, transposed.
 
 
-def _quantum_plane(space: BPSpace) -> Callable[..., float]:
+def _quantum_plane(space: BPSpace, _phases: tuple) -> Callable[..., float]:
     q_jz = space.q_jz
     q_shifted = np.exp(-1j * space.qp.tau) * q_jz
 
@@ -350,7 +362,7 @@ def _quantum_plane(space: BPSpace) -> Callable[..., float]:
     return deviation
 
 
-def _cyclic_shift(space: BPSpace) -> Callable[..., float]:
+def _cyclic_shift(space: BPSpace, _phases: tuple) -> Callable[..., float]:
     dim, corner = space.dim, np.exp(1j * space.dim * space.theta0)
 
     def deviation(rows: slice, exp_iphi: np.ndarray) -> float:
@@ -364,8 +376,7 @@ def _cyclic_shift(space: BPSpace) -> Callable[..., float]:
     return deviation
 
 
-def _unitarity(space: BPSpace) -> Callable[..., float]:
-    phases = _dft_phases(space.dim, space.theta0)
+def _unitarity(space: BPSpace, phases: tuple) -> Callable[..., float]:
     w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
     q_deviation = max_abs(np.abs(space.q_jz) ** 2 - 1.0)
 
@@ -376,8 +387,7 @@ def _unitarity(space: BPSpace) -> Callable[..., float]:
     return deviation
 
 
-def _angle_orthonormality(space: BPSpace) -> Callable[..., float]:
-    phases = _dft_phases(space.dim, space.theta0)
+def _angle_orthonormality(space: BPSpace, phases: tuple) -> Callable[..., float]:
 
     def deviation(rows: slice, basis: np.ndarray, _after: np.ndarray) -> float:
         return _identity_deviation(_times_angle_transpose(basis.conj(), phases), rows)
@@ -385,8 +395,7 @@ def _angle_orthonormality(space: BPSpace) -> Callable[..., float]:
     return deviation
 
 
-def _angle_completeness(space: BPSpace) -> Callable[..., float]:
-    phases = _dft_phases(space.dim, space.theta0)
+def _angle_completeness(space: BPSpace, phases: tuple) -> Callable[..., float]:
 
     def deviation(rows: slice, columns: np.ndarray) -> float:
         return _identity_deviation(_times_weighted_conj_angle(columns.copy(), 1.0, phases), rows)
@@ -394,7 +403,7 @@ def _angle_completeness(space: BPSpace) -> Callable[..., float]:
     return deviation
 
 
-def _angle_cycling(space: BPSpace) -> Callable[..., float]:
+def _angle_cycling(space: BPSpace, _phases: tuple) -> Callable[..., float]:
     q_jz = space.q_jz
 
     def deviation(rows: slice, basis: np.ndarray, after: np.ndarray) -> float:
@@ -416,91 +425,74 @@ _KERNELS = {
 }
 
 
-def _stored_inputs(space: BPSpace, source: str) -> Callable[[slice], tuple]:
-    """The kernel input ``source`` of a block of rows, as views of the
-    space's stored arrays."""
-    if source == "exp_iphi":
-        exp_iphi = space.exp_iphi
-        return lambda rows: (exp_iphi[rows],)
-    basis = space.angle_basis
-    if source == "columns":
-        return lambda rows: (basis[:, rows].T,)
-    return lambda rows: (basis[rows], basis[rows.stop % len(basis)])
+def _all_deviations(space: BPSpace) -> dict:
+    """Every kernel's deviation, from one pass over row blocks.  A block's
+    inputs are views of the arrays the space holds; those of an array it
+    does not hold are generated once and fed to every kernel, so no D x D
+    complex array is formed."""
+    dim, phases = space.dim, _dft_phases(space.dim, space.theta0)
+    basis, exp_iphi = space.__dict__["angle_basis"], space.__dict__["exp_iphi"]
+    blocks = _Blocks(space, phases) if basis is None or exp_iphi is None else None
+    kernels = [(kernel(space, phases), source) for kernel, source in _KERNELS.items()]
 
-
-def _fused_deviations(space: BPSpace) -> dict:
-    """Every kernel's deviation from one pass over row blocks, in which each
-    block's three inputs are generated once and no D x D complex array is
-    formed.  The root indices n*m mod D are read from an int16 table of
-    them and its transpose, filled first, 2 MiB each at D = 1001."""
-    dim = space.dim
-    roots, phases = _roots(dim), _dft_phases(dim, space.theta0)
-    column_phase, weight = phases[1] / math.sqrt(dim), np.exp(1j * _angles(dim, space.theta0))
-    m = np.arange(dim) - (dim - 1) // 2
-    by_rows = np.empty((dim, dim), dtype=np.int16)
-    by_columns = np.empty_like(by_rows)
-
-    def fill_by_rows(rows: slice) -> None:
-        by_rows[rows] = _products(np.arange(rows.start, rows.stop), m, dim)
-
-    def fill_by_columns(rows: slice) -> None:
-        by_columns[rows] = by_rows[:, rows].T
-
-    _blockwise(dim, fill_by_rows)
-    _blockwise(dim, fill_by_columns)
-    kernels = [(kernel(space), source) for kernel, source in _KERNELS.items()]
+    # Each thread generates into buffers of its own, made at its first block,
+    # the largest, and reused.  With new buffers for every block, about
+    # 3 MiB at D = 1001, glibc trimmed its heap as each block was freed and
+    # faulted the pages in again for the next: `verify --max-dim 1001` took
+    # 37,000 more page faults and 0.13 s more CPU (median of 12 runs).
+    buffers: dict[int, tuple[np.ndarray, ...]] = {}
 
     def deviations(rows: slice) -> list[float]:
-        basis = np.empty((rows.stop - rows.start + 1, dim), dtype=complex)
-        np.take(roots, by_rows[rows], out=basis[:-1], mode="clip")
-        np.take(roots, by_rows[rows.stop % dim], out=basis[-1], mode="clip")
-        basis *= column_phase
-        columns = np.take(roots, by_columns[rows])
-        columns *= column_phase[rows, None]
-        exp_iphi = _times_weighted_conj_angle(columns.copy(), weight, phases)
-        inputs = {"exp_iphi": (exp_iphi,), "basis": (basis[:-1], basis[-1]), "columns": (columns,)}
+        size = rows.stop - rows.start
+        if blocks:
+            if threading.get_ident() not in buffers:
+                buffers[threading.get_ident()] = tuple(np.empty((size + k, dim), dtype=complex) for k in (1, 0, 0))
+            basis_buffer, columns_buffer, exp_iphi_buffer = buffers[threading.get_ident()]
+            columns = blocks.columns(rows, out=columns_buffer[:size])
+        if basis is None:
+            n = blocks.n.take(range(rows.start, rows.stop + 1), mode="wrap")
+            rows_and_next = blocks.basis(n, out=basis_buffer[: size + 1])
+            inputs = {"basis": (rows_and_next[:-1], rows_and_next[-1]), "columns": (columns,)}
+        else:
+            inputs = {"basis": (basis[rows], basis[rows.stop % dim]), "columns": (basis[:, rows].T,)}
+        if exp_iphi is None:
+            np.copyto(exp_iphi_buffer[:size], columns)
+            inputs["exp_iphi"] = (blocks.exp_iphi(exp_iphi_buffer[:size]),)
+        else:
+            inputs["exp_iphi"] = (exp_iphi[rows],)
         return [deviation(rows, *inputs[source]) for deviation, source in kernels]
 
-    blocks = _blockwise(dim, deviations)
-    return {kernel: max_abs([block[k] for block in blocks]) for k, kernel in enumerate(_KERNELS)}
-
-
-def _deviation(space: BPSpace, kernel: Callable[[BPSpace], Callable[..., float]]) -> float:
-    """The max-norm deviation ``kernel`` measures: over the stored rows on a
-    space that holds a D x D array, else from the space's one fused pass."""
-    if space.__dict__["angle_basis"] is None and space.__dict__["exp_iphi"] is None:
-        return space._deviations[kernel]
-    deviation, inputs = kernel(space), _stored_inputs(space, _KERNELS[kernel])
-    return max_abs(_blockwise(space.dim, lambda rows: deviation(rows, *inputs(rows))))
+    per_block = _blockwise(dim, deviations)
+    return {kernel: max_abs([block[k] for block in per_block]) for k, kernel in enumerate(_KERNELS)}
 
 
 def check_quantum_plane(space: BPSpace) -> float:
     """Max-norm deviation of q^{Jz} e^{iPhi} - q e^{iPhi} q^{Jz} from zero,
     formed entrywise as (q_i - q*q_j) * e^{iPhi}_ij."""
-    return _deviation(space, _quantum_plane)
+    return space._deviations[_quantum_plane]
 
 
 def check_cyclic_shift(space: BPSpace) -> float:
     """Max-norm deviation of exp_iphi from the one-step cyclic raising matrix,
     whose wrap-around corner carries the phase exp(i*D*theta0)."""
-    return _deviation(space, _cyclic_shift)
+    return space._deviations[_cyclic_shift]
 
 
 def check_unitarity(space: BPSpace) -> float:
     """Max-norm deviation of U U^dagger from identity for U = exp_iphi, with
     U^dagger = A^T diag(exp(-i*theta)) conj(A), and of |q_m|^2 from one."""
-    return _deviation(space, _unitarity)
+    return space._deviations[_unitarity]
 
 
 def check_angle_orthonormality(space: BPSpace) -> float:
     """Max-norm deviation of the angle-state Gram matrix from identity, taken
     on its transpose (A A^dagger)^T = conj(A) A^T."""
-    return _deviation(space, _angle_orthonormality)
+    return space._deviations[_angle_orthonormality]
 
 
 def check_angle_completeness(space: BPSpace) -> float:
     """Max-norm deviation of sum_n |theta_n><theta_n| = A^T conj(A) from identity."""
-    return _deviation(space, _angle_completeness)
+    return space._deviations[_angle_completeness]
 
 
 def check_angle_cycling(space: BPSpace) -> float:
@@ -509,7 +501,7 @@ def check_angle_cycling(space: BPSpace) -> float:
     Returns the max-norm deviation of the shifted basis from the basis with
     its rows moved up by one; for integer m the wrap-around is phase-free.
     """
-    return _deviation(space, _angle_cycling)
+    return space._deviations[_angle_cycling]
 
 
 def check_shift_power(space: BPSpace) -> float:

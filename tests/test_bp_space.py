@@ -26,6 +26,7 @@ from qrotor.bp_space import (
     _BLOCK_ROWS,
     _THREADED_MIN_DIM,
     MAX_DENSE_DIM,
+    BPSpace,
     build_space,
     check_angle_completeness,
     check_angle_cycling,
@@ -292,6 +293,13 @@ class TestBlockedMatchesWholeMatrix:
                 assert np.array_equal(getattr(space, name), getattr(whole, name)), name
         assert {name: check(read_first) for name, check in BP_CHECKS} == expected
 
+    @pytest.mark.parametrize("held", ["angle_basis", "exp_iphi"])
+    def test_space_holding_one_array_generates_the_other(self, held):
+        dim = BLOCK_EDGE_DIMS[1]
+        whole = whole_build_space((dim - 1) // 2, 0.6)
+        space = BPSpace(qp=whole.qp, theta0=0.6, **{held: getattr(whole, held)})
+        assert {name: check(space) for name, check in BP_CHECKS} == {name: WHOLE_CHECKS[name](whole) for name, _ in BP_CHECKS}
+
 
 NAN_DIM = 2 * _BLOCK_ROWS + 1  # three row blocks, the last of one row
 NAN_CHECKS = {
@@ -389,6 +397,10 @@ SPACE_BYTES = 2 * 16 * MEMORY_DIM**2  # angle_basis and exp_iphi
 # run.
 CHECK_SLACK = 64 * 1024
 RUN_SLACK = 1024 * 1024
+# The inputs a space that holds no array generates for one block: its rows
+# of the angle basis and the row after them, its columns and its rows of
+# exp(i*Phi).
+GENERATED_BLOCKS = 16 * (3 * _BLOCK_ROWS + 1) * MEMORY_DIM
 
 
 def _traced_peak(func, *args) -> int:
@@ -402,31 +414,34 @@ def _traced_peak(func, *args) -> int:
         tracemalloc.stop()
 
 
+def _read_space():
+    """A fresh space whose angle basis and exp(i*Phi) have been read, so
+    that its first check runs every kernel over the stored rows."""
+    space = build_space((MEMORY_DIM - 1) // 2, 0.6)
+    space.angle_basis, space.exp_iphi
+    return space
+
+
 class TestMemory:
     @pytest.mark.parametrize("name,check", BP_CHECKS, ids=[name for name, _ in BP_CHECKS])
     def test_check_works_in_one_buffer(self, name, check):
-        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
-        check(space)  # numpy's FFT module and plan cache are loaded outside the trace
+        check(_read_space())  # numpy's FFT module and plan cache are loaded outside the trace
+        space = _read_space()
         assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
 
     def test_build_fills_the_stored_arrays_in_place(self):
-        build_space((MEMORY_DIM - 1) // 2, 0.6)
-        assert _traced_peak(build_space, (MEMORY_DIM - 1) // 2, 0.6) <= SPACE_BYTES + BLOCK_BUDGET + CHECK_SLACK
-
-    @pytest.mark.parametrize("name,check", BP_CHECKS, ids=[name for name, _ in BP_CHECKS])
-    def test_check_over_stored_arrays_works_in_one_buffer(self, name, check):
+        _read_space()
         space = build_space((MEMORY_DIM - 1) // 2, 0.6)
-        space.angle_basis, space.exp_iphi  # read: each check runs its own kernel over the stored rows
-        check(space)
-        assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
+        assert _traced_peak(lambda: (space.angle_basis, space.exp_iphi)) <= SPACE_BYTES + BLOCK_BUDGET + CHECK_SLACK
 
-    def test_unread_space_forms_no_matrix(self):
-        def build_and_check():
-            space = build_space((MEMORY_DIM - 1) // 2, 0.6)
-            return [check(space) for _, check in BP_CHECKS]
-
-        build_and_check()
-        assert _traced_peak(build_and_check) < 16 * MEMORY_DIM**2
+    def test_unread_space_generates_one_block_of_each_input(self):
+        check_quantum_plane(build_space((MEMORY_DIM - 1) // 2, 0.6))
+        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
+        # the first check runs the pass, which also holds the generator's
+        # phase and root vectors; the others return its deviations
+        peak = _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
+        assert peak <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
+        assert space.__dict__["angle_basis"] is None and space.__dict__["exp_iphi"] is None
 
     def test_verify_keeps_one_space_alive(self, tmp_path):
         peak = _traced_peak(main, ["verify", "--max-dim", str(MEMORY_DIM), "-o", str(tmp_path / "verify.txt")])
@@ -458,21 +473,23 @@ class TestThreads:
     def test_arrays_and_deviations_match_the_serial_whole_matrix(self, monkeypatch, cores):
         force_cores(monkeypatch, cores)
         started = count_threads(monkeypatch)
-        space = build_space(500, 0.6)
+        unread, space = build_space(500, 0.6), build_space(500, 0.6)
         whole = whole_build_space(500, 0.6)
+        for name, check in BP_CHECKS:
+            assert check(unread) == WHOLE_CHECKS[name](whole), name
         for name in ("angle_basis", "exp_iphi", "q_jz"):
             assert np.array_equal(getattr(space, name), getattr(whole, name)), name
         for name, check in BP_CHECKS:
             assert check(space) == WHOLE_CHECKS[name](whole), name
-        # two fills and six checks, each on this thread and one more where a
-        # second core is usable: a third core starts no third thread
-        assert len(started) == 8 * (min(cores, 2) - 1)
+        # one pass over each space and two fills, each on this thread and one
+        # more where a second core is usable: a third core starts no third thread
+        assert len(started) == 4 * (min(cores, 2) - 1)
 
     @pytest.mark.parametrize("name,check", BP_CHECKS, ids=[name for name, _ in BP_CHECKS])
     def test_threads_share_one_block_budget(self, monkeypatch, name, check):
         force_cores(monkeypatch, 3)
-        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
-        check(space)
+        check(_read_space())
+        space = _read_space()
         assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
 
     @pytest.mark.parametrize("dim,threads", [(_THREADED_MIN_DIM - 2, 0), (_THREADED_MIN_DIM, 1)])
@@ -480,7 +497,7 @@ class TestThreads:
         force_cores(monkeypatch, 3)
         started = count_threads(monkeypatch)
         check_cyclic_shift(build_space((dim - 1) // 2))
-        assert len(started) == 3 * threads
+        assert len(started) == threads  # the one pass of an unread space
 
     def test_cores_from_affinity_or_cpu_count(self, monkeypatch):
         force_cores(monkeypatch, 3)
