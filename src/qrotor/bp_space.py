@@ -25,14 +25,16 @@ in place, from the one block generator ``_Blocks``, and keeps it,
 read-only.  The first check of a space makes one pass over row blocks that
 feeds each block's inputs to all six kernels, and the space keeps the six
 deviations for the other checks.  An input is a view of the rows of an
-array the space holds, which needs no buffer, so there each kernel works in
-one block buffer of its own plus the modulus array of the max-norm.  An
-array the space does not hold is generated a block at a time instead: its
-basis rows (with the next row, for cycling), basis columns and exp(i*Phi)
-rows, each once per block.  ``qrotor verify`` reads no array but
-shift-power's exp(i*Phi) at D <= 101, so at D = 1001 its traced peak is
-4.7 MiB, against 32.1 MiB when each space stored both matrices, and its
-peak RSS 35.0 MiB, against 62.3.
+array the space holds, which is never written, or else is generated a block
+at a time: basis rows (with the next row, for cycling), basis columns and
+exp(i*Phi) rows.  Each thread generates those into two block buffers, and
+the kernels, run in a fixed order, work in them, in place where a kernel is
+an input's last reader; over stored rows they share one buffer.  A kernel
+also allocates the modulus array of its max-norm.  ``qrotor verify`` reads
+no array but shift-power's exp(i*Phi) at D <= 101, so at D = 1001 one
+space's checks peak at 2.9 MiB traced, against 4.6 MiB with a block of each
+input and a buffer per kernel and 32.1 MiB when each space stored both
+matrices; its peak RSS is 32.5 MiB, against 35.0 and 62.3.
 
 From D = ``_THREADED_MIN_DIM`` up, the blocks of each fill, check and pass are
 shared out between two threads where two cores are usable, as numpy runs its
@@ -79,8 +81,10 @@ __all__ = [
     "check_shift_power",
 ]
 
-# Dense-matrix cap; verification runs at small dimensions and real bands
-# stay near 10^3, so dense storage is always tractable.
+# Largest space dimension.  What a space stores once read (``angle_basis``,
+# ``exp_iphi``, which shift-power reads) and an irrep are dense, 16 MiB per
+# complex matrix at the cap; the six checks ``verify`` runs on an unread
+# space stream row blocks and store nothing, but they keep this cap.
 MAX_DENSE_DIM = 1001
 
 # Rows in flight at once in a streamed product, shared by its threads: 64
@@ -343,21 +347,29 @@ def _identity_deviation(block: np.ndarray, rows: slice) -> float:
 
 
 # One kernel per identity: ``kernel(space, phases)``, with ``phases`` the
-# space's ``_dft_phases``, returns ``deviation(rows, *inputs)``, the max-norm
-# deviation of a block of rows, computed from one of the block's three
-# inputs, which it leaves unchanged: "exp_iphi", its rows of exp(i*Phi);
-# "basis", its rows of the angle basis and the row after them, cyclically;
-# "columns", its columns of the angle basis, transposed.
+# space's ``_dft_phases``, returns ``deviation(rows, out, *inputs)``, the
+# max-norm deviation of a block of rows, computed from one of the block's
+# three inputs: its rows of exp(i*Phi); its rows of the angle basis and the
+# row after them, cyclically; or its columns of the angle basis, transposed.
+# It works in the block buffer ``out``: either the input itself, which it
+# then consumes, or a buffer the input does not overlap, which it overwrites.
+
+
+def _into(out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``out`` holding ``x``, copied unless ``out`` is ``x`` itself."""
+    if out is not x:
+        np.copyto(out, x)
+    return out
 
 
 def _quantum_plane(space: BPSpace, _phases: tuple) -> Callable[..., float]:
     q_jz = space.q_jz
     q_shifted = np.exp(-1j * space.qp.tau) * q_jz
 
-    def deviation(rows: slice, exp_iphi: np.ndarray) -> float:
-        block = np.subtract.outer(q_jz[rows], q_shifted)
-        block *= exp_iphi
-        return max_abs(block)
+    def deviation(rows: slice, out: np.ndarray, exp_iphi: np.ndarray) -> float:
+        np.subtract.outer(q_jz[rows], q_shifted, out=out)
+        out *= exp_iphi
+        return max_abs(out)
 
     return deviation
 
@@ -365,8 +377,8 @@ def _quantum_plane(space: BPSpace, _phases: tuple) -> Callable[..., float]:
 def _cyclic_shift(space: BPSpace, _phases: tuple) -> Callable[..., float]:
     dim, corner = space.dim, np.exp(1j * space.dim * space.theta0)
 
-    def deviation(rows: slice, exp_iphi: np.ndarray) -> float:
-        block = exp_iphi.copy()
+    def deviation(rows: slice, out: np.ndarray, exp_iphi: np.ndarray) -> float:
+        block = _into(out, exp_iphi)
         i = np.arange(max(rows.start, 1), rows.stop)  # the rows with a one at (i, i-1)
         block[i - rows.start, i - 1] -= 1.0
         if rows.start == 0:
@@ -380,8 +392,8 @@ def _unitarity(space: BPSpace, phases: tuple) -> Callable[..., float]:
     w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
     q_deviation = max_abs(np.abs(space.q_jz) ** 2 - 1.0)
 
-    def deviation(rows: slice, exp_iphi: np.ndarray) -> float:
-        block = _times_angle_transpose(exp_iphi.copy(), phases)
+    def deviation(rows: slice, out: np.ndarray, exp_iphi: np.ndarray) -> float:
+        block = _times_angle_transpose(_into(out, exp_iphi), phases)
         return max_abs([_identity_deviation(_times_weighted_conj_angle(block, w_bar, phases), rows), q_deviation])
 
     return deviation
@@ -389,16 +401,16 @@ def _unitarity(space: BPSpace, phases: tuple) -> Callable[..., float]:
 
 def _angle_orthonormality(space: BPSpace, phases: tuple) -> Callable[..., float]:
 
-    def deviation(rows: slice, basis: np.ndarray, _after: np.ndarray) -> float:
-        return _identity_deviation(_times_angle_transpose(basis.conj(), phases), rows)
+    def deviation(rows: slice, out: np.ndarray, basis: np.ndarray) -> float:
+        return _identity_deviation(_times_angle_transpose(np.conjugate(basis, out=out), phases), rows)
 
     return deviation
 
 
 def _angle_completeness(space: BPSpace, phases: tuple) -> Callable[..., float]:
 
-    def deviation(rows: slice, columns: np.ndarray) -> float:
-        return _identity_deviation(_times_weighted_conj_angle(columns.copy(), 1.0, phases), rows)
+    def deviation(rows: slice, out: np.ndarray, columns: np.ndarray) -> float:
+        return _identity_deviation(_times_weighted_conj_angle(_into(out, columns), 1.0, phases), rows)
 
     return deviation
 
@@ -406,61 +418,67 @@ def _angle_completeness(space: BPSpace, phases: tuple) -> Callable[..., float]:
 def _angle_cycling(space: BPSpace, _phases: tuple) -> Callable[..., float]:
     q_jz = space.q_jz
 
-    def deviation(rows: slice, basis: np.ndarray, after: np.ndarray) -> float:
-        block = basis * q_jz
-        block[:-1] -= basis[1:]
-        block[-1] -= after
-        return max_abs(block)
+    def deviation(rows: slice, out: np.ndarray, basis: np.ndarray, after: np.ndarray) -> float:
+        np.multiply(basis, q_jz, out=out)
+        out[:-1] -= basis[1:]
+        out[-1] -= after
+        return max_abs(out)
 
     return deviation
 
 
-_KERNELS = {
-    _quantum_plane: "exp_iphi",
-    _cyclic_shift: "exp_iphi",
-    _unitarity: "exp_iphi",
-    _angle_orthonormality: "basis",
-    _angle_completeness: "columns",
-    _angle_cycling: "basis",
-}
+# In the order ``_all_deviations`` runs them.
+_KERNELS = (_angle_cycling, _angle_orthonormality, _angle_completeness, _quantum_plane, _cyclic_shift, _unitarity)
 
 
 def _all_deviations(space: BPSpace) -> dict:
-    """Every kernel's deviation, from one pass over row blocks.  A block's
-    inputs are views of the arrays the space holds; those of an array it
-    does not hold are generated once and fed to every kernel, so no D x D
-    complex array is formed."""
+    """Every kernel's deviation, from one pass over row blocks, in which each
+    thread works in two block buffers of its own, A and B, and no D x D
+    complex array is formed.
+
+    A block's inputs are views of the arrays the space holds, never written,
+    or, for an array the space does not hold, generated into A and B: the
+    basis rows and the row after them into A, which cycling reads into B and
+    orthonormality then consumes; the columns into A, copied to B and turned
+    into exp(i*Phi) there; completeness consumes A, quantum-plane and
+    cyclic-shift read B into A, and unitarity consumes B.  A kernel whose
+    input is stored works in A.  Every entry goes through the operations it
+    would in a whole-matrix product, so each deviation is bit-identical."""
     dim, phases = space.dim, _dft_phases(space.dim, space.theta0)
     basis, exp_iphi = space.__dict__["angle_basis"], space.__dict__["exp_iphi"]
     blocks = _Blocks(space, phases) if basis is None or exp_iphi is None else None
-    kernels = [(kernel(space, phases), source) for kernel, source in _KERNELS.items()]
+    cycling, orthonormality, completeness, quantum_plane, cyclic_shift, unitarity = (
+        kernel(space, phases) for kernel in _KERNELS)
 
-    # Each thread generates into buffers of its own, made at its first block,
-    # the largest, and reused.  With new buffers for every block, about
-    # 3 MiB at D = 1001, glibc trimmed its heap as each block was freed and
-    # faulted the pages in again for the next: `verify --max-dim 1001` took
-    # 37,000 more page faults and 0.13 s more CPU (median of 12 runs).
-    buffers: dict[int, tuple[np.ndarray, ...]] = {}
+    # Each thread makes its buffers at its first block, the largest, and
+    # reuses them.  With new buffers for every block, about 3 MiB at
+    # D = 1001, glibc trimmed its heap as each block was freed and faulted
+    # the pages in again for the next: `verify --max-dim 1001` took 37,000
+    # more page faults and 0.13 s more CPU (median of 12 runs).
+    buffers: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
 
     def deviations(rows: slice) -> list[float]:
         size = rows.stop - rows.start
-        if blocks:
-            if threading.get_ident() not in buffers:
-                buffers[threading.get_ident()] = tuple(np.empty((size + k, dim), dtype=complex) for k in (1, 0, 0))
-            basis_buffer, columns_buffer, exp_iphi_buffer = buffers[threading.get_ident()]
-            columns = blocks.columns(rows, out=columns_buffer[:size])
+        if threading.get_ident() not in buffers:
+            buffers[threading.get_ident()] = (np.empty((size + (basis is None), dim), dtype=complex),
+                                              np.empty((size, dim), dtype=complex) if blocks else None)
+        a_buffer, b_buffer = buffers[threading.get_ident()]
+        a_next = a_buffer[: size + (basis is None)]  # A holds the row after its rows only for cycling
+        a, b = a_next[:size], b_buffer if b_buffer is None else b_buffer[:size]
         if basis is None:
-            n = blocks.n.take(range(rows.start, rows.stop + 1), mode="wrap")
-            rows_and_next = blocks.basis(n, out=basis_buffer[: size + 1])
-            inputs = {"basis": (rows_and_next[:-1], rows_and_next[-1]), "columns": (columns,)}
+            blocks.basis(blocks.n.take(range(rows.start, rows.stop + 1), mode="wrap"), out=a_next)
+            found = [cycling(rows, b, a, a_next[-1]), orthonormality(rows, a, a)]
         else:
-            inputs = {"basis": (basis[rows], basis[rows.stop % dim]), "columns": (basis[:, rows].T,)}
+            found = [cycling(rows, a, basis[rows], basis[rows.stop % dim]), orthonormality(rows, a, basis[rows])]
+        if blocks:
+            blocks.columns(rows, out=a)
         if exp_iphi is None:
-            np.copyto(exp_iphi_buffer[:size], columns)
-            inputs["exp_iphi"] = (blocks.exp_iphi(exp_iphi_buffer[:size]),)
-        else:
-            inputs["exp_iphi"] = (exp_iphi[rows],)
-        return [deviation(rows, *inputs[source]) for deviation, source in kernels]
+            blocks.exp_iphi(_into(b, a))
+        found.append(completeness(rows, a, a if basis is None else basis[:, rows].T))
+        exp_rows = b if exp_iphi is None else exp_iphi[rows]
+        found += [quantum_plane(rows, a, exp_rows), cyclic_shift(rows, a, exp_rows)]
+        found.append(unitarity(rows, b if exp_iphi is None else a, exp_rows))
+        return found
 
     per_block = _blockwise(dim, deviations)
     return {kernel: max_abs([block[k] for block in per_block]) for k, kernel in enumerate(_KERNELS)}

@@ -5,12 +5,20 @@ emit report tables and plot-ready data.
 an input directory stands for its ``*.band`` files, sorted by name.
 Exit codes: 0 success, 1 validation or regime failure, 2 usage error.
 All diagnostics go to standard error; results go to standard output or
-the ``-o`` path, byte-identically for identical inputs.
+the ``-o`` path, byte-identically for identical inputs.  A subcommand that
+runs out of memory ends with one "out of memory" diagnostic and exit 1.
+
+``fit``, ``ingest`` and ``model`` load on the band path's first use of one
+of their names (``_LAZY``), so ``verify`` neither compiles nor keeps them.
+``bp_space`` and ``suq2`` load with this module: the parser reads
+``MAX_DENSE_DIM``, and so every run, ``--version`` included, pays numpy's
+import before its subcommand starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
@@ -28,13 +36,30 @@ from .bp_space import (
     check_shift_power,
     check_unitarity,
 )
-# fit_A, q_parameter_from_band and _fit_one, which alone calls read_band_file,
-# are not called here; bench/spans.py traces the CLI by swapping them under these names.
-from .fit import _compare, compare_batch, fit_A
-from .ingest import _decimal, _plot_data, _read_batch, read_band_file, write_report
-from .model import q_parameter_from_band
-from .qnum import QParameter, RegimeError
+from .qnum import QParameter, RegimeError, _decimal
 from .suq2 import build_irrep, check_casimir, check_commutators
+
+# The band path's names -> the module that defines each, imported on first use
+# (PEP 562).  fit_A, q_parameter_from_band and _fit_one, which alone calls
+# read_band_file, are not called here; bench/spans.py traces the CLI by
+# swapping them under these names.
+_LAZY = {
+    **dict.fromkeys(["_compare", "compare_batch", "fit_A"], "fit"),
+    **dict.fromkeys(["_plot_data", "_read_batch", "read_band_file", "write_report"], "ingest"),
+    "q_parameter_from_band": "model",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+    return value
+
+
+# This module, through which the band path reads the names above, so that they
+# load on first use and a swapped name applies.
+_module = sys.modules[__name__]
 
 __all__ = ["main", "cmd_bands", "cmd_verify"]
 
@@ -81,13 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_table)
     # A renderer looks write_report up in this module when called, so the name
     # bench/spans.py swaps applies to every band subcommand.
-    p_table.set_defaults(handler=cmd_bands, render=lambda args, fits: write_report(fits, as_json=args.json))
+    p_table.set_defaults(handler=cmd_bands, render=lambda args, fits: _module.write_report(fits, as_json=args.json))
 
     p_plot = sub.add_parser("plotdata", help="emit 6-column level/residual data per band")
     p_plot.add_argument("inputs", nargs="+", type=Path, help="band files or directories of *.band")
     add_output(p_plot)
     p_plot.set_defaults(handler=cmd_bands, classical_only=False,
-                        render=lambda args, fits: _plot_data(fits))
+                        render=lambda args, fits: _module._plot_data(fits))
 
     p_verify = sub.add_parser("verify", help="verify the operator-algebra identities numerically")
     p_verify.add_argument("--max-dim", type=_odd_dim, default=DEFAULT_MAX_DIM,
@@ -122,8 +147,8 @@ def _emit(args: argparse.Namespace, payload: bytes) -> int:
 
 def _fit_one(path: Path, classical_only: bool):
     """Read and fit one band file on its own; raises its failure."""
-    band = read_band_file(path).parsed
-    fit = compare_batch([band], classical_only)[0]
+    band = _module.read_band_file(path).parsed
+    fit = _module.compare_batch([band], classical_only)[0]
     if isinstance(fit, ValueError):
         raise fit
     return (band, *fit)
@@ -148,8 +173,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
     if not paths:
         print("qrotor: no band files found", file=sys.stderr)
         return 1
-    faults, bands = _read_batch(paths)
-    fits = _compare(bands, args.classical_only)
+    faults, bands = _module._read_batch(paths)
+    fits = _module._compare(bands, args.classical_only)
     failed = fits.failed()
     read = iter(range(len(bands)))
     code = 0
@@ -229,7 +254,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except MemoryError:
+        pass  # the diagnostic is printed once the handler's frames are freed
+    print(f"qrotor: {args.subcommand}: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -64,6 +64,18 @@ def factors(bands: Bands, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return f, in_regime(tau, bands.j[bands.starts + bands.counts - 1])
 
 
+def _accurate(bands: Bands, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Whether each band's ``factors`` ``f`` at ``tau`` keep six significant
+    digits: eps*max|[j][j+1]|, the rounding error the head subtraction can
+    leave in them, is at most 1e-6*max|f|.  [j][j+1] is f plus the head's
+    value, so it is largest in magnitude where f is largest or smallest;
+    f is 0 at the head, so its largest is at least 0 and its smallest at most 0."""
+    j0 = bands.j[bands.starts]
+    head = bracket(j0, tau) * bracket(j0 + 1.0, tau)
+    top, bottom = (ufunc.reduceat(f, bands.starts, axis=-1) for ufunc in (np.maximum, np.minimum))
+    return np.finfo(float).eps * np.maximum(abs(top + head), abs(bottom + head)) <= 1e-6 * np.maximum(top, -bottom)
+
+
 def score(bands: Bands, f: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-band chi2 in MeV^2 and rms in keV at inertia parameters A, row by row."""
     with np.errstate(all="ignore"):
@@ -108,13 +120,16 @@ def _regime_error(name: str, qp: QParameter) -> RegimeError:
     return RegimeError(f"tau*(j_max+1) >= pi for band '{name}' at dim={qp.dim}")
 
 
-def _failure(name: str, qp: QParameter | None, regime: bool, A: float) -> FitError | RegimeError:
-    """The first check a failing fit breaks: regime, A > 0, finite results."""
+def _failure(name: str, qp: QParameter | None, regime: bool, A: float, finite: bool) -> FitError | RegimeError:
+    """The first check a failing fit breaks: regime, A > 0, finite results,
+    eigenvalue factors that did not cancel."""
     if not regime:
         return _regime_error(name, qp)
     if A <= 0.0:
         return FitError(f"fitted A = {A:.4g} keV is not positive for band '{name}'")
-    return FitError(f"band '{name}' has no finite fit: A, chi2 or rms is not finite")
+    if not finite:
+        return FitError(f"band '{name}' has no finite fit: A, chi2 or rms is not finite")
+    return FitError(f"band '{name}' has no accurate fit: its eigenvalue factors keep under 6 significant digits")
 
 
 class Fits:
@@ -186,11 +201,13 @@ def _fit(bands: Bands, rows: Sequence[Sequence[QParameter | None]]) -> Fits:
     with np.errstate(all="ignore"):
         sff = bands.sums(f * f)
         A = bands.sums(bands.de * f) / sff
+        accurate = _accurate(bands, tau, f)
     chi2, rms = score(bands, f, A)
-    ok = regime & (A > 0.0) & np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
+    finite = np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
+    ok = regime & (A > 0.0) & finite & accurate
     failures: list[dict[int, ValueError]] = [{} for _ in rows]
     for r, k in zip(*np.nonzero(~ok)):
-        failures[r][k] = _failure(bands.names[k], rows[r][k], regime[r, k], float(A[r, k]))
+        failures[r][k] = _failure(bands.names[k], rows[r][k], regime[r, k], float(A[r, k]), finite[r, k])
     return Fits(bands, rows, tau, f, A, chi2, rms, ok, failures)
 
 
@@ -210,8 +227,12 @@ def fit_batch(
 
     Returns, per band, its FitResult or the exception ``fit_A`` raises for
     it: RegimeError when tau*(j_max+1) >= pi, FitError when the optimum
-    lands at a nonpositive A (unphysical inertia) or when A, chi2 or rms is
-    not finite.
+    lands at a nonpositive A (unphysical inertia), when A, chi2 or rms is
+    not finite, or when the head subtraction in the eigenvalue factors
+    leaves fewer than six significant digits: eps*max|[j][j+1]| exceeds
+    1e-6*max|f|.  Bands fitted with the tau rule keep more than six even at
+    the spin cap; a tau picked by hand near the top of the [j][j+1] arch, at
+    huge spins, can leave none.
     """
     if len(bands) != len(qps):
         raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")

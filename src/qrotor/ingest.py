@@ -40,7 +40,7 @@ import numpy as np
 
 from .fit import FitResult, Fits, Variant
 from .model import BandData, BandError, Bands, band_faults, spin_str
-from .qnum import MAX_SPIN, on_grid
+from .qnum import MAX_SPIN, _decimal, on_grid
 
 __all__ = [
     "BandParseError",
@@ -78,13 +78,6 @@ class BandFile:
 def parse_band(text: bytes | str) -> BandData:
     """Parse band-file text into validated BandData."""
     return parse_band_file(text).parsed
-
-
-def _decimal(token: str, kind: type = float):
-    """kind(token) for an ASCII decimal; float() and int() also read "1_0" as 10, and non-ASCII digits."""
-    if "_" in token or not token.isascii():
-        raise ValueError(token)
-    return kind(token)
 
 
 class _Columns:

@@ -54,6 +54,13 @@ def on_grid(spin: float) -> int | None:
     return twoj if abs(2.0 * spin - twoj) <= 1e-9 else None
 
 
+def _decimal(token: str, kind: type = float):
+    """kind(token) for an ASCII decimal; float() and int() also read "1_0" as 10, and non-ASCII digits."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return kind(token)
+
+
 def _checked_spin(j: float) -> float:
     """``j`` as a float; ValueError naming it if it is not finite or its
     magnitude is above ``MAX_SPIN``."""

@@ -35,13 +35,18 @@ def _factor(j: float, qp: QParameter | None) -> float:
     return (math.sin(qp.tau * j) / sin_tau) * (math.sin(qp.tau * (j + 1.0)) / sin_tau)
 
 
+def _unreferenced(band: BandData, qp: QParameter | None) -> np.ndarray:
+    """The eigenvalue factors [j][j+1] of the band's levels, not referenced."""
+    if qp is not None and qp.tau * (band.j_max + 1.0) >= math.pi:
+        raise RegimeError(f"tau*(j_max+1) >= pi for band '{band.name}' at dim={qp.dim}")
+    return np.array([_factor(j, qp) for j in band.spins])
+
+
 def _referenced(band: BandData, qp: QParameter | None) -> tuple[np.ndarray, np.ndarray]:
     """Experimental energies and eigenvalue factors, both referenced to the
     band head so the model is strictly linear in A."""
-    if qp is not None and qp.tau * (band.j_max + 1.0) >= math.pi:
-        raise RegimeError(f"tau*(j_max+1) >= pi for band '{band.name}' at dim={qp.dim}")
+    factors = _unreferenced(band, qp)
     energies = np.array(band.energies)
-    factors = np.array([_factor(j, qp) for j in band.spins])
     with np.errstate(all="ignore"):
         return energies - energies[0], factors - factors[0]
 
@@ -61,6 +66,11 @@ def reference_fit(band: BandData, qp: QParameter | None):
         rms = KEV_PER_MEV * math.sqrt(chi2 / len(band.levels)) if math.isfinite(chi2) else math.nan
     if not (math.isfinite(A) and math.isfinite(chi2) and math.isfinite(rms)):
         raise FitError(f"band '{band.name}' has no finite fit: A, chi2 or rms is not finite")
+    # the subtraction's rounding error against the factors it leaves: under
+    # six significant digits fail
+    if np.finfo(float).eps * np.max(np.abs(_unreferenced(band, qp))) > 1e-6 * np.max(np.abs(f)):
+        raise FitError(f"band '{band.name}' has no accurate fit: "
+                       "its eigenvalue factors keep under 6 significant digits")
     head = band.energies[0]
     residuals = tuple(
         LevelResidual(j, float(exp), float(head + A * fv), float(d))

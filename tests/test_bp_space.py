@@ -397,10 +397,10 @@ SPACE_BYTES = 2 * 16 * MEMORY_DIM**2  # angle_basis and exp_iphi
 # run.
 CHECK_SLACK = 64 * 1024
 RUN_SLACK = 1024 * 1024
-# The inputs a space that holds no array generates for one block: its rows
-# of the angle basis and the row after them, its columns and its rows of
-# exp(i*Phi).
-GENERATED_BLOCKS = 16 * (3 * _BLOCK_ROWS + 1) * MEMORY_DIM
+# The two buffers a space that holds no array generates a block's inputs into
+# and works in: one of its rows of the angle basis and the row after them,
+# then of its columns, and one of its rows of exp(i*Phi).
+GENERATED_BLOCKS = 16 * (2 * _BLOCK_ROWS + 1) * MEMORY_DIM
 
 
 def _traced_peak(func, *args) -> int:
@@ -491,6 +491,13 @@ class TestThreads:
         check(_read_space())
         space = _read_space()
         assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
+
+    def test_unread_space_shares_two_generated_blocks(self, monkeypatch):
+        force_cores(monkeypatch, 3)
+        check_quantum_plane(build_space((MEMORY_DIM - 1) // 2, 0.6))
+        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
+        peak = _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
+        assert peak <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
 
     @pytest.mark.parametrize("dim,threads", [(_THREADED_MIN_DIM - 2, 0), (_THREADED_MIN_DIM, 1)])
     def test_small_spaces_stay_serial(self, monkeypatch, dim, threads):

@@ -565,6 +565,54 @@ class TestBandInputs:
         assert proc.stdout.startswith("# nucleus: 162Dy\n")
 
 
+# A child that runs the CLI the way ``python -m qrotor`` does, with its address
+# space capped at what it holds once numpy has loaded plus the bytes its first
+# argument gives.
+CAPPED_AFTER_IMPORT = """
+import resource, sys
+from qrotor.__main__ import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+limit = size + int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_out_of_memory_is_one_diagnostic(tmp_path):
+    # 2,000,000 levels, a 34 MB file, which the reader holds in several times
+    # that; the cap is set in the child only.
+    path = tmp_path / "huge.band"
+    with path.open("w") as out:
+        out.write("# nucleus: huge\n")
+        for start in range(0, 2_000_000, 100_000):
+            out.write("".join(f"{k} {k}.5\n" for k in range(start, start + 100_000)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_AFTER_IMPORT, str(128 << 20), "table", str(path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "qrotor: table: out of memory\n")
+
+
+def test_verify_loads_no_band_module():
+    """``verify`` imports none of the band path's modules; ``table`` loads them on first use."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import os, sys\n"
+        "from qrotor.cli import main\n"
+        "band = {'qrotor.ingest', 'qrotor.fit', 'qrotor.model'}\n"
+        "assert main(['verify', '--max-dim', '5', '-o', os.devnull]) == 0\n"
+        "assert band.isdisjoint(sys.modules), band & set(sys.modules)\n"
+        "assert main(['table', sys.argv[1], '-o', os.devnull]) == 0\n"
+        "assert band <= set(sys.modules), band - set(sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(REPO_ROOT / "data" / "bands")],
+                          capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestEntryPoint:
     def test_python_dash_m(self, dy162_path):
         env = dict(os.environ)

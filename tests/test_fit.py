@@ -203,6 +203,10 @@ DEFORMED_OVERFLOW = exact_band("deformed-overflow", 2.0**532, None, spin_range(0
 # Twice-spins 2**28 to 2**28 + 2 fitted near the top of the [j][j+1] arch:
 # their float64 factors are all equal, so sum f^2 rounds to 0 and A is 0/0.
 NO_SPREAD = BandData("no-spread", ((2**28, 0.0), (2**28 + 1, 1.0), (2**28 + 2, 2.0)))
+# Twice-spins 2**28 to 2**28 + 4 at a hand-picked tau by the top of the arch:
+# float64 factors [0, 3, 1], exact [0, 1.5, 1.0], and a fit of A = 0.5 keV
+# against about 1.08, unless the cancellation fails the band.
+CANCELLED = (BandData("cancelled", ((2**28, 0.0), (2**28 + 2, 1.0), (2**28 + 4, 2.0))), QParameter(536870919))
 
 
 def _mixed_batch(seed: int, count: int):
@@ -288,6 +292,21 @@ class TestBatchKernel:
         # the oracle keeps its own check for a model term without spread
         with pytest.raises(FitError, match="no spread"):
             reference_fit(NO_SPREAD, qp)
+
+    def test_cancelled_factors_fail_closed(self):
+        message = "^band 'cancelled' has no accurate fit: its eigenvalue factors keep under 6 significant digits$"
+        with pytest.raises(FitError, match=message):
+            fit_A(*CANCELLED)
+        with pytest.raises(FitError, match=message):
+            reference_fit(*CANCELLED)
+
+    @pytest.mark.parametrize("twostep", [1, 2])
+    def test_tau_rule_keeps_six_digits_at_the_spin_cap(self, twostep):
+        # the rule's worst case: three levels a half or a whole spin apart at
+        # the cap, which keep about 6.7 digits deformed and 6.9 classical
+        band = BandData("cap", tuple((2**31 - twostep * k, float(2 - k)) for k in (2, 1, 0)))
+        for fit in compare(band):
+            assert fit.A > 0.0 and math.isfinite(fit.chi2) and math.isfinite(fit.rms)
 
     @settings(max_examples=300, deadline=None)
     @given(head=st.integers(0, 2**20), twostep=st.integers(1, 8), count=st.integers(3, 40),
