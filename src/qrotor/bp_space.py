@@ -18,23 +18,20 @@ row-local, so the products stream over blocks of ``_BLOCK_ROWS`` rows and
 fold each block's max-norm with ``np.max``, which keeps a NaN that Python's
 ``max`` would drop.
 
-Each identity has one kernel, which maps a block of rows to its max-norm
-deviation.  A space holds no D x D array until a caller reads
-``angle_basis`` or ``exp_iphi``; the read fills that array block by block,
-in place, from the one block generator ``_Blocks``, and keeps it,
-read-only.  The first check of a space makes one pass over row blocks that
-feeds each block's inputs to all six kernels, and the space keeps the six
-deviations for the other checks.  An input is a view of the rows of an
-array the space holds, which is never written, or else is generated a block
-at a time: basis rows (with the next row, for cycling), basis columns and
-exp(i*Phi) rows.  Each thread generates those into two block buffers, and
-the kernels, run in a fixed order, work in them, in place where a kernel is
-an input's last reader; over stored rows they share one buffer.  A kernel
-also allocates the modulus array of its max-norm.  ``qrotor verify`` reads
-no array but shift-power's exp(i*Phi) at D <= 101, so at D = 1001 one
-space's checks peak at 2.9 MiB traced, against 4.6 MiB with a block of each
-input and a buffer per kernel and 32.1 MiB when each space stored both
-matrices; its peak RSS is 32.5 MiB, against 35.0 and 62.3.
+A space holds no D x D array until a caller reads ``angle_basis`` or
+``exp_iphi``; the read fills that array block by block, in place, from the
+one block generator ``_Blocks``, and keeps it, read-only.  The first check
+of a space runs all six identities in one pass over row blocks
+(``_all_deviations``), and the space keeps the six deviations for the
+other checks.  A block's inputs, its rows of the angle basis with the row
+after them, its columns of the basis and its rows of exp(i*Phi), are views
+of an array the space holds, which is never written, or else are generated
+into the two block buffers each thread keeps.  Per block the identities run
+as one straight-line sequence in those buffers, each working in place or in
+the buffer its input does not occupy, and each max-norm allocates its
+modulus array.  ``qrotor verify`` reads no array but shift-power's
+exp(i*Phi) at D <= 101, so at D = 1001 one space's checks peak at 2.9 MiB
+traced on two threads.
 
 From D = ``_THREADED_MIN_DIM`` up, the blocks of each fill, check and pass are
 shared out between two threads where two cores are usable, as numpy runs its
@@ -166,7 +163,7 @@ class BPSpace:
         return f"BPSpace({', '.join(f'{f.name}={self.__dict__[f.name]!r}' for f in fields(self))})"
 
     @cached_property
-    def _deviations(self) -> dict:
+    def _deviations(self) -> dict[str, float]:
         return _all_deviations(self)
 
 
@@ -216,7 +213,7 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _blockwise(dim: int, work: Callable[[slice], float | None]) -> list:
+def _blockwise(dim: int, work: Callable[[slice], object]) -> list:
     """``work(rows)`` for each block of consecutive rows covering rows
     0..dim-1, in row order.
 
@@ -346,171 +343,117 @@ def _identity_deviation(block: np.ndarray, rows: slice) -> float:
     return max_abs(block)
 
 
-# One kernel per identity: ``kernel(space, phases)``, with ``phases`` the
-# space's ``_dft_phases``, returns ``deviation(rows, out, *inputs)``, the
-# max-norm deviation of a block of rows, computed from one of the block's
-# three inputs: its rows of exp(i*Phi); its rows of the angle basis and the
-# row after them, cyclically; or its columns of the angle basis, transposed.
-# It works in the block buffer ``out``: either the input itself, which it
-# then consumes, or a buffer the input does not overlap, which it overwrites.
+def _all_deviations(space: BPSpace) -> dict[str, float]:
+    """Each identity's max-norm deviation, keyed by its name, from one pass
+    over row blocks in which no D x D complex array is formed.
 
-
-def _into(out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``out`` holding ``x``, copied unless ``out`` is ``x`` itself."""
-    if out is not x:
-        np.copyto(out, x)
-    return out
-
-
-def _quantum_plane(space: BPSpace, _phases: tuple) -> Callable[..., float]:
-    q_jz = space.q_jz
-    q_shifted = np.exp(-1j * space.qp.tau) * q_jz
-
-    def deviation(rows: slice, out: np.ndarray, exp_iphi: np.ndarray) -> float:
-        np.subtract.outer(q_jz[rows], q_shifted, out=out)
-        out *= exp_iphi
-        return max_abs(out)
-
-    return deviation
-
-
-def _cyclic_shift(space: BPSpace, _phases: tuple) -> Callable[..., float]:
-    dim, corner = space.dim, np.exp(1j * space.dim * space.theta0)
-
-    def deviation(rows: slice, out: np.ndarray, exp_iphi: np.ndarray) -> float:
-        block = _into(out, exp_iphi)
-        i = np.arange(max(rows.start, 1), rows.stop)  # the rows with a one at (i, i-1)
-        block[i - rows.start, i - 1] -= 1.0
-        if rows.start == 0:
-            block[0, dim - 1] -= corner
-        return max_abs(block)
-
-    return deviation
-
-
-def _unitarity(space: BPSpace, phases: tuple) -> Callable[..., float]:
-    w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
-    q_deviation = max_abs(np.abs(space.q_jz) ** 2 - 1.0)
-
-    def deviation(rows: slice, out: np.ndarray, exp_iphi: np.ndarray) -> float:
-        block = _times_angle_transpose(_into(out, exp_iphi), phases)
-        return max_abs([_identity_deviation(_times_weighted_conj_angle(block, w_bar, phases), rows), q_deviation])
-
-    return deviation
-
-
-def _angle_orthonormality(space: BPSpace, phases: tuple) -> Callable[..., float]:
-
-    def deviation(rows: slice, out: np.ndarray, basis: np.ndarray) -> float:
-        return _identity_deviation(_times_angle_transpose(np.conjugate(basis, out=out), phases), rows)
-
-    return deviation
-
-
-def _angle_completeness(space: BPSpace, phases: tuple) -> Callable[..., float]:
-
-    def deviation(rows: slice, out: np.ndarray, columns: np.ndarray) -> float:
-        return _identity_deviation(_times_weighted_conj_angle(_into(out, columns), 1.0, phases), rows)
-
-    return deviation
-
-
-def _angle_cycling(space: BPSpace, _phases: tuple) -> Callable[..., float]:
-    q_jz = space.q_jz
-
-    def deviation(rows: slice, out: np.ndarray, basis: np.ndarray, after: np.ndarray) -> float:
-        np.multiply(basis, q_jz, out=out)
-        out[:-1] -= basis[1:]
-        out[-1] -= after
-        return max_abs(out)
-
-    return deviation
-
-
-# In the order ``_all_deviations`` runs them.
-_KERNELS = (_angle_cycling, _angle_orthonormality, _angle_completeness, _quantum_plane, _cyclic_shift, _unitarity)
-
-
-def _all_deviations(space: BPSpace) -> dict:
-    """Every kernel's deviation, from one pass over row blocks, in which each
-    thread works in two block buffers of its own, A and B, and no D x D
-    complex array is formed.
-
-    A block's inputs are views of the arrays the space holds, never written,
-    or, for an array the space does not hold, generated into A and B: the
-    basis rows and the row after them into A, which cycling reads into B and
-    orthonormality then consumes; the columns into A, copied to B and turned
-    into exp(i*Phi) there; completeness consumes A, quantum-plane and
-    cyclic-shift read B into A, and unitarity consumes B.  A kernel whose
-    input is stored works in A.  Every entry goes through the operations it
-    would in a whole-matrix product, so each deviation is bit-identical."""
+    Each thread works in two block buffers of its own, A and B; B is A
+    itself when the space holds both arrays.  A block's inputs are views of
+    the arrays the space holds, never written, or else generated: its basis
+    rows and the row after them into A, and the space's own columns into A,
+    copied to B and turned into exp(i*Phi) rows there.  The six identities
+    then run in one order: angle-cycling works in B; angle-orthonormality
+    conjugates the basis rows into A; angle-completeness consumes the
+    columns in A, copied there if stored; quantum-plane and cyclic-shift
+    work in A from the exp(i*Phi) rows; unitarity consumes them in B, copied
+    there if stored.  Every entry goes through the operations it would in a
+    whole-matrix product, so each deviation is bit-identical."""
     dim, phases = space.dim, _dft_phases(space.dim, space.theta0)
     basis, exp_iphi = space.__dict__["angle_basis"], space.__dict__["exp_iphi"]
     blocks = _Blocks(space, phases) if basis is None or exp_iphi is None else None
-    cycling, orthonormality, completeness, quantum_plane, cyclic_shift, unitarity = (
-        kernel(space, phases) for kernel in _KERNELS)
+    q_jz = space.q_jz
+    q_shifted = np.exp(-1j * space.qp.tau) * q_jz
+    corner = np.exp(1j * dim * space.theta0)  # cyclic-shift's wrap-around entry
+    w_bar = np.exp(-1j * _angles(dim, space.theta0))
+    q_deviation = max_abs(np.abs(q_jz) ** 2 - 1.0)
 
     # Each thread makes its buffers at its first block, the largest, and
     # reuses them.  With new buffers for every block, about 3 MiB at
     # D = 1001, glibc trimmed its heap as each block was freed and faulted
     # the pages in again for the next: `verify --max-dim 1001` took 37,000
     # more page faults and 0.13 s more CPU (median of 12 runs).
-    buffers: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+    buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def deviations(rows: slice) -> list[float]:
-        size = rows.stop - rows.start
+    def deviations(rows: slice) -> dict[str, float]:
+        size, found = rows.stop - rows.start, {}
         if threading.get_ident() not in buffers:
-            buffers[threading.get_ident()] = (np.empty((size + (basis is None), dim), dtype=complex),
-                                              np.empty((size, dim), dtype=complex) if blocks else None)
+            a_buffer = np.empty((size + (basis is None), dim), dtype=complex)  # the row after, for cycling
+            buffers[threading.get_ident()] = (a_buffer, np.empty((size, dim), dtype=complex) if blocks else a_buffer)
         a_buffer, b_buffer = buffers[threading.get_ident()]
-        a_next = a_buffer[: size + (basis is None)]  # A holds the row after its rows only for cycling
-        a, b = a_next[:size], b_buffer if b_buffer is None else b_buffer[:size]
+        a, b = a_buffer[:size], b_buffer[:size]
         if basis is None:
-            blocks.basis(blocks.n.take(range(rows.start, rows.stop + 1), mode="wrap"), out=a_next)
-            found = [cycling(rows, b, a, a_next[-1]), orthonormality(rows, a, a)]
+            blocks.basis(blocks.n.take(range(rows.start, rows.stop + 1), mode="wrap"), out=a_buffer[: size + 1])
+            basis_rows, after = a, a_buffer[size]
         else:
-            found = [cycling(rows, a, basis[rows], basis[rows.stop % dim]), orthonormality(rows, a, basis[rows])]
+            basis_rows, after = basis[rows], basis[rows.stop % dim]
+
+        np.multiply(basis_rows, q_jz, out=b)
+        b[:-1] -= basis_rows[1:]
+        b[-1] -= after
+        found["angle-cycling"] = max_abs(b)
+
+        np.conjugate(basis_rows, out=a)
+        found["angle-orthonormality"] = _identity_deviation(_times_angle_transpose(a, phases), rows)
+
         if blocks:
             blocks.columns(rows, out=a)
         if exp_iphi is None:
-            blocks.exp_iphi(_into(b, a))
-        found.append(completeness(rows, a, a if basis is None else basis[:, rows].T))
-        exp_rows = b if exp_iphi is None else exp_iphi[rows]
-        found += [quantum_plane(rows, a, exp_rows), cyclic_shift(rows, a, exp_rows)]
-        found.append(unitarity(rows, b if exp_iphi is None else a, exp_rows))
+            np.copyto(b, a)
+            exp_rows = blocks.exp_iphi(b)
+        else:
+            exp_rows = exp_iphi[rows]
+        if basis is not None:
+            np.copyto(a, basis[:, rows].T)
+        found["angle-completeness"] = _identity_deviation(_times_weighted_conj_angle(a, 1.0, phases), rows)
+
+        np.subtract.outer(q_jz[rows], q_shifted, out=a)
+        a *= exp_rows
+        found["quantum-plane"] = max_abs(a)
+
+        np.copyto(a, exp_rows)
+        i = np.arange(max(rows.start, 1), rows.stop)  # the rows with a one at (i, i-1)
+        a[i - rows.start, i - 1] -= 1.0
+        if rows.start == 0:
+            a[0, dim - 1] -= corner
+        found["cyclic-shift"] = max_abs(a)
+
+        if exp_iphi is not None:
+            np.copyto(b, exp_rows)
+        _times_weighted_conj_angle(_times_angle_transpose(b, phases), w_bar, phases)
+        found["unitarity"] = max_abs([_identity_deviation(b, rows), q_deviation])
         return found
 
     per_block = _blockwise(dim, deviations)
-    return {kernel: max_abs([block[k] for block in per_block]) for k, kernel in enumerate(_KERNELS)}
+    return {name: max_abs([block[name] for block in per_block]) for name in per_block[0]}
 
 
 def check_quantum_plane(space: BPSpace) -> float:
     """Max-norm deviation of q^{Jz} e^{iPhi} - q e^{iPhi} q^{Jz} from zero,
     formed entrywise as (q_i - q*q_j) * e^{iPhi}_ij."""
-    return space._deviations[_quantum_plane]
+    return space._deviations["quantum-plane"]
 
 
 def check_cyclic_shift(space: BPSpace) -> float:
     """Max-norm deviation of exp_iphi from the one-step cyclic raising matrix,
     whose wrap-around corner carries the phase exp(i*D*theta0)."""
-    return space._deviations[_cyclic_shift]
+    return space._deviations["cyclic-shift"]
 
 
 def check_unitarity(space: BPSpace) -> float:
     """Max-norm deviation of U U^dagger from identity for U = exp_iphi, with
     U^dagger = A^T diag(exp(-i*theta)) conj(A), and of |q_m|^2 from one."""
-    return space._deviations[_unitarity]
+    return space._deviations["unitarity"]
 
 
 def check_angle_orthonormality(space: BPSpace) -> float:
     """Max-norm deviation of the angle-state Gram matrix from identity, taken
     on its transpose (A A^dagger)^T = conj(A) A^T."""
-    return space._deviations[_angle_orthonormality]
+    return space._deviations["angle-orthonormality"]
 
 
 def check_angle_completeness(space: BPSpace) -> float:
     """Max-norm deviation of sum_n |theta_n><theta_n| = A^T conj(A) from identity."""
-    return space._deviations[_angle_completeness]
+    return space._deviations["angle-completeness"]
 
 
 def check_angle_cycling(space: BPSpace) -> float:
@@ -519,7 +462,7 @@ def check_angle_cycling(space: BPSpace) -> float:
     Returns the max-norm deviation of the shifted basis from the basis with
     its rows moved up by one; for integer m the wrap-around is phase-free.
     """
-    return space._deviations[_angle_cycling]
+    return space._deviations["angle-cycling"]
 
 
 def check_shift_power(space: BPSpace) -> float:

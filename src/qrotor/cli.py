@@ -260,7 +260,3 @@ def main(argv: list[str] | None = None) -> int:
         pass  # the diagnostic is printed once the handler's frames are freed
     print(f"qrotor: {args.subcommand}: out of memory", file=sys.stderr)
     return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

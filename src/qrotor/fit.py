@@ -288,12 +288,15 @@ def compare(band: BandData) -> tuple[FitResult, FitResult]:
 
 
 def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
-    """Least-squares objective at a given finite A > 0, in MeV^2; ValueError if it overflows."""
+    """Least-squares objective at a given finite A > 0, in MeV^2; ValueError if it overflows,
+    and the FitError of ``fit_A`` if the band's eigenvalue factors keep under six digits."""
     _check_inertia(A)
-    bands = Bands.of([band])
-    f, regime = factors(bands, np.array([0.0 if qp is None else qp.tau]))
+    bands, tau = Bands.of([band]), np.array([0.0 if qp is None else qp.tau])
+    f, regime = factors(bands, tau)
     if not regime[0]:
         raise _regime_error(band.name, qp)
+    if not _accurate(bands, tau, f)[0]:
+        raise _failure(band.name, qp, regime=True, A=A, finite=True)
     chi2 = score(bands, f, np.array([A], dtype=float))[0][0]
     if not np.isfinite(chi2):
         raise ValueError(f"chi2 at A={A} overflows for band '{band.name}'")

@@ -443,6 +443,16 @@ class TestMemory:
         assert peak <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
         assert space.__dict__["angle_basis"] is None and space.__dict__["exp_iphi"] is None
 
+    @pytest.mark.parametrize("held", ["angle_basis", "exp_iphi"])
+    def test_space_holding_one_array_generates_two_blocks(self, held):
+        generated = ({"angle_basis", "exp_iphi"} - {held}).pop()
+        warm, space = build_space((MEMORY_DIM - 1) // 2, 0.6), build_space((MEMORY_DIM - 1) // 2, 0.6)
+        getattr(warm, held), getattr(space, held)  # stored before the trace
+        check_quantum_plane(warm)
+        peak = _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
+        assert peak <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
+        assert space.__dict__[generated] is None
+
     def test_verify_keeps_one_space_alive(self, tmp_path):
         peak = _traced_peak(main, ["verify", "--max-dim", str(MEMORY_DIM), "-o", str(tmp_path / "verify.txt")])
         assert peak <= SPACE_BYTES + BLOCK_BUDGET + RUN_SLACK

@@ -300,6 +300,13 @@ class TestBatchKernel:
         with pytest.raises(FitError, match=message):
             reference_fit(*CANCELLED)
 
+    @pytest.mark.parametrize("A", [0.5, 1.08])
+    def test_chi2_at_fails_closed_on_cancelled_factors(self, A):
+        # the cancelled factors [0, 3, 1] would rank A = 0.5 keV above the true 1.08
+        message = "^band 'cancelled' has no accurate fit: its eigenvalue factors keep under 6 significant digits$"
+        with pytest.raises(FitError, match=message):
+            chi2_at(*CANCELLED, A)
+
     @pytest.mark.parametrize("twostep", [1, 2])
     def test_tau_rule_keeps_six_digits_at_the_spin_cap(self, twostep):
         # the rule's worst case: three levels a half or a whole spin apart at

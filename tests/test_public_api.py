@@ -5,6 +5,7 @@ numpy and qrotor itself, which keeps every run's start-up cost fixed.
 The package itself loads no numpy, so ``python -m qrotor`` runs OpenBLAS
 on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise."""
 
+import ast
 import importlib
 import json
 import os
@@ -32,6 +33,20 @@ def test_all_names_resolve(name):
 
 
 SRC = Path(qrotor.__file__).resolve().parent.parent
+
+
+def test_cli_is_the_only_runner():
+    """No module but ``__main__.py`` runs as a script: ``python -m qrotor`` and
+    the ``qrotor`` command both set the one-thread OpenBLAS default first."""
+    guards = []
+    for path in sorted((SRC / "qrotor").glob("*.py")):
+        if path.name != "__main__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.If):
+                    names = {getattr(leaf, "id", getattr(leaf, "value", None)) for leaf in ast.walk(node.test)}
+                    if {"__name__", "__main__"} <= names:
+                        guards.append(f"{path.name}:{node.lineno}")
+    assert guards == []
 
 
 def fresh_env(**changes):
