@@ -63,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qnum import QParameter, max_abs, twice_spin
+from .qnum import MAX_DENSE_DIM, QParameter, max_abs, twice_spin
 
 __all__ = [
     "MAX_DENSE_DIM",
@@ -77,12 +77,6 @@ __all__ = [
     "check_angle_cycling",
     "check_shift_power",
 ]
-
-# Largest space dimension.  What a space stores once read (``angle_basis``,
-# ``exp_iphi``, which shift-power reads) and an irrep are dense, 16 MiB per
-# complex matrix at the cap; the six checks ``verify`` runs on an unread
-# space stream row blocks and store nothing, but they keep this cap.
-MAX_DENSE_DIM = 1001
 
 # Rows in flight at once in a streamed product, shared by its threads: 64
 # complex rows at D = 1001 are 1 MiB, so on one thread a block and the stored
@@ -475,3 +469,15 @@ def check_shift_power(space: BPSpace) -> float:
             powered = squared if powered is None else np.einsum("ij,kj->ik", powered, squared.T.copy())
     target = np.exp(1j * space.dim * space.theta0) * np.eye(space.dim)
     return max_abs(powered - target)
+
+
+# The six identities ``qrotor verify`` checks on every space, by name, in its
+# report's order; shift-power, a D x D power, runs only up to D = 101.
+BP_CHECKS = (
+    ("quantum-plane", check_quantum_plane),
+    ("cyclic-shift", check_cyclic_shift),
+    ("unitarity", check_unitarity),
+    ("angle-orthonormality", check_angle_orthonormality),
+    ("angle-completeness", check_angle_completeness),
+    ("angle-cycling", check_angle_cycling),
+)

@@ -6,13 +6,16 @@ an input directory stands for its ``*.band`` files, sorted by name.
 Exit codes: 0 success, 1 validation or regime failure, 2 usage error.
 All diagnostics go to standard error; results go to standard output or
 the ``-o`` path, byte-identically for identical inputs.  A subcommand that
-runs out of memory ends with one "out of memory" diagnostic and exit 1.
+runs out of memory ends with one "out of memory" diagnostic and exit 1, and
+so does every run, ``--version`` and ``--help`` included, whose standard
+output cannot be written, with "cannot write standard output".
 
-``fit``, ``ingest`` and ``model`` load on the band path's first use of one
-of their names (``_LAZY``), so ``verify`` neither compiles nor keeps them.
-``bp_space`` and ``suq2`` load with this module: the parser reads
-``MAX_DENSE_DIM``, and so every run, ``--version`` included, pays numpy's
-import before its subcommand starts.
+Each subcommand loads only its own modules, on its first use of one of
+their names (``_LAZY``): ``table`` and ``plotdata`` load ``fit``, ``ingest``
+and ``model``, ``verify`` loads ``bp_space`` and ``suq2``, and ``--version``
+and ``--help`` load neither set.  ``qnum``, and with it numpy, loads with
+this module, since the parser reads ``MAX_DENSE_DIM`` and every subcommand
+needs numpy; so a run pays numpy's import before its subcommand starts.
 """
 
 from __future__ import annotations
@@ -25,28 +28,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bp_space import (
-    MAX_DENSE_DIM,
-    build_space,
-    check_angle_completeness,
-    check_angle_cycling,
-    check_angle_orthonormality,
-    check_cyclic_shift,
-    check_quantum_plane,
-    check_shift_power,
-    check_unitarity,
-)
-from .qnum import QParameter, RegimeError, _decimal
-from .suq2 import build_irrep, check_casimir, check_commutators
+from .qnum import MAX_DENSE_DIM, QParameter, RegimeError, _decimal
 
-# The band path's names -> the module that defines each, imported on first use
-# (PEP 562).  fit_A, q_parameter_from_band and _fit_one, which alone calls
+# The subcommands' names -> the module that defines each, imported on first
+# use (PEP 562).  fit_A, q_parameter_from_band and _fit_one, which alone calls
 # read_band_file, are not called here; bench/spans.py traces the CLI by
-# swapping them under these names.
+# swapping names in this module, these among them.
 _LAZY = {
     **dict.fromkeys(["_compare", "compare_batch", "fit_A"], "fit"),
     **dict.fromkeys(["_plot_data", "_read_batch", "read_band_file", "write_report"], "ingest"),
     "q_parameter_from_band": "model",
+    **dict.fromkeys(["BP_CHECKS", "build_space", "check_shift_power"], "bp_space"),
+    **dict.fromkeys(["IRREP_CHECKS", "build_irrep"], "suq2"),
 }
 
 
@@ -57,8 +50,8 @@ def __getattr__(name):
     return value
 
 
-# This module, through which the band path reads the names above, so that they
-# load on first use and a swapped name applies.
+# This module, through which the subcommands read the names above, so that
+# they load on first use and a swapped name applies.
 _module = sys.modules[__name__]
 
 __all__ = ["main", "cmd_bands", "cmd_verify"]
@@ -87,8 +80,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that flushes the help or version text it writes
+    to standard output, and raises where that fails; argparse itself passes
+    over a failed write, and the run would exit 0 with nothing written."""
+
+    def _print_message(self, message, file=None):
+        if file is None or file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrotor",
         description="Deformed-rotor fits of nuclear rotational bands with the "
         "deformation fixed by each band's spin content.",
@@ -139,10 +144,24 @@ def _emit(args: argparse.Namespace, payload: bytes) -> int:
         else:
             args.output.write_bytes(payload)
     except OSError as exc:
-        target = "standard output" if args.output is None else args.output
-        print(f"qrotor: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        if args.output is None:
+            return _stdout_failed(exc)
+        print(f"qrotor: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _stdout_failed(exc: OSError) -> int:
+    """Print the diagnostic for a failed write to standard output and point
+    its descriptor at the null device, as the "Note on SIGPIPE" in Python's
+    ``signal`` docs does, so that the bytes left in its buffer do not fail
+    again, with an "Exception ignored" note and exit 120, when Python
+    flushes it at exit; 1."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print(f"qrotor: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+    return 1
 
 
 def _fit_one(path: Path, classical_only: bool):
@@ -188,21 +207,6 @@ def cmd_bands(args: argparse.Namespace) -> int:
     return code
 
 
-BP_CHECKS = (
-    ("quantum-plane", check_quantum_plane),
-    ("cyclic-shift", check_cyclic_shift),
-    ("unitarity", check_unitarity),
-    ("angle-orthonormality", check_angle_orthonormality),
-    ("angle-completeness", check_angle_completeness),
-    ("angle-cycling", check_angle_cycling),
-)
-
-IRREP_CHECKS = (
-    ("commutators", check_commutators),
-    ("casimir", check_casimir),
-)
-
-
 def _bp_tolerance(dim: int) -> float:
     return 1e-12 if dim <= 201 else 1e-10
 
@@ -226,12 +230,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     for l in l_sweep:
         for theta0 in (0.0, 0.6):
-            space = build_space(l, theta0)
+            space = _module.build_space(l, theta0)
             params = f"l={l} theta0={theta0:.1f}"
-            for name, check in BP_CHECKS:
+            for name, check in _module.BP_CHECKS:
                 record(name, params, check(space), _bp_tolerance(space.dim))
             if space.dim <= 101:
-                record("shift-power", params, check_shift_power(space), 1e-10)
+                record("shift-power", params, _module.check_shift_power(space), 1e-10)
 
     for l in l_sweep:
         dim = 2 * l + 1
@@ -239,11 +243,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for j in VERIFY_SPINS:
             params = f"dim={dim} j={j:g}"
             try:
-                irrep = build_irrep(j, qp)
+                irrep = _module.build_irrep(j, qp)
             except RegimeError:
                 lines.append(f"{'irrep':<22} {params:<24} skipped (space too small for spin)")
                 continue
-            for name, check in IRREP_CHECKS:
+            for name, check in _module.IRREP_CHECKS:
                 record(name, params, check(irrep), _irrep_tolerance(dim))
 
     code = _emit(args, ("\n".join(lines) + "\n").encode("utf-8"))
@@ -253,7 +257,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except OSError as exc:  # from the help or version text, the one output a parse writes
+        return _stdout_failed(exc)
     try:
         return args.handler(args)
     except MemoryError:

@@ -7,10 +7,12 @@ and tau, with tau = 0 giving x itself, so band energies, fits over a tau
 column and irrep matrices all share it.  ``in_regime`` is the one test of
 the monotone regime tau*(j_max+1) < pi, and ``on_grid`` the one test
 that a spin is finite, on the half-integer grid and at most ``MAX_SPIN`` in
-magnitude, which keeps every twice-spin column int64.  A ``QParameter`` is
-its odd space dimension alone, stored as an ``int``; tau = 2*pi/dim is
-derived from it on read.  Everything here is a pure function of immutable
-values.
+magnitude, which keeps every twice-spin column int64.  ``MAX_DENSE_DIM``
+caps the space dimension of both ``bp_space`` and ``suq2``, and lives here
+so that the command line reads it without loading either.  A
+``QParameter`` is its odd space dimension alone, stored as an ``int``;
+tau = 2*pi/dim is derived from it on read.  Everything here is a pure
+function of immutable values.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_DENSE_DIM",
     "MAX_SPIN",
     "QParameter",
     "RegimeError",
@@ -42,6 +45,12 @@ class RegimeError(ValueError):
 # The largest spin magnitude any entry point accepts; physical bands stay
 # below j = 100.  With it, a valid band's sum of (2j+1) stays below 2**62.
 MAX_SPIN = 2**30
+
+# Largest space dimension.  What a phase space stores once read
+# (``angle_basis``, ``exp_iphi``, which shift-power reads) and an irrep are
+# dense, 16 MiB per complex matrix at the cap; the six checks ``verify`` runs
+# on an unread space stream row blocks and store nothing, but keep this cap.
+MAX_DENSE_DIM = 1001
 
 
 def on_grid(spin: float) -> int | None:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp_space import MAX_DENSE_DIM
-from .qnum import QParameter, RegimeError, bracket, casimir_eigenvalue, max_abs, twice_spin
+from .qnum import MAX_DENSE_DIM, QParameter, RegimeError, bracket, casimir_eigenvalue, max_abs, twice_spin
 
 __all__ = ["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir"]
 
@@ -98,3 +97,10 @@ def check_casimir(irrep: IrrepMatrices) -> float:
     c2 = np.diag(bracket(m, irrep.tau) * bracket(m + 1.0, irrep.tau)) + irrep.jminus @ irrep.jplus
     ev = casimir_eigenvalue(irrep.j, irrep.qp)
     return max_abs(c2 - ev * np.eye(len(m)))
+
+
+# The checks ``qrotor verify`` runs on every irrep, by name, in its report's order.
+IRREP_CHECKS = (
+    ("commutators", check_commutators),
+    ("casimir", check_casimir),
+)

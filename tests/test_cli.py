@@ -613,6 +613,100 @@ def test_verify_loads_no_band_module():
     assert proc.returncode == 0, proc.stderr
 
 
+def _child_env(**changes):
+    """The environment for a spawned CLI that imports qrotor from ``src``; a
+    ``changes`` value of None removes that variable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    for key, value in changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def test_only_verify_loads_verify_modules():
+    """``--version``, ``table`` and ``plotdata`` import neither ``bp_space`` nor
+    ``suq2``; ``verify`` loads both."""
+    script = (
+        "import os, sys\n"
+        "from qrotor.cli import main\n"
+        "algebra = {'qrotor.bp_space', 'qrotor.suq2'}\n"
+        "try:\n"
+        "    main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert algebra.isdisjoint(sys.modules), algebra & set(sys.modules)\n"
+        "assert main(['table', sys.argv[1], '-o', os.devnull]) == 0\n"
+        "assert main(['plotdata', sys.argv[1], '-o', os.devnull]) == 0\n"
+        "assert algebra.isdisjoint(sys.modules), algebra & set(sys.modules)\n"
+        "assert main(['verify', '--max-dim', '5', '-o', os.devnull]) == 0\n"
+        "assert algebra <= set(sys.modules), algebra - set(sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(REPO_ROOT / "data" / "bands")],
+                          capture_output=True, text=True, env=_child_env(), cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_irreps_load_without_the_phase_space():
+    script = "import sys, qrotor.suq2; assert 'qrotor.bp_space' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runners of the CLI: ``python -m qrotor`` and the ``qrotor`` console script's
+# ``qrotor.__main__:main``.
+RUNNERS = {
+    "dash-m": [sys.executable, "-m", "qrotor"],
+    "console-script": [sys.executable, "-c", "import sys; from qrotor.__main__ import main; sys.exit(main())"],
+}
+
+
+# A child that registers an atexit reporter before it imports the runner.
+# Handlers run last-registered first, so the reporter runs after the runner's.
+FREEZE_REPORTER = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count(), tracked))
+from qrotor.__main__ import main
+tracked = len(gc.get_objects())
+code = main(sys.argv[1:])
+assert gc.get_freeze_count() == 0
+sys.exit(code)
+"""
+
+
+def test_runner_freezes_the_heap_at_exit(dy162_path):
+    """Shutdown's collections find the heap frozen, so they scan nothing;
+    nothing is frozen while the run works."""
+    proc = subprocess.run([sys.executable, "-c", FREEZE_REPORTER, "table", str(dy162_path)],
+                          capture_output=True, text=True, env=_child_env(), cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    *report, last = proc.stdout.splitlines()
+    frozen, tracked = map(int, last.split())
+    assert "162Dy" in report[1]
+    assert frozen >= tracked > 10_000
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("argv,code", [
+    (["--version"], 0),
+    (["verify", "--max-dim", "4"], 2),
+    (["table", "BAD"], 1),
+], ids=["version", "usage-error", "failing-band"])
+def test_runner_exit_codes(tmp_path, runner, argv, code):
+    (tmp_path / "bad.band").write_bytes(BAD)
+    argv = [str(tmp_path / "bad.band") if arg == "BAD" else arg for arg in argv]
+    proc = subprocess.run([*RUNNERS[runner], *argv], capture_output=True, text=True, env=_child_env(),
+                          cwd=REPO_ROOT)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+# Each runs buffered, as a user's standard output is, and unbuffered.
+STDOUT_BUFFERING = {"buffered": None, "unbuffered": "1"}
+
+
 class TestEntryPoint:
     def test_python_dash_m(self, dy162_path):
         env = dict(os.environ)
@@ -641,19 +735,26 @@ class TestEntryPoint:
         assert proc.stdout == out.read_bytes()
         assert ("Dy\\u2013162" if as_json else "Dy\u2013162").encode() in proc.stdout
 
-    @pytest.mark.parametrize("argv,read", [
-        (["table", "--json", "CORPUS"], 0),
-        (["verify", "--max-dim", "51"], 0),
-        (["table", "--json", "CORPUS"], 10),
-    ], ids=["table-json", "verify", "table-json-mid-write"])
-    def test_closed_stdout_is_one_diagnostic(self, tmp_path, bands_dir, argv, read):
+    # The unbuffered cases keep the ids they had when they were the only ones.
+    @pytest.mark.parametrize("argv,read,unbuffered", [
+        pytest.param(argv, read, STDOUT_BUFFERING[buffering],
+                     id=name if buffering == "unbuffered" else f"{name}-buffered")
+        for name, argv, read in [
+            ("table-json", ["table", "--json", "CORPUS"], 0),
+            ("verify", ["verify", "--max-dim", "51"], 0),
+            ("table-json-mid-write", ["table", "--json", "CORPUS"], 10),
+            ("version", ["--version"], 0),
+            ("help", ["--help"], 0),
+        ]
+        for buffering in STDOUT_BUFFERING
+    ])
+    def test_closed_stdout_is_one_diagnostic(self, tmp_path, bands_dir, argv, read, unbuffered):
         # 600 bands give a report of about 1.6 MB, far more than a pipe holds,
         # so a reader that leaves after 10 bytes leaves the child mid-write.
         for k in range(200):
             for band in bands_dir.glob("*.band"):
                 shutil.copy(band, tmp_path / f"{k:03d}{band.name}")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        env = _child_env(PYTHONUNBUFFERED=unbuffered)
         argv = [sys.executable, "-m", "qrotor", *(str(tmp_path) if arg == "CORPUS" else arg for arg in argv)]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=REPO_ROOT) as proc:
             if read:
@@ -663,6 +764,24 @@ class TestEntryPoint:
             assert proc.wait() == 1
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err.splitlines() == ["qrotor: cannot write standard output: Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", STDOUT_BUFFERING.values(), ids=list(STDOUT_BUFFERING))
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--max-dim", "5"],
+        ["table", "BANDS"],
+        ["plotdata", "BANDS"],
+        ["--version"],
+        ["--help"],
+    ], ids=["verify", "table", "plotdata", "version", "help"])
+    def test_full_stdout_is_one_diagnostic(self, bands_dir, argv, unbuffered):
+        """A report smaller than stdout's buffer fails on the flush, and the
+        bytes it leaves there do not fail a second time at exit."""
+        argv = [sys.executable, "-m", "qrotor", *(str(bands_dir) if arg == "BANDS" else arg for arg in argv)]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=_child_env(PYTHONUNBUFFERED=unbuffered), cwd=REPO_ROOT)
+        assert (proc.returncode, proc.stderr) == (1, "qrotor: cannot write standard output: No space left on device\n")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
