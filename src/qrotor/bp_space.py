@@ -23,13 +23,13 @@ A space holds no D x D array until a caller reads ``angle_basis`` or
 one block generator ``_Blocks``, and keeps it, read-only.  The first check
 of a space runs all six identities in one pass over row blocks
 (``_all_deviations``), and the space keeps the six deviations for the
-other checks.  A block's inputs, its rows of the angle basis with the row
-after them, its columns of the basis and its rows of exp(i*Phi), are views
-of an array the space holds, which is never written, or else are generated
-into the two block buffers each thread keeps.  Per block the identities run
-as one straight-line sequence in those buffers, each working in place or in
-the buffer its input does not occupy, and each max-norm allocates its
-modulus array.  ``qrotor verify`` reads no array but shift-power's
+other checks.  The pass generates a block's inputs, its rows of the angle
+basis with the row after them, its columns of the basis and its rows of
+exp(i*Phi), into the two block buffers each thread keeps, whether or not
+the space holds its arrays.  Per block the identities run as one
+straight-line sequence in those buffers, each working in place or in the
+buffer its input does not occupy, and each max-norm allocates its modulus
+array.  ``qrotor verify`` reads no array but shift-power's
 exp(i*Phi) at D <= 101, so at D = 1001 one space's checks peak at 2.9 MiB
 traced on two threads.
 
@@ -58,7 +58,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -79,9 +79,8 @@ __all__ = [
 ]
 
 # Rows in flight at once in a streamed product, shared by its threads: 64
-# complex rows at D = 1001 are 1 MiB, so on one thread a block and the stored
-# rows it reads stay within a 2 MiB-per-core L2 cache, and two threads take
-# 32 rows each.
+# complex rows at D = 1001 are 1 MiB, so on one thread a block's two buffers
+# stay within a 2 MiB-per-core L2 cache, and two threads take 32 rows each.
 _BLOCK_ROWS = 64
 # Most threads a streamed product runs on.  Speed, the cut-off below and the
 # memory budget were measured with two threads on 2 cores only; more threads
@@ -104,45 +103,22 @@ _THREADED_MIN_DIM = 401
 _UFUNC_BUFFER = 1024
 
 
-class _Array:
-    """A ``BPSpace`` array field.  An array given to the constructor is kept
-    as given; None, the default, leaves the space's own array to be built on
-    the first read, by ``_BUILDERS``, and kept, read-only."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, space: BPSpace | None, owner: type | None = None) -> np.ndarray | None:
-        if space is None:
-            return None  # the field's default
-        array = space.__dict__[self.name]
-        if array is None:
-            array = space.__dict__[self.name] = _BUILDERS[self.name](space)
-            array.setflags(write=False)
-        return array
-
-    def __set__(self, space: BPSpace, array: np.ndarray | None) -> None:
-        space.__dict__[self.name] = array
-
-
 @dataclass(frozen=True)
 class BPSpace:
-    """Matrix realization of the finite angle phase space.
+    """Matrix realization of the finite angle phase space, fixed by its
+    dimension, ``qp.dim``, and ``theta0``, the reference angle of its angle
+    grid; equality, hashing and ``repr`` go by those two alone.
 
-    Basis ordering is m = -l..l (ascending).  ``theta0`` is the reference
-    angle of the angle grid; ``angle_basis[n]`` holds the components of the
-    n-th angle state over that basis; ``exp_iphi`` is the exponentiated angle
-    operator and ``q_jz`` the diagonal of the shift q^{Jz}.  An array left
-    out is the space's own, built from ``qp`` and ``theta0`` when first read.
-    The first ``check_*`` call measures all six identities and the space
-    keeps their deviations, so an array passed in must not change after it.
+    Basis ordering is m = -l..l (ascending).  ``angle_basis[n]`` holds the
+    components of the n-th angle state over that basis; ``exp_iphi`` is the
+    exponentiated angle operator and ``q_jz`` the diagonal of the shift
+    q^{Jz}.  Each array is built when first read and kept, read-only.  The
+    first ``check_*`` call measures all six identities and the space keeps
+    their deviations.
     """
 
     qp: QParameter
     theta0: float
-    exp_iphi: np.ndarray = _Array()
-    q_jz: np.ndarray = _Array()
-    angle_basis: np.ndarray = _Array()
 
     @property
     def dim(self) -> int:
@@ -152,9 +128,25 @@ class BPSpace:
     def m_values(self) -> np.ndarray:
         return np.arange(self.dim, dtype=float) - (self.dim - 1) // 2
 
-    def __repr__(self) -> str:
-        # what the space holds: an array not yet built shows as None and is not built for this
-        return f"BPSpace({', '.join(f'{f.name}={self.__dict__[f.name]!r}' for f in fields(self))})"
+    @cached_property
+    def angle_basis(self) -> np.ndarray:
+        blocks, basis = _Blocks(self), np.empty((self.dim, self.dim), dtype=complex)
+        _blockwise(self.dim, lambda rows: blocks.basis(blocks.n[rows], out=basis[rows]))
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def exp_iphi(self) -> np.ndarray:
+        blocks, exp_iphi = _Blocks(self), np.empty((self.dim, self.dim), dtype=complex)
+        _blockwise(self.dim, lambda rows: blocks.exp_iphi(blocks.columns(rows, out=exp_iphi[rows])))
+        exp_iphi.setflags(write=False)
+        return exp_iphi
+
+    @cached_property
+    def q_jz(self) -> np.ndarray:
+        q_jz = np.exp(-1j * self.qp.tau * (np.arange(self.dim) - (self.dim - 1) // 2))
+        q_jz.setflags(write=False)
+        return q_jz
 
     @cached_property
     def _deviations(self) -> dict[str, float]:
@@ -275,32 +267,31 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
 
 
 class _Blocks:
-    """Blocks of a space's own angle basis and exp(i*Phi), generated from the
-    D roots of unity, taken at n*m mod D, and the space's ``_dft_phases``,
-    given as ``phases`` or else computed; every entry is computed as in the
-    whole array."""
+    """Blocks of a space's angle basis and exp(i*Phi), generated from the D
+    roots of unity, taken at n*m mod D, and the space's ``_dft_phases``;
+    every entry is computed as in the whole array."""
 
-    def __init__(self, space: BPSpace, phases: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    def __init__(self, space: BPSpace) -> None:
         dim = self.dim = space.dim
-        self.roots, self.phases = _roots(dim), phases or _dft_phases(dim, space.theta0)
+        self.roots, self.phases = _roots(dim), _dft_phases(dim, space.theta0)
         self.column_phase = self.phases[1] / math.sqrt(dim)
         self.weight = np.exp(1j * _angles(dim, space.theta0))
         self.n = np.arange(dim, dtype=np.min_scalar_type(-dim * dim))  # holds every n*m, |n*m| < D^2 / 2
         self.m = self.n - (dim - 1) // 2
 
-    def _roots_at(self, n: np.ndarray, m: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    def _roots_at(self, n: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
         k = np.multiply.outer(n, m)
         k %= self.dim
         return np.take(self.roots, k, out=out, mode="clip")  # "clip" writes into ``out`` unbuffered
 
-    def basis(self, n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows ``n`` of the angle basis."""
+    def basis(self, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Rows ``n`` of the angle basis, into ``out``."""
         out = self._roots_at(n, self.m, out)
         out *= self.column_phase
         return out
 
-    def columns(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """Columns ``rows`` of the angle basis, transposed."""
+    def columns(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Columns ``rows`` of the angle basis, transposed, into ``out``."""
         out = self._roots_at(self.m[rows], self.n, out)
         out *= self.column_phase[rows, None]
         return out
@@ -309,25 +300,6 @@ class _Blocks:
         """The same rows of exp(i*Phi) = sum_n exp(i*theta_n) |theta_n><theta_n|
         = A^T diag(exp(i*theta)) conj(A), transformed in place from ``columns``."""
         return _times_weighted_conj_angle(columns, self.weight, self.phases)
-
-
-def _build_angle_basis(space: BPSpace) -> np.ndarray:
-    blocks, basis = _Blocks(space), np.empty((space.dim, space.dim), dtype=complex)
-    _blockwise(space.dim, lambda rows: blocks.basis(blocks.n[rows], out=basis[rows]))
-    return basis
-
-
-def _build_exp_iphi(space: BPSpace) -> np.ndarray:
-    blocks, exp_iphi = _Blocks(space), np.empty((space.dim, space.dim), dtype=complex)
-    _blockwise(space.dim, lambda rows: blocks.exp_iphi(blocks.columns(rows, out=exp_iphi[rows])))
-    return exp_iphi
-
-
-def _build_q_jz(space: BPSpace) -> np.ndarray:
-    return np.exp(-1j * space.qp.tau * (np.arange(space.dim) - (space.dim - 1) // 2))
-
-
-_BUILDERS = {"angle_basis": _build_angle_basis, "exp_iphi": _build_exp_iphi, "q_jz": _build_q_jz}
 
 
 def _identity_deviation(block: np.ndarray, rows: slice) -> float:
@@ -341,21 +313,17 @@ def _all_deviations(space: BPSpace) -> dict[str, float]:
     """Each identity's max-norm deviation, keyed by its name, from one pass
     over row blocks in which no D x D complex array is formed.
 
-    Each thread works in two block buffers of its own, A and B; B is A
-    itself when the space holds both arrays.  A block's inputs are views of
-    the arrays the space holds, never written, or else generated: its basis
-    rows and the row after them into A, and the space's own columns into A,
-    copied to B and turned into exp(i*Phi) rows there.  The six identities
-    then run in one order: angle-cycling works in B; angle-orthonormality
-    conjugates the basis rows into A; angle-completeness consumes the
-    columns in A, copied there if stored; quantum-plane and cyclic-shift
-    work in A from the exp(i*Phi) rows; unitarity consumes them in B, copied
-    there if stored.  Every entry goes through the operations it would in a
+    Each thread works in two block buffers of its own, A and B, into which
+    ``_Blocks`` generates a block's inputs: its basis rows and the row after
+    them into A, then its columns into A, copied to B and turned into
+    exp(i*Phi) rows there.  The six identities run in one order:
+    angle-cycling works in B; angle-orthonormality conjugates the basis rows
+    in A; angle-completeness consumes the columns in A; quantum-plane and
+    cyclic-shift work in A from the exp(i*Phi) rows; unitarity consumes them
+    in B.  Every entry goes through the operations it would in a
     whole-matrix product, so each deviation is bit-identical."""
-    dim, phases = space.dim, _dft_phases(space.dim, space.theta0)
-    basis, exp_iphi = space.__dict__["angle_basis"], space.__dict__["exp_iphi"]
-    blocks = _Blocks(space, phases) if basis is None or exp_iphi is None else None
-    q_jz = space.q_jz
+    dim, blocks = space.dim, _Blocks(space)
+    phases, q_jz = blocks.phases, space.q_jz
     q_shifted = np.exp(-1j * space.qp.tau) * q_jz
     corner = np.exp(1j * dim * space.theta0)  # cyclic-shift's wrap-around entry
     w_bar = np.exp(-1j * _angles(dim, space.theta0))
@@ -371,33 +339,23 @@ def _all_deviations(space: BPSpace) -> dict[str, float]:
     def deviations(rows: slice) -> dict[str, float]:
         size, found = rows.stop - rows.start, {}
         if threading.get_ident() not in buffers:
-            a_buffer = np.empty((size + (basis is None), dim), dtype=complex)  # the row after, for cycling
-            buffers[threading.get_ident()] = (a_buffer, np.empty((size, dim), dtype=complex) if blocks else a_buffer)
+            a_buffer = np.empty((size + 1, dim), dtype=complex)  # the row after, for cycling
+            buffers[threading.get_ident()] = (a_buffer, np.empty((size, dim), dtype=complex))
         a_buffer, b_buffer = buffers[threading.get_ident()]
         a, b = a_buffer[:size], b_buffer[:size]
-        if basis is None:
-            blocks.basis(blocks.n.take(range(rows.start, rows.stop + 1), mode="wrap"), out=a_buffer[: size + 1])
-            basis_rows, after = a, a_buffer[size]
-        else:
-            basis_rows, after = basis[rows], basis[rows.stop % dim]
+        blocks.basis(blocks.n.take(range(rows.start, rows.stop + 1), mode="wrap"), out=a_buffer[: size + 1])
 
-        np.multiply(basis_rows, q_jz, out=b)
-        b[:-1] -= basis_rows[1:]
-        b[-1] -= after
+        np.multiply(a, q_jz, out=b)
+        b[:-1] -= a[1:]
+        b[-1] -= a_buffer[size]
         found["angle-cycling"] = max_abs(b)
 
-        np.conjugate(basis_rows, out=a)
+        np.conjugate(a, out=a)
         found["angle-orthonormality"] = _identity_deviation(_times_angle_transpose(a, phases), rows)
 
-        if blocks:
-            blocks.columns(rows, out=a)
-        if exp_iphi is None:
-            np.copyto(b, a)
-            exp_rows = blocks.exp_iphi(b)
-        else:
-            exp_rows = exp_iphi[rows]
-        if basis is not None:
-            np.copyto(a, basis[:, rows].T)
+        blocks.columns(rows, out=a)
+        np.copyto(b, a)
+        exp_rows = blocks.exp_iphi(b)
         found["angle-completeness"] = _identity_deviation(_times_weighted_conj_angle(a, 1.0, phases), rows)
 
         np.subtract.outer(q_jz[rows], q_shifted, out=a)
@@ -411,10 +369,8 @@ def _all_deviations(space: BPSpace) -> dict[str, float]:
             a[0, dim - 1] -= corner
         found["cyclic-shift"] = max_abs(a)
 
-        if exp_iphi is not None:
-            np.copyto(b, exp_rows)
-        _times_weighted_conj_angle(_times_angle_transpose(b, phases), w_bar, phases)
-        found["unitarity"] = max_abs([_identity_deviation(b, rows), q_deviation])
+        _times_weighted_conj_angle(_times_angle_transpose(exp_rows, phases), w_bar, phases)
+        found["unitarity"] = max_abs([_identity_deviation(exp_rows, rows), q_deviation])
         return found
 
     per_block = _blockwise(dim, deviations)

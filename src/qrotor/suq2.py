@@ -13,7 +13,7 @@ and the invariant operator are verified numerically against the matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,13 @@ class IrrepMatrices:
 
     Basis ordering is m = j..-j (descending), putting J+ on the first
     superdiagonal; J- is read as the transpose of J+.  ``qp=None`` marks the undeformed (classical) variant.
+    Equality and hashing go by ``j`` and ``qp``, which fix the matrices.
     """
 
     j: float
     qp: QParameter | None
-    jz: np.ndarray
-    jplus: np.ndarray
+    jz: np.ndarray = field(compare=False)
+    jplus: np.ndarray = field(compare=False)
 
     @property
     def jminus(self) -> np.ndarray:

@@ -4,6 +4,10 @@
 construction and identity checks as they were before they streamed over row
 blocks: each product is formed as one D x D array, with the same FFT kernels
 in the same order, so the blocked forms must match them bit for bit.
+``whole_build_space`` returns a record, not a ``BPSpace``: a space is fixed
+by its dimension and reference angle, while a record holds whatever arrays
+it is given, so tests can swap a faulty array into one.  Every function here
+takes either.
 
 The dense forms are the matrix products ``qrotor.bp_space`` formed with
 ``@`` before it applied the angle-basis factor by FFT: the spectral sum for
@@ -16,6 +20,7 @@ sum_n |theta_n><theta_n|.  Tests compare the FFT path with them.
 from __future__ import annotations
 
 import math
+import types
 
 import numpy as np
 
@@ -29,11 +34,15 @@ from qrotor.bp_space import (
 )
 from qrotor.qnum import QParameter, max_abs, twice_spin
 
+# A phase space, or a record of the same attributes from ``whole_build_space``.
+Space = BPSpace | types.SimpleNamespace
 
-def whole_build_space(l: float, theta0: float = 0.0) -> BPSpace:
-    """``build_space`` with the angle basis gathered through a D x D index
-    array and exp(i*Phi) transformed from a transposed copy of it; for valid
-    arguments only, and the arrays stay writable."""
+
+def whole_build_space(l: float, theta0: float = 0.0) -> types.SimpleNamespace:
+    """``build_space``'s arrays with the angle basis gathered through a D x D
+    index array and exp(i*Phi) transformed from a transposed copy of it, in a
+    record with ``qp``, ``theta0`` and ``dim``; for valid arguments only, and
+    the arrays stay writable."""
     dim = twice_spin(l) + 1
     qp = QParameter.from_dim(dim)
     m = np.arange(dim) - (dim - 1) // 2
@@ -42,7 +51,9 @@ def whole_build_space(l: float, theta0: float = 0.0) -> BPSpace:
     angle_basis *= phases[1] / math.sqrt(dim)
     exp_iphi = _times_weighted_conj_angle(angle_basis.T.copy(), np.exp(1j * _angles(dim, theta0)), phases)
     q_jz = np.exp(-1j * qp.tau * m)
-    return BPSpace(qp=qp, theta0=theta0, exp_iphi=exp_iphi, q_jz=q_jz, angle_basis=angle_basis)
+    return types.SimpleNamespace(
+        qp=qp, theta0=theta0, dim=dim, exp_iphi=exp_iphi, q_jz=q_jz, angle_basis=angle_basis
+    )
 
 
 def _identity_deviation(product: np.ndarray) -> float:
@@ -50,14 +61,14 @@ def _identity_deviation(product: np.ndarray) -> float:
     return max_abs(product)
 
 
-def whole_quantum_plane(space: BPSpace) -> float:
+def whole_quantum_plane(space: Space) -> float:
     q = np.exp(-1j * space.qp.tau)
     deviation = np.subtract.outer(space.q_jz, q * space.q_jz)
     deviation *= space.exp_iphi
     return max_abs(deviation)
 
 
-def whole_cyclic_shift(space: BPSpace) -> float:
+def whole_cyclic_shift(space: Space) -> float:
     dim = space.dim
     deviation = space.exp_iphi.copy()
     deviation.flat[dim :: dim + 1] -= 1.0
@@ -65,24 +76,24 @@ def whole_cyclic_shift(space: BPSpace) -> float:
     return max_abs(deviation)
 
 
-def whole_unitarity(space: BPSpace) -> float:
+def whole_unitarity(space: Space) -> float:
     phases = _dft_phases(space.dim, space.theta0)
     w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
     product = _times_weighted_conj_angle(_times_angle_transpose(space.exp_iphi.copy(), phases), w_bar, phases)
     return max(_identity_deviation(product), max_abs(np.abs(space.q_jz) ** 2 - 1.0))
 
 
-def whole_angle_orthonormality(space: BPSpace) -> float:
+def whole_angle_orthonormality(space: Space) -> float:
     phases = _dft_phases(space.dim, space.theta0)
     return _identity_deviation(_times_angle_transpose(space.angle_basis.conj(), phases))
 
 
-def whole_angle_completeness(space: BPSpace) -> float:
+def whole_angle_completeness(space: Space) -> float:
     phases = _dft_phases(space.dim, space.theta0)
     return _identity_deviation(_times_weighted_conj_angle(space.angle_basis.T.copy(), 1.0, phases))
 
 
-def whole_angle_cycling(space: BPSpace) -> float:
+def whole_angle_cycling(space: Space) -> float:
     basis = space.angle_basis
     deviation = basis * space.q_jz
     deviation[:-1] -= basis[1:]
@@ -90,7 +101,7 @@ def whole_angle_cycling(space: BPSpace) -> float:
     return max_abs(deviation)
 
 
-# Keyed by the names of ``qrotor.cli.BP_CHECKS``.
+# Keyed by the names of ``qrotor.bp_space.BP_CHECKS``.
 WHOLE_CHECKS = {
     "quantum-plane": whole_quantum_plane,
     "cyclic-shift": whole_cyclic_shift,
@@ -108,7 +119,7 @@ def dense_exp_iphi(angle_basis: np.ndarray, theta0: float) -> np.ndarray:
     return (angle_basis.T * np.exp(1j * theta)) @ angle_basis.conj()
 
 
-def dense_unitarity(space: BPSpace) -> float:
+def dense_unitarity(space: Space) -> float:
     eye = np.eye(space.dim)
     q_jz = np.diag(space.q_jz)
     d1 = max_abs(space.exp_iphi @ space.exp_iphi.conj().T - eye)
@@ -116,17 +127,17 @@ def dense_unitarity(space: BPSpace) -> float:
     return max(d1, d2)
 
 
-def dense_orthonormality(space: BPSpace) -> float:
+def dense_orthonormality(space: Space) -> float:
     gram = space.angle_basis @ space.angle_basis.conj().T
     return max_abs(gram - np.eye(space.dim))
 
 
-def dense_completeness(space: BPSpace) -> float:
+def dense_completeness(space: Space) -> float:
     proj = space.angle_basis.T @ space.angle_basis.conj()
     return max_abs(proj - np.eye(space.dim))
 
 
-def matrix_power_shift_power(space: BPSpace) -> float:
+def matrix_power_shift_power(space: Space) -> float:
     """Max-norm deviation of (exp_iphi)^D from exp(i*D*theta0) times identity."""
     powered = np.linalg.matrix_power(space.exp_iphi, space.dim)
     return max_abs(powered - np.exp(1j * space.dim * space.theta0) * np.eye(space.dim))

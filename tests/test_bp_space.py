@@ -26,7 +26,6 @@ from qrotor.bp_space import (
     _BLOCK_ROWS,
     _THREADED_MIN_DIM,
     MAX_DENSE_DIM,
-    BPSpace,
     build_space,
     check_angle_completeness,
     check_angle_cycling,
@@ -43,6 +42,42 @@ def basis_vector(dim, idx):
     v = np.zeros(dim, dtype=complex)
     v[idx] = 1.0
     return v
+
+
+class _Served(bp_space._Blocks):
+    """``_Blocks`` handing out the rows of a record's whole arrays, so that a
+    space is read and checked as if it held those arrays."""
+
+    def __init__(self, space, record):
+        super().__init__(space)
+        self.record, self.rows = record, {}
+
+    def basis(self, n, out):
+        out[...] = self.record.angle_basis[n]
+        return out
+
+    def columns(self, rows, out):
+        self.rows[threading.get_ident()] = rows  # the rows ``exp_iphi`` hands out next on this thread
+        out[...] = self.record.angle_basis[:, rows].T
+        return out
+
+    def exp_iphi(self, columns):
+        columns[...] = self.record.exp_iphi[self.rows[threading.get_ident()]]
+        return columns
+
+
+def serve_rows(monkeypatch, *records):
+    """From now on, a space with the dimension and reference angle of one of
+    ``records``, from ``whole_build_space`` with a faulty array swapped in, is
+    read and checked on that record's arrays: the fault enters at the one
+    block generator.  Any other space is generated as before."""
+    own, served = bp_space._Blocks, {(record.dim, record.theta0): record for record in records}
+
+    def blocks(space):
+        record = served.get((space.dim, space.theta0))
+        return own(space) if record is None else _Served(space, record)
+
+    monkeypatch.setattr(bp_space, "_Blocks", blocks)
 
 
 class TestBuildSpace:
@@ -116,12 +151,14 @@ class TestBuildSpace:
 
     def test_repr_builds_no_array(self):
         space = build_space(2, 0.6)
-        assert repr(space) == f"BPSpace(qp={space.qp!r}, theta0=0.6, exp_iphi=None, q_jz=None, angle_basis=None)"
-        assert repr(space.q_jz) in repr(space)
+        assert repr(space) == f"BPSpace(qp={space.qp!r}, theta0=0.6)"
+        assert vars(space).keys() == {"qp", "theta0"}
+        space.q_jz
+        assert repr(space) == f"BPSpace(qp={space.qp!r}, theta0=0.6)"
 
     def test_stores_dimension_and_reference_angle_once(self):
         space = build_space(2, theta0=0.6)
-        assert {f.name for f in dataclasses.fields(space)} == {"qp", "theta0", "exp_iphi", "q_jz", "angle_basis"}
+        assert {f.name for f in dataclasses.fields(space)} == {"qp", "theta0"}
         assert space.dim == space.qp.dim == 5
         assert space.theta0 == 0.6
 
@@ -202,29 +239,31 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("l,theta0", ORACLE_GRID)
     def test_checks_within_cli_tolerance(self, l, theta0):
-        space = build_space(l, theta0)
-        oracle = dataclasses.replace(space, exp_iphi=dense_exp_iphi(space.angle_basis, theta0))
+        space, oracle = build_space(l, theta0), whole_build_space(l, theta0)
+        oracle.exp_iphi = dense_exp_iphi(oracle.angle_basis, theta0)
         tol = _bp_tolerance(space.dim)
         for name, check in BP_CHECKS:
             assert check(space) <= tol, name
-            assert check(oracle) <= tol, name
+            assert WHOLE_CHECKS[name](oracle) <= tol, name
         for dense_check in (dense_unitarity, dense_orthonormality, dense_completeness):
             assert dense_check(space) <= tol
             assert dense_check(oracle) <= tol
 
     @pytest.mark.parametrize("l", [1, 5, 25, 100])
-    def test_unitarity_catches_one_perturbed_entry(self, l):
-        space = build_space(l, 0.6)
-        bumped = space.exp_iphi.copy()
-        bumped[l, l // 2] += 1e-9
-        assert check_unitarity(dataclasses.replace(space, exp_iphi=bumped)) > 5e-10
+    def test_unitarity_catches_one_perturbed_entry(self, monkeypatch, l):
+        bumped = whole_build_space(l, 0.6)
+        bumped.exp_iphi[l, l // 2] += 1e-9
+        serve_rows(monkeypatch, bumped)
+        assert check_unitarity(build_space(l, 0.6)) > 5e-10
 
     @pytest.mark.parametrize("l", [1, 5, 25, 100])
-    def test_conjugated_basis_caught(self, l):
+    def test_conjugated_basis_caught(self, monkeypatch, l):
+        conjugated = whole_build_space(l, 0.6)
+        conjugated.angle_basis = conjugated.angle_basis.conj()
+        serve_rows(monkeypatch, conjugated)
         space = build_space(l, 0.6)
-        conjugated = dataclasses.replace(space, angle_basis=space.angle_basis.conj())
-        assert check_angle_orthonormality(conjugated) > 0.5
-        assert check_angle_completeness(conjugated) > 0.5
+        assert check_angle_orthonormality(space) > 0.5
+        assert check_angle_completeness(space) > 0.5
         # conj(A) is orthonormal and complete as well, so the dense Gram
         # forms alone pass it
         assert dense_orthonormality(conjugated) <= 1e-12
@@ -278,8 +317,7 @@ BLOCK_EDGE_DIMS = sorted({(_BLOCK_ROWS - 1) | 1, (_BLOCK_ROWS + 1) | 1, (2 * _BL
 
 class TestBlockedMatchesWholeMatrix:
     """Streaming over row blocks changes no bit of a space or a deviation,
-    whether the checks run before any array is read (one fused pass over
-    generated blocks) or after (each kernel over the stored rows)."""
+    whether the checks run before any array is read or after."""
 
     @pytest.mark.parametrize("theta0", [0.0, 0.6, math.pi / 3])
     @pytest.mark.parametrize("dim", BLOCK_EDGE_DIMS)
@@ -297,8 +335,10 @@ class TestBlockedMatchesWholeMatrix:
     def test_space_holding_one_array_generates_the_other(self, held):
         dim = BLOCK_EDGE_DIMS[1]
         whole = whole_build_space((dim - 1) // 2, 0.6)
-        space = BPSpace(qp=whole.qp, theta0=0.6, **{held: getattr(whole, held)})
+        space = build_space((dim - 1) // 2, 0.6)
+        assert np.array_equal(getattr(space, held), getattr(whole, held))
         assert {name: check(space) for name, check in BP_CHECKS} == {name: WHOLE_CHECKS[name](whole) for name, _ in BP_CHECKS}
+        assert {"angle_basis", "exp_iphi"} & vars(space).keys() == {held}
 
 
 NAN_DIM = 2 * _BLOCK_ROWS + 1  # three row blocks, the last of one row
@@ -308,18 +348,20 @@ NAN_CHECKS = {
 }
 
 
-def _with_nan(space, name):
-    """``space`` with its array ``name`` NaN in the last entry, which lies in
-    the last row block and, for the completeness check, the last column block."""
-    poisoned = getattr(space, name).copy()
-    poisoned[-1, -1] = math.nan
-    return dataclasses.replace(space, **{name: poisoned})
+def _with_nan(theta0, name):
+    """The whole arrays of the NAN_DIM space at ``theta0``, with its array
+    ``name`` NaN in the last entry, which lies in the last row block and, for
+    the completeness check, the last column block."""
+    record = whole_build_space((NAN_DIM - 1) // 2, theta0)
+    getattr(record, name)[-1, -1] = math.nan
+    return record
 
 
 class TestNaNPropagates:
     @pytest.mark.parametrize("array", sorted(NAN_CHECKS))
-    def test_checks_return_nan(self, array):
-        space = _with_nan(build_space((NAN_DIM - 1) // 2, 0.6), array)
+    def test_checks_return_nan(self, monkeypatch, array):
+        serve_rows(monkeypatch, _with_nan(0.6, array))
+        space = build_space((NAN_DIM - 1) // 2, 0.6)
         for name, check in BP_CHECKS:
             if name in NAN_CHECKS[array]:
                 assert math.isnan(check(space)), name
@@ -328,11 +370,7 @@ class TestNaNPropagates:
 
     @pytest.mark.parametrize("array", sorted(NAN_CHECKS))
     def test_verify_fails(self, array, tmp_path, monkeypatch, capsys):
-        def poisoned_build(l, theta0=0.0):
-            space = build_space(l, theta0)
-            return _with_nan(space, array) if space.dim == NAN_DIM else space
-
-        monkeypatch.setattr("qrotor.cli.build_space", poisoned_build)
+        serve_rows(monkeypatch, *(_with_nan(theta0, array) for theta0 in (0.0, 0.6)))
         out = tmp_path / "verify.txt"
         assert main(["verify", "--max-dim", str(NAN_DIM), "-o", str(out)]) == 1
         failed = [line for line in out.read_text().splitlines() if line.endswith(" FAIL")]
@@ -349,16 +387,12 @@ SPACE_ARRAYS = ("angle_basis", "exp_iphi", "q_jz")
 class TestReadOnlySpace:
     @pytest.mark.parametrize("theta0", [0.0, 0.6])
     def test_checks_leave_arrays_bit_identical(self, theta0):
-        built = build_space(25, theta0)
-        # a writable copy as well, so that a kernel writing into its input
-        # is caught even without the read-only flags
-        writable = dataclasses.replace(built, **{name: getattr(built, name).copy() for name in SPACE_ARRAYS})
-        for space in (built, writable):
-            before = {name: getattr(space, name).tobytes() for name in SPACE_ARRAYS}
-            for name, check in (*BP_CHECKS, ("shift-power", check_shift_power)):
-                check(space)
-                for array in SPACE_ARRAYS:
-                    assert getattr(space, array).tobytes() == before[array], (name, array)
+        space = build_space(25, theta0)
+        before = {name: getattr(space, name).tobytes() for name in SPACE_ARRAYS}
+        for name, check in (*BP_CHECKS, ("shift-power", check_shift_power)):
+            check(space)
+            for array in SPACE_ARRAYS:
+                assert getattr(space, array).tobytes() == before[array], (name, array)
 
     @pytest.mark.parametrize("name", SPACE_ARRAYS)
     def test_arrays_are_read_only(self, name):
@@ -397,9 +431,10 @@ SPACE_BYTES = 2 * 16 * MEMORY_DIM**2  # angle_basis and exp_iphi
 # run.
 CHECK_SLACK = 64 * 1024
 RUN_SLACK = 1024 * 1024
-# The two buffers a space that holds no array generates a block's inputs into
-# and works in: one of its rows of the angle basis and the row after them,
-# then of its columns, and one of its rows of exp(i*Phi).
+# The two buffers the pass generates a block's inputs into and works in,
+# whether or not the space holds its arrays: one of its rows of the angle
+# basis and the row after them, then of its columns, and one of its rows of
+# exp(i*Phi).
 GENERATED_BLOCKS = 16 * (2 * _BLOCK_ROWS + 1) * MEMORY_DIM
 
 
@@ -414,44 +449,41 @@ def _traced_peak(func, *args) -> int:
         tracemalloc.stop()
 
 
-def _read_space():
-    """A fresh space whose angle basis and exp(i*Phi) have been read, so
-    that its first check runs every kernel over the stored rows."""
+def _memory_space(read_first=True):
+    """A fresh D = MEMORY_DIM space, with its angle basis and exp(i*Phi)
+    read, and so stored, if ``read_first``."""
     space = build_space((MEMORY_DIM - 1) // 2, 0.6)
-    space.angle_basis, space.exp_iphi
+    if read_first:
+        space.angle_basis, space.exp_iphi
     return space
 
 
-class TestMemory:
-    @pytest.mark.parametrize("name,check", BP_CHECKS, ids=[name for name, _ in BP_CHECKS])
-    def test_check_works_in_one_buffer(self, name, check):
-        check(_read_space())  # numpy's FFT module and plan cache are loaded outside the trace
-        space = _read_space()
-        assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
+def _checks_peak(read_first) -> int:
+    """Traced peak of the six checks of a fresh space, read first or unread,
+    after a warm-up space's checks have loaded numpy's FFT module and plan
+    cache; the checks store no array."""
+    check_quantum_plane(_memory_space(read_first))
+    space = _memory_space(read_first)
+    # the first check runs the pass, which also holds the generator's
+    # phase and root vectors; the others return its deviations
+    peak = _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
+    assert ("angle_basis" in vars(space), "exp_iphi" in vars(space)) == (read_first, read_first)
+    return peak
 
+
+READ_FIRST = pytest.mark.parametrize("read_first", [True, False], ids=["read-first", "unread"])
+
+
+class TestMemory:
     def test_build_fills_the_stored_arrays_in_place(self):
-        _read_space()
-        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
+        _memory_space()
+        space = _memory_space(read_first=False)
         assert _traced_peak(lambda: (space.angle_basis, space.exp_iphi)) <= SPACE_BYTES + BLOCK_BUDGET + CHECK_SLACK
 
-    def test_unread_space_generates_one_block_of_each_input(self):
-        check_quantum_plane(build_space((MEMORY_DIM - 1) // 2, 0.6))
-        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
-        # the first check runs the pass, which also holds the generator's
-        # phase and root vectors; the others return its deviations
-        peak = _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
-        assert peak <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
-        assert space.__dict__["angle_basis"] is None and space.__dict__["exp_iphi"] is None
-
-    @pytest.mark.parametrize("held", ["angle_basis", "exp_iphi"])
-    def test_space_holding_one_array_generates_two_blocks(self, held):
-        generated = ({"angle_basis", "exp_iphi"} - {held}).pop()
-        warm, space = build_space((MEMORY_DIM - 1) // 2, 0.6), build_space((MEMORY_DIM - 1) // 2, 0.6)
-        getattr(warm, held), getattr(space, held)  # stored before the trace
-        check_quantum_plane(warm)
-        peak = _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
-        assert peak <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
-        assert space.__dict__[generated] is None
+    @READ_FIRST
+    def test_unread_space_generates_one_block_of_each_input(self, read_first):
+        # a space that holds its arrays is checked on generated blocks too
+        assert _checks_peak(read_first) <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
 
     def test_verify_keeps_one_space_alive(self, tmp_path):
         peak = _traced_peak(main, ["verify", "--max-dim", str(MEMORY_DIM), "-o", str(tmp_path / "verify.txt")])
@@ -495,19 +527,10 @@ class TestThreads:
         # more where a second core is usable: a third core starts no third thread
         assert len(started) == 4 * (min(cores, 2) - 1)
 
-    @pytest.mark.parametrize("name,check", BP_CHECKS, ids=[name for name, _ in BP_CHECKS])
-    def test_threads_share_one_block_budget(self, monkeypatch, name, check):
+    @READ_FIRST
+    def test_unread_space_shares_two_generated_blocks(self, monkeypatch, read_first):
         force_cores(monkeypatch, 3)
-        check(_read_space())
-        space = _read_space()
-        assert _traced_peak(check, space) <= BLOCK_BUDGET + CHECK_SLACK
-
-    def test_unread_space_shares_two_generated_blocks(self, monkeypatch):
-        force_cores(monkeypatch, 3)
-        check_quantum_plane(build_space((MEMORY_DIM - 1) // 2, 0.6))
-        space = build_space((MEMORY_DIM - 1) // 2, 0.6)
-        peak = _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
-        assert peak <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
+        assert _checks_peak(read_first) <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
 
     @pytest.mark.parametrize("dim,threads", [(_THREADED_MIN_DIM - 2, 0), (_THREADED_MIN_DIM, 1)])
     def test_small_spaces_stay_serial(self, monkeypatch, dim, threads):

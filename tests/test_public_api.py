@@ -6,6 +6,7 @@ The package itself loads no numpy, so ``python -m qrotor`` runs OpenBLAS
 on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -15,6 +16,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qrotor
@@ -180,3 +182,32 @@ def test_version_is_stored_once():
     assert "version" not in config["project"]
     assert "version" in config["project"]["dynamic"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "qrotor.__version__"}
+
+
+BAND_TEXT = b"# nucleus: testium\n2 100.0\n4 330.0\n6 690.0\n"
+# Each exported dataclass, built by a call that returns an equal twin when
+# called again; a dataclass exported later and missing here fails below.
+BUILT = {
+    "QParameter": lambda: qrotor.QParameter.from_dim(21),
+    "BPSpace": lambda: qrotor.build_space(10, 0.6),
+    "IrrepMatrices": lambda: qrotor.build_irrep(2, qrotor.QParameter.from_dim(21)),
+    "BandData": lambda: qrotor.parse_band(BAND_TEXT),
+    "FitResult": lambda: qrotor.fit_A(qrotor.parse_band(BAND_TEXT), qrotor.QParameter.from_dim(21)),
+    "BandFile": lambda: qrotor.parse_band_file(BAND_TEXT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(name for name in qrotor.__all__ if dataclasses.is_dataclass(getattr(qrotor, name))))
+def test_built_value_equals_and_hashes_as_its_twin(name):
+    value, twin = BUILT[name](), BUILT[name]()
+    assert type(value) is getattr(qrotor, name)
+    assert value == twin
+    assert hash(value) == hash(twin)
+
+
+def test_space_compares_hashes_and_copies_without_building_an_array():
+    space = qrotor.build_space(10, 0.6)
+    assert space == qrotor.build_space(10, 0.6)
+    hash(space)
+    dataclasses.replace(space, theta0=0.0)
+    assert not any(isinstance(value, np.ndarray) for value in vars(space).values())
