@@ -26,7 +26,7 @@ _HOME = {
     **dict.fromkeys(["Variant", "FitResult", "fit_A", "fit_batch", "chi2_at", "compare", "compare_batch"], "fit"),
     **dict.fromkeys(
         ["BandFile", "BandParseError", "parse_band", "parse_band_file", "read_band_file", "write_band",
-         "write_report", "emit_plot_data"],
+         "write_report"],
         "ingest",
     ),
 }

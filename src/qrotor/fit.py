@@ -11,18 +11,17 @@ level-column type, which the batch reader fills directly or gathers from
 BandData objects once.  The eigenvalue factors come from ``qnum.bracket``
 over a tau matrix, one row per variant (0.0 for the j(j+1) baseline), and
 the per-band sums from ``Bands.sums``.  The kernel returns its columns as a
-``Fits``, which the report writers format directly; ``fit_batch`` and
+``Fits``, the one input of the report writers; ``fit_batch`` and
 ``compare_batch`` build one ``FitResult`` per band from them, and ``fit_A``
 and ``compare`` are their one-band cases; ``compare`` fits both variants in
-one pass.  A ``FitResult`` is a value: it holds the ``BandData`` it fitted,
-not its batch, and its per-level residuals come from the same
-``Fits.residuals`` the reports use, over that one band.
+one pass.  A ``FitResult`` is the value (A, chi2, rms, qp): per-level
+residuals are read from a batch's ``Fits.residuals``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -91,29 +90,17 @@ class FitResult:
     ``chi2`` is the sum of squared residuals in MeV^2, ``rms`` the
     root-mean-square deviation sqrt(chi2/N) in keV over the N fitted
     levels.  ``qp`` is None for the classical variant, which ``variant``
-    reads.  The result holds the band it fitted, not the batch it was
-    fitted in; ``residual_columns`` gathers that one band and its fit into
-    a ``Fits`` and reads ``Fits.residuals``, as the reports do.
+    reads.
     """
 
     A: float
     chi2: float
     rms: float
     qp: QParameter | None
-    _band: BandData = field(repr=False, compare=False)
 
     @property
     def variant(self) -> Variant:
         return Variant.CLASSICAL if self.qp is None else Variant.Q_DEFORMED
-
-    def residual_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The band's levels as float columns: spin j, experimental energy,
-        theoretical energy (on the experimental band head) and their
-        difference, all in keV."""
-        row = int(self.qp is not None)
-        fits = Fits.gather([(self._band, self, None) if row else (self._band, None, self)])
-        theo, diffs = fits.residuals()
-        return fits.bands.j, fits.bands.e, theo[row], diffs[row]
 
 
 def _regime_error(name: str, qp: QParameter) -> RegimeError:
@@ -135,40 +122,17 @@ def _failure(name: str, qp: QParameter | None, regime: bool, A: float, finite: b
 class Fits:
     """The fits of a batch of bands as columns, one row per row of the tau
     matrix: per row and band the deformation (``qps``, None for the j(j+1)
-    baseline), ``tau``, ``A`` in keV, ``chi2`` in MeV^2, ``rms`` in keV and
-    whether the fit passed (``ok``); per row and level the head-referenced
-    eigenvalue factors ``f``; and per row the first check each failing band
-    fails, by band index.  From ``compare`` and ``Fits.gather``, row 0 holds
-    the j(j+1) baseline and row 1, if present, the deformed fits."""
+    baseline), ``tau``, ``A`` in keV, ``chi2`` in MeV^2 and ``rms`` in keV;
+    per row and level the head-referenced eigenvalue factors ``f``; and per
+    row the first check each failing band fails, by band index.  From
+    ``_compare``, row 0 holds the j(j+1) baseline and row 1, if present, the
+    deformed fits.  A band that ``shown`` returns passed every row's checks."""
 
-    __slots__ = ("bands", "qps", "tau", "f", "A", "chi2", "rms", "ok", "failures")
+    __slots__ = ("bands", "qps", "tau", "f", "A", "chi2", "rms", "failures")
 
-    def __init__(self, bands: Bands, qps, tau, f, A, chi2, rms, ok, failures: list[dict[int, ValueError]]):
+    def __init__(self, bands: Bands, qps, tau, f, A, chi2, rms, failures: list[dict[int, ValueError]]):
         self.bands, self.qps, self.tau, self.f = bands, qps, tau, f
-        self.A, self.chi2, self.rms, self.ok, self.failures = A, chi2, rms, ok, failures
-
-    @classmethod
-    def gather(cls, entries) -> "Fits":
-        """A nonempty list of (band, deformed FitResult or None, classical
-        FitResult or None) entries, each with at least one fit, as the
-        columns of a ``compare`` pass, the eigenvalue factors taken from
-        ``factors`` at each fit's tau; ``ok`` is false where an entry has no
-        fit of that row."""
-        for band, fit_q, fit_cl in entries:
-            if fit_q is None and fit_cl is None:
-                raise ValueError(f"no fit results supplied for band '{band.name}'")
-        bands = Bands.of([band for band, _, _ in entries])
-        rows = [[fit for _, _, fit in entries], [fit for _, fit, _ in entries]]
-
-        def column(read, missing=np.nan):
-            return np.array([[missing if fit is None else read(fit) for fit in row] for row in rows], dtype=float)
-
-        ok = np.array([[fit is not None for fit in row] for row in rows])
-        qps = [[None if fit is None else fit.qp for fit in row] for row in rows]
-        tau = column(lambda fit: 0.0 if fit.qp is None else fit.qp.tau, 0.0)
-        f, _ = factors(bands, tau)
-        return cls(bands, qps, tau, f, column(lambda fit: fit.A), column(lambda fit: fit.chi2),
-                   column(lambda fit: fit.rms), ok, [{}, {}])
+        self.A, self.chi2, self.rms, self.failures = A, chi2, rms, failures
 
     def failed(self) -> dict[int, ValueError]:
         """Each failing band's first failure, row 0's first."""
@@ -208,15 +172,15 @@ def _fit(bands: Bands, rows: Sequence[Sequence[QParameter | None]]) -> Fits:
     failures: list[dict[int, ValueError]] = [{} for _ in rows]
     for r, k in zip(*np.nonzero(~ok)):
         failures[r][k] = _failure(bands.names[k], rows[r][k], regime[r, k], float(A[r, k]), finite[r, k])
-    return Fits(bands, rows, tau, f, A, chi2, rms, ok, failures)
+    return Fits(bands, rows, tau, f, A, chi2, rms, failures)
 
 
-def _outcomes(fits: Fits, r: int, bands: Sequence[BandData]) -> list[FitResult | FitError | RegimeError]:
-    """Row ``r`` of the kernel's columns per band: its FitResult on the
-    batch's band ``bands[k]``, or the first check it fails."""
+def _outcomes(fits: Fits, r: int) -> list[FitResult | FitError | RegimeError]:
+    """Row ``r`` of the kernel's columns per band: its FitResult, or the
+    first check it fails."""
     failures = fits.failures[r]
-    columns = zip(bands, fits.qps[r], fits.A[r].tolist(), fits.chi2[r].tolist(), fits.rms[r].tolist())
-    return [failures.get(k) or FitResult(a, c, s, qp, band) for k, (band, qp, a, c, s) in enumerate(columns)]
+    columns = zip(fits.qps[r], fits.A[r].tolist(), fits.chi2[r].tolist(), fits.rms[r].tolist())
+    return [failures.get(k) or FitResult(a, c, s, qp) for k, (qp, a, c, s) in enumerate(columns)]
 
 
 def fit_batch(
@@ -236,7 +200,7 @@ def fit_batch(
     """
     if len(bands) != len(qps):
         raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")
-    return _outcomes(_fit(Bands.of(bands), [qps]), 0, bands)
+    return _outcomes(_fit(Bands.of(bands), [qps]), 0)
 
 
 def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
@@ -269,9 +233,8 @@ def compare_batch(
     branch stays for library callers who pick tau by hand.
     """
     fits = _compare(Bands.of(bands), classical_only)
-    bands = list(bands)  # from a Bands, each band's BandData is built once
-    fits_cl = _outcomes(fits, 0, bands)
-    fits_q = [None] * len(fits_cl) if classical_only else _outcomes(fits, 1, bands)
+    fits_cl = _outcomes(fits, 0)
+    fits_q = [None] * len(fits_cl) if classical_only else _outcomes(fits, 1)
     return [
         fit_cl if isinstance(fit_cl, ValueError) else fit_q if isinstance(fit_q, ValueError) else (fit_q, fit_cl)
         for fit_cl, fit_q in zip(fits_cl, fits_q)

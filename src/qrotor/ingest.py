@@ -16,9 +16,8 @@ grid (``qnum.on_grid``) into flat columns, then the band rules
 (``model.band_faults``) are checked over the whole batch at once; either way
 a failure names its line.  Only regular files are read: a pipe or a device
 is refused before any read.  The report table, the JSON report and the plot
-data are each formatted by one function from the columns of a fitted batch
-(``fit.Fits``); ``write_report`` and ``emit_plot_data`` gather per-band
-entries into those columns first.
+data are each formatted by one function from one input, the columns of a
+fitted batch (``fit.Fits``).
 Serialization emits a canonical form that round-trips byte-identically.  All
 report output is deterministic: fixed formats, '.' decimal separator, no
 locale dependence.
@@ -38,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fit import FitResult, Fits, Variant
+from .fit import Fits, Variant
 from .model import BandData, BandError, Bands, band_faults, spin_str
 from .qnum import MAX_SPIN, _decimal, on_grid
 
@@ -51,7 +50,6 @@ __all__ = [
     "read_bands",
     "write_band",
     "write_report",
-    "emit_plot_data",
 ]
 
 
@@ -255,41 +253,32 @@ def write_band(band: BandFile | BandData) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_report(results, as_json: bool = False) -> bytes:
-    """Fixed-width fit table, or the full JSON document with residuals.
+def write_report(fits: Fits, as_json: bool = False) -> bytes:
+    """Fixed-width fit table, or the full JSON document with residuals, of
+    the bands of a fitted batch without a failed fit.
 
-    ``results`` is a list of (band, deformed FitResult or None, classical
-    FitResult or None) entries, at least one fit per entry, or the
-    ``fit.Fits`` of a batch, whose bands without a failed fit are reported.
+    ``fits`` is the ``fit.Fits`` of a batch, as ``fit._compare`` makes it
+    from a ``model.Bands``; the command line reports the one it fitted.
     """
-    fits = results if isinstance(results, Fits) else Fits.gather(results) if results else None
-    if fits is None or not len(shown := fits.shown()):
+    if not len(shown := fits.shown()):
         raise ValueError("no fit results to report")
     return (_report_json if as_json else _report_table)(fits, shown)
 
 
-def _texts(template: str, values: np.ndarray, present: np.ndarray) -> list[str]:
-    """Each value in ``template``, or "-" where ``present`` is false."""
-    texts = [template % value for value in values.tolist()]
-    for k in np.flatnonzero(~present).tolist():
-        texts[k] = "-"
-    return texts
-
-
 def _report_table(fits: Fits, shown: np.ndarray) -> bytes:
+    """One row per shown band: its deformed fit, with tau "-" and its
+    baseline fit instead when the batch fitted the baseline alone."""
     names = [fits.bands.names[k] for k in shown.tolist()]
     width = max(8, max(map(len, names)))
     q = len(fits.qps) - 1  # the deformed row, or the baseline when fitted alone
-    has_q = fits.ok[q, shown] & (q > 0)
-    main = np.where(has_q, q, 0)  # a band's deformed fit, else its baseline fit
-    A, chi2, rms = (column[main, shown] for column in (fits.A, fits.chi2, fits.rms))
-    rows = zip(names, _texts("%.4f", fits.tau[q, shown], has_q), A.tolist(), (1e3 * chi2).tolist(), rms.tolist(),
-               _texts("%.2f", fits.rms[0, shown], fits.ok[0, shown]))
+    A, chi2, rms = (column[q, shown] for column in (fits.A, fits.chi2, fits.rms))
+    tau = [f"{value:.4f}" for value in fits.tau[q, shown].tolist()] if q else ["-"] * len(names)
+    rows = zip(names, tau, A.tolist(), (1e3 * chi2).tolist(), rms.tolist(), fits.rms[0, shown].tolist())
     header = (
         f"{'nucleus':<{width}} {'tau':>8} {'A[keV]':>8} {'1e3*chi2':>10} "
         f"{'rms[keV]':>9} {'rms_cl[keV]':>12}"
     )
-    lines = [header, *map(f"%-{width}s %8s %8.2f %10.2f %9.2f %12s".__mod__, rows)]
+    lines = [header, *map(f"%-{width}s %8s %8.2f %10.2f %9.2f %12.2f".__mod__, rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -323,10 +312,10 @@ def _json_floats(values: list[float]) -> list[str]:
 
 
 def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
-    """Per band the deformed row, then the classical one, each where fitted."""
+    """Per shown band the deformed row, where fitted, then the classical one."""
     bands = fits.bands
     theo, _ = fits.residuals()
-    starts, counts, ok = bands.starts.tolist(), bands.counts.tolist(), fits.ok.tolist()
+    starts, counts = bands.starts.tolist(), bands.counts.tolist()
     A, chi2, rms, tau = (column.tolist() for column in (fits.A, fits.chi2, fits.rms, fits.tau))
     classical, deformed = (encode_basestring_ascii(variant.value) for variant in (Variant.CLASSICAL, Variant.Q_DEFORMED))
     rows = []
@@ -336,8 +325,6 @@ def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
         levels = [_json_floats(bands.j[lo:hi].tolist()), _json_floats(bands.e[lo:hi].tolist())]
         level_rows = ",\n".join([_JSON_LEVEL] * counts[k])
         for r in reversed(range(len(fits.qps))):
-            if not ok[r][k]:
-                continue
             qp = fits.qps[r][k]
             if qp is None:
                 tau_text, dim, variant = "null", "null", classical
@@ -358,17 +345,11 @@ def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
 _PLOT_HEADER = "# j exp_keV theo_q_keV theo_classical_keV resid_q_keV resid_classical_keV"
 
 
-def emit_plot_data(band: BandData, fit_q: FitResult, fit_cl: FitResult) -> bytes:
-    """Whitespace-separated columns ready for plotting tools:
-    j, E_exp, E_q, E_classical, residual_q, residual_classical (keV)."""
-    if fit_q is None or fit_cl is None:
-        raise ValueError(f"plot data needs both fits for band '{band.name}'")
-    return _plot_data(Fits.gather([(band, fit_q, fit_cl)]))
-
-
 def _plot_data(fits: Fits) -> bytes:
-    """``emit_plot_data``'s block for every band of a two-row ``Fits``
-    without a failed fit, the blocks separated by an empty line."""
+    """Whitespace-separated columns ready for plotting tools, one block per
+    band of a two-row ``Fits`` without a failed fit, the blocks separated
+    by an empty line: a name line, a header line, then per level j, E_exp,
+    E_q, E_classical, residual_q and residual_classical (keV)."""
     bands = fits.bands
     theo, diff = fits.residuals()
     twoj, inverse = np.unique(bands.twoj, return_inverse=True)

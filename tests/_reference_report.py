@@ -2,6 +2,8 @@
 
 This is the report writer ``qrotor.ingest`` had before it formatted the
 report from the fit columns; tests compare that writer's bytes with it.
+Each level's theoretical energy is computed here, one level at a time,
+from ``casimir_eigenvalue`` and the fit's A, not read from the fit columns.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ import json
 
 from qrotor.fit import FitResult
 from qrotor.model import BandData
+from qrotor.qnum import casimir_eigenvalue
 
 
 def _fit_json(band: BandData, result: FitResult) -> dict:
+    head_e, head_f = band.energies[0], casimir_eigenvalue(band.spins[0], result.qp)
     return {
         "nucleus": band.name,
         "tau": result.qp.tau if result.qp is not None else None,
@@ -22,8 +26,8 @@ def _fit_json(band: BandData, result: FitResult) -> dict:
         "rms_keV": result.rms,
         "variant": result.variant.value,
         "residuals": [
-            {"j": j, "exp_keV": exp, "theo_keV": theo}
-            for j, exp, theo, _ in zip(*(column.tolist() for column in result.residual_columns()))
+            {"j": j, "exp_keV": exp, "theo_keV": head_e + result.A * (casimir_eigenvalue(j, result.qp) - head_f)}
+            for j, exp in zip(band.spins, band.energies)
         ],
     }
 

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from _reference_fit import LevelResidual, fit_A_oracle, reference_compare, reference_fit
 from _synth import exact_band, noisy_band, random_band, spin_range
-from qrotor.fit import FitError, Variant, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A, fit_batch
-from qrotor.ingest import read_band_file, read_bands
+from qrotor.fit import (
+    FitError, FitResult, Variant, _compare, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A, fit_batch,
+)
+from qrotor.ingest import read_band_file
 from qrotor.model import BandData, Bands, energy, q_parameter_from_band
 from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
 
@@ -22,9 +24,14 @@ DY = QParameter.from_dim(189)
 SPINS_2_18 = spin_range(2.0, 2.0, 9)
 
 
-def _residuals(result):
-    """A fit's residual columns as one LevelResidual row per level."""
-    return [LevelResidual._make(row) for row in zip(*(column.tolist() for column in result.residual_columns()))]
+def _residuals(band, result):
+    """The residuals of ``result``, a fit of ``band``, as one LevelResidual
+    row per level: ``Fits.residuals`` of the band fitted alone at its qp."""
+    fits = _fit(Bands.of([band]), [[result.qp]])
+    assert fits.A[0, 0] == result.A
+    theo, diffs = fits.residuals()
+    columns = (fits.bands.j, fits.bands.e, theo[0], diffs[0])
+    return [LevelResidual._make(row) for row in zip(*(column.tolist() for column in columns))]
 
 
 class TestClosedForm:
@@ -61,7 +68,7 @@ class TestClosedForm:
         rng = np.random.default_rng(11)
         band = noisy_band("noisy", 8.0, DY, SPINS_2_18, 35.0, rng)
         result = fit_A(band, DY)
-        residuals = _residuals(result)
+        residuals = _residuals(band, result)
         recomputed = sum((r.diff_kev / 1000.0) ** 2 for r in residuals)
         assert result.chi2 == pytest.approx(recomputed, rel=1e-9)
         # residual = exp - theo, with theo anchored at the band head
@@ -222,10 +229,10 @@ def _mixed_batch(seed: int, count: int):
     return entries
 
 
-def _assert_matches(result, expected):
-    """A kernel result against a reference_fit outcome: the same exception,
-    or the same numbers to 1e-12 relative (residual differences, which
-    cancel near zero, also to 1e-9 keV absolute)."""
+def _assert_matches(band, result, expected):
+    """A kernel result for ``band`` against a reference_fit outcome: the same
+    exception, or the same numbers to 1e-12 relative (residual differences,
+    which cancel near zero, also to 1e-9 keV absolute)."""
     if isinstance(expected, Exception):
         assert type(result) is type(expected)
         assert str(result) == str(expected)
@@ -234,8 +241,9 @@ def _assert_matches(result, expected):
     assert result.A == pytest.approx(A, rel=1e-12)
     assert result.chi2 == pytest.approx(chi2, rel=1e-12)
     assert result.rms == pytest.approx(rms, rel=1e-12)
-    assert len(_residuals(result)) == len(residuals)
-    for got, want in zip(_residuals(result), residuals):
+    got_residuals = _residuals(band, result)
+    assert len(got_residuals) == len(residuals)
+    for got, want in zip(got_residuals, residuals):
         assert got.j == want.j and got.exp_kev == want.exp_kev
         assert got.theo_kev == pytest.approx(want.theo_kev, rel=1e-12)
         assert got.diff_kev == pytest.approx(want.diff_kev, rel=1e-12, abs=1e-9)
@@ -258,7 +266,7 @@ class TestBatchKernel:
         for band, qp, result in zip(bands, qps, results):
             expected = _reference(reference_fit, band, qp)
             kinds.add(type(expected).__name__)
-            _assert_matches(result, expected)
+            _assert_matches(band, result, expected)
             if not isinstance(result, Exception):
                 assert result.variant is (Variant.CLASSICAL if qp is None else Variant.Q_DEFORMED)
                 assert result.qp is qp
@@ -272,7 +280,7 @@ class TestBatchKernel:
                     fit_A(band, qp)
                 assert str(exc_info.value) == str(expected)
             else:
-                _assert_matches(fit_A(band, qp), expected)
+                _assert_matches(band, fit_A(band, qp), expected)
 
     def test_failure_kinds(self):
         assert "not positive" in str(fit_batch(*zip(NEGATIVE_A))[0])
@@ -364,11 +372,11 @@ class TestCompareBatch:
                 assert str(outcome) == str(expected)
                 continue
             (fit_q, fit_cl), (want_q, want_cl) = outcome, expected
-            _assert_matches(fit_cl, want_cl)
+            _assert_matches(band, fit_cl, want_cl)
             if classical_only:
                 assert fit_q is None
             else:
-                _assert_matches(fit_q, want_q)
+                _assert_matches(band, fit_q, want_q)
                 assert fit_q.qp == q_parameter_from_band(band)
         failures = [str(o) for o in outcomes if isinstance(o, Exception)]
         if classical_only:
@@ -397,14 +405,15 @@ class TestCompareBatch:
         rows = [[qp for _, qp in entries], [None if qp else q_parameter_from_band(band) for band, qp in entries]]
         fits = _fit(Bands.of(bands), rows)
         for r, row in enumerate(rows):
-            for fit, alone in zip(_outcomes(fits, r, bands), fit_batch(bands, row)):
+            for fit, alone in zip(_outcomes(fits, r), fit_batch(bands, row)):
                 assert type(fit) is type(alone)
                 if isinstance(alone, Exception):
                     assert str(fit) == str(alone)
                     continue
-                assert (fit.A, fit.chi2, fit.rms, fit.qp) == (alone.A, alone.chi2, alone.rms, alone.qp)
-                for got, want in zip(fit.residual_columns(), alone.residual_columns()):
-                    assert np.array_equal(got, want)
+                assert fit == alone
+            one_row = _fit(Bands.of(bands), [row])
+            for got, want in zip(fits.residuals(), one_row.residuals()):
+                assert np.array_equal(got[r], want[0], equal_nan=True)
 
     def test_compare_raises_first_failure(self):
         with pytest.raises(FitError, match="no finite fit"):
@@ -412,7 +421,8 @@ class TestCompareBatch:
 
 
 class TestResultIsAValue:
-    """A FitResult holds the band it fitted, not the batch it came from."""
+    """A FitResult is the value (A, chi2, rms, qp): it holds neither the band
+    it fitted nor the batch it came from."""
 
     def test_result_does_not_hold_its_batch(self):
         rng = np.random.default_rng(47)
@@ -421,20 +431,46 @@ class TestResultIsAValue:
         fit_q, fit_cl = compare_batch(batch)[0]
         for fit in (fit_q, fit_cl):
             assert len(pickle.dumps(fit)) < 4096
-            copy = pickle.loads(pickle.dumps(fit))
-            assert copy == fit
-            for got, want in zip(copy.residual_columns(), fit.residual_columns()):
-                assert np.array_equal(got, want)
+            assert pickle.loads(pickle.dumps(fit)) == fit
         del batch
         gc.collect()
         assert held() is None
 
-    def test_residuals_survive_an_edit_of_the_batch(self, bands_dir):
-        read, bands = read_bands(sorted(bands_dir.glob("*.band")))
-        fit_q, _ = compare_batch(bands)[0]
-        before = [column.tobytes() for column in fit_q.residual_columns()]
-        bands.e += 1000.0
-        assert [column.tobytes() for column in fit_q.residual_columns()] == before
+    def test_fields_are_the_fit_numbers(self):
+        assert [field.name for field in dataclasses.fields(FitResult)] == ["A", "chi2", "rms", "qp"]
+
+    @pytest.mark.parametrize("classical_only", [False, True])
+    def test_compare_batch_builds_no_band(self, monkeypatch, classical_only):
+        rng = np.random.default_rng(53)
+        batch = Bands.of([random_band(rng, tag)[0] for tag in range(50)] + [OVERFLOW[0], DEFORMED_OVERFLOW])
+        built = []
+        getitem = Bands.__getitem__
+        monkeypatch.setattr(Bands, "__getitem__", lambda self, index: built.append(index) or getitem(self, index))
+        outcomes = compare_batch(batch, classical_only)
+        assert len(outcomes) == len(batch)
+        assert sum(isinstance(outcome, ValueError) for outcome in outcomes) == (1 if classical_only else 2)
+        assert built == []
+
+
+class TestShownBands:
+    """Every band ``Fits.shown`` returns passed every row's checks, so the
+    report writers need no branch for a missing or non-finite fit."""
+
+    @pytest.mark.parametrize("classical_only", [False, True])
+    @pytest.mark.parametrize("seed", [29, 61])
+    def test_shown_bands_are_finite_in_every_row(self, seed, classical_only):
+        # _mixed_batch scatters the OVERFLOW and OUT_OF_REGIME bands among valid ones
+        bands = [band for band, _ in _mixed_batch(seed=seed, count=80)]
+        bands[::20] = [DEFORMED_OVERFLOW] * len(bands[::20])
+        fits = _compare(Bands.of(bands), classical_only)
+        shown, failed = fits.shown(), fits.failed()
+        assert sorted([*shown.tolist(), *failed]) == list(range(len(bands)))
+        assert not set(shown.tolist()) & set(failed)
+        assert {bands[k].name for k in failed} >= {"overflow"} | (set() if classical_only else {"deformed-overflow"})
+        for r in range(len(fits.qps)):
+            assert (fits.A[r, shown] > 0.0).all()
+            for column in (fits.tau, fits.A, fits.chi2, fits.rms):
+                assert np.isfinite(column[r, shown]).all()
 
 
 # (dim, j_max, in regime): tau*(j_max+1) at 0.8 pi, 6/7 pi, just under pi,

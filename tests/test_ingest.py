@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -9,18 +8,18 @@ from hypothesis import strategies as st
 
 from _reference_report import reference_report_json
 from _synth import exact_band, random_band, spin_range
-from qrotor.fit import compare_batch, fit_A
+from qrotor.fit import _compare, _fit, _outcomes
 from qrotor.ingest import (
     BandFile,
     BandParseError,
-    emit_plot_data,
+    _plot_data,
     parse_band,
     parse_band_file,
     read_band_file,
     write_band,
     write_report,
 )
-from qrotor.model import BandData, BandError, q_parameter_from_band
+from qrotor.model import BandData, BandError, Bands, q_parameter_from_band
 from qrotor.qnum import QParameter
 
 MINIMAL = b"# nucleus: testium\n2 100.0\n4 330.0\n6 690.0\n"
@@ -231,16 +230,27 @@ class TestRoundTrip:
             read_band_file(tmp_path / "nope.band")
 
 
-def _fitted(name="fitted", a0=12.81):
-    band = exact_band(name, a0, QParameter.from_dim(189), spin_range(2.0, 2.0, 9))
-    qp = q_parameter_from_band(band)
-    return band, fit_A(band, qp), fit_A(band, None)
+def _band(name="fitted", a0=12.81):
+    """A band exact in the deformed model at the tau its spin content fixes."""
+    return exact_band(name, a0, QParameter.from_dim(189), spin_range(2.0, 2.0, 9))
+
+
+def _fits(bands, classical_only=False):
+    """The columns the command line reports: ``_compare`` over the batch."""
+    return _compare(Bands.of(bands), classical_only)
+
+
+def _entries(fits):
+    """Each shown band of ``fits`` as the reference writer's (band, deformed
+    FitResult or None, classical FitResult) entry."""
+    fits_cl = _outcomes(fits, 0)
+    fits_q = _outcomes(fits, 1) if len(fits.qps) > 1 else [None] * len(fits_cl)
+    return [(fits.bands[k], fits_q[k], fits_cl[k]) for k in fits.shown().tolist()]
 
 
 class TestWriteReport:
     def test_exact_band_row(self):
-        band, fq, fc = _fitted()
-        table = write_report([(band, fq, fc)]).decode()
+        table = write_report(_fits([_band()])).decode()
         lines = table.splitlines()
         assert len(lines) == 2
         assert "nucleus" in lines[0]
@@ -249,16 +259,17 @@ class TestWriteReport:
         assert "0.00" in lines[1]
 
     def test_deterministic_bytes(self):
-        band, fq, fc = _fitted()
-        assert write_report([(band, fq, fc)]) == write_report([(band, fq, fc)])
+        assert write_report(_fits([_band()])) == write_report(_fits([_band()]))
 
     def test_empty_results_rejected(self):
-        with pytest.raises(ValueError, match="no fit results"):
-            write_report([])
+        overflow = BandData.from_levels("overflow", [(0, 0.0), (1, 1e-7), (2, 1e308)])
+        for bands in ([], [overflow]):
+            for classical_only in (False, True):
+                with pytest.raises(ValueError, match="^no fit results to report$"):
+                    write_report(_fits(bands, classical_only))
 
     def test_json_document(self):
-        band, fq, fc = _fitted()
-        doc = json.loads(write_report([(band, fq, fc)], as_json=True))
+        doc = json.loads(write_report(_fits([_band()]), as_json=True))
         assert [row["variant"] for row in doc] == ["q_deformed", "classical"]
         q_row = doc[0]
         assert q_row["nucleus"] == "fitted"
@@ -273,20 +284,16 @@ class TestWriteReport:
         assert classical_row["dim"] is None
 
     def test_classical_only_entry(self):
-        band, _, fc = _fitted()
-        row = write_report([(band, None, fc)]).decode().splitlines()[1].split()
+        fits = _fits([_band()], classical_only=True)
+        row = write_report(fits).decode().splitlines()[1].split()
         assert row[1] == "-"
-        assert float(row[2]) == pytest.approx(fc.A, abs=0.005)
+        assert row[2:] == [f"{fits.A[0, 0]:.2f}", f"{1e3 * fits.chi2[0, 0]:.2f}", *[f"{fits.rms[0, 0]:.2f}"] * 2]
 
     def test_json_rejects_non_finite(self):
-        band, fq, fc = _fitted()
+        fits = _fits([_band()])
+        fits.chi2[1, 0] = math.nan
         with pytest.raises(ValueError):
-            write_report([(band, dataclasses.replace(fq, chi2=math.nan), fc)], as_json=True)
-
-    def test_entry_without_fits_rejected(self):
-        band, _, _ = _fitted()
-        with pytest.raises(ValueError, match="no fit"):
-            write_report([(band, None, None)])
+            write_report(fits, as_json=True)
 
 
 # Names the JSON encoder must escape: quote, backslash, control character,
@@ -294,15 +301,9 @@ class TestWriteReport:
 AWKWARD_NAMES = ('Dy "162"', "back\\slash", "tab\there", "Dy\u2013162", "\u00b9\u2076\u00b2Dy", "\U0001d4dfrotor")
 
 
-def _entries(bands, classical_only=False):
-    fits = compare_batch(bands, classical_only)
-    return [(band, *fit) for band, fit in zip(bands, fits) if not isinstance(fit, ValueError)]
-
-
-def _mixed_entries(seed=3, count=300):
+def _mixed_bands(seed=3, count=300):
     """Seeded bands with integer and half-integer spins, energies scaled so
-    every float form shows up, in deformed+classical, classical-only and
-    deformed-only entries, some with awkward names."""
+    every float form shows up, some with awkward names."""
     rng = np.random.default_rng(seed)
     bands = []
     for tag in range(count):
@@ -310,10 +311,7 @@ def _mixed_entries(seed=3, count=300):
         scale = float(rng.choice([1e-7, 1.0, 1.0, 1e17]))
         name = AWKWARD_NAMES[tag % len(AWKWARD_NAMES)] if tag % 7 == 0 else band.name
         bands.append(BandData.from_levels(name, [(j, e * scale) for j, e in zip(band.spins, band.energies)]))
-    entries = []
-    for k, (band, fit_q, fit_cl) in enumerate(_entries(bands)):
-        entries.append([(band, fit_q, fit_cl), (band, None, fit_cl), (band, fit_q, None)][k % 3])
-    return entries
+    return bands
 
 
 class TestJsonReport:
@@ -322,56 +320,59 @@ class TestJsonReport:
     def test_bundled_bands(self, bands_dir):
         bands = [read_band_file(path).parsed for path in sorted(bands_dir.glob("*.band"))]
         for classical_only in (False, True):
-            entries = _entries(bands, classical_only)
-            assert len(entries) == 3
-            assert write_report(entries, as_json=True) == reference_report_json(entries)
+            fits = _fits(bands, classical_only)
+            assert len(fits.shown()) == 3
+            assert write_report(fits, as_json=True) == reference_report_json(_entries(fits))
 
     def test_seeded_mixed_batch(self):
-        entries = _mixed_entries()
-        assert len(entries) > 250
-        assert {(fit_q is None, fit_cl is None) for _, fit_q, fit_cl in entries} == {
-            (False, False), (True, False), (False, True)}
-        assert any(band.twostep % 2 for band, _, _ in entries)
-        assert {band.name for band, _, _ in entries} >= set(AWKWARD_NAMES)
-        assert write_report(entries, as_json=True) == reference_report_json(entries)
+        bands = _mixed_bands()
+        for classical_only in (False, True):
+            fits = _fits(bands, classical_only)
+            entries = _entries(fits)
+            assert len(entries) > 250
+            assert any(band.twostep % 2 for band, _, _ in entries)
+            assert {band.name for band, _, _ in entries} >= set(AWKWARD_NAMES)
+            assert write_report(fits, as_json=True) == reference_report_json(entries)
 
     @pytest.mark.parametrize("variants", ["classical", "deformed"])
     def test_single_row(self, variants):
         # the opening and closing brackets go on one and the same row
-        band, fq, fc = _fitted()
-        entries = [(band, None, fc) if variants == "classical" else (band, fq, None)]
-        payload = write_report(entries, as_json=True)
-        assert payload == reference_report_json(entries)
-        assert len(json.loads(payload)) == 1
+        band = _band()
+        qp = None if variants == "classical" else q_parameter_from_band(band)
+        fits = _fit(Bands.of([band]), [[qp]])
+        payload = write_report(fits, as_json=True)
+        assert payload == reference_report_json([(band, None, *_outcomes(fits, 0))])
+        assert [row["variant"] for row in json.loads(payload)] == ["classical" if qp is None else "q_deformed"]
 
     @pytest.mark.parametrize("name", AWKWARD_NAMES)
     def test_escaped_names(self, name):
-        band, fq, fc = _fitted(name)
-        payload = write_report([(band, fq, fc)], as_json=True)
-        assert payload == reference_report_json([(band, fq, fc)])
+        fits = _fits([_band(name)])
+        payload = write_report(fits, as_json=True)
+        assert payload == reference_report_json(_entries(fits))
         assert payload.isascii()
         assert json.loads(payload)[0]["nucleus"] == name
 
     @pytest.mark.parametrize("field", ["A", "chi2", "rms"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_header_matches_encoder(self, field, value):
-        band, fq, fc = _fitted()
-        entries = [(band, fq, dataclasses.replace(fc, **{field: value}))]
-        with pytest.raises(ValueError) as expected, np.errstate(invalid="ignore"):
-            reference_report_json(entries)
+        # written into the classical row of a batch that passed every check
+        fits = _fits([_band()])
+        getattr(fits, field)[0, 0] = value
+        with pytest.raises(ValueError) as expected:
+            reference_report_json(_entries(fits))
         with pytest.raises(ValueError, match="not JSON compliant") as got:
-            write_report(entries, as_json=True)
+            write_report(fits, as_json=True)
         assert str(got.value) == str(expected.value)
 
     def test_json_rejects_non_finite_residual(self):
-        band, fq, fc = _fitted()
-        bad = dataclasses.replace(fq, A=1e308)
-        assert all(math.isfinite(x) for x in (bad.A, bad.chi2, bad.rms))
-        assert math.isinf(bad.residual_columns()[2][4])
+        fits = _fits([_band()])
+        fits.A[1, 0] = 1e308
+        assert all(math.isfinite(column[1, 0]) for column in (fits.A, fits.chi2, fits.rms))
+        assert math.isinf(fits.residuals()[0][1, 4])
         with pytest.raises(ValueError, match="not JSON compliant: inf$"):
-            write_report([(band, bad, fc)], as_json=True)
+            write_report(fits, as_json=True)
         with pytest.raises(ValueError, match="not JSON compliant: inf$"):
-            reference_report_json([(band, bad, fc)])
+            reference_report_json(_entries(fits))
 
 
 def test_json_spins_and_energies_formatted_once_per_band(monkeypatch):
@@ -381,20 +382,17 @@ def test_json_spins_and_energies_formatted_once_per_band(monkeypatch):
     formatted = []
     json_floats = ingest._json_floats
     monkeypatch.setattr(ingest, "_json_floats", lambda values: formatted.append(len(values)) or json_floats(values))
-    entries = _mixed_entries(count=40)
-    payload = write_report(entries, as_json=True)
-    assert payload == reference_report_json(entries)
-    expected = 0
-    for band, fit_q, fit_cl in entries:
-        rows = (fit_q is not None) + (fit_cl is not None)
-        expected += 4 * (fit_q is not None) + 3 * (fit_cl is not None) + (2 + rows) * len(band.levels)
-    assert sum(formatted) == expected
+    fits = _fits(_mixed_bands(count=40))
+    payload = write_report(fits, as_json=True)
+    assert payload == reference_report_json(_entries(fits))
+    # per band: tau, A, chi2 and rms of the deformed row, A, chi2 and rms of
+    # the classical row, and per level j, exp_keV and each row's theo_keV
+    assert sum(formatted) == sum(7 + 4 * len(band.levels) for band, _, _ in _entries(fits))
 
 
 class TestPlotData:
     def test_shape_and_zero_residuals(self):
-        band, fq, fc = _fitted()
-        text = emit_plot_data(band, fq, fc).decode()
+        text = _plot_data(_fits([_band()])).decode()
         lines = text.splitlines()
         assert lines[0].startswith("# nucleus:")
         assert lines[1].startswith("#")
@@ -406,11 +404,4 @@ class TestPlotData:
         assert float(rows[0][0]) == 2.0
 
     def test_deterministic(self):
-        band, fq, fc = _fitted()
-        assert emit_plot_data(band, fq, fc) == emit_plot_data(band, fq, fc)
-
-    @pytest.mark.parametrize("missing", ["deformed", "classical"])
-    def test_needs_both_fits(self, missing):
-        band, fq, fc = _fitted()
-        with pytest.raises(ValueError, match="plot data needs both fits for band 'fitted'"):
-            emit_plot_data(band, None if missing == "deformed" else fq, None if missing == "classical" else fc)
+        assert _plot_data(_fits([_band()])) == _plot_data(_fits([_band()]))

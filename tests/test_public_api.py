@@ -11,6 +11,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -211,3 +212,16 @@ def test_space_compares_hashes_and_copies_without_building_an_array():
     hash(space)
     dataclasses.replace(space, theta0=0.0)
     assert not any(isinstance(value, np.ndarray) for value in vars(space).values())
+
+
+def test_readme_examples_run():
+    """README's ``python`` blocks run as written, from the repository root."""
+    readme = SRC.parent / "README.md"
+    if not readme.is_file():
+        pytest.skip("no README.md beside src/")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=fresh_env(),
+                              cwd=SRC.parent)
+        assert proc.returncode == 0, proc.stderr

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from _reference_ingest import _twice_spin
 from qrotor import qnum
-from qrotor.fit import fit_A
+from qrotor.fit import _fit
 from qrotor.ingest import write_report
-from qrotor.model import BandData
+from qrotor.model import BandData, Bands
 from qrotor.qnum import QParameter, bracket, casimir_eigenvalue, qbracket
 
 DY_DIM = 189
@@ -75,7 +75,7 @@ class TestQParameter:
         for qp in (QParameter(dim), QParameter.from_dim(dim)):
             assert type(qp.dim) is int and qp == QParameter(DY_DIM)
         band = BandData.from_levels("dy", [(j, 12.8 * j * (j + 1)) for j in range(2, 20, 2)])
-        doc = json.loads(write_report([(band, fit_A(band, qp), fit_A(band, None))], as_json=True))
+        doc = json.loads(write_report(_fit(Bands.of([band]), [[None], [qp]]), as_json=True))
         assert doc[0]["dim"] == DY_DIM and doc[0]["tau"] == 2.0 * math.pi / DY_DIM
 
     def test_from_dim_checks_once(self, monkeypatch):
