@@ -18,22 +18,20 @@ row-local, so the products stream over blocks of ``_BLOCK_ROWS`` rows and
 fold each block's max-norm with ``np.max``, which keeps a NaN that Python's
 ``max`` would drop.
 
-A space holds no D x D array until a caller reads ``angle_basis`` or
-``exp_iphi``; the read fills that array block by block, in place, from the
-one block generator ``_Blocks``, and keeps it, read-only.  The first check
-of a space runs all six identities in one pass over row blocks
-(``_all_deviations``), and the space keeps the six deviations for the
-other checks.  The pass generates a block's inputs, its rows of the angle
-basis with the row after them, its columns of the basis and its rows of
-exp(i*Phi), into the two block buffers each thread keeps, whether or not
-the space holds its arrays.  Per block the identities run as one
-straight-line sequence in those buffers, each working in place or in the
+A space holds no array.  Its first check runs all six identities in one
+pass over row blocks (``_all_deviations``), and the space keeps the six
+deviations for the other checks.  The pass generates a block's inputs, its
+rows of the angle basis with the row after them, its columns of the basis
+and its rows of exp(i*Phi), from the one block generator ``_Blocks`` into
+the two block buffers each thread keeps.  Per block the identities run as
+one straight-line sequence in those buffers, each working in place or in the
 buffer its input does not occupy, and each max-norm allocates its modulus
-array.  ``qrotor verify`` reads no array but shift-power's
-exp(i*Phi) at D <= 101, so at D = 1001 one space's checks peak at 2.9 MiB
-traced on two threads.
+array.  Shift-power alone fills a whole exp(i*Phi), from the same generator,
+into a D x D array of its own, and ``qrotor verify`` runs it only up to
+D = 101, so at D = 1001 one space's checks peak at 2.9 MiB traced on two
+threads.
 
-From D = ``_THREADED_MIN_DIM`` up, the blocks of each fill, check and pass are
+From D = ``_THREADED_MIN_DIM`` up, the blocks of each pass and fill are
 shared out between two threads where two cores are usable, as numpy runs its
 FFTs and elementwise loops without the GIL.  The two threads share the one
 budget of ``_BLOCK_ROWS`` rows, 32 rows each, and every row is computed as
@@ -105,16 +103,11 @@ _UFUNC_BUFFER = 1024
 
 @dataclass(frozen=True)
 class BPSpace:
-    """Matrix realization of the finite angle phase space, fixed by its
-    dimension, ``qp.dim``, and ``theta0``, the reference angle of its angle
-    grid; equality, hashing and ``repr`` go by those two alone.
-
-    Basis ordering is m = -l..l (ascending).  ``angle_basis[n]`` holds the
-    components of the n-th angle state over that basis; ``exp_iphi`` is the
-    exponentiated angle operator and ``q_jz`` the diagonal of the shift
-    q^{Jz}.  Each array is built when first read and kept, read-only.  The
-    first ``check_*`` call measures all six identities and the space keeps
-    their deviations.
+    """Finite angle phase space, fixed by its dimension, ``qp.dim``, and
+    ``theta0``, the reference angle of its angle grid; equality, hashing and
+    ``repr`` go by those two alone.  It holds no array: the first
+    ``check_*`` call measures all six identities and the space keeps their
+    deviations.
     """
 
     qp: QParameter
@@ -123,30 +116,6 @@ class BPSpace:
     @property
     def dim(self) -> int:
         return self.qp.dim
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return np.arange(self.dim, dtype=float) - (self.dim - 1) // 2
-
-    @cached_property
-    def angle_basis(self) -> np.ndarray:
-        blocks, basis = _Blocks(self), np.empty((self.dim, self.dim), dtype=complex)
-        _blockwise(self.dim, lambda rows: blocks.basis(blocks.n[rows], out=basis[rows]))
-        basis.setflags(write=False)
-        return basis
-
-    @cached_property
-    def exp_iphi(self) -> np.ndarray:
-        blocks, exp_iphi = _Blocks(self), np.empty((self.dim, self.dim), dtype=complex)
-        _blockwise(self.dim, lambda rows: blocks.exp_iphi(blocks.columns(rows, out=exp_iphi[rows])))
-        exp_iphi.setflags(write=False)
-        return exp_iphi
-
-    @cached_property
-    def q_jz(self) -> np.ndarray:
-        q_jz = np.exp(-1j * self.qp.tau * (np.arange(self.dim) - (self.dim - 1) // 2))
-        q_jz.setflags(write=False)
-        return q_jz
 
     @cached_property
     def _deviations(self) -> dict[str, float]:
@@ -244,15 +213,13 @@ def _blockwise(dim: int, work: Callable[[slice], object]) -> list:
 
 
 def build_space(l: float, theta0: float = 0.0) -> BPSpace:
-    """Construct the (2l+1)-dimensional space with its operator matrices.
+    """Construct the (2l+1)-dimensional space, basis ordering m = -l..l.
 
     The angle states are |theta_n> with components exp(-i*m*theta_n)/sqrt(D)
     and theta_n = theta0 + 2*pi*n/D, that is exp(-i*m*theta0) * w_k / sqrt(D)
     with w_k the D-th root of unity at k = n*m mod D.  The exponentiated
     angle operator is assembled from its spectral sum over these states;
-    q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).  The space holds none
-    of the three arrays until one is read; each is then filled a row block
-    at a time, in place, and kept read-only.
+    q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).
 
     Raises ValueError for l not finite or off the half-integer grid, for
     2l+1 even or outside 3..MAX_DENSE_DIM, and for a non-finite theta0.
@@ -269,7 +236,8 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
 class _Blocks:
     """Blocks of a space's angle basis and exp(i*Phi), generated from the D
     roots of unity, taken at n*m mod D, and the space's ``_dft_phases``;
-    every entry is computed as in the whole array."""
+    every entry is computed as in the whole array.  ``q_jz`` is the diagonal
+    of q^{Jz}."""
 
     def __init__(self, space: BPSpace) -> None:
         dim = self.dim = space.dim
@@ -278,6 +246,7 @@ class _Blocks:
         self.weight = np.exp(1j * _angles(dim, space.theta0))
         self.n = np.arange(dim, dtype=np.min_scalar_type(-dim * dim))  # holds every n*m, |n*m| < D^2 / 2
         self.m = self.n - (dim - 1) // 2
+        self.q_jz = np.exp(-1j * space.qp.tau * self.m)
 
     def _roots_at(self, n: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
         k = np.multiply.outer(n, m)
@@ -323,7 +292,7 @@ def _all_deviations(space: BPSpace) -> dict[str, float]:
     in B.  Every entry goes through the operations it would in a
     whole-matrix product, so each deviation is bit-identical."""
     dim, blocks = space.dim, _Blocks(space)
-    phases, q_jz = blocks.phases, space.q_jz
+    phases, q_jz = blocks.phases, blocks.q_jz
     q_shifted = np.exp(-1j * space.qp.tau) * q_jz
     corner = np.exp(1j * dim * space.theta0)  # cyclic-shift's wrap-around entry
     w_bar = np.exp(-1j * _angles(dim, space.theta0))
@@ -384,13 +353,13 @@ def check_quantum_plane(space: BPSpace) -> float:
 
 
 def check_cyclic_shift(space: BPSpace) -> float:
-    """Max-norm deviation of exp_iphi from the one-step cyclic raising matrix,
+    """Max-norm deviation of exp(i*Phi) from the one-step cyclic raising matrix,
     whose wrap-around corner carries the phase exp(i*D*theta0)."""
     return space._deviations["cyclic-shift"]
 
 
 def check_unitarity(space: BPSpace) -> float:
-    """Max-norm deviation of U U^dagger from identity for U = exp_iphi, with
+    """Max-norm deviation of U U^dagger from identity for U = exp(i*Phi), with
     U^dagger = A^T diag(exp(-i*theta)) conj(A), and of |q_m|^2 from one."""
     return space._deviations["unitarity"]
 
@@ -416,9 +385,13 @@ def check_angle_cycling(space: BPSpace) -> float:
 
 
 def check_shift_power(space: BPSpace) -> float:
-    """(exp_iphi)^D equals exp(i*D*theta0) times identity, the power squared
-    and multiplied from D's lowest bit up, as ``np.linalg.matrix_power`` does."""
-    powered, squared = None, space.exp_iphi
+    """(exp(i*Phi))^D equals exp(i*D*theta0) times identity, the power squared
+    and multiplied from D's lowest bit up, as ``np.linalg.matrix_power`` does;
+    exp(i*Phi) is filled a row block at a time into a D x D array of its own,
+    which the space does not keep."""
+    blocks, exp_iphi = _Blocks(space), np.empty((space.dim, space.dim), dtype=complex)
+    _blockwise(space.dim, lambda rows: blocks.exp_iphi(blocks.columns(rows, out=exp_iphi[rows])))
+    powered, squared = None, exp_iphi
     for k, bit in enumerate(reversed(f"{space.dim:b}")):
         squared = np.einsum("ij,kj->ik", squared, squared.T.copy()) if k else squared
         if bit == "1":

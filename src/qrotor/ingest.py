@@ -259,10 +259,23 @@ def write_report(fits: Fits, as_json: bool = False) -> bytes:
 
     ``fits`` is the ``fit.Fits`` of a batch, as ``fit._compare`` makes it
     from a ``model.Bands``; the command line reports the one it fitted.
+    ValueError for a ``Fits`` in any other layout.
     """
+    _check_layout(fits, both=False)
     if not len(shown := fits.shown()):
         raise ValueError("no fit results to report")
     return (_report_json if as_json else _report_table)(fits, shown)
+
+
+def _check_layout(fits: Fits, both: bool) -> None:
+    """ValueError, naming ``fit._compare``, unless ``fits`` has its layout:
+    row 0 the j(j+1) baseline, every qp None, and row 1 the deformed fits,
+    every qp set, which only ``both`` requires."""
+    qps = fits.qps
+    if (len(qps) not in ((2,) if both else (1, 2)) or qps[0].count(None) != len(qps[0])
+            or any(qp is None for row in qps[1:] for qp in row)):
+        deformed = "row 1" if both else "row 1, if present,"
+        raise ValueError(f"expected the Fits of fit._compare: row 0 the j(j+1) baseline and {deformed} the deformed fits")
 
 
 def _report_table(fits: Fits, shown: np.ndarray) -> bytes:
@@ -349,7 +362,9 @@ def _plot_data(fits: Fits) -> bytes:
     """Whitespace-separated columns ready for plotting tools, one block per
     band of a two-row ``Fits`` without a failed fit, the blocks separated
     by an empty line: a name line, a header line, then per level j, E_exp,
-    E_q, E_classical, residual_q and residual_classical (keV)."""
+    E_q, E_classical, residual_q and residual_classical (keV); ValueError
+    for a ``Fits`` in any other layout."""
+    _check_layout(fits, both=True)
     bands = fits.bands
     theo, diff = fits.residuals()
     twoj, inverse = np.unique(bands.twoj, return_inverse=True)

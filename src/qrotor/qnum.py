@@ -46,10 +46,10 @@ class RegimeError(ValueError):
 # below j = 100.  With it, a valid band's sum of (2j+1) stays below 2**62.
 MAX_SPIN = 2**30
 
-# Largest space dimension.  What a phase space stores once read
-# (``angle_basis``, ``exp_iphi``, which shift-power reads) and an irrep are
-# dense, 16 MiB per complex matrix at the cap; the six checks ``verify`` runs
-# on an unread space stream row blocks and store nothing, but keep this cap.
+# Largest space dimension, which ``build_space`` and ``build_irrep`` enforce.
+# An irrep and shift-power's temporary exp(i*Phi) are dense, 16 MiB per
+# complex matrix at the cap; the six checks ``verify`` runs stream row blocks
+# and form no D x D array, but keep this cap.
 MAX_DENSE_DIM = 1001
 
 

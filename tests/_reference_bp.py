@@ -4,10 +4,10 @@
 construction and identity checks as they were before they streamed over row
 blocks: each product is formed as one D x D array, with the same FFT kernels
 in the same order, so the blocked forms must match them bit for bit.
-``whole_build_space`` returns a record, not a ``BPSpace``: a space is fixed
-by its dimension and reference angle, while a record holds whatever arrays
-it is given, so tests can swap a faulty array into one.  Every function here
-takes either.
+``whole_build_space`` returns a record, not a ``BPSpace``: a space holds no
+array, and the record is the one holder of a space's whole angle basis,
+exp(i*Phi) and q^{Jz} diagonal, which tests read and can swap a faulty array
+into.  Every function here takes such a record.
 
 The dense forms are the matrix products ``qrotor.bp_space`` formed with
 ``@`` before it applied the angle-basis factor by FFT: the spectral sum for
@@ -25,7 +25,6 @@ import types
 import numpy as np
 
 from qrotor.bp_space import (
-    BPSpace,
     _angles,
     _dft_phases,
     _roots,
@@ -34,12 +33,9 @@ from qrotor.bp_space import (
 )
 from qrotor.qnum import QParameter, max_abs, twice_spin
 
-# A phase space, or a record of the same attributes from ``whole_build_space``.
-Space = BPSpace | types.SimpleNamespace
-
 
 def whole_build_space(l: float, theta0: float = 0.0) -> types.SimpleNamespace:
-    """``build_space``'s arrays with the angle basis gathered through a D x D
+    """A space's whole arrays with the angle basis gathered through a D x D
     index array and exp(i*Phi) transformed from a transposed copy of it, in a
     record with ``qp``, ``theta0`` and ``dim``; for valid arguments only, and
     the arrays stay writable."""
@@ -61,14 +57,14 @@ def _identity_deviation(product: np.ndarray) -> float:
     return max_abs(product)
 
 
-def whole_quantum_plane(space: Space) -> float:
+def whole_quantum_plane(space: types.SimpleNamespace) -> float:
     q = np.exp(-1j * space.qp.tau)
     deviation = np.subtract.outer(space.q_jz, q * space.q_jz)
     deviation *= space.exp_iphi
     return max_abs(deviation)
 
 
-def whole_cyclic_shift(space: Space) -> float:
+def whole_cyclic_shift(space: types.SimpleNamespace) -> float:
     dim = space.dim
     deviation = space.exp_iphi.copy()
     deviation.flat[dim :: dim + 1] -= 1.0
@@ -76,24 +72,24 @@ def whole_cyclic_shift(space: Space) -> float:
     return max_abs(deviation)
 
 
-def whole_unitarity(space: Space) -> float:
+def whole_unitarity(space: types.SimpleNamespace) -> float:
     phases = _dft_phases(space.dim, space.theta0)
     w_bar = np.exp(-1j * _angles(space.dim, space.theta0))
     product = _times_weighted_conj_angle(_times_angle_transpose(space.exp_iphi.copy(), phases), w_bar, phases)
     return max(_identity_deviation(product), max_abs(np.abs(space.q_jz) ** 2 - 1.0))
 
 
-def whole_angle_orthonormality(space: Space) -> float:
+def whole_angle_orthonormality(space: types.SimpleNamespace) -> float:
     phases = _dft_phases(space.dim, space.theta0)
     return _identity_deviation(_times_angle_transpose(space.angle_basis.conj(), phases))
 
 
-def whole_angle_completeness(space: Space) -> float:
+def whole_angle_completeness(space: types.SimpleNamespace) -> float:
     phases = _dft_phases(space.dim, space.theta0)
     return _identity_deviation(_times_weighted_conj_angle(space.angle_basis.T.copy(), 1.0, phases))
 
 
-def whole_angle_cycling(space: Space) -> float:
+def whole_angle_cycling(space: types.SimpleNamespace) -> float:
     basis = space.angle_basis
     deviation = basis * space.q_jz
     deviation[:-1] -= basis[1:]
@@ -119,7 +115,7 @@ def dense_exp_iphi(angle_basis: np.ndarray, theta0: float) -> np.ndarray:
     return (angle_basis.T * np.exp(1j * theta)) @ angle_basis.conj()
 
 
-def dense_unitarity(space: Space) -> float:
+def dense_unitarity(space: types.SimpleNamespace) -> float:
     eye = np.eye(space.dim)
     q_jz = np.diag(space.q_jz)
     d1 = max_abs(space.exp_iphi @ space.exp_iphi.conj().T - eye)
@@ -127,17 +123,17 @@ def dense_unitarity(space: Space) -> float:
     return max(d1, d2)
 
 
-def dense_orthonormality(space: Space) -> float:
+def dense_orthonormality(space: types.SimpleNamespace) -> float:
     gram = space.angle_basis @ space.angle_basis.conj().T
     return max_abs(gram - np.eye(space.dim))
 
 
-def dense_completeness(space: Space) -> float:
+def dense_completeness(space: types.SimpleNamespace) -> float:
     proj = space.angle_basis.T @ space.angle_basis.conj()
     return max_abs(proj - np.eye(space.dim))
 
 
-def matrix_power_shift_power(space: Space) -> float:
+def matrix_power_shift_power(space: types.SimpleNamespace) -> float:
     """Max-norm deviation of (exp_iphi)^D from exp(i*D*theta0) times identity."""
     powered = np.linalg.matrix_power(space.exp_iphi, space.dim)
     return max_abs(powered - np.exp(1j * space.dim * space.theta0) * np.eye(space.dim))

@@ -46,7 +46,7 @@ def basis_vector(dim, idx):
 
 class _Served(bp_space._Blocks):
     """``_Blocks`` handing out the rows of a record's whole arrays, so that a
-    space is read and checked as if it held those arrays."""
+    space is checked as if those were its arrays."""
 
     def __init__(self, space, record):
         super().__init__(space)
@@ -69,8 +69,8 @@ class _Served(bp_space._Blocks):
 def serve_rows(monkeypatch, *records):
     """From now on, a space with the dimension and reference angle of one of
     ``records``, from ``whole_build_space`` with a faulty array swapped in, is
-    read and checked on that record's arrays: the fault enters at the one
-    block generator.  Any other space is generated as before."""
+    checked on that record's arrays: the fault enters at the one block
+    generator.  Any other space is generated as before."""
     own, served = bp_space._Blocks, {(record.dim, record.theta0): record for record in records}
 
     def blocks(space):
@@ -85,37 +85,33 @@ class TestBuildSpace:
         space = build_space(1)
         assert space.dim == 3
         assert space.qp.dim == 3
-        assert space.angle_basis.shape == (3, 3)
-        assert np.allclose(space.m_values, [-1.0, 0.0, 1.0])
+        assert bp_space._Blocks(space).m.tolist() == [-1, 0, 1]
 
     def test_angle_states_orthonormal(self):
-        space = build_space(1)
-        overlap = np.vdot(space.angle_basis[0], space.angle_basis[1])
+        whole = whole_build_space(1)
+        overlap = np.vdot(whole.angle_basis[0], whole.angle_basis[1])
         assert abs(overlap) < 1e-12
-        assert check_angle_orthonormality(space) < 1e-12
+        assert check_angle_orthonormality(build_space(1)) < 1e-12
 
     def test_raising_action_on_m_states(self):
         # basis index 0 is m=-1; the shift sends it to m=0
-        space = build_space(1)
-        out = space.exp_iphi @ basis_vector(3, 0)
+        out = whole_build_space(1).exp_iphi @ basis_vector(3, 0)
         assert np.max(np.abs(out - basis_vector(3, 1))) < 1e-12
 
     def test_wraparound_at_top_state(self):
-        space = build_space(1, theta0=0.0)
-        out = space.exp_iphi @ basis_vector(3, 2)
+        out = whole_build_space(1, theta0=0.0).exp_iphi @ basis_vector(3, 2)
         assert np.max(np.abs(out - basis_vector(3, 0))) < 1e-12
 
     def test_wraparound_phase_nonzero_theta0(self):
-        space = build_space(1, theta0=math.pi / 3)
-        out = space.exp_iphi @ basis_vector(3, 2)
+        out = whole_build_space(1, theta0=math.pi / 3).exp_iphi @ basis_vector(3, 2)
         # corner phase exp(i*3*pi/3) = -1
         assert np.max(np.abs(out - (-1.0) * basis_vector(3, 0))) < 1e-12
 
     def test_q_jz_diagonal_entries(self):
-        space = build_space(2)
-        expected = np.exp(-1j * space.qp.tau * np.arange(-2, 3))
-        assert np.max(np.abs(space.q_jz - expected)) == 0.0
-        assert space.q_jz.ndim == 1
+        whole = whole_build_space(2)
+        expected = np.exp(-1j * whole.qp.tau * np.arange(-2, 3))
+        assert np.max(np.abs(whole.q_jz - expected)) == 0.0
+        assert whole.q_jz.ndim == 1
 
     @pytest.mark.parametrize("l", [0, 0.3, -1])
     def test_rejects_bad_l(self, l):
@@ -153,7 +149,7 @@ class TestBuildSpace:
         space = build_space(2, 0.6)
         assert repr(space) == f"BPSpace(qp={space.qp!r}, theta0=0.6)"
         assert vars(space).keys() == {"qp", "theta0"}
-        space.q_jz
+        check_quantum_plane(space)
         assert repr(space) == f"BPSpace(qp={space.qp!r}, theta0=0.6)"
 
     def test_stores_dimension_and_reference_angle_once(self):
@@ -175,18 +171,18 @@ class TestQuantumPlane:
 
 class TestCyclicShift:
     def test_l1_permutation(self):
-        space = build_space(1, theta0=0.0)
+        whole = whole_build_space(1, theta0=0.0)
         perm = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-        assert np.max(np.abs(space.exp_iphi - perm)) < 1e-12
+        assert np.max(np.abs(whole.exp_iphi - perm)) < 1e-12
 
     def test_l2_permutation(self):
-        space = build_space(2, theta0=0.0)
+        whole = whole_build_space(2, theta0=0.0)
         perm = np.roll(np.eye(5, dtype=complex), 1, axis=0)
-        assert np.max(np.abs(space.exp_iphi - perm)) < 1e-12
+        assert np.max(np.abs(whole.exp_iphi - perm)) < 1e-12
 
     def test_corner_phase(self):
-        space = build_space(1, theta0=math.pi / 3)
-        assert abs(space.exp_iphi[0, 2] - (-1.0)) < 1e-12
+        whole = whole_build_space(1, theta0=math.pi / 3)
+        assert abs(whole.exp_iphi[0, 2] - (-1.0)) < 1e-12
 
     @pytest.mark.parametrize("l", [1, 2, 5, 25])
     @pytest.mark.parametrize("theta0", [0.0, 0.6])
@@ -205,11 +201,11 @@ class TestInvariants:
 
     @pytest.mark.parametrize("l", [1, 2, 5])
     def test_adjoint_lowers(self, l):
-        space = build_space(l)
-        assert check_cyclic_shift(space) <= 1e-12
+        assert check_cyclic_shift(build_space(l)) <= 1e-12
         # explicit: adjoint sends m=0 back to m=-l+... one step down
-        down = space.exp_iphi.conj().T @ basis_vector(space.dim, 1)
-        assert np.max(np.abs(down - basis_vector(space.dim, 0))) < 1e-12
+        whole = whole_build_space(l)
+        down = whole.exp_iphi.conj().T @ basis_vector(whole.dim, 1)
+        assert np.max(np.abs(down - basis_vector(whole.dim, 0))) < 1e-12
 
     @pytest.mark.parametrize("l,theta0", [(1, 0.0), (5, 0.0), (50, 0.6), (50, 0.0)])
     def test_shift_power_is_phase(self, l, theta0):
@@ -217,11 +213,11 @@ class TestInvariants:
 
     @pytest.mark.parametrize("l", [1, 2, 5, 25])
     def test_angle_state_cycling(self, l):
-        space = build_space(l, theta0=0.25)
-        assert check_angle_cycling(space) <= 1e-12
+        assert check_angle_cycling(build_space(l, theta0=0.25)) <= 1e-12
         # overlap of the shifted state with its successor has modulus one
-        shifted = space.angle_basis[0] * space.q_jz
-        overlap = np.vdot(space.angle_basis[1], shifted)
+        whole = whole_build_space(l, theta0=0.25)
+        shifted = whole.angle_basis[0] * whole.q_jz
+        overlap = np.vdot(whole.angle_basis[1], shifted)
         assert abs(abs(overlap) - 1.0) < 1e-12
 
 
@@ -233,20 +229,20 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("l,theta0", ORACLE_GRID)
     def test_exp_iphi_matches_dense_spectral_sum(self, l, theta0):
-        space = build_space(l, theta0)
-        dense = dense_exp_iphi(space.angle_basis, theta0)
-        assert np.max(np.abs(space.exp_iphi - dense)) <= 1e-12
+        whole = whole_build_space(l, theta0)
+        dense = dense_exp_iphi(whole.angle_basis, theta0)
+        assert np.max(np.abs(whole.exp_iphi - dense)) <= 1e-12
 
     @pytest.mark.parametrize("l,theta0", ORACLE_GRID)
     def test_checks_within_cli_tolerance(self, l, theta0):
-        space, oracle = build_space(l, theta0), whole_build_space(l, theta0)
+        space, whole, oracle = build_space(l, theta0), whole_build_space(l, theta0), whole_build_space(l, theta0)
         oracle.exp_iphi = dense_exp_iphi(oracle.angle_basis, theta0)
         tol = _bp_tolerance(space.dim)
         for name, check in BP_CHECKS:
             assert check(space) <= tol, name
             assert WHOLE_CHECKS[name](oracle) <= tol, name
         for dense_check in (dense_unitarity, dense_orthonormality, dense_completeness):
-            assert dense_check(space) <= tol
+            assert dense_check(whole) <= tol
             assert dense_check(oracle) <= tol
 
     @pytest.mark.parametrize("l", [1, 5, 25, 100])
@@ -276,8 +272,8 @@ class TestShiftPower:
     @pytest.mark.parametrize("theta0", [0.0, 0.6, math.pi / 3])
     @pytest.mark.parametrize("dim", [3, 5, 11, 21, 51, 53, 101])
     def test_matches_matrix_power_oracle(self, dim, theta0):
-        space = build_space((dim - 1) / 2, theta0)
-        assert abs(check_shift_power(space) - matrix_power_shift_power(space)) <= 1e-15
+        space, whole = build_space((dim - 1) / 2, theta0), whole_build_space((dim - 1) / 2, theta0)
+        assert abs(check_shift_power(space) - matrix_power_shift_power(whole)) <= 1e-15
 
     @pytest.mark.parametrize("dim", [3, 5, 51, 53, 101])
     def test_product_count_is_binary_exponentiation(self, monkeypatch, dim):
@@ -315,30 +311,49 @@ class TestShiftPower:
 BLOCK_EDGE_DIMS = sorted({(_BLOCK_ROWS - 1) | 1, (_BLOCK_ROWS + 1) | 1, (2 * _BLOCK_ROWS + 1) | 1, MAX_DENSE_DIM})
 
 
+def generated_arrays(space):
+    """The whole angle basis and exp(i*Phi) of ``space``, each filled from
+    ``_Blocks`` rows in the row blocks ``_blockwise`` hands out, as
+    ``check_shift_power`` fills exp(i*Phi), and its q^{Jz} diagonal."""
+    blocks, dim = bp_space._Blocks(space), space.dim
+    basis, exp_iphi = np.empty((dim, dim), dtype=complex), np.empty((dim, dim), dtype=complex)
+    bp_space._blockwise(dim, lambda rows: blocks.basis(blocks.n[rows], out=basis[rows]))
+    bp_space._blockwise(dim, lambda rows: blocks.exp_iphi(blocks.columns(rows, out=exp_iphi[rows])))
+    return {"angle_basis": basis, "exp_iphi": exp_iphi, "q_jz": blocks.q_jz}
+
+
 class TestBlockedMatchesWholeMatrix:
-    """Streaming over row blocks changes no bit of a space or a deviation,
-    whether the checks run before any array is read or after."""
+    """Streaming over row blocks changes no bit of a deviation, and the block
+    generator no bit of the whole arrays the tests read from
+    ``whole_build_space``."""
 
     @pytest.mark.parametrize("theta0", [0.0, 0.6, math.pi / 3])
     @pytest.mark.parametrize("dim", BLOCK_EDGE_DIMS)
     def test_arrays_and_deviations_bit_identical(self, dim, theta0):
         whole = whole_build_space((dim - 1) // 2, theta0)
         expected = {name: WHOLE_CHECKS[name](whole) for name, _ in BP_CHECKS}
-        checked_first, read_first = build_space((dim - 1) // 2, theta0), build_space((dim - 1) // 2, theta0)
-        assert {name: check(checked_first) for name, check in BP_CHECKS} == expected
-        for space in (read_first, checked_first):
-            for name in ("angle_basis", "exp_iphi", "q_jz"):
-                assert np.array_equal(getattr(space, name), getattr(whole, name)), name
-        assert {name: check(read_first) for name, check in BP_CHECKS} == expected
+        assert {name: check(build_space((dim - 1) // 2, theta0)) for name, check in BP_CHECKS} == expected
 
-    @pytest.mark.parametrize("held", ["angle_basis", "exp_iphi"])
-    def test_space_holding_one_array_generates_the_other(self, held):
-        dim = BLOCK_EDGE_DIMS[1]
-        whole = whole_build_space((dim - 1) // 2, 0.6)
-        space = build_space((dim - 1) // 2, 0.6)
-        assert np.array_equal(getattr(space, held), getattr(whole, held))
-        assert {name: check(space) for name, check in BP_CHECKS} == {name: WHOLE_CHECKS[name](whole) for name, _ in BP_CHECKS}
-        assert {"angle_basis", "exp_iphi"} & vars(space).keys() == {held}
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("theta0", [0.0, 0.6, math.pi / 3])
+    @pytest.mark.parametrize("dim", BLOCK_EDGE_DIMS)
+    def test_generator_rows_build_the_whole_arrays(self, monkeypatch, dim, theta0, cores):
+        force_cores(monkeypatch, cores)
+        whole = whole_build_space((dim - 1) // 2, theta0)
+        for name, array in generated_arrays(build_space((dim - 1) // 2, theta0)).items():
+            assert np.array_equal(array, getattr(whole, name)), name
+
+
+class TestSpaceHoldsNoArray:
+    @pytest.mark.parametrize("theta0", [0.0, 0.6])
+    @pytest.mark.parametrize("dim", [3, 5, 11, 51, 101])
+    def test_checks_leave_no_array_on_the_space(self, dim, theta0):
+        space = build_space((dim - 1) // 2, theta0)
+        for _, check in BP_CHECKS:
+            check(space)
+        power = check_shift_power(space)
+        assert not any(isinstance(value, np.ndarray) for value in vars(space).values())
+        assert check_shift_power(build_space((dim - 1) // 2, theta0)) == power
 
 
 NAN_DIM = 2 * _BLOCK_ROWS + 1  # three row blocks, the last of one row
@@ -381,60 +396,37 @@ class TestNaNPropagates:
         assert capsys.readouterr().err.count("deviation nan exceeds") == len(failed)
 
 
-SPACE_ARRAYS = ("angle_basis", "exp_iphi", "q_jz")
-
-
-class TestReadOnlySpace:
-    @pytest.mark.parametrize("theta0", [0.0, 0.6])
-    def test_checks_leave_arrays_bit_identical(self, theta0):
-        space = build_space(25, theta0)
-        before = {name: getattr(space, name).tobytes() for name in SPACE_ARRAYS}
-        for name, check in (*BP_CHECKS, ("shift-power", check_shift_power)):
-            check(space)
-            for array in SPACE_ARRAYS:
-                assert getattr(space, array).tobytes() == before[array], (name, array)
-
-    @pytest.mark.parametrize("name", SPACE_ARRAYS)
-    def test_arrays_are_read_only(self, name):
-        array = getattr(build_space(2, 0.6), name)
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            array *= 2.0
-
-
 class TestAngleBasisAccuracy:
     @pytest.mark.parametrize("theta0", [0.0, 0.6])
     def test_entries_match_mpmath(self, theta0):
         l = 500
         dim = 2 * l + 1
-        basis = build_space(l, theta0).angle_basis
+        blocks = bp_space._Blocks(build_space(l, theta0))
         rng = np.random.default_rng(20261018)
         rows = [*rng.integers(0, dim, 300), dim - 1, dim - 1, dim // 2]
         cols = [*rng.integers(0, dim, 300), 0, dim - 1, 0]  # the last three: largest |n*m|
+        entries = blocks.basis(blocks.n[rows], out=np.empty((len(rows), dim), dtype=complex))[range(len(rows)), cols]
         with mpmath.workdps(40):
             scale = 1 / mpmath.sqrt(dim)
             worst = 0.0
-            for n, k in zip(rows, cols):
+            for n, k, entry in zip(rows, cols, entries.tolist()):
                 theta_n = mpmath.mpf(theta0) + 2 * mpmath.pi * n / dim
                 exact = mpmath.expj(-(k - l) * theta_n) * scale
-                worst = max(worst, float(abs(mpmath.mpc(basis[n, k]) - exact)))
+                worst = max(worst, float(abs(mpmath.mpc(entry) - exact)))
         assert worst <= 2e-15
 
 
 MEMORY_DIM = 501
 # One complex block of rows plus the float modulus array of its max-norm.
 BLOCK_BUDGET = 24 * _BLOCK_ROWS * MEMORY_DIM
-SPACE_BYTES = 2 * 16 * MEMORY_DIM**2  # angle_basis and exp_iphi
 # Allowance for phase vectors, FFT plan caches and work buffers and Python
 # objects; at D = 501 they take about 30 KB per check and 0.22 MB per verify
 # run.
 CHECK_SLACK = 64 * 1024
 RUN_SLACK = 1024 * 1024
-# The two buffers the pass generates a block's inputs into and works in,
-# whether or not the space holds its arrays: one of its rows of the angle
-# basis and the row after them, then of its columns, and one of its rows of
-# exp(i*Phi).
+# The two buffers the pass generates a block's inputs into and works in: one
+# of its rows of the angle basis and the row after them, then of its columns,
+# and one of its rows of exp(i*Phi).
 GENERATED_BLOCKS = 16 * (2 * _BLOCK_ROWS + 1) * MEMORY_DIM
 
 
@@ -449,45 +441,24 @@ def _traced_peak(func, *args) -> int:
         tracemalloc.stop()
 
 
-def _memory_space(read_first=True):
-    """A fresh D = MEMORY_DIM space, with its angle basis and exp(i*Phi)
-    read, and so stored, if ``read_first``."""
+def _checks_peak() -> int:
+    """Traced peak of the six checks of a fresh D = MEMORY_DIM space, after a
+    warm-up space's checks have loaded numpy's FFT module and plan cache."""
+    check_quantum_plane(build_space((MEMORY_DIM - 1) // 2, 0.6))
     space = build_space((MEMORY_DIM - 1) // 2, 0.6)
-    if read_first:
-        space.angle_basis, space.exp_iphi
-    return space
-
-
-def _checks_peak(read_first) -> int:
-    """Traced peak of the six checks of a fresh space, read first or unread,
-    after a warm-up space's checks have loaded numpy's FFT module and plan
-    cache; the checks store no array."""
-    check_quantum_plane(_memory_space(read_first))
-    space = _memory_space(read_first)
     # the first check runs the pass, which also holds the generator's
     # phase and root vectors; the others return its deviations
-    peak = _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
-    assert ("angle_basis" in vars(space), "exp_iphi" in vars(space)) == (read_first, read_first)
-    return peak
-
-
-READ_FIRST = pytest.mark.parametrize("read_first", [True, False], ids=["read-first", "unread"])
+    return _traced_peak(lambda: [check(space) for _, check in BP_CHECKS])
 
 
 class TestMemory:
-    def test_build_fills_the_stored_arrays_in_place(self):
-        _memory_space()
-        space = _memory_space(read_first=False)
-        assert _traced_peak(lambda: (space.angle_basis, space.exp_iphi)) <= SPACE_BYTES + BLOCK_BUDGET + CHECK_SLACK
-
-    @READ_FIRST
-    def test_unread_space_generates_one_block_of_each_input(self, read_first):
-        # a space that holds its arrays is checked on generated blocks too
-        assert _checks_peak(read_first) <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
+    def test_checks_generate_one_block_of_each_input(self):
+        assert _checks_peak() <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
 
     def test_verify_keeps_one_space_alive(self, tmp_path):
+        # no space stores a D x D array, so the run holds one pass's blocks
         peak = _traced_peak(main, ["verify", "--max-dim", str(MEMORY_DIM), "-o", str(tmp_path / "verify.txt")])
-        assert peak <= SPACE_BYTES + BLOCK_BUDGET + RUN_SLACK
+        assert peak <= GENERATED_BLOCKS + BLOCK_BUDGET + RUN_SLACK
 
 
 def force_cores(monkeypatch, cores):
@@ -515,29 +486,24 @@ class TestThreads:
     def test_arrays_and_deviations_match_the_serial_whole_matrix(self, monkeypatch, cores):
         force_cores(monkeypatch, cores)
         started = count_threads(monkeypatch)
-        unread, space = build_space(500, 0.6), build_space(500, 0.6)
-        whole = whole_build_space(500, 0.6)
-        for name, check in BP_CHECKS:
-            assert check(unread) == WHOLE_CHECKS[name](whole), name
-        for name in ("angle_basis", "exp_iphi", "q_jz"):
-            assert np.array_equal(getattr(space, name), getattr(whole, name)), name
-        for name, check in BP_CHECKS:
-            assert check(space) == WHOLE_CHECKS[name](whole), name
-        # one pass over each space and two fills, each on this thread and one
-        # more where a second core is usable: a third core starts no third thread
-        assert len(started) == 4 * (min(cores, 2) - 1)
+        for theta0 in (0.0, 0.6):
+            space, whole = build_space(500, theta0), whole_build_space(500, theta0)
+            for name, check in BP_CHECKS:
+                assert check(space) == WHOLE_CHECKS[name](whole), (name, theta0)
+        # one pass over each space, each on this thread and one more where a
+        # second core is usable: a third core starts no third thread
+        assert len(started) == 2 * (min(cores, 2) - 1)
 
-    @READ_FIRST
-    def test_unread_space_shares_two_generated_blocks(self, monkeypatch, read_first):
+    def test_checks_share_two_generated_blocks(self, monkeypatch):
         force_cores(monkeypatch, 3)
-        assert _checks_peak(read_first) <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
+        assert _checks_peak() <= GENERATED_BLOCKS + BLOCK_BUDGET + 2 * CHECK_SLACK
 
     @pytest.mark.parametrize("dim,threads", [(_THREADED_MIN_DIM - 2, 0), (_THREADED_MIN_DIM, 1)])
     def test_small_spaces_stay_serial(self, monkeypatch, dim, threads):
         force_cores(monkeypatch, 3)
         started = count_threads(monkeypatch)
         check_cyclic_shift(build_space((dim - 1) // 2))
-        assert len(started) == threads  # the one pass of an unread space
+        assert len(started) == threads  # the one pass of the space
 
     def test_cores_from_affinity_or_cpu_count(self, monkeypatch):
         force_cores(monkeypatch, 3)

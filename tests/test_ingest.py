@@ -336,13 +336,16 @@ class TestJsonReport:
 
     @pytest.mark.parametrize("variants", ["classical", "deformed"])
     def test_single_row(self, variants):
-        # the opening and closing brackets go on one and the same row
         band = _band()
-        qp = None if variants == "classical" else q_parameter_from_band(band)
-        fits = _fit(Bands.of([band]), [[qp]])
+        fits = _fit(Bands.of([band]), [[None if variants == "classical" else q_parameter_from_band(band)]])
+        if variants == "deformed":  # not fit._compare's layout, whose row 0 is the baseline
+            with pytest.raises(ValueError, match="fit._compare"):
+                write_report(fits, as_json=True)
+            return
+        # the opening and closing brackets go on one and the same row
         payload = write_report(fits, as_json=True)
         assert payload == reference_report_json([(band, None, *_outcomes(fits, 0))])
-        assert [row["variant"] for row in json.loads(payload)] == ["classical" if qp is None else "q_deformed"]
+        assert [row["variant"] for row in json.loads(payload)] == ["classical"]
 
     @pytest.mark.parametrize("name", AWKWARD_NAMES)
     def test_escaped_names(self, name):
@@ -388,6 +391,35 @@ def test_json_spins_and_energies_formatted_once_per_band(monkeypatch):
     # per band: tau, A, chi2 and rms of the deformed row, A, chi2 and rms of
     # the classical row, and per level j, exp_keV and each row's theo_keV
     assert sum(formatted) == sum(7 + 4 * len(band.levels) for band, _, _ in _entries(fits))
+
+
+# Row layouts other than fit._compare's, by the writers that reject them:
+# every writer needs row 0 the j(j+1) baseline and row 1 the deformed fits,
+# and the plot data needs both rows.
+LAYOUTS = {
+    "deformed-only": lambda qp: [[qp]],
+    "swapped": lambda qp: [[qp], [None]],
+    "three-rows": lambda qp: [[None], [qp], [qp]],
+}
+WRITERS = {
+    "table": write_report,
+    "json": lambda fits: write_report(fits, as_json=True),
+    "plot": _plot_data,
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_writers_name_compare_for_other_layouts(self, dy162_path, writer, layout):
+        dy162 = read_band_file(dy162_path).parsed
+        fits = _fit(Bands.of([dy162]), LAYOUTS[layout](q_parameter_from_band(dy162)))
+        with pytest.raises(ValueError, match=r"^expected the Fits of fit\._compare: row 0 the j\(j\+1\) baseline"):
+            WRITERS[writer](fits)
+
+    def test_plot_data_needs_the_deformed_row(self):
+        with pytest.raises(ValueError, match=r"fit\._compare: .* and row 1 the deformed fits$"):
+            _plot_data(_fits([_band()], classical_only=True))
 
 
 class TestPlotData:

@@ -185,6 +185,31 @@ def test_version_is_stored_once():
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "qrotor.__version__"}
 
 
+def test_test_imports_are_declared():
+    """Every third-party module the tests import is a dependency or in the
+    ``test`` extra, so that ``pip install .[test]`` can collect every test;
+    a module is taken to share its distribution's name."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("no pyproject.toml beside src/")
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", requirement)[0].lower().replace("-", "_") for requirement in requirements}
+    # the tests' own helpers, and the benchmark modules they put on the path
+    local = {path.stem for folder in ("tests", "bench") for path in (SRC.parent / folder).glob("*.py")}
+    imported = set()
+    for path in (SRC.parent / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local - {"qrotor"}
+    assert third_party, "no third-party import found"
+    assert sorted(third_party - declared) == []
+
+
 BAND_TEXT = b"# nucleus: testium\n2 100.0\n4 330.0\n6 690.0\n"
 # Each exported dataclass, built by a call that returns an equal twin when
 # called again; a dataclass exported later and missing here fails below.
