@@ -23,7 +23,7 @@ _HOME = {
     **dict.fromkeys(
         ["BandData", "BandError", "twice_spin", "spin_str", "space_size", "q_parameter_from_band", "energy"], "model"
     ),
-    **dict.fromkeys(["Variant", "FitResult", "fit_A", "fit_batch", "chi2_at", "compare", "compare_batch"], "fit"),
+    **dict.fromkeys(["Variant", "FitResult", "fit_A", "chi2_at", "compare", "compare_batch"], "fit"),
     **dict.fromkeys(
         ["BandFile", "BandParseError", "parse_band", "parse_band_file", "read_band_file", "write_band",
          "write_report"],

@@ -31,12 +31,12 @@ from . import __version__
 from .qnum import MAX_DENSE_DIM, QParameter, RegimeError, _decimal
 
 # The subcommands' names -> the module that defines each, imported on first
-# use (PEP 562).  fit_A, q_parameter_from_band and _fit_one, which alone calls
-# read_band_file, are not called here; bench/spans.py traces the CLI by
-# swapping names in this module, these among them.
+# use (PEP 562).  read_band_file, fit_A and q_parameter_from_band are called
+# only by _fit_one, which no subcommand calls; bench/spans.py traces the CLI
+# by swapping names in this module, these among them.
 _LAZY = {
-    **dict.fromkeys(["_compare", "compare_batch", "fit_A"], "fit"),
-    **dict.fromkeys(["_plot_data", "_read_batch", "read_band_file", "write_report"], "ingest"),
+    **dict.fromkeys(["compare_batch", "fit_A"], "fit"),
+    **dict.fromkeys(["_plot_data", "read_band_file", "read_bands", "write_report"], "ingest"),
     "q_parameter_from_band": "model",
     **dict.fromkeys(["BP_CHECKS", "build_space", "check_shift_power"], "bp_space"),
     **dict.fromkeys(["IRREP_CHECKS", "build_irrep"], "suq2"),
@@ -165,12 +165,12 @@ def _stdout_failed(exc: OSError) -> int:
 
 
 def _fit_one(path: Path, classical_only: bool):
-    """Read and fit one band file on its own; raises its failure."""
+    """Read and fit one band file on its own: (band, deformed fit or None when
+    ``classical_only``, classical fit); raises the classical fit's failure first."""
     band = _module.read_band_file(path).parsed
-    fit = _module.compare_batch([band], classical_only)[0]
-    if isinstance(fit, ValueError):
-        raise fit
-    return (band, *fit)
+    fit_cl = _module.fit_A(band, None)
+    fit_q = None if classical_only else _module.fit_A(band, _module.q_parameter_from_band(band))
+    return band, fit_q, fit_cl
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
@@ -192,8 +192,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
     if not paths:
         print("qrotor: no band files found", file=sys.stderr)
         return 1
-    faults, bands = _module._read_batch(paths)
-    fits = _module._compare(bands, args.classical_only)
+    faults, bands = _module.read_bands(paths)
+    fits = _module.compare_batch(bands, args.classical_only)
     failed = fits.failed()
     read = iter(range(len(bands)))
     code = 0

@@ -11,11 +11,12 @@ level-column type, which the batch reader fills directly or gathers from
 BandData objects once.  The eigenvalue factors come from ``qnum.bracket``
 over a tau matrix, one row per variant (0.0 for the j(j+1) baseline), and
 the per-band sums from ``Bands.sums``.  The kernel returns its columns as a
-``Fits``, the one input of the report writers; ``fit_batch`` and
-``compare_batch`` build one ``FitResult`` per band from them, and ``fit_A``
-and ``compare`` are their one-band cases; ``compare`` fits both variants in
-one pass.  A ``FitResult`` is the value (A, chi2, rms, qp): per-level
-residuals are read from a batch's ``Fits.residuals``.
+``Fits``, the one input of the report writers; ``compare_batch`` runs it
+over a batch's two tau rows, the j(j+1) baseline and the tau rule's.
+``fit_A`` and ``compare`` are its one-band cases, which build a
+``FitResult`` per row and raise the band's first failure; ``compare`` fits
+both variants in one pass.  A ``FitResult`` is the value (A, chi2, rms,
+qp): per-level residuals are read from a batch's ``Fits.residuals``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ __all__ = [
     "Variant",
     "FitError",
     "FitResult",
+    "Fits",
     "fit_A",
-    "fit_batch",
     "chi2_at",
     "compare",
     "compare_batch",
@@ -125,7 +126,7 @@ class Fits:
     baseline), ``tau``, ``A`` in keV, ``chi2`` in MeV^2 and ``rms`` in keV;
     per row and level the head-referenced eigenvalue factors ``f``; and per
     row the first check each failing band fails, by band index.  From
-    ``_compare``, row 0 holds the j(j+1) baseline and row 1, if present, the
+    ``compare_batch``, row 0 is the j(j+1) baseline and row 1, if any, the
     deformed fits.  A band that ``shown`` returns passed every row's checks."""
 
     __slots__ = ("bands", "qps", "tau", "f", "A", "chi2", "rms", "failures")
@@ -183,14 +184,20 @@ def _outcomes(fits: Fits, r: int) -> list[FitResult | FitError | RegimeError]:
     return [failures.get(k) or FitResult(a, c, s, qp) for k, (qp, a, c, s) in enumerate(columns)]
 
 
-def fit_batch(
-    bands: Sequence[BandData], qps: Sequence[QParameter | None]
-) -> list[FitResult | FitError | RegimeError]:
-    """Closed-form least-squares fit of A for every band, band k with the
-    deformation ``qps[k]`` (None: the j(j+1) baseline), in one columnar pass.
+def _one_band(fits: Fits) -> list[FitResult]:
+    """The FitResult of each row of a one-band ``fits``; raises the band's
+    first failure, row 0's first."""
+    if 0 in (failed := fits.failed()):
+        raise failed[0]
+    return [_outcomes(fits, r)[0] for r in range(len(fits.qps))]
 
-    Returns, per band, its FitResult or the exception ``fit_A`` raises for
-    it: RegimeError when tau*(j_max+1) >= pi, FitError when the optimum
+
+def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
+    """Closed-form least-squares fit of A over the band's levels at the
+    deformation ``qp`` (None: the j(j+1) baseline): the one-band case of the
+    kernel.
+
+    Raises RegimeError when tau*(j_max+1) >= pi, FitError when the optimum
     lands at a nonpositive A (unphysical inertia), when A, chi2 or rms is
     not finite, or when the head subtraction in the eigenvalue factors
     leaves fewer than six significant digits: eps*max|[j][j+1]| exceeds
@@ -198,33 +205,13 @@ def fit_batch(
     the spin cap; a tau picked by hand near the top of the [j][j+1] arch, at
     huge spins, can leave none.
     """
-    if len(bands) != len(qps):
-        raise ValueError(f"got {len(bands)} bands but {len(qps)} deformation parameters")
-    return _outcomes(_fit(Bands.of(bands), [qps]), 0)
+    return _one_band(_fit(Bands.of([band]), [[qp]]))[0]
 
 
-def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
-    """Closed-form least-squares fit of A over the band's levels: the
-    one-band case of ``fit_batch``, raising what it returns for the band."""
-    result = fit_batch([band], [qp])[0]
-    if isinstance(result, ValueError):
-        raise result
-    return result
-
-
-def _compare(bands: Bands, classical_only: bool) -> Fits:
-    """The kernel over two tau rows, the j(j+1) baseline and the tau rule's,
-    or over the baseline alone."""
-    baseline = [None] * len(bands)
-    return _fit(bands, [baseline] if classical_only else [baseline, q_parameters(bands)])
-
-
-def compare_batch(
-    bands: Sequence[BandData], classical_only: bool = False
-) -> list[tuple[FitResult | None, FitResult] | ValueError]:
-    """``compare`` over a batch in one kernel pass over two tau rows, the
-    j(j+1) baseline and the tau rule's: per band (deformed fit, or None when
-    ``classical_only``; classical fit), or its first failure, classical first.
+def compare_batch(bands: Sequence[BandData], classical_only: bool = False) -> Fits:
+    """The kernel over a batch (a list of BandData or a ``Bands``) and two
+    tau rows, the j(j+1) baseline and the tau rule's, or the baseline alone
+    when ``classical_only``: the columns the report writers take.
 
     With tau from the rule, a valid band never leaves the regime: its
     three levels or more give j_max >= 2s, s the spin
@@ -232,22 +219,17 @@ def compare_batch(
     tau*(j_max + 1)/pi = 2*(j_max + 1)/dim is at most 2/3.  The RegimeError
     branch stays for library callers who pick tau by hand.
     """
-    fits = _compare(Bands.of(bands), classical_only)
-    fits_cl = _outcomes(fits, 0)
-    fits_q = [None] * len(fits_cl) if classical_only else _outcomes(fits, 1)
-    return [
-        fit_cl if isinstance(fit_cl, ValueError) else fit_q if isinstance(fit_q, ValueError) else (fit_q, fit_cl)
-        for fit_cl, fit_q in zip(fits_cl, fits_q)
-    ]
+    bands = Bands.of(bands)
+    baseline = [None] * len(bands)
+    return _fit(bands, [baseline] if classical_only else [baseline, q_parameters(bands)])
 
 
 def compare(band: BandData) -> tuple[FitResult, FitResult]:
     """Fit both variants: deformed with tau fixed by the band's spin
-    content, and the undeformed j(j+1) baseline."""
-    outcome = compare_batch([band])[0]
-    if isinstance(outcome, ValueError):
-        raise outcome
-    return outcome
+    content, and the undeformed j(j+1) baseline; raises the band's first
+    failure, the baseline's first."""
+    fit_cl, fit_q = _one_band(compare_batch([band]))
+    return fit_q, fit_cl
 
 
 def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:

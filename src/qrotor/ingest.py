@@ -10,14 +10,14 @@ Band files are line-oriented UTF-8, with or without a leading byte-order mark:
 
 Spins (integer or .5, at most ``qnum.MAX_SPIN`` in magnitude) and energies
 (keV) are ASCII decimals.  Blank lines and other ``#`` comments are ignored.
-Files are read in batches: each file's text is scanned once, line by line,
-for its encoding, headers, field counts, number syntax and the half-integer
-grid (``qnum.on_grid``) into flat columns, then the band rules
+Files are read in batches (``read_bands``): each file's text is scanned once,
+line by line, for its encoding, headers, field counts, number syntax and the
+half-integer grid (``qnum.on_grid``) into flat columns, then the band rules
 (``model.band_faults``) are checked over the whole batch at once; either way
 a failure names its line.  Only regular files are read: a pipe or a device
 is refused before any read.  The report table, the JSON report and the plot
-data are each formatted by one function from one input, the columns of a
-fitted batch (``fit.Fits``).
+data are each formatted by one function from one input, the ``fit.Fits``
+columns that ``fit.compare_batch`` returns for the batch.
 Serialization emits a canonical form that round-trips byte-identically.  All
 report output is deterministic: fixed formats, '.' decimal separator, no
 locale dependence.
@@ -224,20 +224,11 @@ def read_band_file(path: Path | str) -> BandFile:
     return parse_band_file(raw, path=path)
 
 
-def _read_batch(paths: Sequence[Path | str]) -> tuple[list[BandError | None], Bands]:
+def read_bands(paths: Sequence[Path | str]) -> tuple[list[BandError | None], Bands]:
     """Read and parse every band file in one batch: per path, the BandError
-    that stops it or None; and the bands read, as one batch."""
+    that stops it or None; and the bands read, as one batch for ``fit.compare_batch``."""
     faults, _, bands = _parse_batch(map(_read, paths))
     return faults, bands
-
-
-def read_bands(paths: Sequence[Path | str]) -> tuple[list[BandData | BandError], Bands]:
-    """Read and parse every band file in one batch: per path, its band or
-    the BandError that stops it; and the bands read, as one batch with the
-    columns the fit kernel takes."""
-    faults, bands = _read_batch(paths)
-    read = iter(bands)
-    return [next(read) if fault is None else fault for fault in faults], bands
 
 
 def write_band(band: BandFile | BandData) -> bytes:
@@ -257,9 +248,9 @@ def write_report(fits: Fits, as_json: bool = False) -> bytes:
     """Fixed-width fit table, or the full JSON document with residuals, of
     the bands of a fitted batch without a failed fit.
 
-    ``fits`` is the ``fit.Fits`` of a batch, as ``fit._compare`` makes it
-    from a ``model.Bands``; the command line reports the one it fitted.
-    ValueError for a ``Fits`` in any other layout.
+    ``fits`` is the ``fit.Fits`` of a batch, as ``fit.compare_batch`` makes
+    it from the bands ``read_bands`` returns; the command line reports the
+    one it fitted.  ValueError for a ``Fits`` in any other layout.
     """
     _check_layout(fits, both=False)
     if not len(shown := fits.shown()):
@@ -268,14 +259,15 @@ def write_report(fits: Fits, as_json: bool = False) -> bytes:
 
 
 def _check_layout(fits: Fits, both: bool) -> None:
-    """ValueError, naming ``fit._compare``, unless ``fits`` has its layout:
+    """ValueError, naming ``fit.compare_batch``, unless ``fits`` has its layout:
     row 0 the j(j+1) baseline, every qp None, and row 1 the deformed fits,
     every qp set, which only ``both`` requires."""
     qps = fits.qps
     if (len(qps) not in ((2,) if both else (1, 2)) or qps[0].count(None) != len(qps[0])
             or any(qp is None for row in qps[1:] for qp in row)):
         deformed = "row 1" if both else "row 1, if present,"
-        raise ValueError(f"expected the Fits of fit._compare: row 0 the j(j+1) baseline and {deformed} the deformed fits")
+        raise ValueError(
+            f"expected the Fits of fit.compare_batch: row 0 the j(j+1) baseline and {deformed} the deformed fits")
 
 
 def _report_table(fits: Fits, shown: np.ndarray) -> bytes:

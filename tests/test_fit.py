@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from _reference_fit import LevelResidual, fit_A_oracle, reference_compare, reference_fit
 from _synth import exact_band, noisy_band, random_band, spin_range
-from qrotor.fit import (
-    FitError, FitResult, Variant, _compare, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A, fit_batch,
-)
+from qrotor.fit import FitError, FitResult, Variant, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A
 from qrotor.ingest import read_band_file
 from qrotor.model import BandData, Bands, energy, q_parameter_from_band
 from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
@@ -260,7 +258,7 @@ class TestBatchKernel:
     def test_mixed_batch_matches_reference_loop(self):
         entries = _mixed_batch(seed=31, count=300)
         bands, qps = [band for band, _ in entries], [qp for _, qp in entries]
-        results = fit_batch(bands, qps)
+        results = _outcomes(_fit(Bands.of(bands), [qps]), 0)
         assert len(results) == len(entries)
         kinds = set()
         for band, qp, result in zip(bands, qps, results):
@@ -283,11 +281,12 @@ class TestBatchKernel:
                 _assert_matches(band, fit_A(band, qp), expected)
 
     def test_failure_kinds(self):
-        assert "not positive" in str(fit_batch(*zip(NEGATIVE_A))[0])
-        assert isinstance(fit_batch(*zip(OUT_OF_REGIME))[0], RegimeError)
-        result = fit_batch(*zip(OVERFLOW))[0]
-        assert isinstance(result, FitError)
-        assert "no finite fit" in str(result)
+        (negative,), (out_of_regime,), (overflow,) = (
+            _outcomes(_fit(Bands.of([band]), [[qp]]), 0) for band, qp in (NEGATIVE_A, OUT_OF_REGIME, OVERFLOW))
+        assert "not positive" in str(negative)
+        assert isinstance(out_of_regime, RegimeError)
+        assert isinstance(overflow, FitError)
+        assert "no finite fit" in str(overflow)
         fit_q, fit_cl = compare(HUGE_SPINS[0])
         assert all(math.isfinite(x) and x > 0.0 for fit in (fit_q, fit_cl) for x in (fit.A, fit.chi2, fit.rms))
 
@@ -344,16 +343,14 @@ class TestBatchKernel:
         entries = _mixed_batch(seed=7, count=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit_batch([band for band, _ in entries], [qp for _, qp in entries])
+            _fit(Bands.of([band for band, _ in entries]), [[qp for _, qp in entries]])
             compare_batch([band for band, _ in entries])
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="2 deformation parameters"):
-            fit_batch([NEGATIVE_A[0]], [None, None])
-
     def test_empty_batch(self):
-        assert fit_batch([], []) == []
-        assert compare_batch([]) == []
+        assert _outcomes(_fit(Bands.of([]), [[]]), 0) == []
+        fits = compare_batch([])
+        assert len(fits.bands) == 0 and fits.A.shape == (2, 0)
+        assert fits.failures == [{}, {}] and fits.failed() == {}
 
 
 class TestCompareBatch:
@@ -364,21 +361,27 @@ class TestCompareBatch:
         for k, extra in enumerate((DEFORMED_OVERFLOW, OVERFLOW[0], HUGE_SPINS[0], DEFORMED_OVERFLOW)):
             bands.insert(15 * k, extra)
 
-        outcomes = compare_batch(bands, classical_only)
-        for band, outcome in zip(bands, outcomes):
+        fits = compare_batch(bands, classical_only)
+        failed = fits.failed()
+        fits_cl = _outcomes(fits, 0)
+        fits_q = [None] * len(bands) if classical_only else _outcomes(fits, 1)
+        for k, (band, fit_cl, fit_q) in enumerate(zip(bands, fits_cl, fits_q)):
             expected = _reference(reference_compare, band, classical_only)
             if isinstance(expected, Exception):
-                assert type(outcome) is type(expected)
-                assert str(outcome) == str(expected)
+                # the band's first failure is its classical row's, if that fails
+                assert failed[k] is (fit_cl if isinstance(fit_cl, ValueError) else fit_q)
+                assert type(failed[k]) is type(expected)
+                assert str(failed[k]) == str(expected)
                 continue
-            (fit_q, fit_cl), (want_q, want_cl) = outcome, expected
+            assert k not in failed
+            want_q, want_cl = expected
             _assert_matches(band, fit_cl, want_cl)
             if classical_only:
                 assert fit_q is None
             else:
                 _assert_matches(band, fit_q, want_q)
                 assert fit_q.qp == q_parameter_from_band(band)
-        failures = [str(o) for o in outcomes if isinstance(o, Exception)]
+        failures = [str(failed[k]) for k in sorted(failed)]
         if classical_only:
             assert len(failures) == 1
         else:
@@ -405,13 +408,13 @@ class TestCompareBatch:
         rows = [[qp for _, qp in entries], [None if qp else q_parameter_from_band(band) for band, qp in entries]]
         fits = _fit(Bands.of(bands), rows)
         for r, row in enumerate(rows):
-            for fit, alone in zip(_outcomes(fits, r), fit_batch(bands, row)):
+            one_row = _fit(Bands.of(bands), [row])
+            for fit, alone in zip(_outcomes(fits, r), _outcomes(one_row, 0)):
                 assert type(fit) is type(alone)
                 if isinstance(alone, Exception):
                     assert str(fit) == str(alone)
                     continue
                 assert fit == alone
-            one_row = _fit(Bands.of(bands), [row])
             for got, want in zip(fits.residuals(), one_row.residuals()):
                 assert np.array_equal(got[r], want[0], equal_nan=True)
 
@@ -428,7 +431,9 @@ class TestResultIsAValue:
         rng = np.random.default_rng(47)
         batch = Bands.of([random_band(rng, tag)[0] for tag in range(1000)])
         held = weakref.ref(batch)
-        fit_q, fit_cl = compare_batch(batch)[0]
+        fits = compare_batch(batch)
+        fit_cl, fit_q = (_outcomes(fits, r)[0] for r in (0, 1))
+        del fits
         for fit in (fit_q, fit_cl):
             assert len(pickle.dumps(fit)) < 4096
             assert pickle.loads(pickle.dumps(fit)) == fit
@@ -446,9 +451,10 @@ class TestResultIsAValue:
         built = []
         getitem = Bands.__getitem__
         monkeypatch.setattr(Bands, "__getitem__", lambda self, index: built.append(index) or getitem(self, index))
-        outcomes = compare_batch(batch, classical_only)
-        assert len(outcomes) == len(batch)
-        assert sum(isinstance(outcome, ValueError) for outcome in outcomes) == (1 if classical_only else 2)
+        fits = compare_batch(batch, classical_only)
+        outcomes = [_outcomes(fits, r) for r in range(len(fits.qps))]
+        assert [len(row) for row in outcomes] == [len(batch)] * (1 if classical_only else 2)
+        assert len(fits.failed()) == (1 if classical_only else 2)
         assert built == []
 
 
@@ -462,7 +468,7 @@ class TestShownBands:
         # _mixed_batch scatters the OVERFLOW and OUT_OF_REGIME bands among valid ones
         bands = [band for band, _ in _mixed_batch(seed=seed, count=80)]
         bands[::20] = [DEFORMED_OVERFLOW] * len(bands[::20])
-        fits = _compare(Bands.of(bands), classical_only)
+        fits = compare_batch(bands, classical_only)
         shown, failed = fits.shown(), fits.failed()
         assert sorted([*shown.tolist(), *failed]) == list(range(len(bands)))
         assert not set(shown.tolist()) & set(failed)

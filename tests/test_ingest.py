@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference_report import reference_report_json
 from _synth import exact_band, random_band, spin_range
-from qrotor.fit import _compare, _fit, _outcomes
+from qrotor.fit import _fit, _outcomes, compare_batch
 from qrotor.ingest import (
     BandFile,
     BandParseError,
@@ -219,6 +219,26 @@ class TestRoundTrip:
         band = BandData.from_levels(name, list(zip(spins, energies)))
         assert parse_band(write_band(band)) == band
 
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.text(), twice_jmin=st.integers(0, 20), twice_step=st.integers(1, 6), count=st.integers(3, 10))
+    @example(name="a\nb", twice_jmin=4, twice_step=4, count=3)
+    @example(name=" Dy ", twice_jmin=4, twice_step=4, count=3)
+    @example(name=" ", twice_jmin=4, twice_step=4, count=3)
+    def test_a_name_is_one_line_of_every_output_or_refused(self, name, twice_jmin, twice_step, count):
+        # a name the band reader cannot read back as it is, with a line
+        # break or outer whitespace, is refused with the band
+        twojs = [twice_jmin + k * twice_step for k in range(count)]
+        levels = tuple((twoj, 100.0 + 10.0 * twoj * (twoj + 2) / 4) for twoj in twojs)
+        try:
+            band = BandData(name, levels)
+        except BandError:
+            assert not name or "\n" in name or name != name.strip()
+            return
+        assert parse_band(write_band(band)) == band
+        fits = compare_batch([band])
+        assert write_report(fits).count(b"\n") == 2
+        assert _plot_data(fits).count(b"\n") == 2 + count
+
     def test_read_band_file(self, dy162_path):
         bf = read_band_file(dy162_path)
         assert bf.parsed.name == "162Dy"
@@ -236,8 +256,8 @@ def _band(name="fitted", a0=12.81):
 
 
 def _fits(bands, classical_only=False):
-    """The columns the command line reports: ``_compare`` over the batch."""
-    return _compare(Bands.of(bands), classical_only)
+    """The columns the command line reports: ``compare_batch`` over the batch."""
+    return compare_batch(bands, classical_only)
 
 
 def _entries(fits):
@@ -338,8 +358,8 @@ class TestJsonReport:
     def test_single_row(self, variants):
         band = _band()
         fits = _fit(Bands.of([band]), [[None if variants == "classical" else q_parameter_from_band(band)]])
-        if variants == "deformed":  # not fit._compare's layout, whose row 0 is the baseline
-            with pytest.raises(ValueError, match="fit._compare"):
+        if variants == "deformed":  # not fit.compare_batch's layout, whose row 0 is the baseline
+            with pytest.raises(ValueError, match="fit.compare_batch"):
                 write_report(fits, as_json=True)
             return
         # the opening and closing brackets go on one and the same row
@@ -393,7 +413,7 @@ def test_json_spins_and_energies_formatted_once_per_band(monkeypatch):
     assert sum(formatted) == sum(7 + 4 * len(band.levels) for band, _, _ in _entries(fits))
 
 
-# Row layouts other than fit._compare's, by the writers that reject them:
+# Row layouts other than fit.compare_batch's, by the writers that reject them:
 # every writer needs row 0 the j(j+1) baseline and row 1 the deformed fits,
 # and the plot data needs both rows.
 LAYOUTS = {
@@ -414,11 +434,11 @@ class TestLayout:
     def test_writers_name_compare_for_other_layouts(self, dy162_path, writer, layout):
         dy162 = read_band_file(dy162_path).parsed
         fits = _fit(Bands.of([dy162]), LAYOUTS[layout](q_parameter_from_band(dy162)))
-        with pytest.raises(ValueError, match=r"^expected the Fits of fit\._compare: row 0 the j\(j\+1\) baseline"):
+        with pytest.raises(ValueError, match=r"^expected the Fits of fit\.compare_batch: row 0 the j\(j\+1\) baseline"):
             WRITERS[writer](fits)
 
     def test_plot_data_needs_the_deformed_row(self):
-        with pytest.raises(ValueError, match=r"fit\._compare: .* and row 1 the deformed fits$"):
+        with pytest.raises(ValueError, match=r"fit\.compare_batch: .* and row 1 the deformed fits$"):
             _plot_data(_fits([_band()], classical_only=True))
 
 

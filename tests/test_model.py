@@ -266,13 +266,14 @@ class TestTauRuleExactness:
         spins = [j_min + k * step for k in range(count)]
         path = tmp_path / "band.band"
         path.write_text("# nucleus: x\n" + "".join(f"{j!r} {k}\n" for k, j in enumerate(spins)))
-        (outcome,), read = read_bands([path])
+        (fault,), read = read_bands([path])
         if spins[-1] > MAX_SPIN:
             past = next(k for k, j in enumerate(spins) if j > MAX_SPIN)
-            assert str(outcome) == f"line {past + 2}: spin '{spins[past]!r}' exceeds 1073741824"
+            assert str(fault) == f"line {past + 2}: spin '{spins[past]!r}' exceeds 1073741824"
             with pytest.raises(ValueError, match="exceeds 1073741824$"):
                 make_band(spins, [float(k) for k in range(count)])
             return
+        assert fault is None
         band = make_band(spins, [float(k) for k in range(count)])
         a, s = twice_spin(j_min), twice_spin(step)
         dim = sum(twoj + 1 for twoj in range(a, a + count * s, s)) | 1

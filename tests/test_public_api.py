@@ -185,6 +185,23 @@ def test_version_is_stored_once():
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "qrotor.__version__"}
 
 
+def test_sources_parse_at_the_declared_python_floor():
+    """Every ``.py`` file under ``src/``, ``tests/`` and ``bench/`` parses with
+    the grammar of the oldest Python that ``requires-python`` admits.  This
+    checks syntax alone, such as ``except*`` before 3.11: a standard-library
+    name or parameter newer than the floor still passes."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("no pyproject.toml beside src/")
+    requires = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["requires-python"]
+    floor = tuple(map(int, re.fullmatch(r">=\s*(\d+)\.(\d+)", requires.strip()).groups()))
+    paths = sorted(path for folder in ("src", "tests", "bench") for path in (SRC.parent / folder).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+
+
 def test_test_imports_are_declared():
     """Every third-party module the tests import is a dependency or in the
     ``test`` extra, so that ``pip install .[test]`` can collect every test;
