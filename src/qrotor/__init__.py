@@ -15,18 +15,19 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Exported name -> the submodule that defines it.
+# Exported name -> the submodule that defines it; the one such map (cli reads it too).
 _HOME = {
     **dict.fromkeys(["QParameter", "RegimeError", "bracket", "in_regime", "qbracket", "casimir_eigenvalue"], "qnum"),
-    **dict.fromkeys(["BPSpace", "build_space", "check_quantum_plane", "check_cyclic_shift"], "bp_space"),
-    **dict.fromkeys(["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir"], "suq2"),
+    **dict.fromkeys(["BPSpace", "build_space", "check_quantum_plane", "check_cyclic_shift", "check_shift_power",
+                     "BP_CHECKS"], "bp_space"),
+    **dict.fromkeys(["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir", "IRREP_CHECKS"], "suq2"),
     **dict.fromkeys(
         ["BandData", "BandError", "twice_spin", "spin_str", "space_size", "q_parameter_from_band", "energy"], "model"
     ),
-    **dict.fromkeys(["Variant", "FitResult", "fit_A", "chi2_at", "compare", "compare_batch"], "fit"),
+    **dict.fromkeys(["Variant", "FitResult", "Fits", "fit_A", "chi2_at", "compare", "compare_batch"], "fit"),
     **dict.fromkeys(
-        ["BandFile", "BandParseError", "parse_band", "parse_band_file", "read_band_file", "write_band",
-         "write_report"],
+        ["BandFile", "BandParseError", "parse_band", "parse_band_file", "read_band_file", "read_bands", "write_band",
+         "write_report", "write_plot_data"],
         "ingest",
     ),
 }

@@ -40,10 +40,12 @@ and deviations are bit-identical to the serial ones.  More cores do not
 start more threads (``_MAX_WORKERS``), and smaller spaces stay serial:
 there, starting threads costs more than it saves.  On 2 cores (Xeon, numpy
 2.4.6), building a D = 1001 space and running its six checks takes about
-90 ms on two threads and 135-155 ms on one.  Shift-power's D x D
-matrix products run in numpy's einsum loops, not in BLAS, whose worker thread
-spins on another core for about 0.13 s after a matmul: a D = 101 power takes
-26 ms, against 2.2 ms in BLAS.
+90 ms on two threads and 135-155 ms on one, but only while the second core
+is free: on a shared 2-vCPU host, ``verify --max-dim 1001`` took 0.301 s
+against 0.402 s on one thread at one time, and 0.329 against 0.316 s at
+another.  Shift-power's D x D matrix products run in numpy's einsum loops,
+not in BLAS, whose worker thread spins on another core for about 0.13 s
+after a matmul: a D = 101 power takes 26 ms, against 2.2 ms in BLAS.
 
 Sign convention: this module uses the shift phase q = exp(-i*tau), the
 natural one for the angle grid.  Energy formulas elsewhere use the real
@@ -74,6 +76,7 @@ __all__ = [
     "check_angle_completeness",
     "check_angle_cycling",
     "check_shift_power",
+    "BP_CHECKS",
 ]
 
 # Rows in flight at once in a streamed product, shared by its threads: 64

@@ -11,7 +11,8 @@ so does every run, ``--version`` and ``--help`` included, whose standard
 output cannot be written, with "cannot write standard output".
 
 Each subcommand loads only its own modules, on its first use of one of
-their names (``_LAZY``): ``table`` and ``plotdata`` load ``fit``, ``ingest``
+their names, which this module resolves through the package's one name
+table, ``qrotor._HOME``: ``table`` and ``plotdata`` load ``fit``, ``ingest``
 and ``model``, ``verify`` loads ``bp_space`` and ``suq2``, and ``--version``
 and ``--help`` load neither set.  ``qnum``, and with it numpy, loads with
 this module, since the parser reads ``MAX_DENSE_DIM`` and every subcommand
@@ -21,7 +22,6 @@ needs numpy; so a run pays numpy's import before its subcommand starts.
 from __future__ import annotations
 
 import argparse
-import importlib
 import math
 import os
 import sys
@@ -30,28 +30,16 @@ from pathlib import Path
 from . import __version__
 from .qnum import MAX_DENSE_DIM, QParameter, RegimeError, _decimal
 
-# The subcommands' names -> the module that defines each, imported on first
-# use (PEP 562).  read_band_file, fit_A and q_parameter_from_band are called
-# only by _fit_one, which no subcommand calls; bench/spans.py traces the CLI
-# by swapping names in this module, these among them.
-_LAZY = {
-    **dict.fromkeys(["compare_batch", "fit_A"], "fit"),
-    **dict.fromkeys(["_plot_data", "read_band_file", "read_bands", "write_report"], "ingest"),
-    "q_parameter_from_band": "model",
-    **dict.fromkeys(["BP_CHECKS", "build_space", "check_shift_power"], "bp_space"),
-    **dict.fromkeys(["IRREP_CHECKS", "build_irrep"], "suq2"),
-}
 
-
-def __getattr__(name):
-    if name not in _LAZY:
+def __getattr__(name):  # a name of the package's __all__, resolved on first use (PEP 562)
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+    value = globals()[name] = getattr(package, name)
     return value
 
 
-# This module, through which the subcommands read the names above, so that
-# they load on first use and a swapped name applies.
+# This module: the subcommands read the package's names through it, so a swap applies.
 _module = sys.modules[__name__]
 
 __all__ = ["main", "cmd_bands", "cmd_verify"]
@@ -68,6 +56,12 @@ def _odd_dim(text: str) -> int:
     if value < 3 or value % 2 == 0 or value > MAX_DENSE_DIM:
         raise argparse.ArgumentTypeError(f"max dimension must be odd, from 3 to {MAX_DENSE_DIM}, got {value}")
     return value
+
+
+def _input(text: str) -> Path:
+    if not text:  # Path("") is Path("."), the working directory
+        raise argparse.ArgumentTypeError("empty path")
+    return Path(text)
 
 
 def _tolerance(text: str) -> float:
@@ -105,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", type=Path, default=None, help="write results to this file")
 
     p_table = sub.add_parser("table", aliases=["fit"], help="fit band files or directories and write the table")
-    p_table.add_argument("inputs", nargs="+", type=Path, help="band files or directories of *.band")
+    p_table.add_argument("inputs", nargs="+", type=_input, help="band files or directories of *.band")
     p_table.add_argument("--json", action="store_true", help="emit the JSON report with residuals")
     p_table.add_argument("--classical-only", action="store_true", help="fit only the j(j+1) baseline")
     add_output(p_table)
@@ -114,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=cmd_bands, render=lambda args, fits: _module.write_report(fits, as_json=args.json))
 
     p_plot = sub.add_parser("plotdata", help="emit 6-column level/residual data per band")
-    p_plot.add_argument("inputs", nargs="+", type=Path, help="band files or directories of *.band")
+    p_plot.add_argument("inputs", nargs="+", type=_input, help="band files or directories of *.band")
     add_output(p_plot)
     p_plot.set_defaults(handler=cmd_bands, classical_only=False,
-                        render=lambda args, fits: _module._plot_data(fits))
+                        render=lambda args, fits: _module.write_plot_data(fits))
 
     p_verify = sub.add_parser("verify", help="verify the operator-algebra identities numerically")
     p_verify.add_argument("--max-dim", type=_odd_dim, default=DEFAULT_MAX_DIM,

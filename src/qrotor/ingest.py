@@ -32,7 +32,6 @@ import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +49,7 @@ __all__ = [
     "read_bands",
     "write_band",
     "write_report",
+    "write_plot_data",
 ]
 
 
@@ -318,6 +318,7 @@ def _json_floats(values: list[float]) -> list[str]:
 
 def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
     """Per shown band the deformed row, where fitted, then the classical one."""
+    from json.encoder import encode_basestring_ascii  # here, so that only a JSON report loads json
     bands = fits.bands
     theo, _ = fits.residuals()
     starts, counts = bands.starts.tolist(), bands.counts.tolist()
@@ -350,7 +351,7 @@ def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
 _PLOT_HEADER = "# j exp_keV theo_q_keV theo_classical_keV resid_q_keV resid_classical_keV"
 
 
-def _plot_data(fits: Fits) -> bytes:
+def write_plot_data(fits: Fits) -> bytes:
     """Whitespace-separated columns ready for plotting tools, one block per
     band of a two-row ``Fits`` without a failed fit, the blocks separated
     by an empty line: a name line, a header line, then per level j, E_exp,

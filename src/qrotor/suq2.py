@@ -19,7 +19,7 @@ import numpy as np
 
 from .qnum import MAX_DENSE_DIM, QParameter, RegimeError, bracket, casimir_eigenvalue, max_abs, twice_spin
 
-__all__ = ["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir"]
+__all__ = ["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir", "IRREP_CHECKS"]
 
 
 @dataclass(frozen=True)

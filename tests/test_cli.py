@@ -1,3 +1,4 @@
+import ast
 import errno
 import hashlib
 import json
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import qrotor
 from conftest import REPO_ROOT
+from qrotor import cli
 from qrotor.cli import _fit_one, build_parser, cmd_bands, main
 from qrotor.fit import FitResult
 from qrotor.ingest import BandParseError
@@ -565,6 +568,19 @@ class TestBandInputs:
         assert proc.stdout.startswith("# nucleus: 162Dy\n")
 
 
+@pytest.mark.parametrize("subcommand", ["table", "plotdata"])
+@pytest.mark.parametrize("inputs", [[""], ["", "dy162.band"]], ids=["alone", "beside-a-band"])
+def test_empty_input_is_a_usage_error(capsys, monkeypatch, bands_dir, subcommand, inputs):
+    """``Path("")`` is the working directory: an empty input is refused before
+    any band is read, here where the working directory holds bands."""
+    monkeypatch.chdir(bands_dir)
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, *inputs])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"qrotor {subcommand}: error: argument inputs: empty path\n")
+
+
 # A child that runs the CLI the way ``python -m qrotor`` does, with its address
 # space capped at what it holds once numpy has loaded plus the bytes its first
 # argument gives.
@@ -653,6 +669,95 @@ def test_irreps_load_without_the_phase_space():
     script = "import sys, qrotor.suq2; assert 'qrotor.bp_space' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_a_json_report_loads_json():
+    script = (
+        "import os, sys\n"
+        "from qrotor.cli import main\n"
+        "assert main(['table', sys.argv[1], '-o', os.devnull]) == 0\n"
+        "assert main(['plotdata', sys.argv[1], '-o', os.devnull]) == 0\n"
+        "assert 'json' not in sys.modules, sorted(name for name in sys.modules if name.startswith('json'))\n"
+        "assert main(['table', '--json', sys.argv[1], '-o', os.devnull]) == 0\n"
+        "assert 'json' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(REPO_ROOT / "data" / "bands")],
+                          capture_output=True, text=True, env=_child_env(), cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+
+
+# The package's names that the subcommands read through ``cli._module`` or
+# that bench/spans.py swaps in ``cli``, and the batch path's calls.
+PACKAGE_NAMES = ["read_band_file", "fit_A", "q_parameter_from_band", "write_report", "build_space",
+                 "check_shift_power", "build_irrep", "BP_CHECKS", "IRREP_CHECKS", "compare_batch", "read_bands",
+                 "write_plot_data"]
+SRC = REPO_ROOT / "src" / "qrotor"
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level: functions, classes, imports and plain assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_package_names_cover_every_name_cli_reads_from_the_package():
+    cli_tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(cli_tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_module"}
+    spans_tree = ast.parse((REPO_ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    instrumented = next(node for node in ast.walk(spans_tree)
+                        if isinstance(node, ast.FunctionDef) and node.name == "instrumented")
+    swapped = next(ast.literal_eval(node.value) for node in instrumented.body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "names")
+    assert sorted((read | set(swapped)) - _module_level_names(cli_tree) - set(PACKAGE_NAMES)) == []
+    assert sorted(set(PACKAGE_NAMES) - set(qrotor.__all__)) == []
+
+
+def _home_closure(module: str) -> set[str]:
+    """``qrotor.<module>`` and the qrotor modules it imports at its top level, transitively."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+            todo.extend(node.module for node in tree.body
+                        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module)
+    return {f"qrotor.{name}" for name in seen}
+
+
+@pytest.mark.parametrize("name", PACKAGE_NAMES)
+def test_cli_name_resolves_through_the_package(name):
+    """In a fresh interpreter, ``cli.<name>`` is the package's object, and
+    reading it loads only the name's home module in ``qrotor._HOME``, with
+    the qrotor modules that module imports."""
+    script = (
+        "import json, sys\n"
+        "import qrotor, qrotor.cli\n"
+        "before = set(sys.modules)\n"
+        "value = getattr(qrotor.cli, sys.argv[1])\n"
+        "after = set(sys.modules)\n"
+        "print(json.dumps([value is getattr(qrotor, sys.argv[1]), sorted(before), sorted(after - before)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, name], capture_output=True, text=True, env=_child_env(),
+                          cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    same, before, loaded = json.loads(proc.stdout)
+    assert same
+    assert {module for module in loaded if module.startswith("qrotor")} == _home_closure(qrotor._HOME[name]) - set(before)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_plot_data", "Bands"])
+def test_cli_resolves_no_other_name(name):
+    with pytest.raises(AttributeError, match=rf"^module 'qrotor\.cli' has no attribute '{name}'$"):
+        getattr(cli, name)
 
 
 # Runners of the CLI: ``python -m qrotor`` and the ``qrotor`` console script's

@@ -12,11 +12,11 @@ from qrotor.fit import _fit, _outcomes, compare_batch
 from qrotor.ingest import (
     BandFile,
     BandParseError,
-    _plot_data,
     parse_band,
     parse_band_file,
     read_band_file,
     write_band,
+    write_plot_data,
     write_report,
 )
 from qrotor.model import BandData, BandError, Bands, q_parameter_from_band
@@ -237,7 +237,7 @@ class TestRoundTrip:
         assert parse_band(write_band(band)) == band
         fits = compare_batch([band])
         assert write_report(fits).count(b"\n") == 2
-        assert _plot_data(fits).count(b"\n") == 2 + count
+        assert write_plot_data(fits).count(b"\n") == 2 + count
 
     def test_read_band_file(self, dy162_path):
         bf = read_band_file(dy162_path)
@@ -424,7 +424,7 @@ LAYOUTS = {
 WRITERS = {
     "table": write_report,
     "json": lambda fits: write_report(fits, as_json=True),
-    "plot": _plot_data,
+    "plot": write_plot_data,
 }
 
 
@@ -439,12 +439,12 @@ class TestLayout:
 
     def test_plot_data_needs_the_deformed_row(self):
         with pytest.raises(ValueError, match=r"fit\.compare_batch: .* and row 1 the deformed fits$"):
-            _plot_data(_fits([_band()], classical_only=True))
+            write_plot_data(_fits([_band()], classical_only=True))
 
 
 class TestPlotData:
     def test_shape_and_zero_residuals(self):
-        text = _plot_data(_fits([_band()])).decode()
+        text = write_plot_data(_fits([_band()])).decode()
         lines = text.splitlines()
         assert lines[0].startswith("# nucleus:")
         assert lines[1].startswith("#")
@@ -456,4 +456,4 @@ class TestPlotData:
         assert float(rows[0][0]) == 2.0
 
     def test_deterministic(self):
-        assert _plot_data(_fits([_band()])) == _plot_data(_fits([_band()]))
+        assert write_plot_data(_fits([_band()])) == write_plot_data(_fits([_band()]))
