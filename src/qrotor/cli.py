@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_output(p):
-        p.add_argument("-o", "--output", type=Path, default=None, help="write results to this file")
+        p.add_argument("-o", "--output", type=_input, default=None, help="write results to this file")
 
     p_table = sub.add_parser("table", aliases=["fit"], help="fit band files or directories and write the table")
     p_table.add_argument("inputs", nargs="+", type=_input, help="band files or directories of *.band")

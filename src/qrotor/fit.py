@@ -8,15 +8,18 @@ convention, chi-squared is quoted in MeV^2.
 
 Every fit goes through one columnar kernel over ``model.Bands``, the one
 level-column type, which the batch reader fills directly or gathers from
-BandData objects once.  The eigenvalue factors come from ``qnum.bracket``
-over a tau matrix, one row per variant (0.0 for the j(j+1) baseline), and
-the per-band sums from ``Bands.sums``.  The kernel returns its columns as a
-``Fits``, the one input of the report writers; ``compare_batch`` runs it
-over a batch's two tau rows, the j(j+1) baseline and the tau rule's.
-``fit_A`` and ``compare`` are its one-band cases, which build a
-``FitResult`` per row and raise the band's first failure; ``compare`` fits
-both variants in one pass.  A ``FitResult`` is the value (A, chi2, rms,
-qp): per-level residuals are read from a batch's ``Fits.residuals``.
+BandData objects once.  ``factors`` forms the eigenvalue factors from
+``qnum.bracket`` over a tau matrix, one row per variant (0.0 for the j(j+1)
+baseline), and makes each band's regime and six-digit tests there, once;
+the per-band sums come from ``Bands.sums``.  ``_failure`` alone orders the
+checks a failing fit breaks, for the kernel and ``chi2_at`` alike.  The
+kernel returns its columns as a ``Fits``, the one input of the report
+writers; ``compare_batch`` runs it over a batch's two tau rows, the j(j+1)
+baseline and the tau rule's.  ``fit_A`` and ``compare`` are its one-band
+cases, which build a ``FitResult`` per row and raise the band's first
+failure; ``compare`` fits both variants in one pass.  A ``FitResult`` is
+the value (A, chi2, rms, qp): per-level residuals are read from a batch's
+``Fits.residuals``.
 """
 
 from __future__ import annotations
@@ -53,27 +56,19 @@ class FitError(ValueError):
     """The band admits no physical one-parameter fit."""
 
 
-def factors(bands: Bands, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Head-referenced eigenvalue factors [j][j+1] at each band's ``tau``
-    (0.0: j(j+1)) and whether each band is in regime; ``tau`` holds one
-    value per band, or one row of them per variant."""
+def factors(bands: Bands, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Head-referenced eigenvalue factors f = [j][j+1] - [j0][j0+1] at each
+    band's ``tau`` (0.0: j(j+1)), whether each band is in regime, and whether
+    its factors keep six significant digits: eps*max|[j][j+1]|, the rounding
+    error the head subtraction can leave in them, is at most 1e-6*max|f|.
+    ``tau`` holds one value per band, or one row of them per variant."""
     t = np.repeat(tau, bands.counts, axis=-1)
     with np.errstate(all="ignore"):
         f = bracket(bands.j, t) * bracket(bands.j + 1.0, t)
+        peak = np.maximum.reduceat(abs(f), bands.starts, axis=-1)
         f -= bands.head(f)
-        return f, in_regime(tau, bands.j[bands.starts + bands.counts - 1])
-
-
-def _accurate(bands: Bands, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Whether each band's ``factors`` ``f`` at ``tau`` keep six significant
-    digits: eps*max|[j][j+1]|, the rounding error the head subtraction can
-    leave in them, is at most 1e-6*max|f|.  [j][j+1] is f plus the head's
-    value, so it is largest in magnitude where f is largest or smallest;
-    f is 0 at the head, so its largest is at least 0 and its smallest at most 0."""
-    j0 = bands.j[bands.starts]
-    head = bracket(j0, tau) * bracket(j0 + 1.0, tau)
-    top, bottom = (ufunc.reduceat(f, bands.starts, axis=-1) for ufunc in (np.maximum, np.minimum))
-    return np.finfo(float).eps * np.maximum(abs(top + head), abs(bottom + head)) <= 1e-6 * np.maximum(top, -bottom)
+        accurate = np.finfo(float).eps * peak <= 1e-6 * np.maximum.reduceat(abs(f), bands.starts, axis=-1)
+        return f, in_regime(tau, bands.j[bands.starts + bands.counts - 1]), accurate
 
 
 def score(bands: Bands, f: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,15 +99,11 @@ class FitResult:
         return Variant.CLASSICAL if self.qp is None else Variant.Q_DEFORMED
 
 
-def _regime_error(name: str, qp: QParameter) -> RegimeError:
-    return RegimeError(f"tau*(j_max+1) >= pi for band '{name}' at dim={qp.dim}")
-
-
 def _failure(name: str, qp: QParameter | None, regime: bool, A: float, finite: bool) -> FitError | RegimeError:
     """The first check a failing fit breaks: regime, A > 0, finite results,
-    eigenvalue factors that did not cancel."""
+    eigenvalue factors that did not cancel (``factors``' six-digit mask)."""
     if not regime:
-        return _regime_error(name, qp)
+        return RegimeError(f"tau*(j_max+1) >= pi for band '{name}' at dim={qp.dim}")
     if A <= 0.0:
         return FitError(f"fitted A = {A:.4g} keV is not positive for band '{name}'")
     if not finite:
@@ -162,11 +153,9 @@ def _fit(bands: Bands, rows: Sequence[Sequence[QParameter | None]]) -> Fits:
     each row of deformations (a row of the tau matrix), and per row the
     first check each failing band fails."""
     tau = np.array([[0.0 if qp is None else qp.tau for qp in row] for row in rows]).reshape(len(rows), len(bands))
-    f, regime = factors(bands, tau)
+    f, regime, accurate = factors(bands, tau)
     with np.errstate(all="ignore"):
-        sff = bands.sums(f * f)
-        A = bands.sums(bands.de * f) / sff
-        accurate = _accurate(bands, tau, f)
+        A = bands.sums(bands.de * f) / bands.sums(f * f)
     chi2, rms = score(bands, f, A)
     finite = np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
     ok = regime & (A > 0.0) & finite & accurate
@@ -200,10 +189,10 @@ def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
     Raises RegimeError when tau*(j_max+1) >= pi, FitError when the optimum
     lands at a nonpositive A (unphysical inertia), when A, chi2 or rms is
     not finite, or when the head subtraction in the eigenvalue factors
-    leaves fewer than six significant digits: eps*max|[j][j+1]| exceeds
-    1e-6*max|f|.  Bands fitted with the tau rule keep more than six even at
-    the spin cap; a tau picked by hand near the top of the [j][j+1] arch, at
-    huge spins, can leave none.
+    leaves fewer than six significant digits, as ``factors`` tests:
+    eps*max|[j][j+1]| exceeds 1e-6*max|f|.  Bands fitted with the tau rule
+    keep more than six even at the spin cap; a tau picked by hand near the
+    top of the [j][j+1] arch, at huge spins, can leave none.
     """
     return _one_band(_fit(Bands.of([band]), [[qp]]))[0]
 
@@ -234,14 +223,13 @@ def compare(band: BandData) -> tuple[FitResult, FitResult]:
 
 def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
     """Least-squares objective at a given finite A > 0, in MeV^2; ValueError if it overflows,
-    and the FitError of ``fit_A`` if the band's eigenvalue factors keep under six digits."""
+    and the RegimeError or FitError of ``fit_A`` if the band is out of regime or its
+    eigenvalue factors keep under six digits."""
     _check_inertia(A)
     bands, tau = Bands.of([band]), np.array([0.0 if qp is None else qp.tau])
-    f, regime = factors(bands, tau)
-    if not regime[0]:
-        raise _regime_error(band.name, qp)
-    if not _accurate(bands, tau, f)[0]:
-        raise _failure(band.name, qp, regime=True, A=A, finite=True)
+    f, regime, accurate = factors(bands, tau)
+    if not (regime[0] and accurate[0]):
+        raise _failure(band.name, qp, regime[0], A, finite=True)
     chi2 = score(bands, f, np.array([A], dtype=float))[0][0]
     if not np.isfinite(chi2):
         raise ValueError(f"chi2 at A={A} overflows for band '{band.name}'")

@@ -188,12 +188,12 @@ def band_faults(names: Sequence[str], twoj: np.ndarray, e: np.ndarray, counts: n
     ``counts[k]`` levels after those of the bands before it: the first fault
     of each failing band, by band index.
 
-    A band's name must be one nonempty line without outer whitespace, as the
-    band reader reads it back.  Then each level is checked against its
-    predecessor, so the error names the level whose own spin or energy
-    breaks a rule, and within a level the rules go in ``_level_fault``'s
-    order.  The level count comes last, so a fault in a two-level band still
-    names its level.  ``twoj`` is int64.
+    A band's name must be a ``str`` of one nonempty line without outer
+    whitespace, as the band reader reads it back.  Then each level is
+    checked against its predecessor, so the error names the level whose own
+    spin or energy breaks a rule, and within a level the rules go in
+    ``_level_fault``'s order.  The level count comes last, so a fault in a
+    two-level band still names its level.  ``twoj`` is int64.
     """
     starts = np.cumsum(counts) - counts
     head = np.zeros(len(e), dtype=bool)
@@ -218,7 +218,8 @@ def band_faults(names: Sequence[str], twoj: np.ndarray, e: np.ndarray, counts: n
     first = failing[np.searchsorted(failing, starts)]  # each band's first failing level, if below its end
     at_fault = (first < starts + counts) | (counts < 3)
     faults = {k: BandError(f"band name must be one nonempty line without outer whitespace, got {name!r}")
-              for k, name in enumerate(names) if not name or "\n" in name or name != name.strip()}
+              for k, name in enumerate(names)
+              if not isinstance(name, str) or not name or "\n" in name or name != name.strip()}
     for k in np.flatnonzero(at_fault).tolist():
         if k in faults:
             continue

@@ -581,6 +581,19 @@ def test_empty_input_is_a_usage_error(capsys, monkeypatch, bands_dir, subcommand
     assert captured.err.endswith(f"qrotor {subcommand}: error: argument inputs: empty path\n")
 
 
+@pytest.mark.parametrize("subcommand", [["table", "dy162.band"], ["plotdata", "dy162.band"], ["verify", "--max-dim", "5"]],
+                         ids=["table", "plotdata", "verify"])
+def test_empty_output_is_a_usage_error(capsys, monkeypatch, bands_dir, subcommand):
+    """An empty ``-o`` path is refused as an empty input is, not written as
+    the working directory."""
+    monkeypatch.chdir(bands_dir)
+    with pytest.raises(SystemExit) as exc:
+        main([*subcommand, "-o", ""])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"qrotor {subcommand[0]}: error: argument -o/--output: empty path\n")
+
+
 # A child that runs the CLI the way ``python -m qrotor`` does, with its address
 # space capped at what it holds once numpy has loaded plus the bytes its first
 # argument gives.

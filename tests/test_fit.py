@@ -8,10 +8,10 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _reference_fit import LevelResidual, fit_A_oracle, reference_compare, reference_fit
+from _reference_fit import LevelResidual, _referenced, _unreferenced, fit_A_oracle, reference_compare, reference_fit
 from _synth import exact_band, noisy_band, random_band, spin_range
 from qrotor.fit import FitError, FitResult, Variant, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A
 from qrotor.ingest import read_band_file
@@ -322,6 +322,25 @@ class TestBatchKernel:
         for fit in compare(band):
             assert fit.A > 0.0 and math.isfinite(fit.chi2) and math.isfinite(fit.rms)
 
+    @settings(max_examples=400, deadline=None)
+    @given(head=st.integers(2**12, 2**31 - 16), twostep=st.integers(1, 2), count=st.integers(3, 6),
+           k=st.integers(-6, 6))
+    def test_accuracy_decision_at_the_top_of_the_arch(self, head, twostep, count, k):
+        # dim = 2*(head+1) + 2k + 1 puts the head near the top of the [j][j+1]
+        # arch, where the head subtraction cancels most; the six-digit
+        # decision must match the oracle's factors away from its threshold
+        band = BandData("arch", tuple((head + twostep * n, float(n)) for n in range(count)))
+        qp = QParameter(2 * (head + 1) + 2 * k + 1)
+        error = np.finfo(float).eps * np.max(np.abs(_unreferenced(band, qp)))
+        digits = 1e-6 * np.max(np.abs(_referenced(band, qp)[1]))
+        assume(not 0.5 * digits <= error <= 2.0 * digits)
+        if error > digits:
+            message = "^band 'arch' has no accurate fit: its eigenvalue factors keep under 6 significant digits$"
+            with pytest.raises(FitError, match=message):
+                chi2_at(band, qp, 1.0)
+        else:
+            assert math.isfinite(chi2_at(band, qp, 1.0))
+
     @settings(max_examples=300, deadline=None)
     @given(head=st.integers(0, 2**20), twostep=st.integers(1, 8), count=st.integers(3, 40),
            extra=st.none() | st.integers(0, 2**22))
@@ -335,7 +354,7 @@ class TestBatchKernel:
         bands = Bands(["b"], twoj, np.arange(count, dtype=float), np.array([count]))
         n = int(twoj[-1]) + 2
         tau = 0.0 if extra is None else QParameter.from_dim(n + 1 + n % 2 + 2 * extra).tau
-        f, regime = factors(bands, np.array([tau]))
+        f, regime, _ = factors(bands, np.array([tau]))
         assert regime[0]
         assert bands.sums(f * f)[0] > 0.0
 

@@ -314,6 +314,13 @@ class TestBandData:
         with pytest.raises(BandError, match="name"):
             make_band([2, 4, 6], [10.0, 30.0, 70.0], name="")
 
+    @pytest.mark.parametrize("name", [None, 5, b"Dy", ["Dy"]], ids=["none", "int", "bytes", "list"])
+    def test_rejects_a_name_that_is_not_a_string(self, name):
+        with pytest.raises(BandError) as exc_info:
+            make_band([2, 4, 6], [10.0, 30.0, 70.0], name=name)
+        assert (exc_info.value.level, str(exc_info.value)) == (
+            None, f"band name must be one nonempty line without outer whitespace, got {name!r}")
+
     def test_properties(self):
         band = make_band([0, 1, 2], [0.0, 2.0, 6.0])
         assert band.spins == (0.0, 1.0, 2.0)
