@@ -38,14 +38,14 @@ budget of ``_BLOCK_ROWS`` rows, 32 rows each, and every row is computed as
 on one thread while the max-norm fold does not depend on order, so arrays
 and deviations are bit-identical to the serial ones.  More cores do not
 start more threads (``_MAX_WORKERS``), and smaller spaces stay serial:
-there, starting threads costs more than it saves.  On 2 cores (Xeon, numpy
-2.4.6), building a D = 1001 space and running its six checks takes about
-90 ms on two threads and 135-155 ms on one, but only while the second core
-is free: on a shared 2-vCPU host, ``verify --max-dim 1001`` took 0.301 s
-against 0.402 s on one thread at one time, and 0.329 against 0.316 s at
-another.  Shift-power's D x D matrix products run in numpy's einsum loops,
-not in BLAS, whose worker thread spins on another core for about 0.13 s
-after a matmul: a D = 101 power takes 26 ms, against 2.2 ms in BLAS.
+there, starting threads costs more than it saves.  On 2 vCPUs (Xeon, numpy
+2.4.6) with the second CPU free, a D = 1001 space's build and six checks
+took 38-39 ms on two threads and 67-69 ms on one, in-process, and a spawned
+``verify --max-dim 1001`` 0.184 s against 0.237 s with 0.249 s of CPU on
+two (medians of 21 and 41 alternating runs; two faster in 41 of 41); with
+it busy, both took 0.245 s.  Shift-power's matrix products run in numpy's
+einsum loops, not in BLAS, whose worker thread spins on another core for
+about 0.13 s after a matmul: a D = 101 power takes 26 ms, 2.2 ms in BLAS.
 
 Sign convention: this module uses the shift phase q = exp(-i*tau), the
 natural one for the angle grid.  Energy formulas elsewhere use the real

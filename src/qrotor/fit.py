@@ -59,15 +59,16 @@ class FitError(ValueError):
 def factors(bands: Bands, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Head-referenced eigenvalue factors f = [j][j+1] - [j0][j0+1] at each
     band's ``tau`` (0.0: j(j+1)), whether each band is in regime, and whether
-    its factors keep six significant digits: eps*max|[j][j+1]|, the rounding
-    error the head subtraction can leave in them, is at most 1e-6*max|f|.
-    ``tau`` holds one value per band, or one row of them per variant."""
+    its factors keep six significant digits: 4*eps*max|[j][j+1]|, a bound on
+    the rounding error the head subtraction can leave in them (2.67 at worst
+    against a 50-digit oracle, in units of eps*max|[j][j+1]|), is at most
+    1e-6*max|f|.  ``tau`` holds one value per band, or one row per variant."""
     t = np.repeat(tau, bands.counts, axis=-1)
     with np.errstate(all="ignore"):
         f = bracket(bands.j, t) * bracket(bands.j + 1.0, t)
         peak = np.maximum.reduceat(abs(f), bands.starts, axis=-1)
         f -= bands.head(f)
-        accurate = np.finfo(float).eps * peak <= 1e-6 * np.maximum.reduceat(abs(f), bands.starts, axis=-1)
+        accurate = 4.0 * np.finfo(float).eps * peak <= 1e-6 * np.maximum.reduceat(abs(f), bands.starts, axis=-1)
         return f, in_regime(tau, bands.j[bands.starts + bands.counts - 1]), accurate
 
 
@@ -190,7 +191,7 @@ def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
     lands at a nonpositive A (unphysical inertia), when A, chi2 or rms is
     not finite, or when the head subtraction in the eigenvalue factors
     leaves fewer than six significant digits, as ``factors`` tests:
-    eps*max|[j][j+1]| exceeds 1e-6*max|f|.  Bands fitted with the tau rule
+    4*eps*max|[j][j+1]| exceeds 1e-6*max|f|.  Bands fitted with the tau rule
     keep more than six even at the spin cap; a tau picked by hand near the
     top of the [j][j+1] arch, at huge spins, can leave none.
     """

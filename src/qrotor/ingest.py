@@ -10,14 +10,14 @@ Band files are line-oriented UTF-8, with or without a leading byte-order mark:
 
 Spins (integer or .5, at most ``qnum.MAX_SPIN`` in magnitude) and energies
 (keV) are ASCII decimals.  Blank lines and other ``#`` comments are ignored.
-Files are read in batches (``read_bands``): each file's text is scanned once,
-line by line, for its encoding, headers, field counts, number syntax and the
-half-integer grid (``qnum.on_grid``) into flat columns, then the band rules
-(``model.band_faults``) are checked over the whole batch at once; either way
-a failure names its line.  Only regular files are read: a pipe or a device
-is refused before any read.  The report table, the JSON report and the plot
-data are each formatted by one function from one input, the ``fit.Fits``
-columns that ``fit.compare_batch`` returns for the batch.
+Files are read in batches (``read_bands``): ``_scan`` reads each file's text
+once, line by line, for its encoding, headers, field counts, number syntax
+and the half-integer grid (``qnum.on_grid``) into the batch's flat columns,
+then the band rules (``model.band_faults``) are checked over the whole batch
+at once; either way a failure names its line.  Only regular files are read:
+a pipe or a device is refused before any read.  The report table, the JSON
+report and the plot data are each formatted by one function from one input,
+the ``fit.Fits`` columns that ``fit.compare_batch`` returns for the batch.
 Serialization emits a canonical form that round-trips byte-identically.  All
 report output is deterministic: fixed formats, '.' decimal separator, no
 locale dependence.
@@ -78,72 +78,63 @@ def parse_band(text: bytes | str) -> BandData:
     return parse_band_file(text).parsed
 
 
-class _Columns:
-    """The data lines of a batch of band files as flat columns, one file
-    after another: twice-spin, energy and line number."""
+def _scan(text: bytes | str, twojs: list[int], energies: list[float],
+          line_nos: list[int]) -> tuple[str | None, list[str], BandParseError | None]:
+    """Check one file's text (encoding, headers, field count, number syntax,
+    half-integer grid) and append each data line before its first fault to
+    the columns: twice-spin, energy and line number.  Returns the band name,
+    the note lines and that fault, or None."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            return None, [], BandParseError(line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8")
+    text = text.removeprefix("\ufeff")  # one leading byte-order mark
+    read = float if text.isascii() and "_" not in text else _decimal
 
-    def __init__(self):
-        self.twoj: list[int] = []
-        self.energies: list[float] = []
-        self.line_nos: list[int] = []
-
-    def scan(self, text: bytes | str) -> tuple[str | None, list[str], BandParseError | None]:
-        """Check one file's text (encoding, headers, field count, number
-        syntax, half-integer grid) and append each data line before its
-        first fault.  Returns the band name, the note lines and that fault,
-        or None."""
-        if isinstance(text, bytes):
-            try:
-                text = text.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line_no = text.count(b"\n", 0, exc.start) + 1
-                return None, [], BandParseError(line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8")
-        text = text.removeprefix("\ufeff")  # one leading byte-order mark
-        read = float if text.isascii() and "_" not in text else _decimal
-        twojs, energies, line_nos = self.twoj, self.energies, self.line_nos
-
-        name: str | None = None
-        notes: list[str] = []
-        # Lines end at "\n" only: str.splitlines would also break at form feeds
-        # and Unicode separators and shift every later line number.
-        for line_no, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line[0] == "#":
-                body = line[1:].strip()
-                if body.startswith("nucleus:"):
-                    if name is not None:
-                        return name, notes, BandParseError(line_no, "duplicate '# nucleus:' header")
-                    name = body[len("nucleus:"):].strip()
-                    if not name:
-                        return name, notes, BandParseError(line_no, "empty nucleus name")
-                elif body.startswith("note:"):
-                    notes.append(body[len("note:"):].strip())
-                continue
-            if name is None:
-                return name, notes, BandParseError(line_no, "data before the required '# nucleus:' header")
-            tokens = line.split()
-            if len(tokens) != 2:
-                return name, notes, BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
-            try:
-                spin = read(tokens[0])
-            except ValueError:
-                spin = math.nan
-            twoj = on_grid(spin)
-            if twoj is None:
-                if MAX_SPIN < abs(spin) < math.inf:
-                    return name, notes, BandParseError(line_no, f"spin {tokens[0]!r} exceeds {MAX_SPIN}")
-                return name, notes, BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)")
-            try:
-                energies.append(read(tokens[1]))
-            except ValueError:
-                return name, notes, BandParseError(line_no, f"non-numeric energy {tokens[1]!r}")
-            twojs.append(twoj)
-            line_nos.append(line_no)
+    name: str | None = None
+    notes: list[str] = []
+    # Lines end at "\n" only: str.splitlines would also break at form feeds
+    # and Unicode separators and shift every later line number.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            body = line[1:].strip()
+            if body.startswith("nucleus:"):
+                if name is not None:
+                    return name, notes, BandParseError(line_no, "duplicate '# nucleus:' header")
+                name = body[len("nucleus:"):].strip()
+                if not name:
+                    return name, notes, BandParseError(line_no, "empty nucleus name")
+            elif body.startswith("note:"):
+                notes.append(body[len("note:"):].strip())
+            continue
         if name is None:
-            return name, notes, BandParseError(0, "missing '# nucleus:' header")
-        return name, notes, None
+            return name, notes, BandParseError(line_no, "data before the required '# nucleus:' header")
+        tokens = line.split()
+        if len(tokens) != 2:
+            return name, notes, BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
+        try:
+            spin = read(tokens[0])
+        except ValueError:
+            spin = math.nan
+        twoj = on_grid(spin)
+        if twoj is None:
+            if MAX_SPIN < abs(spin) < math.inf:
+                return name, notes, BandParseError(line_no, f"spin {tokens[0]!r} exceeds {MAX_SPIN}")
+            return name, notes, BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)")
+        try:
+            energies.append(read(tokens[1]))
+        except ValueError:
+            return name, notes, BandParseError(line_no, f"non-numeric energy {tokens[1]!r}")
+        twojs.append(twoj)
+        line_nos.append(line_no)
+    if name is None:
+        return name, notes, BandParseError(0, "missing '# nucleus:' header")
+    return name, notes, None
 
 
 def _parse_batch(texts: Iterable[bytes | str | BandError]) -> tuple[list[BandError | None], list[str | None], Bands]:
@@ -151,28 +142,29 @@ def _parse_batch(texts: Iterable[bytes | str | BandError]) -> tuple[list[BandErr
     pass: per text, its first failure or None, and its note; and the bands
     read, as one batch.
 
-    Every text is scanned once into flat columns; the scan finds the text
-    faults, a spin off the half-integer grid or an energy that does not read
-    included.  The band rules are then checked over the whole batch at once.
+    Every text is scanned once by ``_scan`` into three flat columns; the
+    scan finds the text faults, a spin off the half-integer grid or an energy
+    that does not read included.  The band rules are then checked over the
+    whole batch at once.
     A file's failure is its first text fault in line order, else its band's
     first fault, named by the line of the level at fault.
     """
-    columns = _Columns()
+    twojs, energies, line_nos = [], [], []
     names, notes, faults, counts = [], [], [], []
     for text in texts:
-        before = len(columns.line_nos)
-        name, note, fault = (None, [], text) if isinstance(text, BandError) else columns.scan(text)
+        before = len(line_nos)
+        name, note, fault = (None, [], text) if isinstance(text, BandError) else _scan(text, twojs, energies, line_nos)
         names.append(name)
         notes.append("\n".join(note) if note else None)
         faults.append(fault)
-        counts.append(len(columns.line_nos) - before)
+        counts.append(len(line_nos) - before)
     counts = np.array(counts, dtype=np.intp)
     starts = np.cumsum(counts) - counts
-    twoj = np.array(columns.twoj, dtype=np.int64)
-    energies = np.array(columns.energies, dtype=float)
+    twoj = np.array(twojs, dtype=np.int64)
+    energies = np.array(energies, dtype=float)
     for k, fault in band_faults(names, twoj, energies, counts).items():
         if faults[k] is None:
-            line_no = 0 if fault.level is None else columns.line_nos[int(starts[k]) + fault.level]
+            line_no = 0 if fault.level is None else line_nos[int(starts[k]) + fault.level]
             faults[k] = BandParseError(line_no, str(fault))
     kept = np.fromiter((fault is None for fault in faults), bool, len(faults))
     levels = np.repeat(kept, counts)

@@ -5,7 +5,8 @@ from ``math.sin``, independent of the ``qnum.bracket`` kernel the fit uses,
 and sums with numpy dot products.  ``reference_fit``
 raises the same exception types with the same messages, in the same order,
 as the kernel is documented to, so batch results can be compared with it
-band by band.  ``fit_A_oracle`` finds A without the closed form at all.
+band by band.  ``fit_A_oracle`` finds A without the closed form at all, and
+``exact_factors`` finds the eigenvalue factors at 50 significant digits.
 """
 
 from __future__ import annotations
@@ -13,11 +14,17 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from qrotor.fit import KEV_PER_MEV, FitError
 from qrotor.model import BandData, q_parameter_from_band
 from qrotor.qnum import QParameter, RegimeError
+
+
+# The rounding error the head subtraction leaves in the float factors is at
+# most ROUNDING * eps * max|[j][j+1]|: the kernel's six-digit rule.
+ROUNDING = 4.0
 
 
 class LevelResidual(NamedTuple):
@@ -68,7 +75,7 @@ def reference_fit(band: BandData, qp: QParameter | None):
         raise FitError(f"band '{band.name}' has no finite fit: A, chi2 or rms is not finite")
     # the subtraction's rounding error against the factors it leaves: under
     # six significant digits fail
-    if np.finfo(float).eps * np.max(np.abs(_unreferenced(band, qp))) > 1e-6 * np.max(np.abs(f)):
+    if ROUNDING * np.finfo(float).eps * np.max(np.abs(_unreferenced(band, qp))) > 1e-6 * np.max(np.abs(f)):
         raise FitError(f"band '{band.name}' has no accurate fit: "
                        "its eigenvalue factors keep under 6 significant digits")
     head = band.energies[0]
@@ -77,6 +84,20 @@ def reference_fit(band: BandData, qp: QParameter | None):
         for j, exp, fv, d in zip(band.spins, band.energies, f, diffs)
     )
     return A, chi2, rms, residuals
+
+
+def exact_factors(band: BandData, qp: QParameter | None) -> np.ndarray:
+    """The head-referenced eigenvalue factors [j][j+1] - [j0][j0+1] at
+    tau = 2*pi/dim (None: j(j+1) - j0(j0+1)), computed with mpmath at 50
+    significant digits and rounded to float once: the true f, against which
+    the kernel's float f shows its rounding error."""
+    with mpmath.workdps(50):
+        if qp is None:
+            values = [mpmath.mpf(j) * (j + 1) for j in band.spins]
+        else:
+            tau = 2 * mpmath.pi / qp.dim
+            values = [mpmath.sin(tau * j) * mpmath.sin(tau * (j + 1)) / mpmath.sin(tau) ** 2 for j in band.spins]
+        return np.array([float(value - values[0]) for value in values])
 
 
 def reference_compare(band: BandData, classical_only: bool = False):

@@ -8,10 +8,19 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _reference_fit import LevelResidual, _referenced, _unreferenced, fit_A_oracle, reference_compare, reference_fit
+from _reference_fit import (
+    ROUNDING,
+    LevelResidual,
+    _referenced,
+    _unreferenced,
+    exact_factors,
+    fit_A_oracle,
+    reference_compare,
+    reference_fit,
+)
 from _synth import exact_band, noisy_band, random_band, spin_range
 from qrotor.fit import FitError, FitResult, Variant, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A
 from qrotor.ingest import read_band_file
@@ -331,7 +340,7 @@ class TestBatchKernel:
         # decision must match the oracle's factors away from its threshold
         band = BandData("arch", tuple((head + twostep * n, float(n)) for n in range(count)))
         qp = QParameter(2 * (head + 1) + 2 * k + 1)
-        error = np.finfo(float).eps * np.max(np.abs(_unreferenced(band, qp)))
+        error = ROUNDING * np.finfo(float).eps * np.max(np.abs(_unreferenced(band, qp)))
         digits = 1e-6 * np.max(np.abs(_referenced(band, qp)[1]))
         assume(not 0.5 * digits <= error <= 2.0 * digits)
         if error > digits:
@@ -340,6 +349,26 @@ class TestBatchKernel:
                 chi2_at(band, qp, 1.0)
         else:
             assert math.isfinite(chi2_at(band, qp, 1.0))
+
+    @settings(max_examples=400, deadline=None)
+    @given(head=st.integers(4, 30).flatmap(lambda e: st.integers(2**e, min(2 ** (e + 1), 2**31 - 16))),
+           twostep=st.integers(1, 2), count=st.integers(3, 6), k=st.integers(-6, 6))
+    # Bands the rule eps*max|[j][j+1]| <= 1e-6*max|f| accepted with 5.8 digits
+    @example(head=432094, twostep=2, count=4, k=1)
+    @example(head=432098, twostep=2, count=4, k=1)
+    @example(head=432106, twostep=2, count=4, k=4)
+    def test_accepted_factors_keep_six_digits(self, head, twostep, count, k):
+        # drawn as above, with the head twice-spin log-uniform: whenever
+        # fit_A or chi2_at accepts the band, its factors agree with the true
+        # ones to six digits
+        band = BandData("arch", tuple((head + twostep * n, float(n)) for n in range(count)))
+        qp = QParameter(2 * (head + 1) + 2 * k + 1)
+        outcomes = (_reference(fit_A, band, qp), _reference(chi2_at, band, qp, 1.0))
+        if all(isinstance(outcome, ValueError) for outcome in outcomes):
+            return
+        exact = exact_factors(band, qp)
+        f = factors(Bands.of([band]), np.array([qp.tau]))[0]
+        assert np.max(np.abs(f - exact)) <= 1e-6 * np.max(np.abs(exact))
 
     @settings(max_examples=300, deadline=None)
     @given(head=st.integers(0, 2**20), twostep=st.integers(1, 8), count=st.integers(3, 40),
