@@ -14,9 +14,10 @@ Each subcommand loads only its own modules, on its first use of one of
 their names, which this module resolves through the package's one name
 table, ``qrotor._HOME``: ``table`` and ``plotdata`` load ``fit``, ``ingest``
 and ``model``, ``verify`` loads ``bp_space`` and ``suq2``, and ``--version``
-and ``--help`` load neither set.  ``qnum``, and with it numpy, loads with
-this module, since the parser reads ``MAX_DENSE_DIM`` and every subcommand
-needs numpy; so a run pays numpy's import before its subcommand starts.
+and ``--help`` load neither set.  ``qnum``, which the parser reads, loads
+with this module but loads no numpy; numpy loads with the subcommand's
+modules, so ``--version``, ``--help``, a usage error and "no band files
+found" end without paying its import.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ caps the space dimension of both ``bp_space`` and ``suq2``, and lives here
 so that the command line reads it without loading either.  A
 ``QParameter`` is its odd space dimension alone, stored as an ``int``;
 tau = 2*pi/dim is derived from it on read.  Everything here is a pure
-function of immutable values.
+function of immutable values.  numpy loads on the first call of
+``bracket`` or ``max_abs``, the two array functions, not with this module,
+so the command line parses its arguments without it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # for the annotations alone
+    import numpy as np
 
 __all__ = [
     "MAX_DENSE_DIM",
@@ -139,6 +143,8 @@ def bracket(x, tau) -> np.ndarray:
     Exact at the anchors: [0] = 0 and [1] = 1.  Antisymmetric in x.
     Raises ValueError if any x is not finite.
     """
+    import numpy as np  # here, so that a run which computes nothing loads no numpy
+
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"bracket argument must be finite, got {x[~np.isfinite(x)].flat[0]}")
@@ -155,6 +161,8 @@ def in_regime(tau, j_max):
 
 def max_abs(a: np.ndarray) -> float:
     """Max-norm of an array: the deviation every identity check reports."""
+    import numpy as np
+
     return float(np.max(np.abs(a)))
 
 

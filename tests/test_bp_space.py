@@ -574,9 +574,11 @@ class TestThreads:
 
 
 def test_import_does_not_load_numpy_fft():
+    """No qrotor module loads ``numpy.fft`` at import; ``qrotor.cli`` loads no numpy, so every module is named."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    modules = ", ".join(f"qrotor.{name}" for name in ("cli", "bp_space", "suq2", "fit", "ingest", "model"))
     proc = subprocess.run(
-        [sys.executable, "-c", "import qrotor.cli, sys; assert 'numpy.fft' not in sys.modules"],
+        [sys.executable, "-c", f"import {modules}, sys; assert 'numpy.fft' not in sys.modules"],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stderr

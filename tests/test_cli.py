@@ -596,10 +596,12 @@ def test_empty_output_is_a_usage_error(capsys, monkeypatch, bands_dir, subcomman
 
 # A child that runs the CLI the way ``python -m qrotor`` does, with its address
 # space capped at what it holds once numpy has loaded plus the bytes its first
-# argument gives.
+# argument gives.  ``main`` itself loads numpy only in a subcommand, so the
+# child loads it first.
 CAPPED_AFTER_IMPORT = """
 import resource, sys
 from qrotor.__main__ import main
+import numpy
 with open("/proc/self/status") as status:
     size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
 limit = size + int(sys.argv[1])
@@ -676,6 +678,80 @@ def test_only_verify_loads_verify_modules():
     proc = subprocess.run([sys.executable, "-c", script, str(REPO_ROOT / "data" / "bands")],
                           capture_output=True, text=True, env=_child_env(), cwd=REPO_ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+# A child that runs ``main`` on its argv past the first and writes to the file
+# its first argument names whether numpy loaded.
+NUMPY_AFTER_MAIN = """
+import sys
+from qrotor.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+with open(sys.argv[1], "w") as flag:
+    flag.write(str("numpy" in sys.modules))
+sys.exit(code)
+"""
+
+VERIFY_USAGE = "qrotor verify: error: argument --max-dim: max dimension must be odd, from 3 to 1001, got 4\n"
+
+
+@pytest.mark.parametrize("argv,code,out,err,numpy_loaded", [
+    (["--version"], 0, f"qrotor {qrotor.__version__}\n", "", False),
+    (["--help"], 0, "usage: qrotor ", "", False),
+    (["verify", "--max-dim", "4"], 2, "", VERIFY_USAGE, False),
+    (["table", "-o", ""], 2, "", "qrotor table: error: argument -o/--output: empty path\n", False),
+    (["table", "EMPTY"], 1, "", "qrotor: no band files found\n", False),
+    (["verify", "--max-dim", "3", "-o", os.devnull], 0, "", "", True),
+], ids=["version", "help", "verify-usage", "empty-output", "no-band-files", "verify"])
+def test_only_a_run_that_computes_loads_numpy(tmp_path, argv, code, out, err, numpy_loaded):
+    """Parsing, usage errors and an empty band list finish before numpy loads;
+    ``out`` is the start of standard output and ``err`` the end of standard error."""
+    (tmp_path / "empty").mkdir()
+    argv = [str(tmp_path / "empty") if arg == "EMPTY" else arg for arg in argv]
+    flag = tmp_path / "numpy-loaded"
+    proc = subprocess.run([sys.executable, "-c", NUMPY_AFTER_MAIN, str(flag), *argv],
+                          capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith(out) and (out or not proc.stdout)
+    assert proc.stderr.endswith(err) and (err or not proc.stderr)
+    assert flag.read_text() == str(numpy_loaded)
+
+
+# A child that runs the CLI with every import of numpy failing with the error
+# its first argument names.
+NUMPY_FAILS = """
+import builtins, sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise getattr(builtins, sys.argv[1])("numpy")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+from qrotor.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["--version"], 0, f"qrotor {qrotor.__version__}\n", ""),
+    (["verify", "--max-dim", "3"], 1, "", "qrotor: verify: out of memory\n"),
+], ids=["version", "verify"])
+def test_out_of_memory_while_numpy_loads_is_one_diagnostic(argv, code, out, err):
+    """numpy loads inside the subcommand, under ``main``'s MemoryError guard."""
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FAILS, "MemoryError", *argv],
+                          capture_output=True, text=True, env=_child_env(), cwd=REPO_ROOT)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_missing_numpy_is_still_a_traceback():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FAILS, "ModuleNotFoundError", "verify", "--max-dim", "3"],
+                          capture_output=True, text=True, env=_child_env(), cwd=REPO_ROOT)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback") and proc.stderr.endswith("ModuleNotFoundError: numpy\n")
 
 
 def test_irreps_load_without_the_phase_space():
@@ -877,7 +953,7 @@ class TestEntryPoint:
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=REPO_ROOT) as proc:
             if read:
                 assert len(os.read(proc.stdout.fileno(), read)) > 0
-            proc.stdout.close()  # without a read, long before the child has imported numpy
+            proc.stdout.close()  # without a read, long before the child writes
             err = proc.stderr.read().decode()
             assert proc.wait() == 1
         assert "Traceback" not in err and "Exception ignored" not in err

@@ -1,7 +1,8 @@
 """Every exported name resolves: a name deleted from a module but left in
 its ``__all__`` (or in the package's) fails here, not at a user's import.
-Importing the command line pulls in nothing beyond the standard library,
-numpy and qrotor itself, which keeps every run's start-up cost fixed.
+Importing the command line pulls in nothing beyond the standard library
+and qrotor itself: numpy loads only in a subcommand that computes, so
+``--version``, ``--help`` and a usage error do not pay its import.
 The package itself loads no numpy, so ``python -m qrotor`` runs OpenBLAS
 on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise."""
 
@@ -71,20 +72,27 @@ def run_fresh(script, **env_changes):
     )
 
 
-@pytest.fixture(scope="module")
-def cli_import_adds():
-    """The modules ``import qrotor.cli`` loads in a fresh interpreter."""
+def import_adds(module):
+    """The modules ``import <module>`` loads in a fresh interpreter."""
     script = (
-        "import json, sys; before = set(sys.modules); import qrotor.cli; "
+        f"import json, sys; before = set(sys.modules); import {module}; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     return json.loads(run_fresh(script).stdout)
 
 
-def test_cli_imports_only_stdlib_and_numpy(cli_import_adds):
-    assert "qrotor.cli" in cli_import_adds
-    allowed = set(sys.stdlib_module_names) | {"numpy", "qrotor"}
-    assert sorted({name for name in cli_import_adds if name.split(".")[0] not in allowed}) == []
+@pytest.fixture(scope="module")
+def cli_import_adds():
+    return import_adds("qrotor.cli")
+
+
+@pytest.mark.parametrize("module", ["qrotor.cli", "qrotor.qnum"])
+def test_import_loads_only_stdlib(module):
+    """numpy loads at a subcommand's first computation, not with the parser."""
+    adds = import_adds(module)
+    assert module in adds
+    allowed = set(sys.stdlib_module_names) | {"qrotor"}
+    assert sorted({name for name in adds if name.split(".")[0] not in allowed}) == []
 
 
 @pytest.mark.parametrize("heavy", ["concurrent.futures", "logging", "multiprocessing"])
@@ -128,7 +136,7 @@ class TestStartUp:
 
     def test_main_defaults_to_one_blas_thread(self):
         script = (
-            "import json, os, qrotor.__main__\n"
+            "import json, os, qrotor.__main__, numpy\n"
             "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
             "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
         )
