@@ -111,10 +111,21 @@ class BPSpace:
     ``repr`` go by those two alone.  It holds no array: the first
     ``check_*`` call measures all six identities and the space keeps their
     deviations.
+
+    However it is built, a space refuses a dimension above ``MAX_DENSE_DIM``
+    and a theta0 that is not finite or beyond 2*pi in magnitude: theta0 and
+    theta0 +- 2*pi give the same space, as m is an integer, and further out
+    the angle grid loses its spacing to rounding, which the checks measure.
     """
 
     qp: QParameter
     theta0: float
+
+    def __post_init__(self):
+        if self.qp.dim > MAX_DENSE_DIM:
+            raise ValueError(f"2l+1 = {self.qp.dim} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
+        if not math.fabs(self.theta0) <= 2.0 * math.pi:  # also NaN; TypeError if not real
+            raise ValueError(f"theta0 must be finite, with |theta0| <= 2*pi, got {self.theta0}")
 
     @property
     def dim(self) -> int:
@@ -225,15 +236,13 @@ def build_space(l: float, theta0: float = 0.0) -> BPSpace:
     q^{Jz} is diagonal with entries exp(-i*m*2*pi/D).
 
     Raises ValueError for l not finite or off the half-integer grid, for
-    2l+1 even or outside 3..MAX_DENSE_DIM, and for a non-finite theta0.
+    2l+1 even or outside 3..MAX_DENSE_DIM, and, as ``BPSpace`` checks, for a
+    theta0 that is not finite or beyond 2*pi in magnitude.
     """
     dim = twice_spin(l) + 1
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"2l+1 = {dim} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
-    qp = QParameter.from_dim(dim)
-    if not math.isfinite(theta0):
-        raise ValueError(f"theta0 must be finite, got {theta0}")
-    return BPSpace(qp=qp, theta0=theta0)
+    if dim < 3 or dim % 2 == 0:  # QParameter's own message would name neither 2l+1 nor the cap
+        raise ValueError(f"2l+1 = {dim} must be odd, from 3 to the dense-matrix cap {MAX_DENSE_DIM}")
+    return BPSpace(QParameter(dim), theta0)
 
 
 class _Blocks:

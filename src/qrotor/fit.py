@@ -13,13 +13,13 @@ BandData objects once.  ``factors`` forms the eigenvalue factors from
 baseline), and makes each band's regime and six-digit tests there, once;
 the per-band sums come from ``Bands.sums``.  ``_failure`` alone orders the
 checks a failing fit breaks, for the kernel and ``chi2_at`` alike.  The
-kernel returns its columns as a ``Fits``, the one input of the report
-writers; ``compare_batch`` runs it over a batch's two tau rows, the j(j+1)
-baseline and the tau rule's.  ``fit_A`` and ``compare`` are its one-band
-cases, which build a ``FitResult`` per row and raise the band's first
-failure; ``compare`` fits both variants in one pass.  A ``FitResult`` is
-the value (A, chi2, rms, qp): per-level residuals are read from a batch's
-``Fits.residuals``.
+kernel takes odd space dimensions (0: the baseline), one row per variant,
+and returns its columns as a ``Fits``, the one input of the report writers;
+``compare_batch`` runs it over the baseline and ``model.space_dims`` and
+builds no ``QParameter``.  ``fit_A`` and ``compare`` are its one-band cases,
+which build a ``FitResult`` per row and raise the band's first failure;
+``compare`` fits both variants in one pass.  A ``FitResult`` is the value
+(A, chi2, rms, qp): per-level residuals are read from ``Fits.residuals``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BandData, Bands, _check_inertia, q_parameters
+from .model import BandData, Bands, _check_inertia, space_dims
 from .qnum import QParameter, RegimeError, bracket, in_regime
 
 __all__ = [
@@ -100,11 +100,11 @@ class FitResult:
         return Variant.CLASSICAL if self.qp is None else Variant.Q_DEFORMED
 
 
-def _failure(name: str, qp: QParameter | None, regime: bool, A: float, finite: bool) -> FitError | RegimeError:
-    """The first check a failing fit breaks: regime, A > 0, finite results,
-    eigenvalue factors that did not cancel (``factors``' six-digit mask)."""
+def _failure(name: str, dim: int, regime: bool, A: float, finite: bool) -> FitError | RegimeError:
+    """The first check a failing fit at ``dim`` breaks: regime, A > 0, finite
+    results, eigenvalue factors that did not cancel (``factors``' six-digit mask)."""
     if not regime:
-        return RegimeError(f"tau*(j_max+1) >= pi for band '{name}' at dim={qp.dim}")
+        return RegimeError(f"tau*(j_max+1) >= pi for band '{name}' at dim={dim}")
     if A <= 0.0:
         return FitError(f"fitted A = {A:.4g} keV is not positive for band '{name}'")
     if not finite:
@@ -114,17 +114,17 @@ def _failure(name: str, qp: QParameter | None, regime: bool, A: float, finite: b
 
 class Fits:
     """The fits of a batch of bands as columns, one row per row of the tau
-    matrix: per row and band the deformation (``qps``, None for the j(j+1)
+    matrix: per row and band the odd space dimension (``dims``, 0 for the j(j+1)
     baseline), ``tau``, ``A`` in keV, ``chi2`` in MeV^2 and ``rms`` in keV;
     per row and level the head-referenced eigenvalue factors ``f``; and per
     row the first check each failing band fails, by band index.  From
     ``compare_batch``, row 0 is the j(j+1) baseline and row 1, if any, the
     deformed fits.  A band that ``shown`` returns passed every row's checks."""
 
-    __slots__ = ("bands", "qps", "tau", "f", "A", "chi2", "rms", "failures")
+    __slots__ = ("bands", "dims", "tau", "f", "A", "chi2", "rms", "failures")
 
-    def __init__(self, bands: Bands, qps, tau, f, A, chi2, rms, failures: list[dict[int, ValueError]]):
-        self.bands, self.qps, self.tau, self.f = bands, qps, tau, f
+    def __init__(self, bands: Bands, dims, tau, f, A, chi2, rms, failures: list[dict[int, ValueError]]):
+        self.bands, self.dims, self.tau, self.f = bands, dims, tau, f
         self.A, self.chi2, self.rms, self.failures = A, chi2, rms, failures
 
     def failed(self) -> dict[int, ValueError]:
@@ -149,29 +149,31 @@ class Fits:
             return bands.head(bands.e) + model, bands.de - model
 
 
-def _fit(bands: Bands, rows: Sequence[Sequence[QParameter | None]]) -> Fits:
-    """The kernel: closed-form A, chi2 and rms of every band at once for
-    each row of deformations (a row of the tau matrix), and per row the
-    first check each failing band fails."""
-    tau = np.array([[0.0 if qp is None else qp.tau for qp in row] for row in rows]).reshape(len(rows), len(bands))
+def _fit(bands: Bands, dims) -> Fits:
+    """The kernel: closed-form A, chi2 and rms of every band at once for each
+    row of odd space dimensions ``dims`` (0: the j(j+1) baseline; tau = 2*pi/dim,
+    as ``QParameter.tau``), and per row the first check each failing band fails."""
+    dims = np.asarray(dims)  # int64; object only for a library dimension past it
+    tau = (2.0 * np.pi / np.where(dims == 0, np.inf, dims)).astype(float, copy=False)
     f, regime, accurate = factors(bands, tau)
     with np.errstate(all="ignore"):
         A = bands.sums(bands.de * f) / bands.sums(f * f)
     chi2, rms = score(bands, f, A)
     finite = np.isfinite(A) & np.isfinite(chi2) & np.isfinite(rms)
     ok = regime & (A > 0.0) & finite & accurate
-    failures: list[dict[int, ValueError]] = [{} for _ in rows]
-    for r, k in zip(*np.nonzero(~ok)):
-        failures[r][k] = _failure(bands.names[k], rows[r][k], regime[r, k], float(A[r, k]), finite[r, k])
-    return Fits(bands, rows, tau, f, A, chi2, rms, failures)
+    failures: list[dict[int, ValueError]] = [{} for _ in dims]
+    for r, k in np.argwhere(~ok).tolist():
+        failures[r][k] = _failure(bands.names[k], int(dims[r, k]), regime[r, k], float(A[r, k]), finite[r, k])
+    return Fits(bands, dims, tau, f, A, chi2, rms, failures)
 
 
 def _outcomes(fits: Fits, r: int) -> list[FitResult | FitError | RegimeError]:
     """Row ``r`` of the kernel's columns per band: its FitResult, or the
     first check it fails."""
     failures = fits.failures[r]
-    columns = zip(fits.qps[r], fits.A[r].tolist(), fits.chi2[r].tolist(), fits.rms[r].tolist())
-    return [failures.get(k) or FitResult(a, c, s, qp) for k, (qp, a, c, s) in enumerate(columns)]
+    columns = zip(fits.dims[r].tolist(), fits.A[r].tolist(), fits.chi2[r].tolist(), fits.rms[r].tolist())
+    return [failures.get(k) or FitResult(a, c, s, QParameter(d) if d else None)
+            for k, (d, a, c, s) in enumerate(columns)]
 
 
 def _one_band(fits: Fits) -> list[FitResult]:
@@ -179,7 +181,7 @@ def _one_band(fits: Fits) -> list[FitResult]:
     first failure, row 0's first."""
     if 0 in (failed := fits.failed()):
         raise failed[0]
-    return [_outcomes(fits, r)[0] for r in range(len(fits.qps))]
+    return [_outcomes(fits, r)[0] for r in range(len(fits.dims))]
 
 
 def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
@@ -195,7 +197,7 @@ def fit_A(band: BandData, qp: QParameter | None) -> FitResult:
     keep more than six even at the spin cap; a tau picked by hand near the
     top of the [j][j+1] arch, at huge spins, can leave none.
     """
-    return _one_band(_fit(Bands.of([band]), [[qp]]))[0]
+    return _one_band(_fit(Bands.of([band]), [[0 if qp is None else qp.dim]]))[0]
 
 
 def compare_batch(bands: Sequence[BandData], classical_only: bool = False) -> Fits:
@@ -210,8 +212,8 @@ def compare_batch(bands: Sequence[BandData], classical_only: bool = False) -> Fi
     branch stays for library callers who pick tau by hand.
     """
     bands = Bands.of(bands)
-    baseline = [None] * len(bands)
-    return _fit(bands, [baseline] if classical_only else [baseline, q_parameters(bands)])
+    baseline = np.zeros(len(bands), dtype=np.int64)
+    return _fit(bands, [baseline] if classical_only else [baseline, space_dims(bands)])
 
 
 def compare(band: BandData) -> tuple[FitResult, FitResult]:
@@ -230,7 +232,7 @@ def chi2_at(band: BandData, qp: QParameter | None, A: float) -> float:
     bands, tau = Bands.of([band]), np.array([0.0 if qp is None else qp.tau])
     f, regime, accurate = factors(bands, tau)
     if not (regime[0] and accurate[0]):
-        raise _failure(band.name, qp, regime[0], A, finite=True)
+        raise _failure(band.name, 0 if qp is None else qp.dim, regime[0], A, finite=True)
     chi2 = score(bands, f, np.array([A], dtype=float))[0][0]
     if not np.isfinite(chi2):
         raise ValueError(f"chi2 at A={A} overflows for band '{band.name}'")

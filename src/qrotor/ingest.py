@@ -242,24 +242,25 @@ def write_report(fits: Fits, as_json: bool = False) -> bytes:
 
     ``fits`` is the ``fit.Fits`` of a batch, as ``fit.compare_batch`` makes
     it from the bands ``read_bands`` returns; the command line reports the
-    one it fitted.  ValueError for a ``Fits`` in any other layout.
+    one it fitted.  ValueError for a ``Fits`` in any other layout or with no
+    band to show.
     """
-    _check_layout(fits, both=False)
-    if not len(shown := fits.shown()):
-        raise ValueError("no fit results to report")
-    return (_report_json if as_json else _report_table)(fits, shown)
+    return (_report_json if as_json else _report_table)(fits, _shown(fits, both=False))
 
 
-def _check_layout(fits: Fits, both: bool) -> None:
-    """ValueError, naming ``fit.compare_batch``, unless ``fits`` has its layout:
-    row 0 the j(j+1) baseline, every qp None, and row 1 the deformed fits,
-    every qp set, which only ``both`` requires."""
-    qps = fits.qps
-    if (len(qps) not in ((2,) if both else (1, 2)) or qps[0].count(None) != len(qps[0])
-            or any(qp is None for row in qps[1:] for qp in row)):
+def _shown(fits: Fits, both: bool) -> np.ndarray:
+    """``fits.shown()``, the bands a writer shows; ValueError, naming
+    ``fit.compare_batch``, unless ``fits`` has its layout (row 0 the j(j+1)
+    baseline, every dimension 0, and row 1 the deformed fits, every
+    dimension set, which only ``both`` requires), and if none is shown."""
+    dims = fits.dims
+    if len(dims) not in ((2,) if both else (1, 2)) or dims[0].any() or not dims[1:].all():
         deformed = "row 1" if both else "row 1, if present,"
         raise ValueError(
             f"expected the Fits of fit.compare_batch: row 0 the j(j+1) baseline and {deformed} the deformed fits")
+    if not len(shown := fits.shown()):
+        raise ValueError("no fit results to report")
+    return shown
 
 
 def _report_table(fits: Fits, shown: np.ndarray) -> bytes:
@@ -267,7 +268,7 @@ def _report_table(fits: Fits, shown: np.ndarray) -> bytes:
     baseline fit instead when the batch fitted the baseline alone."""
     names = [fits.bands.names[k] for k in shown.tolist()]
     width = max(8, max(map(len, names)))
-    q = len(fits.qps) - 1  # the deformed row, or the baseline when fitted alone
+    q = len(fits.dims) - 1  # the deformed row, or the baseline when fitted alone
     A, chi2, rms = (column[q, shown] for column in (fits.A, fits.chi2, fits.rms))
     tau = [f"{value:.4f}" for value in fits.tau[q, shown].tolist()] if q else ["-"] * len(names)
     rows = zip(names, tau, A.tolist(), (1e3 * chi2).tolist(), rms.tolist(), fits.rms[0, shown].tolist())
@@ -314,7 +315,7 @@ def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
     bands = fits.bands
     theo, _ = fits.residuals()
     starts, counts = bands.starts.tolist(), bands.counts.tolist()
-    A, chi2, rms, tau = (column.tolist() for column in (fits.A, fits.chi2, fits.rms, fits.tau))
+    A, chi2, rms, tau, dims = map(np.ndarray.tolist, (fits.A, fits.chi2, fits.rms, fits.tau, fits.dims))
     classical, deformed = (encode_basestring_ascii(variant.value) for variant in (Variant.CLASSICAL, Variant.Q_DEFORMED))
     rows = []
     for k in shown.tolist():
@@ -322,14 +323,13 @@ def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
         lo, hi = starts[k], starts[k] + counts[k]
         levels = [_json_floats(bands.j[lo:hi].tolist()), _json_floats(bands.e[lo:hi].tolist())]
         level_rows = ",\n".join([_JSON_LEVEL] * counts[k])
-        for r in reversed(range(len(fits.qps))):
-            qp = fits.qps[r][k]
-            if qp is None:
+        for r in reversed(range(len(dims))):
+            if dims[r][k] == 0:
                 tau_text, dim, variant = "null", "null", classical
                 A_text, chi2_text, rms_text = _json_floats([A[r][k], chi2[r][k], rms[r][k]])
             else:
                 tau_text, A_text, chi2_text, rms_text = _json_floats([tau[r][k], A[r][k], chi2[r][k], rms[r][k]])
-                dim, variant = int.__repr__(qp.dim), deformed
+                dim, variant = int.__repr__(dims[r][k]), deformed
             values = chain.from_iterable(zip(*levels, _json_floats(theo[r, lo:hi].tolist())))
             residuals = level_rows % tuple(values)
             rows.append(_JSON_ROW % (name, tau_text, dim, A_text, chi2_text, rms_text, variant, residuals))
@@ -348,8 +348,8 @@ def write_plot_data(fits: Fits) -> bytes:
     band of a two-row ``Fits`` without a failed fit, the blocks separated
     by an empty line: a name line, a header line, then per level j, E_exp,
     E_q, E_classical, residual_q and residual_classical (keV); ValueError
-    for a ``Fits`` in any other layout."""
-    _check_layout(fits, both=True)
+    for a ``Fits`` in any other layout or with no band to show."""
+    shown = _shown(fits, both=True)
     bands = fits.bands
     theo, diff = fits.residuals()
     twoj, inverse = np.unique(bands.twoj, return_inverse=True)
@@ -357,7 +357,7 @@ def write_plot_data(fits: Fits) -> bytes:
     spins = [spins[index] for index in inverse.tolist()]
     starts, counts = bands.starts.tolist(), bands.counts.tolist()
     blocks = []
-    for k in fits.shown().tolist():
+    for k in shown.tolist():
         lo, hi = starts[k], starts[k] + counts[k]
         rows = zip(spins[lo:hi], bands.e[lo:hi].tolist(), theo[1, lo:hi].tolist(), theo[0, lo:hi].tolist(),
                    diff[1, lo:hi].tolist(), diff[0, lo:hi].tolist())

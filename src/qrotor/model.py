@@ -11,10 +11,10 @@ under the cap ``qnum.MAX_SPIN``, so half-integer bands need no fractional
 arithmetic.  The band reader turns each decimal spin into one with
 ``qnum.on_grid`` as it reads it; the band rules still refuse a raw
 twice-spin past the cap.  ``Bands`` is the one level-column type: the band
-rules (``band_faults``), the tau rule (``q_parameters``, which cannot fail
-on a valid band) and the fit kernel each run over its columns, along the
-last axis, as numpy passes; one band is their one-item case.  A batch holds
-no ``BandData`` of its own; indexing it builds one.
+rules (``band_faults``), the tau rule (``space_dims``, one odd dimension
+per band, which cannot fail) and the fit kernel each run over its columns,
+along the last axis, as numpy passes; one band is their one-item case.  A
+batch holds no ``BandData`` of its own; indexing it builds one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "twice_spin",
     "spin_str",
     "space_size",
-    "q_parameters",
+    "space_dims",
     "q_parameter_from_band",
     "energy",
 ]
@@ -252,24 +252,22 @@ def space_size(j_min: float, j_max: float, step: float) -> int:
     return _series_dim(a, s, (b - a) // s + 1)
 
 
-def q_parameters(bands: Sequence[BandData]) -> list[QParameter]:
-    """The tau rule over a batch: per band, the deformation fixed by its
+def space_dims(bands: Sequence[BandData]) -> np.ndarray:
+    """The tau rule over a batch: per band, the odd dimension fixed by its
     own spin content, from the arithmetic series of head twice-spin, step
-    and count, one ``QParameter`` per distinct dimension.  It cannot fail:
-    a valid band's dimension is odd, at least 7 (spins 0, 1/2, 1 sum to 6)
-    and at most (2**31 + 1)(2**30 + 1) < 2**62, the sum over every distinct
-    twice-spin from 0 to the cap's 2**31."""
+    and count, as one int64 column.  It cannot fail: a valid band's
+    dimension is odd, at least 7 (spins 0, 1/2, 1 sum to 6) and at most
+    (2**31 + 1)(2**30 + 1) < 2**62, the sum over every distinct twice-spin
+    from 0 to the cap's 2**31, which ``QParameter`` accepts."""
     bands = Bands.of(bands)
     head = bands.twoj[bands.starts]
-    dims = _series_dim(head, bands.twoj[bands.starts + 1] - head, bands.counts).tolist()
-    made = {dim: QParameter(dim) for dim in set(dims)}
-    return [made[dim] for dim in dims]
+    return _series_dim(head, bands.twoj[bands.starts + 1] - head, bands.counts)
 
 
 def q_parameter_from_band(band: BandData) -> QParameter:
     """Deformation parameter fixed by the band's own spin content: the
-    one-band case of ``q_parameters``."""
-    return q_parameters([band])[0]
+    one-band case of ``space_dims``."""
+    return QParameter(int(space_dims([band])[0]))
 
 
 def _check_inertia(A: float) -> None:

@@ -26,6 +26,7 @@ from qrotor.bp_space import (
     _BLOCK_ROWS,
     _THREADED_MIN_DIM,
     MAX_DENSE_DIM,
+    BPSpace,
     build_space,
     check_angle_completeness,
     check_angle_cycling,
@@ -36,6 +37,7 @@ from qrotor.bp_space import (
     check_unitarity,
 )
 from qrotor.cli import BP_CHECKS, _bp_tolerance, main
+from qrotor.qnum import QParameter
 
 
 def basis_vector(dim, idx):
@@ -144,6 +146,37 @@ class TestBuildSpace:
     def test_rejects_non_finite_theta0(self, theta0):
         with pytest.raises(ValueError, match="theta0 must be finite"):
             build_space(1, theta0=theta0)
+
+    @pytest.mark.parametrize("l", [0, 0.5, 1.5, 600.5])
+    def test_bad_dimension_names_2l_plus_1_and_the_cap(self, l):
+        dim = int(2 * l + 1)
+        with pytest.raises(ValueError, match=f"^2l\\+1 = {dim} must be odd, from 3 to the dense-matrix cap 1001$"):
+            build_space(l)
+
+    def test_space_checks_itself_however_built(self):
+        # BPSpace's own checks, not build_space's, so no route builds a space they refuse
+        space = build_space(5, 0.6)
+        with pytest.raises(ValueError, match="theta0 must be finite"):
+            dataclasses.replace(space, theta0=math.nan)
+        with pytest.raises(TypeError):
+            dataclasses.replace(space, theta0=0.6j)
+        with pytest.raises(ValueError, match="^2l\\+1 = 1003 exceeds the dense-matrix cap 1001$"):
+            BPSpace(QParameter(MAX_DENSE_DIM + 2), 0.0)
+        assert BPSpace(QParameter(11), 0.6) == space
+
+    @pytest.mark.parametrize("theta0", [1e6, -1e6, 2 * math.pi + 1e-9, 1e17])
+    def test_rejects_theta0_past_two_pi(self, theta0):
+        # at D = 11, theta0 = 1e6 already rounds the angle grid past quantum-plane's 1e-12 tier
+        with pytest.raises(ValueError, match=r"theta0 must be finite, with \|theta0\| <= 2\*pi"):
+            build_space(5, theta0)
+
+    @pytest.mark.parametrize("theta0", [2 * math.pi, -2 * math.pi])
+    def test_theta0_of_two_pi_builds_the_space_of_zero(self, theta0):
+        # m is an integer, so theta0 and theta0 +- 2*pi give the same space, within the tier
+        space = build_space(5, theta0)
+        assert space.theta0 == theta0
+        for name, check in BP_CHECKS:
+            assert check(space) <= 1e-12, name
 
     def test_repr_builds_no_array(self):
         space = build_space(2, 0.6)

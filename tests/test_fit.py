@@ -31,10 +31,15 @@ DY = QParameter.from_dim(189)
 SPINS_2_18 = spin_range(2.0, 2.0, 9)
 
 
+def _dim(qp):
+    """The kernel's dimension for ``qp``: its odd dim, or 0 for the baseline."""
+    return 0 if qp is None else qp.dim
+
+
 def _residuals(band, result):
     """The residuals of ``result``, a fit of ``band``, as one LevelResidual
     row per level: ``Fits.residuals`` of the band fitted alone at its qp."""
-    fits = _fit(Bands.of([band]), [[result.qp]])
+    fits = _fit(Bands.of([band]), [[_dim(result.qp)]])
     assert fits.A[0, 0] == result.A
     theo, diffs = fits.residuals()
     columns = (fits.bands.j, fits.bands.e, theo[0], diffs[0])
@@ -48,7 +53,7 @@ class TestClosedForm:
         assert result.variant is Variant.Q_DEFORMED
         assert abs(result.A - 12.81) / 12.81 < 1e-9
         assert result.chi2 < 1e-15
-        assert result.qp is DY
+        assert result.qp == DY
 
     def test_exact_classical_recovery(self):
         band = exact_band("classical", 10.0, None, SPINS_2_18)
@@ -57,6 +62,15 @@ class TestClosedForm:
         assert result.A == pytest.approx(10.0, rel=1e-12)
         assert result.chi2 < 1e-15
         assert result.qp is None
+
+    @pytest.mark.parametrize("dim", [2**63 + 1, 2**64 + 1, 10**300 + 1], ids=["2**63+1", "2**64+1", "10**300+1"])
+    def test_dimension_past_int64(self, dim):
+        # a QParameter a library caller builds may not fit the kernel's int64
+        # column; its tau, below 1e-18, fits the band as j(j+1) does
+        band = exact_band("classical", 10.0, None, SPINS_2_18)
+        result = fit_A(band, QParameter(dim))
+        assert result.qp == QParameter(dim) and result.variant is Variant.Q_DEFORMED
+        assert result.A == pytest.approx(10.0, rel=1e-12)
 
     def test_variant_is_read_from_qp(self):
         fit_q = fit_A(exact_band("exact", 12.81, DY, SPINS_2_18), DY)
@@ -267,7 +281,7 @@ class TestBatchKernel:
     def test_mixed_batch_matches_reference_loop(self):
         entries = _mixed_batch(seed=31, count=300)
         bands, qps = [band for band, _ in entries], [qp for _, qp in entries]
-        results = _outcomes(_fit(Bands.of(bands), [qps]), 0)
+        results = _outcomes(_fit(Bands.of(bands), [list(map(_dim, qps))]), 0)
         assert len(results) == len(entries)
         kinds = set()
         for band, qp, result in zip(bands, qps, results):
@@ -276,7 +290,7 @@ class TestBatchKernel:
             _assert_matches(band, result, expected)
             if not isinstance(result, Exception):
                 assert result.variant is (Variant.CLASSICAL if qp is None else Variant.Q_DEFORMED)
-                assert result.qp is qp
+                assert result.qp == qp
         assert kinds == {"tuple", "FitError", "RegimeError"}
 
     def test_fit_A_is_the_one_band_case(self):
@@ -291,7 +305,7 @@ class TestBatchKernel:
 
     def test_failure_kinds(self):
         (negative,), (out_of_regime,), (overflow,) = (
-            _outcomes(_fit(Bands.of([band]), [[qp]]), 0) for band, qp in (NEGATIVE_A, OUT_OF_REGIME, OVERFLOW))
+            _outcomes(_fit(Bands.of([band]), [[_dim(qp)]]), 0) for band, qp in (NEGATIVE_A, OUT_OF_REGIME, OVERFLOW))
         assert "not positive" in str(negative)
         assert isinstance(out_of_regime, RegimeError)
         assert isinstance(overflow, FitError)
@@ -391,11 +405,11 @@ class TestBatchKernel:
         entries = _mixed_batch(seed=7, count=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _fit(Bands.of([band for band, _ in entries]), [[qp for _, qp in entries]])
+            _fit(Bands.of([band for band, _ in entries]), [[_dim(qp) for _, qp in entries]])
             compare_batch([band for band, _ in entries])
 
     def test_empty_batch(self):
-        assert _outcomes(_fit(Bands.of([]), [[]]), 0) == []
+        assert _outcomes(_fit(Bands.of([]), np.zeros((1, 0), dtype=np.int64)), 0) == []
         fits = compare_batch([])
         assert len(fits.bands) == 0 and fits.A.shape == (2, 0)
         assert fits.failures == [{}, {}] and fits.failed() == {}
@@ -453,7 +467,7 @@ class TestCompareBatch:
     def test_each_row_equals_its_one_row_fit(self, seed):
         entries = _mixed_batch(seed=seed, count=60)
         bands = [band for band, _ in entries]
-        rows = [[qp for _, qp in entries], [None if qp else q_parameter_from_band(band) for band, qp in entries]]
+        rows = [[_dim(qp) for _, qp in entries], [0 if qp else q_parameter_from_band(band).dim for band, qp in entries]]
         fits = _fit(Bands.of(bands), rows)
         for r, row in enumerate(rows):
             one_row = _fit(Bands.of(bands), [row])
@@ -500,7 +514,7 @@ class TestResultIsAValue:
         getitem = Bands.__getitem__
         monkeypatch.setattr(Bands, "__getitem__", lambda self, index: built.append(index) or getitem(self, index))
         fits = compare_batch(batch, classical_only)
-        outcomes = [_outcomes(fits, r) for r in range(len(fits.qps))]
+        outcomes = [_outcomes(fits, r) for r in range(len(fits.dims))]
         assert [len(row) for row in outcomes] == [len(batch)] * (1 if classical_only else 2)
         assert len(fits.failed()) == (1 if classical_only else 2)
         assert built == []
@@ -521,7 +535,7 @@ class TestShownBands:
         assert sorted([*shown.tolist(), *failed]) == list(range(len(bands)))
         assert not set(shown.tolist()) & set(failed)
         assert {bands[k].name for k in failed} >= {"overflow"} | (set() if classical_only else {"deformed-overflow"})
-        for r in range(len(fits.qps)):
+        for r in range(len(fits.dims)):
             assert (fits.A[r, shown] > 0.0).all()
             for column in (fits.tau, fits.A, fits.chi2, fits.rms):
                 assert np.isfinite(column[r, shown]).all()

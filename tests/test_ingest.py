@@ -264,7 +264,7 @@ def _entries(fits):
     """Each shown band of ``fits`` as the reference writer's (band, deformed
     FitResult or None, classical FitResult) entry."""
     fits_cl = _outcomes(fits, 0)
-    fits_q = _outcomes(fits, 1) if len(fits.qps) > 1 else [None] * len(fits_cl)
+    fits_q = _outcomes(fits, 1) if len(fits.dims) > 1 else [None] * len(fits_cl)
     return [(fits.bands[k], fits_q[k], fits_cl[k]) for k in fits.shown().tolist()]
 
 
@@ -357,7 +357,7 @@ class TestJsonReport:
     @pytest.mark.parametrize("variants", ["classical", "deformed"])
     def test_single_row(self, variants):
         band = _band()
-        fits = _fit(Bands.of([band]), [[None if variants == "classical" else q_parameter_from_band(band)]])
+        fits = _fit(Bands.of([band]), [[0 if variants == "classical" else q_parameter_from_band(band).dim]])
         if variants == "deformed":  # not fit.compare_batch's layout, whose row 0 is the baseline
             with pytest.raises(ValueError, match="fit.compare_batch"):
                 write_report(fits, as_json=True)
@@ -417,9 +417,9 @@ def test_json_spins_and_energies_formatted_once_per_band(monkeypatch):
 # every writer needs row 0 the j(j+1) baseline and row 1 the deformed fits,
 # and the plot data needs both rows.
 LAYOUTS = {
-    "deformed-only": lambda qp: [[qp]],
-    "swapped": lambda qp: [[qp], [None]],
-    "three-rows": lambda qp: [[None], [qp], [qp]],
+    "deformed-only": lambda dim: [[dim]],
+    "swapped": lambda dim: [[dim], [0]],
+    "three-rows": lambda dim: [[0], [dim], [dim]],
 }
 WRITERS = {
     "table": write_report,
@@ -428,12 +428,33 @@ WRITERS = {
 }
 
 
+def test_batch_path_builds_no_q_parameter(monkeypatch):
+    # the fit and every writer read the int64 dimension column; a QParameter
+    # is built only for a one-band FitResult
+    overflow = BandData.from_levels("overflow", [(0, 0.0), (1, 1e307), (2, 1.79e308)])
+    bands = [*_mixed_bands(seed=59, count=40), overflow]
+    built = []
+    post_init = QParameter.__post_init__
+    monkeypatch.setattr(QParameter, "__post_init__", lambda self: built.append(self.dim) or post_init(self))
+    fits = compare_batch(bands)
+    for writer in WRITERS.values():
+        writer(fits)
+    assert built == []
+    monkeypatch.undo()
+    qps = [q_parameter_from_band(band) for band in bands]
+    assert len({qp.dim for qp in qps}) > 1
+    assert fits.dims.dtype == np.int64 and fits.dims[0].tolist() == [0] * len(bands)
+    assert fits.dims[1].tolist() == [qp.dim for qp in qps]
+    assert fits.tau[1].tolist() == [qp.tau for qp in qps]
+    assert [(type(k), k) for k in fits.failed()] == [(int, len(bands) - 1)]
+
+
 class TestLayout:
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_writers_name_compare_for_other_layouts(self, dy162_path, writer, layout):
         dy162 = read_band_file(dy162_path).parsed
-        fits = _fit(Bands.of([dy162]), LAYOUTS[layout](q_parameter_from_band(dy162)))
+        fits = _fit(Bands.of([dy162]), LAYOUTS[layout](q_parameter_from_band(dy162).dim))
         with pytest.raises(ValueError, match=r"^expected the Fits of fit\.compare_batch: row 0 the j\(j\+1\) baseline"):
             WRITERS[writer](fits)
 
@@ -457,3 +478,12 @@ class TestPlotData:
 
     def test_deterministic(self):
         assert write_plot_data(_fits([_band()])) == write_plot_data(_fits([_band()]))
+
+    def test_empty_results_rejected(self):
+        # as write_report: no batch, or one whose only band overflows in both rows
+        overflow = BandData.from_levels("overflow", [(0, 0.0), (1, 1e307), (2, 1.79e308)])
+        for bands in ([], [overflow]):
+            fits = _fits(bands)
+            assert len(fits.failed()) == len(bands) and len(fits.shown()) == 0
+            with pytest.raises(ValueError, match="^no fit results to report$"):
+                write_plot_data(fits)

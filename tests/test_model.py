@@ -13,7 +13,7 @@ from qrotor.model import (
     _series_dim,
     energy,
     q_parameter_from_band,
-    q_parameters,
+    space_dims,
     space_size,
     spin_str,
     twice_spin,
@@ -159,9 +159,9 @@ class TestQParameterFromBand:
         head, step, count = series
         twoj = [head + k * step for k in range(count)]
         band = BandData("x", [(t, float(k)) for k, t in enumerate(twoj)])
-        qp = q_parameters([band])[0]
-        assert isinstance(qp, QParameter)
-        assert qp.dim == sum(t + 1 for t in twoj) | 1
+        dims = space_dims([band])
+        assert dims.dtype == np.int64 and dims.tolist() == [sum(t + 1 for t in twoj) | 1]
+        qp = QParameter(int(dims[0]))
         twoj_max = twoj[-1]
         assert 3 * (twoj_max + 2) <= 2 * qp.dim
         assert in_regime(qp.tau, twoj_max / 2)
@@ -277,9 +277,10 @@ class TestTauRuleExactness:
         band = make_band(spins, [float(k) for k in range(count)])
         a, s = twice_spin(j_min), twice_spin(step)
         dim = sum(twoj + 1 for twoj in range(a, a + count * s, s)) | 1
-        for got in (q_parameters([band, DY_BAND])[0], q_parameters([band])[0], q_parameters(read)[0]):
-            assert got == QParameter(dim)
-        assert q_parameters([DY_BAND, band])[0] == q_parameter_from_band(DY_BAND)
+        for got in (space_dims([band, DY_BAND])[0], space_dims([band])[0], space_dims(read)[0]):
+            assert got == dim
+        assert q_parameter_from_band(band) == QParameter(dim)
+        assert space_dims([DY_BAND, band])[0] == q_parameter_from_band(DY_BAND).dim
 
 
 class TestBandData:

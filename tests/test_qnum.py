@@ -75,7 +75,7 @@ class TestQParameter:
         for qp in (QParameter(dim), QParameter.from_dim(dim)):
             assert type(qp.dim) is int and qp == QParameter(DY_DIM)
         band = BandData.from_levels("dy", [(j, 12.8 * j * (j + 1)) for j in range(2, 20, 2)])
-        doc = json.loads(write_report(_fit(Bands.of([band]), [[None], [qp]]), as_json=True))
+        doc = json.loads(write_report(_fit(Bands.of([band]), [[0], [qp.dim]]), as_json=True))
         assert doc[0]["dim"] == DY_DIM and doc[0]["tau"] == 2.0 * math.pi / DY_DIM
 
     def test_from_dim_checks_once(self, monkeypatch):
