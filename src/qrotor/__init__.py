@@ -24,7 +24,7 @@ _HOME = {
     **dict.fromkeys(
         ["BandData", "BandError", "twice_spin", "spin_str", "space_size", "q_parameter_from_band", "energy"], "model"
     ),
-    **dict.fromkeys(["Variant", "FitResult", "Fits", "fit_A", "chi2_at", "compare", "compare_batch"], "fit"),
+    **dict.fromkeys(["FitResult", "Fits", "fit_A", "chi2_at", "compare", "compare_batch"], "fit"),
     **dict.fromkeys(
         ["BandFile", "BandParseError", "parse_band", "parse_band_file", "read_band_file", "read_bands", "write_band",
          "write_report", "write_plot_data"],

@@ -107,7 +107,8 @@ _UFUNC_BUFFER = 1024
 @dataclass(frozen=True)
 class BPSpace:
     """Finite angle phase space, fixed by its dimension, ``qp.dim``, and
-    ``theta0``, the reference angle of its angle grid; equality, hashing and
+    ``theta0``, the reference angle of its angle grid, stored as a ``float``
+    (a float32 angle would round the grid); equality, hashing and
     ``repr`` go by those two alone.  It holds no array: the first
     ``check_*`` call measures all six identities and the space keeps their
     deviations.
@@ -126,6 +127,7 @@ class BPSpace:
             raise ValueError(f"2l+1 = {self.qp.dim} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
         if not math.fabs(self.theta0) <= 2.0 * math.pi:  # also NaN; TypeError if not real
             raise ValueError(f"theta0 must be finite, with |theta0| <= 2*pi, got {self.theta0}")
+        object.__setattr__(self, "theta0", float(self.theta0))
 
     @property
     def dim(self) -> int:

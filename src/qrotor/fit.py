@@ -13,18 +13,19 @@ BandData objects once.  ``factors`` forms the eigenvalue factors from
 baseline), and makes each band's regime and six-digit tests there, once;
 the per-band sums come from ``Bands.sums``.  ``_failure`` alone orders the
 checks a failing fit breaks, for the kernel and ``chi2_at`` alike.  The
-kernel takes odd space dimensions (0: the baseline), one row per variant,
-and returns its columns as a ``Fits``, the one input of the report writers;
+kernel takes a matrix of odd space dimensions (0: the baseline), one row
+per variant, int64 under ``QParameter``'s bound, and returns its columns
+as a ``Fits``, the one input of the report writers;
 ``compare_batch`` runs it over the baseline and ``model.space_dims`` and
 builds no ``QParameter``.  ``fit_A`` and ``compare`` are its one-band cases,
 which build a ``FitResult`` per row and raise the band's first failure;
 ``compare`` fits both variants in one pass.  A ``FitResult`` is the value
-(A, chi2, rms, qp): per-level residuals are read from ``Fits.residuals``.
+(A, chi2, rms, qp), ``qp`` None for the baseline: per-level residuals are
+read from ``Fits.residuals``, and only the JSON writer names the variants.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +35,6 @@ from .model import BandData, Bands, _check_inertia, space_dims
 from .qnum import QParameter, RegimeError, bracket, in_regime
 
 __all__ = [
-    "Variant",
     "FitError",
     "FitResult",
     "Fits",
@@ -45,11 +45,6 @@ __all__ = [
 ]
 
 KEV_PER_MEV = 1000.0
-
-
-class Variant(enum.Enum):
-    Q_DEFORMED = "q_deformed"
-    CLASSICAL = "classical"
 
 
 class FitError(ValueError):
@@ -86,18 +81,13 @@ class FitResult:
 
     ``chi2`` is the sum of squared residuals in MeV^2, ``rms`` the
     root-mean-square deviation sqrt(chi2/N) in keV over the N fitted
-    levels.  ``qp`` is None for the classical variant, which ``variant``
-    reads.
+    levels.  ``qp`` is None for the classical variant, the j(j+1) baseline.
     """
 
     A: float
     chi2: float
     rms: float
     qp: QParameter | None
-
-    @property
-    def variant(self) -> Variant:
-        return Variant.CLASSICAL if self.qp is None else Variant.Q_DEFORMED
 
 
 def _failure(name: str, dim: int, regime: bool, A: float, finite: bool) -> FitError | RegimeError:
@@ -153,8 +143,8 @@ def _fit(bands: Bands, dims) -> Fits:
     """The kernel: closed-form A, chi2 and rms of every band at once for each
     row of odd space dimensions ``dims`` (0: the j(j+1) baseline; tau = 2*pi/dim,
     as ``QParameter.tau``), and per row the first check each failing band fails."""
-    dims = np.asarray(dims)  # int64; object only for a library dimension past it
-    tau = (2.0 * np.pi / np.where(dims == 0, np.inf, dims)).astype(float, copy=False)
+    dims = np.asarray(dims)
+    tau = 2.0 * np.pi / np.where(dims == 0, np.inf, dims)
     f, regime, accurate = factors(bands, tau)
     with np.errstate(all="ignore"):
         A = bands.sums(bands.de * f) / bands.sums(f * f)

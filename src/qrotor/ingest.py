@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fit import Fits, Variant
+from .fit import Fits
 from .model import BandData, BandError, Bands, band_faults, spin_str
 from .qnum import MAX_SPIN, _decimal, on_grid
 
@@ -316,7 +316,6 @@ def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
     theo, _ = fits.residuals()
     starts, counts = bands.starts.tolist(), bands.counts.tolist()
     A, chi2, rms, tau, dims = map(np.ndarray.tolist, (fits.A, fits.chi2, fits.rms, fits.tau, fits.dims))
-    classical, deformed = (encode_basestring_ascii(variant.value) for variant in (Variant.CLASSICAL, Variant.Q_DEFORMED))
     rows = []
     for k in shown.tolist():
         name = encode_basestring_ascii(bands.names[k])
@@ -325,11 +324,11 @@ def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
         level_rows = ",\n".join([_JSON_LEVEL] * counts[k])
         for r in reversed(range(len(dims))):
             if dims[r][k] == 0:
-                tau_text, dim, variant = "null", "null", classical
+                tau_text, dim, variant = "null", "null", '"classical"'
                 A_text, chi2_text, rms_text = _json_floats([A[r][k], chi2[r][k], rms[r][k]])
             else:
                 tau_text, A_text, chi2_text, rms_text = _json_floats([tau[r][k], A[r][k], chi2[r][k], rms[r][k]])
-                dim, variant = int.__repr__(dims[r][k]), deformed
+                dim, variant = int.__repr__(dims[r][k]), '"q_deformed"'
             values = chain.from_iterable(zip(*levels, _json_floats(theo[r, lo:hi].tolist())))
             residuals = level_rows % tuple(values)
             rows.append(_JSON_ROW % (name, tau_text, dim, A_text, chi2_text, rms_text, variant, residuals))

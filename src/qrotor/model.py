@@ -20,6 +20,7 @@ batch holds no ``BandData`` of its own; indexing it builds one.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -66,7 +67,8 @@ class BandData:
     increasing by a constant step, a head energy >= 0, and finite energies
     strictly increasing with spin.  ``band_faults`` is the one place those
     rules are checked, over a whole batch of bands; building a BandData from
-    a level list is its one-band case.  The levels are stored as a spin
+    a level list is its one-band case.  It stores the values it checked, int
+    twice-spins (TypeError for a non-integer) and float energies, as a spin
     column and an energy column; ``levels`` pairs them up when read.
     """
 
@@ -75,7 +77,8 @@ class BandData:
     energies: tuple[float, ...]
 
     def __init__(self, name: str, levels):
-        twoj, energies = (tuple(column) for column in zip(*levels)) if levels else ((), ())
+        twoj, energies = zip(*levels) if levels else ((), ())
+        twoj, energies = tuple(map(operator.index, twoj)), tuple(map(float, energies))
         # Past the cap, any twice-spin breaks the same rule, so one that fits int64 stands in.
         capped = np.array([t if abs(t) <= 2 * MAX_SPIN else 2 * MAX_SPIN + 1 for t in twoj], dtype=np.int64)
         fault = band_faults([name], capped, np.array(energies, dtype=float), np.array([len(twoj)]))
@@ -258,7 +261,7 @@ def space_dims(bands: Sequence[BandData]) -> np.ndarray:
     and count, as one int64 column.  It cannot fail: a valid band's
     dimension is odd, at least 7 (spins 0, 1/2, 1 sum to 6) and at most
     (2**31 + 1)(2**30 + 1) < 2**62, the sum over every distinct twice-spin
-    from 0 to the cap's 2**31, which ``QParameter`` accepts."""
+    from 0 to the cap's 2**31, which is ``QParameter``'s bound."""
     bands = Bands.of(bands)
     head = bands.twoj[bands.starts]
     return _series_dim(head, bands.twoj[bands.starts + 1] - head, bands.counts)

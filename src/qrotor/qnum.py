@@ -10,7 +10,7 @@ that a spin is finite, on the half-integer grid and at most ``MAX_SPIN`` in
 magnitude, which keeps every twice-spin column int64.  ``MAX_DENSE_DIM``
 caps the space dimension of both ``bp_space`` and ``suq2``, and lives here
 so that the command line reads it without loading either.  A
-``QParameter`` is its odd space dimension alone, stored as an ``int``;
+``QParameter`` is its odd space dimension alone, an ``int`` below 2**62;
 tau = 2*pi/dim is derived from it on read.  Everything here is a pure
 function of immutable values.  numpy loads on the first call of
 ``bracket`` or ``max_abs``, the two array functions, not with this module,
@@ -20,7 +20,6 @@ so the command line parses its arguments without it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -55,6 +54,9 @@ MAX_SPIN = 2**30
 # complex matrix at the cap; the six checks ``verify`` runs stream row blocks
 # and form no D x D array, but keep this cap.
 MAX_DENSE_DIM = 1001
+
+# Largest space dimension a ``QParameter`` takes, the tau rule's largest (``model.space_dims``): int64 holds it.
+_MAX_DIM = (2 * MAX_SPIN + 1) * (MAX_SPIN + 1)
 
 
 def on_grid(spin: float) -> int | None:
@@ -98,8 +100,8 @@ def twice_spin(j: float) -> int:
 
 
 def _check_dim(dim) -> None:
-    if not (3 <= dim <= sys.float_info.max and dim == int(dim) and dim % 2 == 1):
-        raise ValueError(f"space dimension must be an odd integer from 3 to {sys.float_info.max:g}, got {_shown(dim)}")
+    if not (3 <= dim <= _MAX_DIM and dim == int(dim) and dim % 2 == 1):
+        raise ValueError(f"space dimension must be an odd integer from 3 to {_MAX_DIM}, got {_shown(dim)}")
 
 
 def _shown(value) -> str:

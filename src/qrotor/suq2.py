@@ -28,13 +28,39 @@ class IrrepMatrices:
 
     Basis ordering is m = j..-j (descending), putting J+ on the first
     superdiagonal; J- is read as the transpose of J+.  ``qp=None`` marks the undeformed (classical) variant.
-    Equality and hashing go by ``j`` and ``qp``, which fix the matrices.
+    Every construction, ``dataclasses.replace`` too, builds the matrices from ``j``,
+    stored on the half-integer grid, and ``qp``, which equality and hashing go by.
+
+    Raises ValueError for a negative spin or 2j+1 above MAX_DENSE_DIM, before
+    any array is made, and RegimeError if any product [j-m][j+m+1] under a
+    square root is negative, which signals that the embedding space is not
+    large compared to the spin.
     """
 
     j: float
     qp: QParameter | None
-    jz: np.ndarray = field(compare=False)
-    jplus: np.ndarray = field(compare=False)
+    jz: np.ndarray = field(init=False, compare=False, repr=False)
+    jplus: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        twoj = twice_spin(self.j)
+        if twoj < 0:
+            raise ValueError(f"spin must be nonnegative, got {self.j}")
+        if twoj + 1 > MAX_DENSE_DIM:
+            raise ValueError(f"2j+1 = {twoj + 1} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
+        j = twoj / 2
+        m = (twoj - 2.0 * np.arange(twoj + 1)) / 2.0
+        source = m[1:]
+        product = bracket(j - source, self.tau) * bracket(j + source + 1.0, self.tau)
+        negative = np.flatnonzero(product < 0.0)
+        if negative.size:
+            k = negative[0]
+            raise RegimeError(
+                f"negative bracket product {product[k]:.3e} at j={self.j}, m={source[k]}"
+                + ("" if self.qp is None else f", dim={self.qp.dim}")
+                + "; the spin does not fit in the space"
+            )
+        vars(self).update(j=j, jz=np.diag(m), jplus=np.diag(np.sqrt(product), 1))
 
     @property
     def jminus(self) -> np.ndarray:
@@ -51,32 +77,8 @@ class IrrepMatrices:
 
 
 def build_irrep(j: float, qp: QParameter | None) -> IrrepMatrices:
-    """Build the (2j+1)-dimensional irrep matrices at deformation qp.
-
-    Raises ValueError for a negative spin or 2j+1 above MAX_DENSE_DIM, before
-    any array is made, and RegimeError if any product [j-m][j+m+1] under a
-    square root is negative, which signals that the embedding space is not
-    large compared to the spin.
-    """
-    twoj = twice_spin(j)
-    if twoj < 0:
-        raise ValueError(f"spin must be nonnegative, got {j}")
-    if twoj + 1 > MAX_DENSE_DIM:
-        raise ValueError(f"2j+1 = {twoj + 1} exceeds the dense-matrix cap {MAX_DENSE_DIM}")
-    tau = 0.0 if qp is None else qp.tau
-
-    m = (twoj - 2.0 * np.arange(twoj + 1)) / 2.0
-    source = m[1:]
-    product = bracket(j - source, tau) * bracket(j + source + 1.0, tau)
-    negative = np.flatnonzero(product < 0.0)
-    if negative.size:
-        k = negative[0]
-        raise RegimeError(
-            f"negative bracket product {product[k]:.3e} at j={j}, m={source[k]}"
-            + ("" if qp is None else f", dim={qp.dim}")
-            + "; the spin does not fit in the space"
-        )
-    return IrrepMatrices(j=float(j), qp=qp, jz=np.diag(m), jplus=np.diag(np.sqrt(product), 1))
+    """The (2j+1)-dimensional irrep matrices at deformation qp: ``IrrepMatrices(j, qp)``."""
+    return IrrepMatrices(j, qp)
 
 
 def check_commutators(irrep: IrrepMatrices) -> float:

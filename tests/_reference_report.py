@@ -24,7 +24,7 @@ def _fit_json(band: BandData, result: FitResult) -> dict:
         "A_keV": result.A,
         "chi2_MeV2": result.chi2,
         "rms_keV": result.rms,
-        "variant": result.variant.value,
+        "variant": "classical" if result.qp is None else "q_deformed",
         "residuals": [
             {"j": j, "exp_keV": exp, "theo_keV": head_e + result.A * (casimir_eigenvalue(j, result.qp) - head_f)}
             for j, exp in zip(band.spins, band.energies)

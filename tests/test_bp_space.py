@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -163,6 +164,14 @@ class TestBuildSpace:
         with pytest.raises(ValueError, match="^2l\\+1 = 1003 exceeds the dense-matrix cap 1001$"):
             BPSpace(QParameter(MAX_DENSE_DIM + 2), 0.0)
         assert BPSpace(QParameter(11), 0.6) == space
+
+    @pytest.mark.parametrize("dim", [11, 101, 1001])
+    def test_stores_theta0_as_a_float(self, dim):
+        # kept as float32, theta0 = 0.6 left cyclic-shift at 1.4e-7 (D = 11) to 1.3e-5 (D = 1001)
+        space = build_space((dim - 1) // 2, np.float32(0.6))
+        assert type(space.theta0) is float
+        assert check_cyclic_shift(space) <= _bp_tolerance(dim)
+        assert type(build_space(5, Fraction(3, 5)).theta0) is float
 
     @pytest.mark.parametrize("theta0", [1e6, -1e6, 2 * math.pi + 1e-9, 1e17])
     def test_rejects_theta0_past_two_pi(self, theta0):

@@ -22,10 +22,10 @@ from _reference_fit import (
     reference_fit,
 )
 from _synth import exact_band, noisy_band, random_band, spin_range
-from qrotor.fit import FitError, FitResult, Variant, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A
+from qrotor.fit import FitError, FitResult, _fit, _outcomes, chi2_at, compare, compare_batch, factors, fit_A
 from qrotor.ingest import read_band_file
 from qrotor.model import BandData, Bands, energy, q_parameter_from_band
-from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, in_regime
+from qrotor.qnum import MAX_SPIN, QParameter, RegimeError, casimir_eigenvalue, in_regime
 
 DY = QParameter.from_dim(189)
 SPINS_2_18 = spin_range(2.0, 2.0, 9)
@@ -50,7 +50,6 @@ class TestClosedForm:
     def test_exact_model_recovery(self):
         band = exact_band("exact", 12.81, DY, SPINS_2_18)
         result = fit_A(band, DY)
-        assert result.variant is Variant.Q_DEFORMED
         assert abs(result.A - 12.81) / 12.81 < 1e-9
         assert result.chi2 < 1e-15
         assert result.qp == DY
@@ -58,26 +57,21 @@ class TestClosedForm:
     def test_exact_classical_recovery(self):
         band = exact_band("classical", 10.0, None, SPINS_2_18)
         result = fit_A(band, None)
-        assert result.variant is Variant.CLASSICAL
         assert result.A == pytest.approx(10.0, rel=1e-12)
         assert result.chi2 < 1e-15
         assert result.qp is None
 
     @pytest.mark.parametrize("dim", [2**63 + 1, 2**64 + 1, 10**300 + 1], ids=["2**63+1", "2**64+1", "10**300+1"])
     def test_dimension_past_int64(self, dim):
-        # a QParameter a library caller builds may not fit the kernel's int64
-        # column; its tau, below 1e-18, fits the band as j(j+1) does
-        band = exact_band("classical", 10.0, None, SPINS_2_18)
-        result = fit_A(band, QParameter(dim))
-        assert result.qp == QParameter(dim) and result.variant is Variant.Q_DEFORMED
+        # a QParameter takes no dimension past the tau rule's largest, so every
+        # one fits the kernel's int64 column; at that bound tau, below 3e-18,
+        # fits the band as j(j+1) does
+        with pytest.raises(ValueError, match="odd integer from 3"):
+            QParameter(dim)
+        largest = QParameter((2 * MAX_SPIN + 1) * (MAX_SPIN + 1))
+        result = fit_A(exact_band("classical", 10.0, None, SPINS_2_18), largest)
+        assert result.qp == largest and result.qp.dim == 2305843012434919425
         assert result.A == pytest.approx(10.0, rel=1e-12)
-
-    def test_variant_is_read_from_qp(self):
-        fit_q = fit_A(exact_band("exact", 12.81, DY, SPINS_2_18), DY)
-        assert "variant" not in {f.name for f in dataclasses.fields(fit_q)}
-        assert dataclasses.replace(fit_q, qp=None).variant is Variant.CLASSICAL
-        fit_cl = fit_A(exact_band("classical", 10.0, None, SPINS_2_18), None)
-        assert dataclasses.replace(fit_cl, qp=DY).variant is Variant.Q_DEFORMED
 
     def test_rms_definition(self):
         rng = np.random.default_rng(7)
@@ -175,8 +169,7 @@ class TestCompare:
     def test_q_generated_band(self):
         band = exact_band("exact", 12.81, DY, spin_range(2.0, 2.0, 9))
         fit_q, fit_cl = compare(band)
-        assert fit_q.variant is Variant.Q_DEFORMED
-        assert fit_cl.variant is Variant.CLASSICAL
+        assert fit_q.qp == q_parameter_from_band(band) and fit_cl.qp is None
         assert fit_q.chi2 < 1e-12
         assert fit_q.chi2 < fit_cl.chi2
 
@@ -289,7 +282,6 @@ class TestBatchKernel:
             kinds.add(type(expected).__name__)
             _assert_matches(band, result, expected)
             if not isinstance(result, Exception):
-                assert result.variant is (Variant.CLASSICAL if qp is None else Variant.Q_DEFORMED)
                 assert result.qp == qp
         assert kinds == {"tuple", "FitError", "RegimeError"}
 

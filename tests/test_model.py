@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qrotor.ingest import read_bands
+from qrotor.ingest import parse_band, read_bands, write_band
 from qrotor.model import (
     BandData,
     BandError,
@@ -321,6 +321,17 @@ class TestBandData:
             make_band([2, 4, 6], [10.0, 30.0, 70.0], name=name)
         assert (exc_info.value.level, str(exc_info.value)) == (
             None, f"band name must be one nonempty line without outer whitespace, got {name!r}")
+
+    def test_keeps_the_values_it_checked(self):
+        # a twice-spin that is not an integer is refused, not truncated
+        for head in (0.5, 1.9999):
+            with pytest.raises(TypeError):
+                BandData("x", [(head, 0.0), (2, 1.0), (4, 2.0)])
+        # energies are kept as the floats checked, so the band round-trips
+        for energies in (["0", "1", "2"], [0.0, np.float32(0.1), 2.0]):
+            band = BandData("x", list(zip([0, 2, 4], energies)))
+            assert [type(e) for e in band.energies] == [float] * 3
+            assert parse_band(write_band(band)) == band
 
     def test_properties(self):
         band = make_band([0, 1, 2], [0.0, 2.0, 6.0])

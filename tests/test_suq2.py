@@ -7,7 +7,7 @@ import pytest
 
 from qrotor.bp_space import MAX_DENSE_DIM
 from qrotor.qnum import QParameter, RegimeError, casimir_eigenvalue, qbracket
-from qrotor.suq2 import build_irrep, check_casimir, check_commutators
+from qrotor.suq2 import IrrepMatrices, build_irrep, check_casimir, check_commutators
 
 DY = QParameter.from_dim(189)
 YB = QParameter.from_dim(231)
@@ -54,13 +54,23 @@ class TestBuildIrrep:
     def test_jminus_is_read_from_jplus(self):
         ir = build_irrep(2.0, DY)
         assert "jminus" not in {f.name for f in dataclasses.fields(ir)}
-        other = np.arange(25.0).reshape(5, 5)
-        assert np.array_equal(dataclasses.replace(ir, jplus=other).jminus, other.T)
+        assert ir.jminus.base is ir.jplus
 
     def test_m_values_read_from_jz(self):
         ir = build_irrep(1.5, DY)
         assert ir.m_values.tolist() == [1.5, 0.5, -0.5, -1.5]
-        assert dataclasses.replace(ir, jz=np.diag([7.0, 8.0])).m_values.tolist() == [7.0, 8.0]
+        assert ir.m_values.base is ir.jz
+
+    def test_matrices_follow_from_j_and_qp(self):
+        ir = build_irrep(1.0, QParameter(51))
+        for changed, built in ((dataclasses.replace(ir, j=2.0), build_irrep(2.0, QParameter(51))),
+                               (dataclasses.replace(ir, qp=None), build_irrep(1.0, None))):
+            assert changed == built and hash(changed) == hash(built)
+            assert np.array_equal(changed.jz, built.jz) and np.array_equal(changed.jplus, built.jplus)
+            assert check_casimir(changed) <= 1e-12
+        with pytest.raises(TypeError):
+            IrrepMatrices(5.0, DY, np.eye(2), np.zeros((2, 2)))
+        assert IrrepMatrices(1 + 1e-12, None).j == 1.0
 
     def test_superdiagonal_structure(self):
         ir = build_irrep(2.0, DY)
