@@ -21,13 +21,12 @@ _HOME = {
     **dict.fromkeys(["BPSpace", "build_space", "check_quantum_plane", "check_cyclic_shift", "check_shift_power",
                      "BP_CHECKS"], "bp_space"),
     **dict.fromkeys(["IrrepMatrices", "build_irrep", "check_commutators", "check_casimir", "IRREP_CHECKS"], "suq2"),
-    **dict.fromkeys(
-        ["BandData", "BandError", "twice_spin", "spin_str", "space_size", "q_parameter_from_band", "energy"], "model"
-    ),
+    **dict.fromkeys(["BandData", "twice_spin", "spin_str", "space_size", "q_parameter_from_band", "energy"], "model"),
     **dict.fromkeys(["FitResult", "Fits", "fit_A", "chi2_at", "compare", "compare_batch"], "fit"),
+    **dict.fromkeys(["BandError", "BandParseError"], "reader"),
     **dict.fromkeys(
-        ["BandFile", "BandParseError", "parse_band", "parse_band_file", "read_band_file", "read_bands", "write_band",
-         "write_report", "write_plot_data"],
+        ["BandFile", "parse_band", "parse_band_file", "read_band_file", "read_bands", "write_band", "write_report",
+         "write_plot_data"],
         "ingest",
     ),
 }

@@ -55,7 +55,6 @@ bracket ``qnum.bracket``, which is insensitive to the sign of tau.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -63,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qnum import MAX_DENSE_DIM, QParameter, max_abs, twice_spin
+from .qnum import MAX_DENSE_DIM, QParameter, _cores, max_abs, twice_spin
 
 __all__ = [
     "MAX_DENSE_DIM",
@@ -177,11 +176,6 @@ def _times_weighted_conj_angle(x: np.ndarray, weight: np.ndarray | float, phases
     np.fft.ifft(x, axis=-1, out=x)
     x *= math.sqrt(len(s)) * p.conj()
     return x
-
-
-def _cores() -> int:
-    """Cores this process may run on; macOS has no affinity call."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _blockwise(dim: int, work: Callable[[slice], object]) -> list:

@@ -12,12 +12,19 @@ output cannot be written, with "cannot write standard output".
 
 Each subcommand loads only its own modules, on its first use of one of
 their names, which this module resolves through the package's one name
-table, ``qrotor._HOME``: ``table`` and ``plotdata`` load ``fit``, ``ingest``
-and ``model``, ``verify`` loads ``bp_space`` and ``suq2``, and ``--version``
-and ``--help`` load neither set.  ``qnum``, which the parser reads, loads
-with this module but loads no numpy; numpy loads with the subcommand's
-modules, so ``--version``, ``--help``, a usage error and "no band files
-found" end without paying its import.
+table, ``qrotor._HOME``: ``table`` and ``plotdata`` load ``reader``, ``fit``,
+``ingest`` and ``model``, ``verify`` loads ``bp_space`` and ``suq2``, and
+``--version`` and ``--help`` load none of them.  ``qnum``, which the parser
+reads, loads with this module but loads no numpy; numpy loads with the
+subcommand's modules, so ``--version``, ``--help``, a usage error and "no
+band files found" end without paying its import.
+
+``table`` and ``plotdata`` start reading and scanning their files before
+numpy loads: ``reader``, which needs no numpy, scans them, and where the
+files make two chunks or more and two cores are usable it forks one child
+that scans chunks from the start while this process loads numpy, then joins
+in (``reader.scan_paths``).  ``ingest`` checks the band rules on the merged
+scan, the same scan a run on one core makes in-process.
 """
 
 from __future__ import annotations
@@ -187,7 +194,14 @@ def cmd_bands(args: argparse.Namespace) -> int:
     if not paths:
         print("qrotor: no band files found", file=sys.stderr)
         return 1
-    faults, bands = _module.read_bands(paths)
+    from .reader import scan_paths  # the standard library alone: a child it forks scans while numpy loads
+
+    # Reading read_bands loads its module, ingest, and with it fit, model and numpy.
+    scan = scan_paths(paths, meanwhile=lambda: _module.read_bands)
+    from .ingest import _checked
+
+    faults, _, bands = _checked(scan)
+    del scan  # its columns, 24 bytes a level, would stay alive through the fit and the report
     fits = _module.compare_batch(bands, args.classical_only)
     failed = fits.failed()
     read = iter(range(len(bands)))

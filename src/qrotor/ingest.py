@@ -10,12 +10,15 @@ Band files are line-oriented UTF-8, with or without a leading byte-order mark:
 
 Spins (integer or .5, at most ``qnum.MAX_SPIN`` in magnitude) and energies
 (keV) are ASCII decimals.  Blank lines and other ``#`` comments are ignored.
-Files are read in batches (``read_bands``): ``_scan`` reads each file's text
-once, line by line, for its encoding, headers, field counts, number syntax
-and the half-integer grid (``qnum.on_grid``) into the batch's flat columns,
-then the band rules (``model.band_faults``) are checked over the whole batch
-at once; either way a failure names its line.  Only regular files are read:
-a pipe or a device is refused before any read.  The report table, the JSON
+Files are read in batches (``read_bands``) in two steps.  ``reader`` reads
+them and scans each text once, line by line, for its encoding, headers,
+field counts, number syntax and the half-integer grid into a
+``reader.Scan``'s flat columns, without numpy; ``_checked``, the numpy tail,
+then checks the band rules (``model.band_faults``) over the whole batch at
+once and gathers the bands that passed.  Either way a failure names its
+line.  Only regular files are read: a pipe or a device is refused before any
+read.  The command line runs the same two steps, with its scan started
+before numpy loads (``reader.scan_paths``).  The report table, the JSON
 report and the plot data are each formatted by one function from one input,
 the ``fit.Fits`` columns that ``fit.compare_batch`` returns for the batch.
 Serialization emits a canonical form that round-trips byte-identically.  All
@@ -25,11 +28,8 @@ locale dependence.
 
 from __future__ import annotations
 
-import errno
 import math
-import os
-import stat
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -37,8 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from .fit import Fits
-from .model import BandData, BandError, Bands, band_faults, spin_str
-from .qnum import MAX_SPIN, _decimal, on_grid
+from .model import BandData, Bands, band_faults, spin_str
+# BandParseError, _read and _scan keep their old home here too.
+from .reader import BandError, BandParseError, Scan, _read, _scan, scan_paths
 
 __all__ = [
     "BandParseError",
@@ -51,17 +52,6 @@ __all__ = [
     "write_report",
     "write_plot_data",
 ]
-
-
-class BandParseError(BandError):
-    """A band file failed validation; carries the offending line number
-    (0 for file-level problems)."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        self.message = message
-        prefix = f"line {line}: " if line else ""
-        super().__init__(f"{prefix}{message}")
 
 
 @dataclass(frozen=True)
@@ -78,134 +68,37 @@ def parse_band(text: bytes | str) -> BandData:
     return parse_band_file(text).parsed
 
 
-def _scan(text: bytes | str, twojs: list[int], energies: list[float],
-          line_nos: list[int]) -> tuple[str | None, list[str], BandParseError | None]:
-    """Check one file's text (encoding, headers, field count, number syntax,
-    half-integer grid) and append each data line before its first fault to
-    the columns: twice-spin, energy and line number.  Returns the band name,
-    the note lines and that fault, or None."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = text.count(b"\n", 0, exc.start) + 1
-            return None, [], BandParseError(line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8")
-    text = text.removeprefix("\ufeff")  # one leading byte-order mark
-    read = float if text.isascii() and "_" not in text else _decimal
+def _checked(scan: Scan) -> tuple[list[BandError | None], list[str | None], Bands]:
+    """The numpy tail of the band reader over a ``reader.Scan``: per text,
+    its first failure or None, and its note; and the bands read, as one
+    batch.
 
-    name: str | None = None
-    notes: list[str] = []
-    # Lines end at "\n" only: str.splitlines would also break at form feeds
-    # and Unicode separators and shift every later line number.
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] == "#":
-            body = line[1:].strip()
-            if body.startswith("nucleus:"):
-                if name is not None:
-                    return name, notes, BandParseError(line_no, "duplicate '# nucleus:' header")
-                name = body[len("nucleus:"):].strip()
-                if not name:
-                    return name, notes, BandParseError(line_no, "empty nucleus name")
-            elif body.startswith("note:"):
-                notes.append(body[len("note:"):].strip())
-            continue
-        if name is None:
-            return name, notes, BandParseError(line_no, "data before the required '# nucleus:' header")
-        tokens = line.split()
-        if len(tokens) != 2:
-            return name, notes, BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
-        try:
-            spin = read(tokens[0])
-        except ValueError:
-            spin = math.nan
-        twoj = on_grid(spin)
-        if twoj is None:
-            if MAX_SPIN < abs(spin) < math.inf:
-                return name, notes, BandParseError(line_no, f"spin {tokens[0]!r} exceeds {MAX_SPIN}")
-            return name, notes, BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)")
-        try:
-            energies.append(read(tokens[1]))
-        except ValueError:
-            return name, notes, BandParseError(line_no, f"non-numeric energy {tokens[1]!r}")
-        twojs.append(twoj)
-        line_nos.append(line_no)
-    if name is None:
-        return name, notes, BandParseError(0, "missing '# nucleus:' header")
-    return name, notes, None
-
-
-def _parse_batch(texts: Iterable[bytes | str | BandError]) -> tuple[list[BandError | None], list[str | None], Bands]:
-    """Parse a batch of band-file texts (or the error reading each) in one
-    pass: per text, its first failure or None, and its note; and the bands
-    read, as one batch.
-
-    Every text is scanned once by ``_scan`` into three flat columns; the
-    scan finds the text faults, a spin off the half-integer grid or an energy
-    that does not read included.  The band rules are then checked over the
-    whole batch at once.
-    A file's failure is its first text fault in line order, else its band's
-    first fault, named by the line of the level at fault.
+    The band rules are checked over the scan's columns at once.  A text's
+    failure is its first text fault in line order, else its band's first
+    fault, named by the line of the level at fault.
     """
-    twojs, energies, line_nos = [], [], []
-    names, notes, faults, counts = [], [], [], []
-    for text in texts:
-        before = len(line_nos)
-        name, note, fault = (None, [], text) if isinstance(text, BandError) else _scan(text, twojs, energies, line_nos)
-        names.append(name)
-        notes.append("\n".join(note) if note else None)
-        faults.append(fault)
-        counts.append(len(line_nos) - before)
-    counts = np.array(counts, dtype=np.intp)
+    counts = np.frombuffer(scan.counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
-    twoj = np.array(twojs, dtype=np.int64)
-    energies = np.array(energies, dtype=float)
-    for k, fault in band_faults(names, twoj, energies, counts).items():
+    twoj = np.frombuffer(scan.twoj, dtype=np.int64)
+    energies = np.frombuffer(scan.e, dtype=float)
+    faults = scan.faults.copy()
+    for k, fault in band_faults(scan.names, twoj, energies, counts).items():
         if faults[k] is None:
-            line_no = 0 if fault.level is None else line_nos[int(starts[k]) + fault.level]
+            line_no = 0 if fault.level is None else scan.line[int(starts[k]) + fault.level]
             faults[k] = BandParseError(line_no, str(fault))
     kept = np.fromiter((fault is None for fault in faults), bool, len(faults))
     levels = np.repeat(kept, counts)
-    read = [name for name, fault in zip(names, faults) if fault is None]
-    return faults, notes, Bands(read, twoj[levels], energies[levels], counts[kept])
+    read = [name for name, fault in zip(scan.names, faults) if fault is None]
+    return faults, scan.notes, Bands(read, twoj[levels], energies[levels], counts[kept])
 
 
 def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
     """Parse band-file text, keeping the provenance note lines: the
     one-text case of the batch reader."""
-    (fault,), (note,), bands = _parse_batch([text])
+    (fault,), (note,), bands = _checked(Scan([text]))
     if fault is not None:
         raise fault
     return BandFile(path=path, parsed=bands[0], source_note=note)
-
-
-# Without O_NONBLOCK, opening a FIFO waits for a writer; O_BINARY (Windows
-# only) keeps "\r\n" as it is.
-_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
-
-
-def _read(path: Path | str) -> bytes | BandError:
-    """The bytes of a regular file, or the BandError that stops reading it.
-    A pipe, a device or a socket is refused before any read."""
-    try:
-        fd = os.open(path, _OPEN_FLAGS)
-        try:
-            status = os.fstat(fd)
-            if stat.S_ISDIR(status.st_mode):  # os.read's EISDIR would carry no file name
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-            if not stat.S_ISREG(status.st_mode):
-                return BandError("cannot read band file: not a regular file")
-            chunks = [os.read(fd, status.st_size + 1)]
-            while chunks[-1]:  # a file that grew since fstat
-                chunks.append(os.read(fd, 1 << 16))
-            chunks.pop()
-            return b"".join(chunks)  # one chunk is returned as it is, not copied
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        return BandError(f"cannot read band file: {exc}")
 
 
 def read_band_file(path: Path | str) -> BandFile:
@@ -219,7 +112,7 @@ def read_band_file(path: Path | str) -> BandFile:
 def read_bands(paths: Sequence[Path | str]) -> tuple[list[BandError | None], Bands]:
     """Read and parse every band file in one batch: per path, the BandError
     that stops it or None; and the bands read, as one batch for ``fit.compare_batch``."""
-    faults, _, bands = _parse_batch(map(_read, paths))
+    faults, _, bands = _checked(scan_paths(paths))
     return faults, bands
 
 

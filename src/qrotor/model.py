@@ -28,6 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .qnum import MAX_SPIN, QParameter, RegimeError, casimir_eigenvalue, in_regime, twice_spin
+from .reader import BandError
 
 __all__ = [
     "BandError",
@@ -41,15 +42,6 @@ __all__ = [
     "q_parameter_from_band",
     "energy",
 ]
-
-
-class BandError(ValueError):
-    """A band violates the level-list invariants; ``level`` is the index of
-    the offending level, or None when no single level is at fault."""
-
-    def __init__(self, message: str, level: int | None = None):
-        super().__init__(message)
-        self.level = level
 
 
 def spin_str(twoj: int) -> str:

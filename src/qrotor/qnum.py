@@ -11,15 +11,19 @@ magnitude, which keeps every twice-spin column int64.  ``MAX_DENSE_DIM``
 caps the space dimension of both ``bp_space`` and ``suq2``, and lives here
 so that the command line reads it without loading either.  A
 ``QParameter`` is its odd space dimension alone, an ``int`` below 2**62;
-tau = 2*pi/dim is derived from it on read.  Everything here is a pure
-function of immutable values.  numpy loads on the first call of
-``bracket`` or ``max_abs``, the two array functions, not with this module,
-so the command line parses its arguments without it.
+tau = 2*pi/dim is derived from it on read.  Everything here but
+``_cores`` is a pure function of immutable values; ``_cores``, the count
+of usable cores, lives here so that the phase-space threads of ``bp_space``
+and the forked band scan of ``reader`` share it without loading each
+other.  numpy loads on the first call of ``bracket`` or ``max_abs``, the
+two array functions, not with this module, so the command line parses its
+arguments without it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,6 +71,11 @@ def on_grid(spin: float) -> int | None:
         return None
     twoj = round(2.0 * spin)
     return twoj if abs(2.0 * spin - twoj) <= 1e-9 else None
+
+
+def _cores() -> int:
+    """Cores this process may run on; macOS has no affinity call."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _decimal(token: str, kind: type = float):

@@ -633,7 +633,7 @@ def test_verify_loads_no_band_module():
     script = (
         "import os, sys\n"
         "from qrotor.cli import main\n"
-        "band = {'qrotor.ingest', 'qrotor.fit', 'qrotor.model'}\n"
+        "band = {'qrotor.reader', 'qrotor.ingest', 'qrotor.fit', 'qrotor.model'}\n"
         "assert main(['verify', '--max-dim', '5', '-o', os.devnull]) == 0\n"
         "assert band.isdisjoint(sys.modules), band & set(sys.modules)\n"
         "assert main(['table', sys.argv[1], '-o', os.devnull]) == 0\n"
@@ -719,9 +719,9 @@ def test_only_a_run_that_computes_loads_numpy(tmp_path, argv, code, out, err, nu
     assert flag.read_text() == str(numpy_loaded)
 
 
-# A child that runs the CLI with every import of numpy failing with the error
-# its first argument names.
-NUMPY_FAILS = """
+# The start of a child in which every import of numpy fails with the error its
+# first argument names.
+REFUSE_NUMPY = """
 import builtins, sys
 
 class Refuse:
@@ -731,6 +731,10 @@ class Refuse:
         return None
 
 sys.meta_path.insert(0, Refuse())
+"""
+
+# A child that runs the CLI on its argv past the first, with numpy refused.
+NUMPY_FAILS = REFUSE_NUMPY + """
 from qrotor.cli import main
 sys.exit(main(sys.argv[2:]))
 """

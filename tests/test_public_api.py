@@ -86,7 +86,7 @@ def cli_import_adds():
     return import_adds("qrotor.cli")
 
 
-@pytest.mark.parametrize("module", ["qrotor.cli", "qrotor.qnum"])
+@pytest.mark.parametrize("module", ["qrotor.cli", "qrotor.qnum", "qrotor.reader"])
 def test_import_loads_only_stdlib(module):
     """numpy loads at a subcommand's first computation, not with the parser."""
     adds = import_adds(module)
