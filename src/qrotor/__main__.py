@@ -3,8 +3,10 @@ import gc
 import os
 
 # numpy's OpenBLAS starts a worker per extra core that spins about 0.13 s of
-# CPU after start-up; no qrotor path gains from BLAS threads.  Set before
-# numpy loads, and only here, so importing qrotor.cli leaves os.environ alone.
+# CPU after start-up; no qrotor path gains from BLAS threads, and with none a
+# run still has the one thread a JSON report's fork needs (reader.can_fork).
+# Set before numpy loads, and only here, so importing qrotor.cli leaves
+# os.environ alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cli import main  # noqa: E402

@@ -24,7 +24,13 @@ numpy loads: ``reader``, which needs no numpy, scans them, and where the
 files make two chunks or more and two cores are usable it forks one child
 that scans chunks from the start while this process loads numpy, then joins
 in (``reader.scan_paths``).  ``ingest`` checks the band rules on the merged
-scan, the same scan a run on one core makes in-process.
+scan, the same scan a run on one core makes in-process.  A JSON report of
+more than ``_FORK_LEVELS`` levels is formatted in chunks of bands that this
+process and a second forked child share the same way (``reader.forked``),
+and written in band order, piece by piece, never joined.  ``python -m qrotor``
+runs OpenBLAS on one thread, so that process still runs one thread when the
+report forks; a user who sets more formats the report in-process.  An ``-o``
+file is whole or left as it was (``_write``).
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
@@ -111,15 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--json", action="store_true", help="emit the JSON report with residuals")
     p_table.add_argument("--classical-only", action="store_true", help="fit only the j(j+1) baseline")
     add_output(p_table)
-    # A renderer looks write_report up in this module when called, so the name
-    # bench/spans.py swaps applies to every band subcommand.
-    p_table.set_defaults(handler=cmd_bands, render=lambda args, fits: _module.write_report(fits, as_json=args.json))
+    p_table.set_defaults(handler=cmd_bands, render=_report)
 
     p_plot = sub.add_parser("plotdata", help="emit 6-column level/residual data per band")
     p_plot.add_argument("inputs", nargs="+", type=_input, help="band files or directories of *.band")
     add_output(p_plot)
     p_plot.set_defaults(handler=cmd_bands, classical_only=False,
-                        render=lambda args, fits: _module.write_plot_data(fits))
+                        render=lambda args, fits: [_module.write_plot_data(fits)])
 
     p_verify = sub.add_parser("verify", help="verify the operator-algebra identities numerically")
     p_verify.add_argument("--max-dim", type=_odd_dim, default=DEFAULT_MAX_DIM,
@@ -133,24 +139,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, payload: bytes) -> int:
-    """Write ``payload`` as is to the ``-o`` path or standard output; 1, with
-    a diagnostic, when it cannot be written, else 0."""
+def _emit(args: argparse.Namespace, pieces: Sequence[bytes]) -> int:
+    """Write ``pieces`` as they are, in order, to the ``-o`` path
+    (``_write``) or standard output; 1, with a diagnostic, when they cannot
+    be written, else 0."""
     try:
         if args.output is None:
             sys.stdout.flush()
-            view = memoryview(payload)
-            while view:  # a write cut short by a closing reader returns its count; the next one raises
-                view = view[sys.stdout.buffer.write(view):]
+            for piece in pieces:
+                view = memoryview(piece)
+                while view:  # a write cut short by a closing reader returns its count; the next one raises
+                    view = view[sys.stdout.buffer.write(view):]
             sys.stdout.buffer.flush()
         else:
-            args.output.write_bytes(payload)
+            _write(args.output, pieces)
     except OSError as exc:
         if args.output is None:
             return _stdout_failed(exc)
         print(f"qrotor: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _write(path: Path, pieces: Sequence[bytes]) -> None:
+    """Write ``pieces`` to ``path``, which holds after it the whole of them
+    or, when a write fails, what it held before.  A regular file, or a name
+    not yet taken, is written through a new file beside it, made with the
+    mode a new file gets (0o666 less the umask) or the mode of the file it
+    replaces, and renamed onto it after the last piece.  A symlink, which is
+    followed, a device, a FIFO, or a path beside which no new file can be
+    made, is written in place."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    flags, temp = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), None
+    if mode is None or stat.S_ISREG(mode):
+        try:
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            fd = os.open(temp, flags | os.O_EXCL, 0o666)
+        except OSError:
+            temp = None
+    if temp is None:
+        fd = os.open(path, flags | os.O_TRUNC, 0o666)
+    try:
+        with open(fd, "wb") as out:
+            for piece in pieces:
+                out.write(piece)
+        if temp is not None:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            os.replace(temp, path)
+    except BaseException:
+        if temp is not None:
+            os.unlink(temp)
+        raise
 
 
 def _stdout_failed(exc: OSError) -> int:
@@ -164,6 +207,27 @@ def _stdout_failed(exc: OSError) -> int:
     os.close(devnull)
     print(f"qrotor: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
     return 1
+
+
+# Levels above which a JSON report is formatted on two cores.  Below about
+# 10,000, spawned `table --json` runs on two cores gained nothing: the fork,
+# and the pages both processes then copy, cost what the second core saved.
+_FORK_LEVELS = 10_000
+
+
+def _report(args: argparse.Namespace, fits) -> list[bytes]:
+    """The table or the JSON report of ``fits``, in pieces.  A JSON report
+    of more than ``_FORK_LEVELS`` levels is formatted in chunks that this
+    process and a forked child share, where ``reader.can_fork()``; any
+    other goes through ``write_report``, looked up in this module when
+    called, so that a swapped name applies."""
+    from .reader import can_fork, forked
+
+    if args.json and len(fits.bands.e) > _FORK_LEVELS and can_fork():
+        from .ingest import _report_json, _shown
+
+        return _report_json(fits, _shown(fits, both=False), forked)
+    return [_module.write_report(fits, as_json=args.json)]
 
 
 def _fit_one(path: Path, classical_only: bool):
@@ -259,7 +323,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for name, check in _module.IRREP_CHECKS:
                 record(name, params, check(irrep), _irrep_tolerance(dim))
 
-    code = _emit(args, ("\n".join(lines) + "\n").encode("utf-8"))
+    code = _emit(args, [("\n".join(lines) + "\n").encode("utf-8")])
     for failure in failures:
         print(f"qrotor: verify: {failure}", file=sys.stderr)
     return 1 if failures else code

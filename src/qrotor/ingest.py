@@ -21,6 +21,9 @@ read.  The command line runs the same two steps, with its scan started
 before numpy loads (``reader.scan_paths``).  The report table, the JSON
 report and the plot data are each formatted by one function from one input,
 the ``fit.Fits`` columns that ``fit.compare_batch`` returns for the batch.
+The JSON report's bands are formatted in chunks, one body per chunk inside
+the framing, so that the command line can share the chunks with a forked
+child (``_report_json``); ``write_report`` formats them all in-process.
 Serialization emits a canonical form that round-trips byte-identically.  All
 report output is deterministic: fixed formats, '.' decimal separator, no
 locale dependence.
@@ -39,7 +42,7 @@ import numpy as np
 from .fit import Fits
 from .model import BandData, Bands, band_faults, spin_str
 # BandParseError, _read and _scan keep their old home here too.
-from .reader import BandError, BandParseError, Scan, _read, _scan, scan_paths
+from .reader import BandError, BandParseError, Scan, _read, _scan, most_chunks, scan_paths
 
 __all__ = [
     "BandParseError",
@@ -138,7 +141,8 @@ def write_report(fits: Fits, as_json: bool = False) -> bytes:
     one it fitted.  ValueError for a ``Fits`` in any other layout or with no
     band to show.
     """
-    return (_report_json if as_json else _report_table)(fits, _shown(fits, both=False))
+    shown = _shown(fits, both=False)
+    return b"".join(_report_json(fits, shown)) if as_json else _report_table(fits, shown)
 
 
 def _shown(fits: Fits, both: bool) -> np.ndarray:
@@ -202,34 +206,53 @@ def _json_floats(values: list[float]) -> list[str]:
     return list(map(float.__repr__, values))
 
 
-def _report_json(fits: Fits, shown: np.ndarray) -> bytes:
-    """Per shown band the deformed row, where fitted, then the classical one."""
+# Levels per chunk of the JSON report's shown bands.  json-long's 60,000
+# make about sixty chunks, so two processes that take chunks as they go end
+# within a few milliseconds of each other; 512 and 4,096 measured no better.
+_CHUNK_LEVELS = 1024
+
+
+def _report_json(fits: Fits, shown: np.ndarray, run=lambda body, count: map(body, range(count))) -> list[bytes]:
+    """The JSON report as byte pieces, in order: the framing around the body
+    of each chunk of shown bands, which ``run(body, count)`` gives, in
+    order, as ``[body(k) for k in range(count)]`` (``reader.forked`` shares
+    the chunks with a forked child).  A body has per shown band the
+    deformed row, where fitted, then the classical one.  The columns each
+    body reads are computed once, before ``run``."""
     from json.encoder import encode_basestring_ascii  # here, so that only a JSON report loads json
     bands = fits.bands
     theo, _ = fits.residuals()
     starts, counts = bands.starts.tolist(), bands.counts.tolist()
     A, chi2, rms, tau, dims = map(np.ndarray.tolist, (fits.A, fits.chi2, fits.rms, fits.tau, fits.dims))
-    rows = []
-    for k in shown.tolist():
-        name = encode_basestring_ascii(bands.names[k])
-        lo, hi = starts[k], starts[k] + counts[k]
-        levels = [_json_floats(bands.j[lo:hi].tolist()), _json_floats(bands.e[lo:hi].tolist())]
-        level_rows = ",\n".join([_JSON_LEVEL] * counts[k])
-        for r in reversed(range(len(dims))):
-            if dims[r][k] == 0:
-                tau_text, dim, variant = "null", "null", '"classical"'
-                A_text, chi2_text, rms_text = _json_floats([A[r][k], chi2[r][k], rms[r][k]])
-            else:
-                tau_text, A_text, chi2_text, rms_text = _json_floats([tau[r][k], A[r][k], chi2[r][k], rms[r][k]])
-                dim, variant = int.__repr__(dims[r][k]), '"q_deformed"'
-            values = chain.from_iterable(zip(*levels, _json_floats(theo[r, lo:hi].tolist())))
-            residuals = level_rows % tuple(values)
-            rows.append(_JSON_ROW % (name, tau_text, dim, A_text, chi2_text, rms_text, variant, residuals))
-    rows[0] = "[\n" + rows[0]
-    rows[-1] += "\n]\n"
-    text = ",\n".join(rows)
-    del rows  # so that the report is held at most twice: as text and as bytes
-    return text.encode("ascii")
+    levels = bands.counts[shown]
+    size = max(_CHUNK_LEVELS, -(-int(levels.sum()) // most_chunks()))
+    # A chunk is the bands whose first level falls in one stretch of size levels.
+    chunks = np.split(shown, np.flatnonzero(np.diff((np.cumsum(levels) - levels) // size)) + 1)
+
+    def body(c: int) -> bytes:
+        rows = []
+        for k in chunks[c].tolist():
+            name = encode_basestring_ascii(bands.names[k])
+            lo, hi = starts[k], starts[k] + counts[k]
+            level_values = [_json_floats(bands.j[lo:hi].tolist()), _json_floats(bands.e[lo:hi].tolist())]
+            level_rows = ",\n".join([_JSON_LEVEL] * counts[k])
+            for r in reversed(range(len(dims))):
+                if dims[r][k] == 0:
+                    tau_text, dim, variant = "null", "null", '"classical"'
+                    A_text, chi2_text, rms_text = _json_floats([A[r][k], chi2[r][k], rms[r][k]])
+                else:
+                    tau_text, A_text, chi2_text, rms_text = _json_floats([tau[r][k], A[r][k], chi2[r][k], rms[r][k]])
+                    dim, variant = int.__repr__(dims[r][k]), '"q_deformed"'
+                values = chain.from_iterable(zip(*level_values, _json_floats(theo[r, lo:hi].tolist())))
+                residuals = level_rows % tuple(values)
+                rows.append(_JSON_ROW % (name, tau_text, dim, A_text, chi2_text, rms_text, variant, residuals))
+        return ",\n".join(rows).encode("ascii")
+
+    pieces = [b"[\n"]
+    for text in run(body, len(chunks)):
+        pieces += (text, b",\n")
+    pieces[-1] = b"\n]\n"
+    return pieces
 
 
 _PLOT_HEADER = "# j exp_keV theo_q_keV theo_classical_keV resid_q_keV resid_classical_keV"

@@ -12,17 +12,11 @@ band rules over the whole batch.  This module imports the standard library
 and ``qnum`` alone, so that a child the command line forks reads and scans
 while numpy loads.
 
-``scan_paths`` is the one scan of a list of paths.  Where it is safe and
-pays, it forks one child first: ``os.fork`` exists, two cores or more are
-usable, the paths make two chunks or more, numpy has not loaded and no other
-thread runs.  The chunk numbers go into a pipe in one write of at most
-``select.PIPE_BUF`` bytes, made before the fork; a pipe read hands each
-number to one reader only, so the child takes chunks from the start while
-this process runs ``meanwhile()`` (the command line loads numpy there) and
-then takes the rest.  The child sends its scans back in one ``marshal``
-stream and ends with ``os._exit``.  If it fails, or what it sent is cut
-short, this process scans its chunks again, so a fork changes no result.
-Elsewhere the same scan runs in this process alone.
+``scan_paths`` is the one scan of a list of paths.  Where the paths make two
+chunks or more, numpy has not loaded and ``can_fork()``, a forked child
+scans chunks while this process loads numpy, and then both scan the rest
+(``forked``, which the command line's JSON report uses too).  A fork changes
+no result.  Elsewhere the same scan runs in this process alone.
 """
 
 from __future__ import annotations
@@ -216,24 +210,26 @@ _CHUNK_FILES = 256
 _TOKEN_BYTES = 4
 
 
-def _chunks(paths: Sequence[Path | str]) -> list[Sequence[Path | str]]:
-    """``paths`` cut into consecutive chunks of ``_CHUNK_FILES`` paths; past
-    ``PIPE_BUF // _TOKEN_BYTES`` chunks (1,024 on Linux) the chunks grow, so
-    that every chunk number fits in one pipe write that cannot block."""
+def most_chunks() -> int:
+    """The most chunks ``forked`` takes: their numbers fit one pipe write
+    that cannot block (1,024 on Linux)."""
     import select  # PIPE_BUF; only a forking platform needs it
 
-    size = max(_CHUNK_FILES, -(-len(paths) // (getattr(select, "PIPE_BUF", 512) // _TOKEN_BYTES)))
+    return getattr(select, "PIPE_BUF", 512) // _TOKEN_BYTES
+
+
+def _chunks(paths: Sequence[Path | str]) -> list[Sequence[Path | str]]:
+    """``paths`` cut into consecutive chunks of ``_CHUNK_FILES`` paths; past
+    ``most_chunks()`` chunks the chunks grow."""
+    size = max(_CHUNK_FILES, -(-len(paths) // most_chunks()))
     return [paths[start:start + size] for start in range(0, len(paths), size)]
 
 
-def _forks(files: int) -> bool:
-    """Whether ``scan_paths`` forks a child to scan ``files`` files: only
-    where they make two chunks or more, ``os.fork`` exists, two cores or more
-    are usable, numpy, whose import the child overlaps and whose BLAS may
-    start threads, has not loaded, and no other thread runs, which a fork
-    would copy half-way through its work."""
-    return (files > _CHUNK_FILES and "numpy" not in sys.modules and hasattr(os, "fork") and _cores() >= 2
-            and _threads() == 1)
+def can_fork() -> bool:
+    """Whether ``forked`` may fork: ``os.fork`` exists, two cores or more
+    are usable, and no other thread runs, which a fork would copy half-way
+    through its work."""
+    return hasattr(os, "fork") and _cores() >= 2 and _threads() == 1
 
 
 def _taken(tokens: int) -> Iterator[int]:
@@ -250,65 +246,66 @@ def _send(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _child(chunks: list[Sequence[Path | str]], tokens: int, results: tuple[int, int]) -> None:
-    """The forked child's whole run: scan each chunk it takes from
-    ``tokens``, send the scans to the pipe ``results`` and exit 0; exit 1 on
-    any failure.  It never returns, nor runs the parent's exit handlers."""
+def _child(work: Callable[[int], object], tokens: int, results: tuple[int, int]) -> None:
+    """The forked child's whole run: work each chunk it takes from
+    ``tokens``, send the results to the pipe ``results`` and exit 0; exit 1
+    on any failure.  It never returns, nor runs the parent's exit handlers."""
     code = 1
     try:
         os.close(results[0])  # so that a write fails, not blocks, once the parent is gone
-        _send(results[1], marshal.dumps([(k, Scan(map(_read, chunks[k])).values()) for k in _taken(tokens)]))
+        _send(results[1], marshal.dumps([(k, work(k)) for k in _taken(tokens)]))
         code = 0
     finally:
         os._exit(code)
 
 
-def _received(data: bytes) -> dict[int, Scan]:
-    """The child's scans by chunk number, from the bytes it sent; empty if
-    they were cut short."""
-    try:
-        return {k: Scan.of_values(values) for k, values in marshal.loads(data)}
-    except (EOFError, TypeError, ValueError):
-        return {}
+def forked(work: Callable[[int], object], count: int, meanwhile: Callable[[], object] = lambda: None) -> list:
+    """``[work(k) for k in range(count)]``, shared with one forked child, and
+    ``meanwhile()`` called once in this process before it works.  The caller
+    checks ``can_fork()``; ``count`` is at most ``most_chunks()``, and each
+    result is a value ``marshal`` writes.
 
-
-def scan_paths(paths: Sequence[Path | str], meanwhile: Callable[[], object] = lambda: None) -> Scan:
-    """Read and scan the band files at ``paths``, in order, and call
-    ``meanwhile()`` once in this process, before it scans: where a forked
-    child scans, the two run at the same time.
+    The chunk numbers go into a pipe in one write, made before the fork; a
+    pipe read hands each number to one reader only, so the child takes
+    chunks from the start while this process runs ``meanwhile()``, and then
+    both take the rest.  The child sends its results in one ``marshal``
+    stream.  If no child can be forked, or it fails, or what it sent is cut
+    short, this process works its chunks, so a fork changes no result.
 
     No process outlives the call: on any exception, ``meanwhile``'s among
     them, the child is killed and reaped before it propagates.
     """
-    if not _forks(len(paths)):
+    if count < 2:  # a child could only wait, or hold a second copy of the one result
         meanwhile()
-        return Scan(map(_read, paths))
-    chunks = _chunks(paths)
+        return [work(k) for k in range(count)]
     tokens, write = os.pipe()
     results, pid = -1, -1
     try:
         try:  # one write of at most PIPE_BUF bytes into an empty pipe: it cannot block
-            os.write(write, b"".join(k.to_bytes(_TOKEN_BYTES, "little") for k in range(len(chunks))))
+            os.write(write, b"".join(k.to_bytes(_TOKEN_BYTES, "little") for k in range(count)))
         finally:
             os.close(write)
         results, write = os.pipe()
         try:
             pid = os.fork()
             if pid == 0:
-                _child(chunks, tokens, (results, write))
+                _child(work, tokens, (results, write))
         except OSError:  # no process to spare: this one takes every chunk
             pass
         finally:
             os.close(write)
         meanwhile()
-        scans = {k: Scan(map(_read, chunks[k])) for k in _taken(tokens)}
+        done = {k: work(k) for k in _taken(tokens)}
         if pid > 0:
             with open(results, "rb", buffering=0, closefd=False) as pipe:
                 data = pipe.readall()
             _, status = os.waitpid(pid, 0)
             pid = -1
-            if status == 0:
-                scans |= _received(data)
+            try:
+                if status == 0:
+                    done |= dict(marshal.loads(data))
+            except (EOFError, TypeError, ValueError):  # what the child sent was cut short
+                pass
             del data
     finally:
         if pid > 0:  # an exception left the child running: kill it and reap it
@@ -319,7 +316,20 @@ def scan_paths(paths: Sequence[Path | str], meanwhile: Callable[[], object] = la
         os.close(tokens)
         if results >= 0:
             os.close(results)
+    return [done.pop(k) if k in done else work(k) for k in range(count)]
+
+
+def scan_paths(paths: Sequence[Path | str], meanwhile: Callable[[], object] = lambda: None) -> Scan:
+    """Read and scan the band files at ``paths``, in order, and call
+    ``meanwhile()`` once in this process, before it scans.  Where the paths
+    make two chunks or more, numpy, whose import the child overlaps and
+    whose BLAS may start threads, has not loaded, and ``can_fork()``, a
+    forked child scans chunks while ``meanwhile`` runs (``forked``)."""
+    if len(paths) <= _CHUNK_FILES or "numpy" in sys.modules or not can_fork():
+        meanwhile()
+        return Scan(map(_read, paths))
+    chunks = _chunks(paths)
     scan = Scan()
-    for k, chunk in enumerate(chunks):
-        scan.extend(scans.pop(k) if k in scans else Scan(map(_read, chunk)))
+    for values in forked(lambda k: Scan(map(_read, chunks[k])).values(), len(chunks), meanwhile):
+        scan.extend(Scan.of_values(values))
     return scan

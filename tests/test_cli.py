@@ -273,6 +273,61 @@ class TestTableCommand:
         assert err[1].startswith(f"qrotor: cannot write {out}: ")
 
 
+@pytest.mark.skipif(os.name != "posix", reason="resource limits, umask and modes of POSIX")
+class TestOutputFile:
+    """An ``-o`` file holds the whole report or what it held before; each
+    run is spawned, with its limits set in the child alone."""
+
+    @staticmethod
+    def _run(argv, cwd, fsize=None, umask=0o022):
+        def limits():
+            import resource
+
+            os.umask(umask)
+            if fsize is not None:
+                resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+
+        return subprocess.run([sys.executable, "-m", "qrotor", *map(str, argv)], capture_output=True, text=True,
+                              env=_child_env(), cwd=cwd, preexec_fn=limits, timeout=120)
+
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-a-report", "new"])
+    def test_a_write_cut_short_leaves_the_file_as_it_was(self, tmp_path, bands_dir, dy162_path, earlier):
+        out = tmp_path / "report.json"
+        if earlier:
+            assert self._run(["table", "--json", dy162_path, "-o", out], tmp_path).returncode == 0
+        before = out.read_bytes() if earlier else None
+        proc = self._run(["table", "--json", bands_dir, "-o", out], tmp_path, fsize=1024)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"qrotor: cannot write {out}: File too large\n")
+        assert (out.read_bytes() if earlier else None) == before
+        assert os.listdir(tmp_path) == (["report.json"] if earlier else [])
+
+    def test_a_written_report_leaves_no_other_file(self, tmp_path, bands_dir):
+        proc = self._run(["table", "--json", bands_dir, "-o", "report.json"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert os.listdir(tmp_path) == ["report.json"] and (tmp_path / "report.json").read_bytes().endswith(b"]\n")
+
+    def test_null_device(self, tmp_path, bands_dir):
+        assert self._run(["table", "--json", bands_dir, "-o", os.devnull], tmp_path).returncode == 0
+        assert os.listdir(tmp_path) == []
+
+    def test_modes(self, tmp_path, dy162_path):
+        """A new file gets 0o666 less the umask, as before; a file written
+        over keeps its own mode."""
+        assert self._run(["table", dy162_path, "-o", "new.txt"], tmp_path, umask=0o027).returncode == 0
+        old = tmp_path / "old.txt"
+        old.write_bytes(b"old")
+        old.chmod(0o600)
+        assert self._run(["table", dy162_path, "-o", old], tmp_path).returncode == 0
+        assert (tmp_path / "new.txt").read_bytes() == old.read_bytes()
+        assert {name: (tmp_path / name).stat().st_mode & 0o777 for name in os.listdir(tmp_path)} == {
+            "new.txt": 0o640, "old.txt": 0o600}
+
+    def test_a_symlink_is_followed(self, tmp_path, dy162_path):
+        (tmp_path / "link.txt").symlink_to("target.txt")
+        assert self._run(["table", dy162_path, "-o", "link.txt"], tmp_path).returncode == 0
+        assert (tmp_path / "link.txt").is_symlink() and (tmp_path / "target.txt").read_text().startswith("nucleus")
+
+
 class TestPlotdataCommand:
     def test_columns(self, capsys, dy162_path):
         assert main(["plotdata", str(dy162_path)]) == 0

@@ -1,10 +1,11 @@
-"""The band reader's numpy-free front: its error types, its scan columns and
-the forked scan of the command line.
+"""The band reader's numpy-free front: its error types, its scan columns,
+and ``reader.forked``, which shares the command line's band scan and its
+JSON report with a forked child.
 
-The forked scan runs only in a fresh interpreter, before numpy loads, so its
-tests spawn the CLI.  Each compares a run pinned to one core, where the scan
-stays in-process, with a run that forks, on a corpus of several chunks with
-failing files on both sides of a chunk boundary."""
+The forked scan runs only in a fresh interpreter, before numpy loads, so the
+fork tests spawn the CLI.  Each compares a run pinned to one core, where the
+scan and the report stay in-process, with a run that forks, on a corpus of
+several chunks with failing files on both sides of a chunk boundary."""
 
 import copy
 import marshal
@@ -18,8 +19,9 @@ import pytest
 
 from _synth import random_band
 from conftest import REPO_ROOT
-from qrotor import reader
-from qrotor.ingest import BandParseError, write_band
+from qrotor import cli, reader
+from qrotor.fit import compare_batch
+from qrotor.ingest import BandParseError, _checked, _report_json, write_band
 from qrotor.model import BandError
 from qrotor.reader import Scan, _chunks, _read
 from test_cli import REFUSE_NUMPY, _child_env
@@ -126,13 +128,49 @@ def valid_corpus(tmp_path_factory):
     return root
 
 
-def _spawn(argv, script=None, core=None):
+def _first_report_chunk(texts):
+    """The bands in the first chunk of the JSON report of ``texts``, all
+    valid bands."""
+    fits = compare_batch(_checked(Scan(texts))[2])
+    bodies = []
+
+    def run(body, count):
+        bodies.extend(map(body, range(count)))
+        return bodies
+
+    _report_json(fits, fits.shown(), run)
+    assert len(bodies) > 2
+    return bodies[0].count(b'"nucleus"') // 2  # two rows a band
+
+
+@pytest.fixture(scope="module")
+def report_corpus(tmp_path_factory):
+    """Band files of more levels than a JSON report formats in-process, and
+    of several chunks of files, with failing files on both sides of the
+    first boundary between the report's chunks of shown bands."""
+    texts, levels = [], 0
+    while levels <= 1.2 * cli._FORK_LEVELS:
+        band = random_band(np.random.default_rng(len(texts)), len(texts))[0]
+        texts.append(write_band(band))
+        levels += len(band.levels)
+    first = _first_report_chunk(texts)
+    failing = _failing_texts(tmp_path_factory.mktemp("report_failing"))[:-1]
+    texts[first + 1:first + 1] = failing  # after the first band of the second chunk
+    texts[first - 1:first - 1] = failing  # before the last band of the first chunk
+    root = tmp_path_factory.mktemp("report")
+    for k, text in enumerate(texts):
+        (root / f"b{k:05d}.band").write_bytes(text)
+    return root
+
+
+def _spawn(argv, script=None, core=None, flags=()):
     """``python -m qrotor argv``, or ``script`` with ``argv``, pinned to
-    ``core`` if given: (exit code, stdout, stderr)."""
-    command = [sys.executable, *(["-c", script] if script else ["-m", "qrotor"]), *map(str, argv)]
+    ``core`` if given: (exit code, stdout, stderr).  ``OPENBLAS_NUM_THREADS``
+    is left unset, so ``qrotor.__main__`` sets it to 1, as in a user's run."""
+    command = [sys.executable, *flags, *(["-c", script] if script else ["-m", "qrotor"]), *map(str, argv)]
     pin = None if core is None else lambda: os.sched_setaffinity(0, {core})
-    proc = subprocess.run(command, capture_output=True, env=_child_env(), cwd=REPO_ROOT, preexec_fn=pin,
-                          timeout=120)
+    proc = subprocess.run(command, capture_output=True, env=_child_env(OPENBLAS_NUM_THREADS=None), cwd=REPO_ROOT,
+                          preexec_fn=pin, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -149,16 +187,16 @@ def test_forked_scan_gives_the_same_bytes(corpus, argv):
     assert _spawn([*argv, corpus]) == in_process
 
 
-# Runs ``main`` on its argv and then fails unless it forked one child and
-# reaped it.
+# Runs ``main`` on its argv as ``python -m qrotor`` does and then fails unless
+# it forked ``count`` children and reaped them.
 COUNT_FORKS = """
 import os, sys
 forks = []
 fork = os.fork
 os.fork = lambda: forks.append(1) or fork()
-from qrotor.cli import main
+from qrotor.__main__ import main
 code = main(sys.argv[{first}:])
-assert len(forks) == 1, forks
+assert len(forks) == {count}, forks
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
@@ -169,13 +207,13 @@ sys.exit("a child outlived the run")
 
 @forks
 def test_no_child_outlives_a_run(corpus):
-    code, out, err = _spawn(["table", corpus, "-o", os.devnull], script=COUNT_FORKS.format(first=1))
+    code, out, err = _spawn(["table", corpus, "-o", os.devnull], script=COUNT_FORKS.format(first=1, count=1))
     assert (code, out) == (1, b"") and err.count(b"\n") == 16, err
 
 
 @forks
 def test_out_of_memory_while_numpy_loads_kills_the_child(corpus):
-    script = REFUSE_NUMPY + COUNT_FORKS.format(first=2)
+    script = REFUSE_NUMPY + COUNT_FORKS.format(first=2, count=1)
     assert _spawn(["MemoryError", "table", corpus], script=script) == (1, b"", b"qrotor: table: out of memory\n")
 
 
@@ -184,7 +222,7 @@ CHILD_FAILS = """
 import os, sys
 from qrotor import reader
 reader._send = lambda fd, data: os._exit(1)
-from qrotor.cli import main
+from qrotor.__main__ import main
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -195,10 +233,100 @@ def test_a_failed_child_changes_nothing(corpus):
 
 
 @forks
-def test_fork_raises_no_deprecation_warning(valid_corpus):
+@pytest.mark.parametrize("argv,inputs", [(["table"], "valid_corpus"), (["table", "--json"], "report_corpus")],
+                         ids=["scan", "report"])
+def test_fork_raises_no_deprecation_warning(request, argv, inputs):
     """From Python 3.12, ``os.fork`` warns in a process that runs threads:
-    the fork comes before numpy, and OpenBLAS, start any."""
-    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-m", "qrotor", "table",
-                           str(valid_corpus), "-o", os.devnull], capture_output=True, text=True, env=_child_env(),
-                          cwd=REPO_ROOT, timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    the scan forks before numpy, and OpenBLAS, start any, and the report
+    after numpy has loaded OpenBLAS on one thread, as ``python -m qrotor``
+    sets it."""
+    argv = [*argv, request.getfixturevalue(inputs)]
+    assert _spawn(argv, flags=["-W", "error::DeprecationWarning"]) == _spawn(argv, core=_one_core())
+
+
+@pytest.fixture(scope="module")
+def one_long_band(tmp_path_factory):
+    """One band of more levels than a JSON report formats in-process: one
+    chunk of the report."""
+    path = tmp_path_factory.mktemp("long") / "long.band"
+    path.write_text("# nucleus: long\n" + "".join(f"{j} {j * (j + 1)}\n" for j in range(cli._FORK_LEVELS + 1)))
+    return path
+
+
+@pytest.mark.parametrize("inputs", ["bands_dir", "one_long_band"], ids=["data-bands", "one-chunk"])
+def test_a_report_of_one_chunk_or_few_levels_never_forks(request, inputs):
+    script = COUNT_FORKS.format(first=1, count=0)
+    argv = ["table", "--json", request.getfixturevalue(inputs), "-o", os.devnull]
+    assert _spawn(argv, script=script) == (0, b"", b"")
+
+
+@forks
+@pytest.mark.parametrize("argv", [["table", "--json"], ["table", "--classical-only", "--json"]],
+                         ids=["json", "classical-only-json"])
+def test_forked_report_gives_the_same_bytes(report_corpus, argv):
+    in_process = _spawn([*argv, report_corpus], core=_one_core())
+    assert in_process[0] == 1 and in_process[1] and in_process[2].count(b"\n") == 2 * 5
+    assert _spawn([*argv, report_corpus]) == in_process
+
+
+@forks
+def test_a_forked_report_leaves_no_child(report_corpus):
+    script = COUNT_FORKS.format(first=1, count=2)  # the scan's child and the report's
+    code, out, err = _spawn(["table", "--json", report_corpus, "-o", os.devnull], script=script)
+    assert (code, out) == (1, b"") and err.count(b"\n") == 2 * 5, err
+
+
+@forks
+def test_a_failed_report_child_changes_nothing(report_corpus):
+    argv = ["table", "--json", report_corpus]
+    assert _spawn(argv, script=CHILD_FAILS) == _spawn(argv, core=_one_core())
+
+
+# Makes the JSON report's first float in this process, not in a child it
+# forks, raise MemoryError.  numpy loads first, so the scan stays in-process.
+REPORT_OUT_OF_MEMORY = """
+import os
+import qrotor.__main__  # OpenBLAS on one thread, as in a run
+from qrotor import ingest
+parent, floats = os.getpid(), ingest._json_floats
+
+def _json_floats(values):
+    if os.getpid() == parent:
+        raise MemoryError
+    return floats(values)
+
+ingest._json_floats = _json_floats
+"""
+
+
+@forks
+def test_out_of_memory_while_the_report_child_runs_kills_it(report_corpus):
+    script = REPORT_OUT_OF_MEMORY + COUNT_FORKS.format(first=1, count=1)
+    code, out, err = _spawn(["table", "--json", report_corpus], script=script)
+    assert (code, out) == (1, b"") and err.endswith(b"\nqrotor: table: out of memory\n"), err
+    assert err.count(b"\n") == 2 * 5 + 1
+
+
+# Runs ``main`` with every fork refused, as when no process is to spare, and
+# then fails unless it tried ``count`` forks.
+FORK_FAILS = """
+import errno, os, sys
+tries = []
+
+def fork():
+    tries.append(1)
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+os.fork = fork
+from qrotor.__main__ import main
+code = main(sys.argv[1:])
+assert len(tries) == {count}, tries
+sys.exit(code)
+"""
+
+
+@forks
+@pytest.mark.parametrize("argv,count", [(["table"], 1), (["table", "--json"], 2)], ids=["table", "json"])
+def test_no_process_to_spare_changes_nothing(report_corpus, argv, count):
+    script = FORK_FAILS.format(count=count)
+    assert _spawn([*argv, report_corpus], script=script) == _spawn([*argv, report_corpus], core=_one_core())
