@@ -23,7 +23,7 @@ band files found" end without paying its import.
 numpy loads: ``reader``, which needs no numpy, scans them, and where the
 files make two chunks or more and two cores are usable it forks one child
 that scans chunks from the start while this process loads numpy, then joins
-in (``reader.scan_paths``).  ``ingest`` checks the band rules on the merged
+in (``reader.scan_paths``).  ``ingest`` checks the band rules on the joined
 scan, the same scan a run on one core makes in-process.  A JSON report of
 more than ``_FORK_LEVELS`` levels is formatted in chunks of bands that this
 process and a second forked child share the same way (``reader.forked``),
@@ -36,6 +36,7 @@ file is whole or left as it was (``_write``).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import stat
@@ -164,7 +165,8 @@ def _emit(args: argparse.Namespace, pieces: Sequence[bytes]) -> int:
 def _write(path: Path, pieces: Sequence[bytes]) -> None:
     """Write ``pieces`` to ``path``, which holds after it the whole of them
     or, when a write fails, what it held before.  A regular file, or a name
-    not yet taken, is written through a new file beside it, made with the
+    not yet taken, is written through a new file beside it, under the first
+    of ``.NAME.PID.tmp``, ``.NAME.PID.1.tmp``, ... not taken, made with the
     mode a new file gets (0o666 less the umask) or the mode of the file it
     replaces, and renamed onto it after the last piece.  A symlink, which is
     followed, a device, a FIFO, or a path beside which no new file can be
@@ -175,11 +177,15 @@ def _write(path: Path, pieces: Sequence[bytes]) -> None:
         mode = None
     flags, temp = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), None
     if mode is None or stat.S_ISREG(mode):
-        try:
-            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            fd = os.open(temp, flags | os.O_EXCL, 0o666)
-        except OSError:
-            temp = None
+        for n in itertools.count():  # a name a killed run left, under a PID since reused, is passed over
+            temp = path.with_name(f".{path.name}.{os.getpid()}{f'.{n}' if n else ''}.tmp")
+            try:
+                fd = os.open(temp, flags | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            except OSError:
+                temp = None
+            break
     if temp is None:
         fd = os.open(path, flags | os.O_TRUNC, 0o666)
     try:
@@ -223,6 +229,8 @@ def _report(args: argparse.Namespace, fits) -> list[bytes]:
     called, so that a swapped name applies."""
     from .reader import can_fork, forked
 
+    # Tested here too, not in ``forked`` alone: an in-process report goes
+    # through ``write_report``, which bench/spans.py's swap records.
     if args.json and len(fits.bands.e) > _FORK_LEVELS and can_fork():
         from .ingest import _report_json, _shown
 

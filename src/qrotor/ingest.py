@@ -15,15 +15,16 @@ them and scans each text once, line by line, for its encoding, headers,
 field counts, number syntax and the half-integer grid into a
 ``reader.Scan``'s flat columns, without numpy; ``_checked``, the numpy tail,
 then checks the band rules (``model.band_faults``) over the whole batch at
-once and gathers the bands that passed.  Either way a failure names its
-line.  Only regular files are read: a pipe or a device is refused before any
-read.  The command line runs the same two steps, with its scan started
-before numpy loads (``reader.scan_paths``).  The report table, the JSON
-report and the plot data are each formatted by one function from one input,
-the ``fit.Fits`` columns that ``fit.compare_batch`` returns for the batch.
-The JSON report's bands are formatted in chunks, one body per chunk inside
-the framing, so that the command line can share the chunks with a forked
-child (``_report_json``); ``write_report`` formats them all in-process.
+once, turns each fault into a ``BandError``, and gathers the bands that
+passed.  Either way a failure names its line.  Only regular files are read:
+a pipe or a device is refused before any read.  The command line runs the
+same two steps, with its scan started before numpy loads
+(``reader.scan_paths``).  The report table, the JSON report and the plot
+data are each formatted by one function from one input, the ``fit.Fits``
+columns that ``fit.compare_batch`` returns for the batch.  The JSON
+report's bands are formatted in chunks, one body per chunk inside the
+framing, so that the command line can share the chunks with a forked child
+(``_report_json``); ``write_report`` formats them all in-process.
 Serialization emits a canonical form that round-trips byte-identically.  All
 report output is deterministic: fixed formats, '.' decimal separator, no
 locale dependence.
@@ -41,8 +42,7 @@ import numpy as np
 
 from .fit import Fits
 from .model import BandData, Bands, band_faults, spin_str
-# BandParseError, _read and _scan keep their old home here too.
-from .reader import BandError, BandParseError, Scan, _read, _scan, most_chunks, scan_paths
+from .reader import BandError, BandParseError, Scan, _read, chunk_size, scan_paths, scan_texts
 
 __all__ = [
     "BandParseError",
@@ -77,17 +77,20 @@ def _checked(scan: Scan) -> tuple[list[BandError | None], list[str | None], Band
     batch.
 
     The band rules are checked over the scan's columns at once.  A text's
-    failure is its first text fault in line order, else its band's first
-    fault, named by the line of the level at fault.
+    failure is its first text fault in line order (a ``BandError`` where it
+    could not be read), else its band's first fault, named by the line of
+    the level at fault.
     """
     counts = np.frombuffer(scan.counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     twoj = np.frombuffer(scan.twoj, dtype=np.int64)
     energies = np.frombuffer(scan.e, dtype=float)
-    faults = scan.faults.copy()
+    faults = [None if fault is None else BandError(fault[1]) if fault[0] is None else BandParseError(*fault)
+              for fault in scan.faults]
+    lines = np.frombuffer(scan.line, dtype=np.int64)
     for k, fault in band_faults(scan.names, twoj, energies, counts).items():
         if faults[k] is None:
-            line_no = 0 if fault.level is None else scan.line[int(starts[k]) + fault.level]
+            line_no = 0 if fault.level is None else int(lines[starts[k] + fault.level])
             faults[k] = BandParseError(line_no, str(fault))
     kept = np.fromiter((fault is None for fault in faults), bool, len(faults))
     levels = np.repeat(kept, counts)
@@ -98,7 +101,7 @@ def _checked(scan: Scan) -> tuple[list[BandError | None], list[str | None], Band
 def parse_band_file(text: bytes | str, path: Path | None = None) -> BandFile:
     """Parse band-file text, keeping the provenance note lines: the
     one-text case of the batch reader."""
-    (fault,), (note,), bands = _checked(Scan([text]))
+    (fault,), (note,), bands = _checked(scan_texts([text]))
     if fault is not None:
         raise fault
     return BandFile(path=path, parsed=bands[0], source_note=note)
@@ -225,7 +228,7 @@ def _report_json(fits: Fits, shown: np.ndarray, run=lambda body, count: map(body
     starts, counts = bands.starts.tolist(), bands.counts.tolist()
     A, chi2, rms, tau, dims = map(np.ndarray.tolist, (fits.A, fits.chi2, fits.rms, fits.tau, fits.dims))
     levels = bands.counts[shown]
-    size = max(_CHUNK_LEVELS, -(-int(levels.sum()) // most_chunks()))
+    size = chunk_size(int(levels.sum()), _CHUNK_LEVELS)
     # A chunk is the bands whose first level falls in one stretch of size levels.
     chunks = np.split(shown, np.flatnonzero(np.diff((np.cumsum(levels) - levels) // size)) + 1)
 

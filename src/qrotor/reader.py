@@ -6,17 +6,20 @@ reading it; a pipe or a device is refused before any read.  ``_scan`` reads
 one text once, line by line, for its encoding, headers, field counts,
 number syntax and the half-integer grid (``qnum.on_grid``), and appends each
 data line's twice-spin, energy and line number to the columns.  A ``Scan``
-is that result for a batch of texts, in order, as int64 and float64
-``array`` columns, which ``ingest`` reads with ``np.frombuffer`` to check the
-band rules over the whole batch.  This module imports the standard library
-and ``qnum`` alone, so that a child the command line forks reads and scans
-while numpy loads.
+(``scan_texts``) is that result for a batch of texts, in order: the tuple
+``marshal`` writes, with the columns as the bytes of int64 and float64
+arrays, which ``ingest`` reads with ``np.frombuffer`` to check the band
+rules over the whole batch, and each fault as ``(line, message)``, which
+``ingest`` alone turns into a ``BandError``.  This module imports the
+standard library and ``qnum`` alone, so that a child the command line forks
+reads and scans while numpy loads.
 
-``scan_paths`` is the one scan of a list of paths.  Where the paths make two
-chunks or more, numpy has not loaded and ``can_fork()``, a forked child
+``scan_paths`` is the one scan of a list of paths.  Until numpy has loaded,
+where the paths make two chunks or more and ``can_fork()``, a forked child
 scans chunks while this process loads numpy, and then both scan the rest
-(``forked``, which the command line's JSON report uses too).  A fork changes
-no result.  Elsewhere the same scan runs in this process alone.
+(``forked``, which the command line's JSON report uses too).  The chunks'
+scans, in one form in either process, are joined once, in path order, so a
+fork changes no result.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ import os
 import stat
 import sys
 from array import array
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 from pathlib import Path
 
 from .qnum import MAX_SPIN, _cores, _decimal, on_grid
 
-__all__ = ["BandError", "BandParseError", "Scan", "scan_paths"]
+__all__ = ["BandError", "BandParseError", "Scan", "scan_texts", "scan_paths"]
 
 
 class BandError(ValueError):
@@ -61,17 +66,17 @@ class BandParseError(BandError):
 
 
 def _scan(text: bytes | str, twojs: list[int], energies: list[float],
-          line_nos: list[int]) -> tuple[str | None, list[str], BandParseError | None]:
+          line_nos: list[int]) -> tuple[str | None, list[str], tuple[int, str] | None]:
     """Check one file's text (encoding, headers, field count, number syntax,
     half-integer grid) and append each data line before its first fault to
     the columns: twice-spin, energy and line number.  Returns the band name,
-    the note lines and that fault, or None."""
+    the note lines and that fault as ``(line, message)``, or None."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             line_no = text.count(b"\n", 0, exc.start) + 1
-            return None, [], BandParseError(line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8")
+            return None, [], (line_no, f"byte {text[exc.start]:#04x} is not valid UTF-8")
     text = text.removeprefix("\ufeff")  # one leading byte-order mark
     read = float if text.isascii() and "_" not in text else _decimal
 
@@ -87,18 +92,18 @@ def _scan(text: bytes | str, twojs: list[int], energies: list[float],
             body = line[1:].strip()
             if body.startswith("nucleus:"):
                 if name is not None:
-                    return name, notes, BandParseError(line_no, "duplicate '# nucleus:' header")
+                    return name, notes, (line_no, "duplicate '# nucleus:' header")
                 name = body[len("nucleus:"):].strip()
                 if not name:
-                    return name, notes, BandParseError(line_no, "empty nucleus name")
+                    return name, notes, (line_no, "empty nucleus name")
             elif body.startswith("note:"):
                 notes.append(body[len("note:"):].strip())
             continue
         if name is None:
-            return name, notes, BandParseError(line_no, "data before the required '# nucleus:' header")
+            return name, notes, (line_no, "data before the required '# nucleus:' header")
         tokens = line.split()
         if len(tokens) != 2:
-            return name, notes, BandParseError(line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
+            return name, notes, (line_no, f"expected '<spin> <energy_keV>', got {len(tokens)} fields")
         try:
             spin = read(tokens[0])
         except ValueError:
@@ -106,65 +111,51 @@ def _scan(text: bytes | str, twojs: list[int], energies: list[float],
         twoj = on_grid(spin)
         if twoj is None:
             if MAX_SPIN < abs(spin) < math.inf:
-                return name, notes, BandParseError(line_no, f"spin {tokens[0]!r} exceeds {MAX_SPIN}")
-            return name, notes, BandParseError(line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)")
+                return name, notes, (line_no, f"spin {tokens[0]!r} exceeds {MAX_SPIN}")
+            return name, notes, (line_no, f"invalid spin {tokens[0]!r} (integer or half-integer)")
         try:
             energies.append(read(tokens[1]))
         except ValueError:
-            return name, notes, BandParseError(line_no, f"non-numeric energy {tokens[1]!r}")
+            return name, notes, (line_no, f"non-numeric energy {tokens[1]!r}")
         twojs.append(twoj)
         line_nos.append(line_no)
     if name is None:
-        return name, notes, BandParseError(0, "missing '# nucleus:' header")
+        return name, notes, (0, "missing '# nucleus:' header")
     return name, notes, None
 
 
-class Scan:
-    """The scanned texts of a batch, in order.  Per text: ``names`` (None
-    where no header was read), ``notes`` (the note lines joined by "\\n", or
-    None), ``faults`` (the first text fault, or None) and ``counts`` (the
-    levels it added); per level: ``twoj``, ``e`` and ``line``, the twice-spin,
-    energy and line number.  The four number columns are int64 and float64
-    ``array``s.  A text given as a ``BandError``, the error reading it, is
-    its own fault."""
+class Scan(namedtuple("Scan", "names notes faults twoj e line counts")):
+    """The scanned texts of a batch, in order: a tuple that ``marshal``
+    writes as ``tuple(scan)``, so that a scan takes one form in either process.
+    Per text: ``names`` (None where no header was read), ``notes`` (the note
+    lines joined by "\\n", or None), ``faults`` (the first fault, as
+    ``(line, message)`` with line None for an error reading it, or None) and
+    ``counts`` (the levels it added); per level: ``twoj``, ``e`` and
+    ``line``, the twice-spin, energy and line number.  The four number
+    columns are the bytes of int64 and float64 arrays."""
 
-    def __init__(self, texts: Iterable[bytes | str | BandError] = ()):
-        # Lists while scanning: array.append takes three times as long as list.append.
-        twoj, e, line, counts = [], [], [], []
-        self.names, self.notes, self.faults = [], [], []
-        for text in texts:
-            before = len(line)
-            name, note, fault = (None, [], text) if isinstance(text, BandError) else _scan(text, twoj, e, line)
-            self.names.append(name)
-            self.notes.append("\n".join(note) if note else None)
-            self.faults.append(fault)
-            counts.append(len(line) - before)
-        self.twoj, self.e, self.line, self.counts = array("q", twoj), array("d", e), array("q", line), array("q", counts)
+    __slots__ = ()
 
-    def extend(self, other: Scan) -> None:
-        """Append ``other``'s texts after this scan's."""
-        for column in ("names", "notes", "faults", "twoj", "e", "line", "counts"):
-            getattr(self, column).extend(getattr(other, column))
 
-    def values(self) -> tuple:
-        """The scan as values ``marshal`` writes: the number columns as raw
-        bytes, and each fault as ``(line, message)``, line None for a plain
-        ``BandError``."""
-        faults = [None if fault is None else (fault.line, fault.message) if isinstance(fault, BandParseError)
-                  else (None, str(fault)) for fault in self.faults]
-        columns = (self.twoj, self.e, self.line, self.counts)
-        return self.names, self.notes, faults, *(column.tobytes() for column in columns)
+def scan_texts(texts: Iterable[bytes | str | BandError]) -> Scan:
+    """The scan of ``texts``, in order.  A text given as a ``BandError``,
+    the error reading it, is its own fault."""
+    # Lists while scanning: array.append takes three times as long as list.append.
+    names, notes, faults, twoj, e, line, counts = [], [], [], [], [], [], []
+    for text in texts:
+        before = len(line)
+        name, note, fault = (None, [], (None, str(text))) if isinstance(text, BandError) else _scan(text, twoj, e, line)
+        names.append(name)
+        notes.append("\n".join(note) if note else None)
+        faults.append(fault)
+        counts.append(len(line) - before)
+    return Scan(names, notes, faults, *(array(t, c).tobytes() for t, c in zip("qdqq", (twoj, e, line, counts))))
 
-    @classmethod
-    def of_values(cls, values: tuple) -> Scan:
-        """The scan that gave ``values``."""
-        scan = cls()
-        scan.names, scan.notes, faults, *columns = values
-        scan.faults = [None if fault is None else BandError(fault[1]) if fault[0] is None else BandParseError(*fault)
-                       for fault in faults]
-        for column, data in zip((scan.twoj, scan.e, scan.line, scan.counts), columns, strict=True):
-            column.frombytes(data)
-        return scan
+
+def _joined(scans: Sequence[tuple]) -> Scan:
+    """The scans of consecutive chunks of texts, in order, as one scan."""
+    names, notes, faults, *columns = zip(*scans)
+    return Scan(*(list(chain.from_iterable(texts)) for texts in (names, notes, faults)), *map(b"".join, columns))
 
 
 # Without O_NONBLOCK, opening a FIFO waits for a writer; O_BINARY (Windows
@@ -210,19 +201,20 @@ _CHUNK_FILES = 256
 _TOKEN_BYTES = 4
 
 
-def most_chunks() -> int:
-    """The most chunks ``forked`` takes: their numbers fit one pipe write
-    that cannot block (1,024 on Linux)."""
+def chunk_size(total: int, least: int) -> int:
+    """The size of chunks that cut ``total`` items into chunks of at least
+    ``least`` items, and into few enough that their numbers fit the one
+    pipe write of ``forked``, which cannot block (1,024 chunks on Linux)."""
     import select  # PIPE_BUF; only a forking platform needs it
 
-    return getattr(select, "PIPE_BUF", 512) // _TOKEN_BYTES
+    return max(least, -(-total // (getattr(select, "PIPE_BUF", 512) // _TOKEN_BYTES)))
 
 
 def _chunks(paths: Sequence[Path | str]) -> list[Sequence[Path | str]]:
-    """``paths`` cut into consecutive chunks of ``_CHUNK_FILES`` paths; past
-    ``most_chunks()`` chunks the chunks grow."""
-    size = max(_CHUNK_FILES, -(-len(paths) // most_chunks()))
-    return [paths[start:start + size] for start in range(0, len(paths), size)]
+    """``paths`` cut into consecutive chunks of ``_CHUNK_FILES`` paths, or
+    more past ``chunk_size``'s bound; no paths make one empty chunk."""
+    size = chunk_size(len(paths), _CHUNK_FILES)
+    return [paths[start:start + size] for start in range(0, max(len(paths), 1), size)]
 
 
 def can_fork() -> bool:
@@ -260,10 +252,10 @@ def _child(work: Callable[[int], object], tokens: int, results: tuple[int, int])
 
 
 def forked(work: Callable[[int], object], count: int, meanwhile: Callable[[], object] = lambda: None) -> list:
-    """``[work(k) for k in range(count)]``, shared with one forked child, and
-    ``meanwhile()`` called once in this process before it works.  The caller
-    checks ``can_fork()``; ``count`` is at most ``most_chunks()``, and each
-    result is a value ``marshal`` writes.
+    """``[work(k) for k in range(count)]``, shared with one forked child
+    where ``can_fork()``, and ``meanwhile()`` called once in this process
+    before it works.  ``count`` is at most what ``chunk_size`` allows, and
+    each result is a value ``marshal`` writes.
 
     The chunk numbers go into a pipe in one write, made before the fork; a
     pipe read hands each number to one reader only, so the child takes
@@ -275,7 +267,7 @@ def forked(work: Callable[[int], object], count: int, meanwhile: Callable[[], ob
     No process outlives the call: on any exception, ``meanwhile``'s among
     them, the child is killed and reaped before it propagates.
     """
-    if count < 2:  # a child could only wait, or hold a second copy of the one result
+    if count < 2 or not can_fork():  # with one chunk a child could only wait, or hold a second copy of it
         meanwhile()
         return [work(k) for k in range(count)]
     tokens, write = os.pipe()
@@ -321,15 +313,10 @@ def forked(work: Callable[[int], object], count: int, meanwhile: Callable[[], ob
 
 def scan_paths(paths: Sequence[Path | str], meanwhile: Callable[[], object] = lambda: None) -> Scan:
     """Read and scan the band files at ``paths``, in order, and call
-    ``meanwhile()`` once in this process, before it scans.  Where the paths
-    make two chunks or more, numpy, whose import the child overlaps and
-    whose BLAS may start threads, has not loaded, and ``can_fork()``, a
-    forked child scans chunks while ``meanwhile`` runs (``forked``)."""
-    if len(paths) <= _CHUNK_FILES or "numpy" in sys.modules or not can_fork():
-        meanwhile()
-        return Scan(map(_read, paths))
-    chunks = _chunks(paths)
-    scan = Scan()
-    for values in forked(lambda k: Scan(map(_read, chunks[k])).values(), len(chunks), meanwhile):
-        scan.extend(Scan.of_values(values))
-    return scan
+    ``meanwhile()`` once in this process, before it scans.  Until numpy,
+    whose import the child overlaps and whose BLAS may start threads, has
+    loaded, the paths go in chunks, of which a forked child scans some while
+    ``meanwhile`` runs (``forked``); the chunks' scans are joined once, in
+    path order.  After, they go in one chunk, which never forks."""
+    chunks = [paths] if "numpy" in sys.modules else _chunks(paths)
+    return _joined(forked(lambda k: tuple(scan_texts(map(_read, chunks[k]))), len(chunks), meanwhile))

@@ -328,6 +328,21 @@ class TestOutputFile:
         assert (tmp_path / "link.txt").is_symlink() and (tmp_path / "target.txt").read_text().startswith("nucleus")
 
 
+def test_a_leftover_temporary_file_is_passed_over(tmp_path, monkeypatch, capsys, dy162_path):
+    """A temporary file a killed run left under this PID stays as it was,
+    and the report still arrives by rename, as a new file."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "r.txt"
+    out.write_bytes(b"earlier")
+    inode = out.stat().st_ino
+    stale = tmp_path / f".r.txt.{os.getpid()}.tmp"
+    stale.write_bytes(b"stale")
+    assert main(["table", str(dy162_path), "-o", "r.txt"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text().startswith("nucleus") and out.stat().st_ino != inode
+    assert stale.read_bytes() == b"stale" and sorted(os.listdir(tmp_path)) == [stale.name, "r.txt"]
+
+
 class TestPlotdataCommand:
     def test_columns(self, capsys, dy162_path):
         assert main(["plotdata", str(dy162_path)]) == 0

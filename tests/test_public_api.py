@@ -235,6 +235,29 @@ def test_test_imports_are_declared():
     assert sorted(third_party - declared) == []
 
 
+def _module_imports(node):
+    """The import statements of a module outside its functions and classes."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            yield from _module_imports(child)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "qrotor").glob("*.py")), ids=lambda path: path.name)
+def test_every_module_import_is_used_or_exported(path):
+    """A name a module imports at its top is read in the module or listed in
+    its ``__all__``, so that an import a move left behind fails here."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.partition(".")[0] for node in _module_imports(tree)
+                if getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {node.value for assign in tree.body if isinstance(assign, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in assign.targets)
+                for node in ast.walk(assign.value) if isinstance(node, ast.Constant)}
+    assert sorted(imported - used - exported) == []
+
+
 BAND_TEXT = b"# nucleus: testium\n2 100.0\n4 330.0\n6 690.0\n"
 # Each exported dataclass, built by a call that returns an equal twin when
 # called again; a dataclass exported later and missing here fails below.

@@ -19,11 +19,11 @@ import pytest
 
 from _synth import random_band
 from conftest import REPO_ROOT
-from qrotor import cli, reader
+from qrotor import cli, ingest, reader
 from qrotor.fit import compare_batch
-from qrotor.ingest import BandParseError, _checked, _report_json, write_band
+from qrotor.ingest import BandParseError, _checked, _report_json, write_band, write_report
 from qrotor.model import BandError
-from qrotor.reader import Scan, _chunks, _read
+from qrotor.reader import Scan, _chunks, _joined, _read, scan_texts
 from test_cli import REFUSE_NUMPY, _child_env
 
 CHUNK = reader._CHUNK_FILES
@@ -63,24 +63,18 @@ def _failing_texts(tmp_path):
     ]
 
 
-def test_scan_values_round_trip(tmp_path):
+def test_chunk_scans_join_in_order(tmp_path):
+    """Scans of consecutive chunks, one sent through ``marshal`` as a child
+    sends it, join into the scan of all the texts, in the one form."""
     texts = [write_band(random_band(np.random.default_rng(k), k)[0]) for k in range(5)]
-    scan = Scan([*texts, *_failing_texts(tmp_path), "# nucleus: e\n# note: n\n0 0\n1 1\n2 3\n"])
-    twin = Scan.of_values(marshal.loads(marshal.dumps(scan.values())))
-    for column in ("names", "notes", "twoj", "e", "line", "counts"):
-        assert getattr(twin, column) == getattr(scan, column), column
-    assert [(type(f), str(f)) for f in twin.faults] == [(type(f), str(f)) for f in scan.faults]
-    assert (twin.twoj.typecode, twin.e.typecode, twin.line.typecode, twin.counts.typecode) == ("q", "d", "q", "q")
-
-
-def test_scans_extend_in_order(tmp_path):
-    texts = [write_band(random_band(np.random.default_rng(k), k)[0]) for k in range(4)] + _failing_texts(tmp_path)
-    joined = Scan(texts[:3])
-    joined.extend(Scan(texts[3:]))
-    whole = Scan(texts)
-    for column in ("names", "notes", "twoj", "e", "line", "counts"):
-        assert getattr(joined, column) == getattr(whole, column), column
-    assert list(map(str, joined.faults)) == list(map(str, whole.faults))
+    texts += [*_failing_texts(tmp_path), "# nucleus: e\n# note: n\n0 0\n1 1\n2 3\n"]
+    whole = scan_texts(texts)
+    joined = _joined([tuple(scan_texts(texts[:3])), marshal.loads(marshal.dumps(tuple(scan_texts(texts[3:]))))])
+    assert type(joined) is Scan and joined == whole
+    assert [type(column) for column in whole[3:]] == [bytes] * 4
+    assert [f for f in whole.faults if f is not None] == [
+        (3, "byte 0xff is not valid UTF-8"), (0, "missing '# nucleus:' header"),
+        (3, "invalid spin '0.3' (integer or half-integer)"), (3, "non-numeric energy 'x'"), (None, str(texts[-2]))]
 
 
 @pytest.mark.parametrize("files,size", [(1, CHUNK), (CHUNK * 3 + 1, CHUNK), (CHUNK * 2048, CHUNK * 2)])
@@ -91,6 +85,17 @@ def test_chunk_numbers_fit_one_pipe_write(files, size):
     assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
     assert [k for chunk in chunks for k in chunk] == list(range(files))
     assert len(chunks) * reader._TOKEN_BYTES <= select.PIPE_BUF
+
+
+def test_forked_without_a_fork_works_in_process(monkeypatch):
+    def fork():
+        raise AssertionError("forked where can_fork() is False")
+
+    monkeypatch.setattr(reader, "can_fork", lambda: False)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    calls = []
+    assert reader.forked(lambda k: k * k, 3, lambda: calls.append(1)) == [0, 1, 4]
+    assert calls == [1]
 
 
 def test_meanwhile_runs_once_in_process(tmp_path):
@@ -131,7 +136,7 @@ def valid_corpus(tmp_path_factory):
 def _first_report_chunk(texts):
     """The bands in the first chunk of the JSON report of ``texts``, all
     valid bands."""
-    fits = compare_batch(_checked(Scan(texts))[2])
+    fits = compare_batch(_checked(scan_texts(texts))[2])
     bodies = []
 
     def run(body, count):
@@ -141,6 +146,26 @@ def _first_report_chunk(texts):
     _report_json(fits, fits.shown(), run)
     assert len(bodies) > 2
     return bodies[0].count(b'"nucleus"') // 2  # two rows a band
+
+
+def test_report_chunk_numbers_fit_one_pipe_write(monkeypatch):
+    """With the pipe bound cut to four chunk numbers, a JSON report of more
+    than four times ``_CHUNK_LEVELS`` levels still makes four bodies at
+    most, and the same bytes."""
+    import select
+
+    texts = [write_band(random_band(np.random.default_rng(k), k)[0]) for k in range(800)]
+    fits = compare_batch(_checked(scan_texts(texts))[2])
+    assert len(fits.bands.e) > 4 * ingest._CHUNK_LEVELS
+    monkeypatch.setattr(select, "PIPE_BUF", 4 * reader._TOKEN_BYTES, raising=False)
+    bodies = []
+
+    def run(body, count):
+        bodies.extend(map(body, range(count)))
+        return bodies
+
+    assert b"".join(_report_json(fits, fits.shown(), run)) == write_report(fits, as_json=True)
+    assert 1 < len(bodies) <= 4
 
 
 @pytest.fixture(scope="module")
